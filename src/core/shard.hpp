@@ -44,6 +44,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -63,9 +64,6 @@ namespace core {
  * this — patchSegments handles every config.
  */
 bool shardableConfig(const AnalysisConfig &cfg);
-
-/** True when @p cfg enables any functional-unit limit. */
-bool fuLimitedConfig(const AnalysisConfig &cfg);
 
 /**
  * Per-branch mispredict bits from the sequential predictor pre-pass:
@@ -110,15 +108,41 @@ class PredictorPrepass
     /** Conditional branches seen so far. */
     uint64_t branches() const { return bits.count; }
 
-    /** Records consumed so far. */
-    size_t recordsSeen() const { return offset_; }
-
     MispredictBits bits;
     std::vector<size_t> mispredictCuts; ///< record index after each miss
 
   private:
     BranchPredictor predictor_;
     size_t offset_ = 0;
+};
+
+/**
+ * Block-granular random access to one trace: how the planner and the
+ * segments read records, whether they sit in one contiguous capture or in
+ * a shared decode pool's block cache. Block b covers records
+ * [b * blockRecords, b * blockRecords + Span::n); every block but the last
+ * is full. Only the first `count` records are read.
+ */
+struct TraceBlocks
+{
+    /** One block; @c hold keeps its storage alive while it is read. */
+    struct Span
+    {
+        const trace::TraceRecord *records = nullptr;
+        size_t n = 0;
+        std::shared_ptr<const void> hold;
+    };
+
+    uint64_t count = 0;          ///< records to read (a cap may clip)
+    size_t blockRecords = 65536; ///< the fused block-major granule
+    std::function<Span(size_t)> block; ///< called concurrently by segments
+
+    /** @p records[0, n) served as 64K-record slices. */
+    static TraceBlocks contiguous(const trace::TraceRecord *records,
+                                  size_t n);
+
+    /** processAll() records [begin, end) into @p engine, block by block. */
+    void feed(Paragraph &engine, uint64_t begin, uint64_t end) const;
 };
 
 /**
@@ -137,41 +161,43 @@ struct PatchPlan
     /** Per segment: conditional branches preceding its first record. */
     std::vector<uint64_t> branchBase;
 
+    /** True when the cuts sit at stall/mispredict candidates rather than
+     *  on plain equal tiles. Under shardableConfig() every such cut is a
+     *  total firewall, so every splice validates by construction. */
+    bool naturalCuts = false;
+
     size_t segments() const { return cuts.size() + 1; }
 };
 
 /**
- * Plan up to @p shards segments over @p records[0, n) under @p cfg. Cut
- * candidates are the positions immediately after stalling syscalls (when
- * the config stalls) and after mispredicted branches (modeled predictors,
- * discovered by the pre-pass run here); with no candidates at all the plan
- * falls back to plain equal-spacing cuts — the patch validates every
- * splice and replays on failure, so correctness never depends on the cut
- * choice, only speed does. Returns an empty-cut plan when shards < 2 or
- * n < 2 (solo).
+ * Plan up to @p shards segments over @p trace under @p cfg, in one walk
+ * over its blocks. Cut candidates are the positions immediately after
+ * stalling syscalls (when the config stalls) and after mispredicted
+ * branches (modeled predictors, discovered by the pre-pass run here); with
+ * no candidates at all the plan falls back to plain equal-spacing cuts —
+ * the patch validates every splice and replays on failure, so correctness
+ * never depends on the cut choice, only speed does. Each segment's branch
+ * base costs one partial re-read of the block its cut falls in. Returns an
+ * empty-cut plan when shards < 2 or the trace has fewer than 2 records.
  */
+PatchPlan planPatchPlan(const AnalysisConfig &cfg, const TraceBlocks &trace,
+                        unsigned shards);
+
+/** planPatchPlan() over contiguous @p records[0, n). */
 PatchPlan planPatchPlan(const AnalysisConfig &cfg,
                         const trace::TraceRecord *records, size_t n,
                         unsigned shards);
 
 /**
  * Choose up to @p shards - 1 cut positions over @p records[0, n): each cut
- * is a record index immediately after a stalling-syscall record, picked
- * nearest to the equal-spacing targets k * n / shards. Returns a sorted,
- * deduplicated list of interior cut positions (empty when the trace has no
- * interior syscall — the caller falls back to a solo run).
+ * is a record index immediately after a syscall record, picked nearest to
+ * the equal-spacing targets k * n / shards — the firewall-only planner.
+ * Returns a sorted, deduplicated list of interior cut positions (empty
+ * when the trace has no interior syscall — the caller falls back to a solo
+ * run).
  */
 std::vector<size_t> planShardCuts(const trace::TraceRecord *records,
                                   size_t n, unsigned shards);
-
-/**
- * The selection half of planShardCuts() for callers that gather candidate
- * positions themselves (e.g. scanning decoded blocks instead of one
- * contiguous record array): pick up to @p shards - 1 cuts from the sorted
- * @p candidates, nearest to the equal-spacing targets over @p n records.
- */
-std::vector<size_t> selectShardCuts(const std::vector<size_t> &candidates,
-                                    size_t n, unsigned shards);
 
 /** One analyzed segment: its standalone result plus the boundary log. */
 struct SegmentRun
@@ -181,13 +207,19 @@ struct SegmentRun
 };
 
 /**
- * Analyze @p records[0, n) as one shard segment under @p cfg (segment
- * instruction caps are ignored: the caller slices exact spans). Runs on
- * the calling thread; segments are independent, so callers parallelize by
- * invoking this from one thread per segment. For modeled predictors pass
- * the plan's bitvector and the segment's branchBase so the segment
- * consumes the precomputed, cut-invariant outcomes.
+ * Analyze records [@p begin, @p end) of @p trace as one shard segment under
+ * @p cfg (segment instruction caps are ignored: the caller slices exact
+ * spans). Runs on the calling thread; segments are independent, so callers
+ * parallelize by invoking this from one thread per segment. For modeled
+ * predictors pass the plan's bitvector and the segment's branchBase so the
+ * segment consumes the precomputed, cut-invariant outcomes.
  */
+void runSegment(const AnalysisConfig &cfg, const TraceBlocks &trace,
+                uint64_t begin, uint64_t end, SegmentRun &out,
+                const MispredictBits *bits = nullptr,
+                uint64_t branch_base = 0);
+
+/** runSegment() over contiguous @p records[0, n). */
 void runSegment(const AnalysisConfig &cfg, const trace::TraceRecord *records,
                 size_t n, SegmentRun &out,
                 const MispredictBits *bits = nullptr,

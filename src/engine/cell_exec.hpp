@@ -1,16 +1,20 @@
 /**
  * @file
- * Cell execution: the fault-isolated solo and fused analysis paths shared
- * by SweepEngine (one-shot grids) and SweepScheduler (the daemon's
- * cross-client submission queue).
+ * Cell execution: the fault-isolated solo and fused analysis paths behind
+ * SweepScheduler, the runner of every paragraph-sweep grid and every
+ * paragraph-serve request.
  *
- * These functions own the semantics both callers must agree on exactly —
- * the per-cell attempts loop, per-attempt deadline tokens, the rule that
- * cancellation is final while ordinary failures retry, and the fused-group
- * demotion rule (an engine that throws mid-group re-runs its cell solo
- * without consuming an attempt; a group-level input error demotes every
- * member). Keeping them in one place is what makes a daemon-served cell
- * byte-identical to the same cell from a paragraph-sweep run.
+ * These functions own the semantics every cell shares — the per-cell
+ * attempts loop, per-attempt deadline tokens, the rule that cancellation
+ * is final while ordinary failures retry, and the fused-group demotion
+ * rule (an engine that throws mid-group re-runs its cell solo without
+ * consuming an attempt; a group-level input error demotes every member).
+ * A solo attempt runs the same guarded fused pass a group runs, over one
+ * config — or, with Options::shards > 1, the split-and-patch path over the
+ * input's record blocks (a capture's 64K-record slices or a pooled `.ptrc`
+ * stream's decoded blocks). Keeping all of it in one place is what makes a
+ * daemon-served cell byte-identical to the same cell from a paragraph-sweep
+ * run.
  */
 
 #ifndef PARAGRAPH_ENGINE_CELL_EXEC_HPP
@@ -19,31 +23,12 @@
 #include <functional>
 #include <vector>
 
+#include "engine/scheduler.hpp"
 #include "engine/sweep.hpp"
 #include "engine/trace_repository.hpp"
 
 namespace paragraph {
 namespace engine {
-
-/** The slice of SweepEngine::Options cell execution depends on. */
-struct CellExecOptions
-{
-    /** Re-run a failed cell up to this many extra times (cancelled or
-     *  deadline-expired attempts are final). */
-    unsigned maxRetries = 0;
-
-    /** Per-attempt cooperative deadline in seconds; 0 = none. */
-    double cellDeadlineSeconds = 0.0;
-
-    /** Split a solo cell's trace into up to this many independently-
-     *  analyzed segments, run on that many threads and patched into the
-     *  exact solo result (core/shard.hpp split-and-patch). Applies to
-     *  every config — cuts are planned at stall syscalls and mispredicted
-     *  branches (plain tiles when the trace offers neither), and each
-     *  boundary is validated and spliced, or replayed sequentially when
-     *  its splice conditions fail. 1 = off. */
-    unsigned shards = 1;
-};
 
 /**
  * Run @p cell's attempts loop: guarded capture + analysis, retries for
@@ -52,23 +37,19 @@ struct CellExecOptions
  * throws.
  */
 void runCellSolo(TraceRepository &repo, SweepCell &cell,
-                 const CellExecOptions &opt);
+                 const SweepScheduler::Options &opt);
 
 /**
  * Run @p cells — all carrying jobs for the same input — as one block-major
  * fused pass over the shared trace, applying the demotion rule for
- * failures. @p finish is invoked exactly once per cell, after that cell's
- * status is final (in group order). Never throws.
+ * failures. @p finish is invoked exactly once per cell with its position in
+ * @p cells, after that cell's status is final (in group order). Never
+ * throws.
  */
 void runFusedCells(TraceRepository &repo,
                    const std::vector<SweepCell *> &cells,
-                   const CellExecOptions &opt,
-                   const std::function<void(SweepCell &)> &finish);
-
-/** Rough live-state bytes one engine with this config keeps resident:
- *  base live well + ordering window + profile/lifetime buckets. Used to
- *  clamp fused-group size against a memory budget. */
-size_t configFootprint(const core::AnalysisConfig &cfg);
+                   const SweepScheduler::Options &opt,
+                   const std::function<void(size_t)> &finish);
 
 } // namespace engine
 } // namespace paragraph

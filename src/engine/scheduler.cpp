@@ -1,13 +1,42 @@
 #include "engine/scheduler.hpp"
 
+#include <algorithm>
 #include <system_error>
 #include <utility>
 
+#include "engine/cell_exec.hpp"
 #include "support/failpoint.hpp"
 #include "support/panic.hpp"
 
 namespace paragraph {
 namespace engine {
+
+namespace {
+
+/** Concurrent passes allowed over one decode-gated input. Eight private
+ *  decoders on one compressed trace thrash each other's cache and the
+ *  disk: streamed `.ptrz` at --jobs=8 ran slower than at --jobs=1. */
+constexpr unsigned kMaxDecodersPerInput = 2;
+
+/** Rough live-state bytes one engine with this config keeps resident:
+ *  base live well + ordering window + profile/lifetime buckets. Used to
+ *  clamp fused-group size against a memory budget. */
+size_t
+configFootprint(const core::AnalysisConfig &cfg)
+{
+    size_t bytes = size_t(8) << 20;
+    bytes += static_cast<size_t>(cfg.windowSize) * 8;
+    bytes += cfg.profileBins * 40;
+    return bytes;
+}
+
+size_t
+ceilDiv(size_t a, size_t b)
+{
+    return std::max<size_t>((a + b - 1) / b, 1);
+}
+
+} // namespace
 
 SweepScheduler::SweepScheduler(TraceRepository &repo)
     : SweepScheduler(repo, Options())
@@ -21,10 +50,6 @@ SweepScheduler::SweepScheduler(TraceRepository &repo, Options opt)
 {
     if (workers_ == 0) // hardware_concurrency() may report 0
         workers_ = 1;
-    if (opt_.groupSize == 0)
-        opt_.groupSize = 1;
-    execOpt_.maxRetries = opt_.maxRetries;
-    execOpt_.cellDeadlineSeconds = opt_.cellDeadlineSeconds;
     pool_.reserve(workers_);
     for (unsigned t = 0; t < workers_; ++t) {
         // Worker-startup fault containment: a thread that cannot start
@@ -57,12 +82,48 @@ std::shared_ptr<SweepScheduler::Batch>
 SweepScheduler::submit(std::vector<SweepJob> jobs,
                        std::function<void(SweepCell &)> onCell)
 {
+    IndexedCellFn indexed;
+    if (onCell)
+        indexed = [fn = std::move(onCell)](size_t, SweepCell &cell) {
+            fn(cell);
+        };
+    return submit(std::move(jobs), std::move(indexed));
+}
+
+std::shared_ptr<SweepScheduler::Batch>
+SweepScheduler::submit(std::vector<SweepJob> jobs, IndexedCellFn onCell)
+{
     auto batch = std::make_shared<Batch>();
     batch->cells_.resize(jobs.size());
     batch->onCell_ = std::move(onCell);
     batch->remaining_ = jobs.size();
     for (size_t i = 0; i < jobs.size(); ++i)
         batch->cells_[i].job = std::move(jobs[i]);
+
+    // Per-input cell counts and decode gating, resolved here on the
+    // submitting thread: decodePool() maps and checksums a file outside
+    // the repository lock, so workers asking first would each pay it.
+    std::map<std::string, std::pair<size_t, bool>> inputs;
+    for (const SweepCell &cell : batch->cells_) {
+        auto [it, fresh] = inputs.try_emplace(cell.job.input, 0, false);
+        ++it->second.first;
+        if (fresh && repo_.streamingInput(cell.job.input)) {
+            try {
+                it->second.second = !repo_.decodePool(cell.job.input);
+            } catch (const std::exception &) {
+                // A corrupt file fails pool construction here; the
+                // per-cell attempt re-raises it where it can be attributed.
+                it->second.second = true;
+            }
+        }
+    }
+    // Auto target: one pass per worker's share of the batch — except on a
+    // decode-gated input, where at most kMaxDecodersPerInput passes run at
+    // once however many workers exist. Near-solo passes would queue behind
+    // that cap, each paying a full decode for a sliver of analysis
+    // (streamed --jobs=8 --group=0 ran at 0.74x of --group=2).
+    const size_t autoTarget = ceilDiv(batch->cells_.size(), workers_);
+    const size_t gatedShare = std::min<size_t>(workers_, kMaxDecodersPerInput);
 
     bool rejected;
     {
@@ -71,22 +132,22 @@ SweepScheduler::submit(std::vector<SweepJob> jobs,
         if (!rejected) {
             for (size_t i = 0; i < batch->cells_.size(); ++i) {
                 const std::string &input = batch->cells_[i].job.input;
+                const auto &[count, gated] = inputs.at(input);
+                size_t target = opt_.groupSize;
+                if (target == 0)
+                    target = gated ? ceilDiv(count, gatedShare) : autoTarget;
                 auto [it, fresh] = pendingByInput_.try_emplace(input);
                 if (fresh)
                     inputOrder_.push_back(input);
-                it->second.push_back(Item{batch, i});
+                it->second.gated = gated;
+                it->second.items.push_back(Item{batch, i, target});
             }
         }
     }
     if (rejected) {
-        for (SweepCell &cell : batch->cells_) {
-            cell.status = SweepCell::Status::Failed;
-            cell.errorMessage = "scheduler stopped";
-            cell.attempts = 0;
-        }
         // Deliver outside any scheduler lock, same as the worker path.
         for (size_t i = 0; i < batch->cells_.size(); ++i)
-            deliver(Item{batch, i});
+            failStopped(Item{batch, i});
     } else {
         cv_.notify_all();
     }
@@ -103,20 +164,15 @@ SweepScheduler::stop()
             return;
         stopping_ = true;
         for (auto &bucket : pendingByInput_) {
-            for (Item &item : bucket.second)
+            for (Item &item : bucket.second.items)
                 orphans.push_back(std::move(item));
         }
         pendingByInput_.clear();
         inputOrder_.clear();
     }
     cv_.notify_all();
-    for (const Item &item : orphans) {
-        SweepCell &cell = item.batch->cells_[item.index];
-        cell.status = SweepCell::Status::Failed;
-        cell.errorMessage = "scheduler stopped";
-        cell.attempts = 0;
-        deliver(item);
-    }
+    for (const Item &item : orphans)
+        failStopped(item);
     for (std::thread &t : pool_)
         t.join();
     pool_.clear();
@@ -128,8 +184,18 @@ SweepScheduler::pendingCells() const
     std::lock_guard<std::mutex> lock(mutex_);
     size_t pending = 0;
     for (const auto &bucket : pendingByInput_)
-        pending += bucket.second.size();
+        pending += bucket.second.items.size();
     return pending;
+}
+
+void
+SweepScheduler::failStopped(const Item &item) const
+{
+    SweepCell &cell = item.batch->cells_[item.index];
+    cell.status = SweepCell::Status::Failed;
+    cell.errorMessage = "scheduler stopped";
+    cell.attempts = 0;
+    deliver(item);
 }
 
 void
@@ -140,7 +206,7 @@ SweepScheduler::deliver(const Item &item) const
     std::lock_guard<std::mutex> lock(batch.mutex_);
     if (batch.onCell_) {
         try {
-            batch.onCell_(cell);
+            batch.onCell_(item.index, cell);
         } catch (const std::exception &e) {
             PARA_WARN("scheduler cell callback threw (%s)", e.what());
         } catch (...) {
@@ -157,38 +223,60 @@ SweepScheduler::workerLoop()
     for (;;) {
         std::vector<Item> group;
         std::string input;
+        bool gated;
         {
+            // The first bucket this worker may take: any input not already
+            // running its quota of decode-gated passes.
             std::unique_lock<std::mutex> lock(mutex_);
-            cv_.wait(lock, [this] {
-                return stopping_ || !inputOrder_.empty();
+            auto pick = inputOrder_.end();
+            cv_.wait(lock, [&] {
+                pick = std::find_if(
+                    inputOrder_.begin(), inputOrder_.end(),
+                    [&](const std::string &in) {
+                        auto active = activeDecoders_.find(in);
+                        return !pendingByInput_.at(in).gated ||
+                               active == activeDecoders_.end() ||
+                               active->second < kMaxDecodersPerInput;
+                    });
+                return pick != inputOrder_.end() ||
+                       (stopping_ && inputOrder_.empty());
             });
-            if (inputOrder_.empty())
+            if (pick == inputOrder_.end())
                 return; // stopping, queue drained
 
-            // Peel one fused group off the front bucket: same input, at
-            // most groupSize cells, cut early by the memory budget.
-            input = inputOrder_.front();
-            std::deque<Item> &bucket = pendingByInput_[input];
+            // Peel one fused group off that bucket: same input, at most
+            // the head cell's group target, cut early by the memory budget.
+            input = *pick;
+            Bucket &bucket = pendingByInput_.at(input);
+            gated = bucket.gated;
+            const size_t target = bucket.items.front().groupTarget;
             size_t bytes = 0;
-            while (!bucket.empty() && group.size() < opt_.groupSize) {
-                const Item &item = bucket.front();
+            while (!bucket.items.empty() && group.size() < target) {
+                const Item &item = bucket.items.front();
                 size_t need = configFootprint(
                     item.batch->cells_[item.index].job.config);
                 if (!group.empty() && bytes + need > opt_.groupMemoryBudget)
                     break;
                 bytes += need;
-                group.push_back(std::move(bucket.front()));
-                bucket.pop_front();
+                group.push_back(std::move(bucket.items.front()));
+                bucket.items.pop_front();
             }
-            if (bucket.empty()) {
+            // A batch's cells of one input were queued together, so they
+            // sit contiguously in the group: count each batch once.
+            for (size_t k = 0; k < group.size(); ++k) {
+                if (k == 0 || group[k].batch != group[k - 1].batch)
+                    ++group[k].batch->fusedGroups_;
+            }
+            if (gated)
+                ++activeDecoders_[input];
+            if (bucket.items.empty()) {
                 pendingByInput_.erase(input);
-                inputOrder_.pop_front();
+                inputOrder_.erase(pick);
             } else {
                 // Group cut early: the bucket still holds cells, and the
                 // submit-time notification has already been consumed.
-                // Wake a peer to take the remainder; the bucket stays at
-                // the front so this trace drains before the queue moves
-                // on.
+                // Wake a peer to take the remainder; the bucket keeps its
+                // place so this trace drains before the queue moves on.
                 cv_.notify_one();
             }
         }
@@ -208,22 +296,24 @@ SweepScheduler::workerLoop()
         if (group.size() == 1) {
             SweepCell &cell =
                 group.front().batch->cells_[group.front().index];
-            runCellSolo(repo_, cell, execOpt_);
+            runCellSolo(repo_, cell, opt_);
             deliver(group.front());
         } else {
             std::vector<SweepCell *> cells;
             cells.reserve(group.size());
             for (const Item &item : group)
                 cells.push_back(&item.batch->cells_[item.index]);
-            runFusedCells(repo_, cells, execOpt_, [&](SweepCell &cell) {
-                for (const Item &item : group) {
-                    if (&item.batch->cells_[item.index] == &cell) {
-                        deliver(item);
-                        return;
-                    }
-                }
-                PARA_WARN("scheduler: finished cell not found in group");
-            });
+            runFusedCells(repo_, cells, opt_,
+                          [&](size_t k) { deliver(group[k]); });
+        }
+
+        if (gated) {
+            // A decode slot on this input is free again: wake the workers
+            // parked behind the cap.
+            std::lock_guard<std::mutex> lock(mutex_);
+            if (--activeDecoders_[input] == 0)
+                activeDecoders_.erase(input);
+            cv_.notify_all();
         }
     }
 }

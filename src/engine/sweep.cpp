@@ -1,15 +1,12 @@
 #include "engine/sweep.hpp"
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
-#include <condition_variable>
-#include <map>
-#include <mutex>
 #include <thread>
 #include <utility>
 
-#include "engine/cell_exec.hpp"
 #include "engine/journal.hpp"
+#include "engine/scheduler.hpp"
 #include "engine/sweep_json.hpp"
 #include "support/panic.hpp"
 
@@ -38,11 +35,10 @@ SweepEngine::SweepEngine(Options opt)
         jobs_ = 1;
 }
 
-SweepResult
-SweepEngine::run(TraceRepository &repo,
-                 const std::vector<std::string> &inputs,
-                 const std::vector<core::AnalysisConfig> &configs,
-                 const std::vector<std::string> &configLabels) const
+std::vector<SweepJob>
+sweepGrid(const std::vector<std::string> &inputs,
+          const std::vector<core::AnalysisConfig> &configs,
+          const std::vector<std::string> &configLabels)
 {
     std::vector<SweepJob> grid;
     grid.reserve(inputs.size() * configs.size());
@@ -60,7 +56,16 @@ SweepEngine::run(TraceRepository &repo,
             grid.push_back(std::move(job));
         }
     }
-    return runJobs(repo, std::move(grid));
+    return grid;
+}
+
+SweepResult
+SweepEngine::run(TraceRepository &repo,
+                 const std::vector<std::string> &inputs,
+                 const std::vector<core::AnalysisConfig> &configs,
+                 const std::vector<std::string> &configLabels) const
+{
+    return runJobs(repo, sweepGrid(inputs, configs, configLabels));
 }
 
 SweepResult
@@ -118,144 +123,13 @@ SweepEngine::runJobs(TraceRepository &repo, std::vector<SweepJob> jobs) const
     }
     sweep.captureSeconds = secondsSince(sweepStart);
 
-    // Decoder cap for the group claiming below. A plain take-a-ticket
-    // counter let 8 workers open 8 private decoders on the same compressed
-    // trace — BENCH_sweep.json showed that streamed `--jobs=8` run
-    // *slower* than `--jobs=1` (the decoders thrash each other's cache and
-    // the disk). Pooled `.ptrc` inputs share one decode and are immune;
-    // for the rest (`.ptrz`: stateful delta decode, one private decoder
-    // per pass) concurrent passes per input are capped at this.
-    constexpr unsigned kMaxDecodersPerInput = 2;
-
-    // Trace-major grouping: bucket pending cells by input spec (first-seen
-    // order) and cut each bucket into fused groups of at most a per-input
-    // target, cutting early rather than exceeding the memory budget. A
-    // group's cells run as one block-major pass over the shared trace.
-    //
-    // Auto target (--group=0): one pass per worker's share of the grid —
-    // except over decode-gated inputs, where at most kMaxDecodersPerInput
-    // passes can run at once no matter how many workers exist. Dividing
-    // such a bucket among all workers yields near-solo passes that
-    // serialize cap-at-a-time behind the decoder gate, each paying a full
-    // decode for a sliver of analysis (streamed --jobs=8 --group=0 ran at
-    // 0.74x of --group=2); dividing it among the decoders that can
-    // actually run restores full fusion per pass.
-    size_t autoTarget = (pending.size() + jobs_ - 1) / jobs_;
-    if (autoTarget == 0)
-        autoTarget = 1;
-    const size_t gatedShare =
-        std::max<size_t>(std::min<size_t>(jobs_, kMaxDecodersPerInput), 1);
-
-    std::vector<std::vector<size_t>> groups;
-    std::map<std::string, bool> decodeGated;
-    {
-        std::vector<const std::string *> inputOrder;
-        std::map<std::string, std::vector<size_t>> byInput;
-        for (size_t i : pending) {
-            auto [it, fresh] = byInput.try_emplace(jobs[i].input);
-            if (fresh)
-                inputOrder.push_back(&it->first);
-            it->second.push_back(i);
-        }
-        for (const std::string *input : inputOrder) {
-            const std::vector<size_t> &bucket = byInput[*input];
-            bool gated = false;
-            if (repo.streamingInput(*input)) {
-                try {
-                    gated = repo.decodePool(*input) == nullptr;
-                } catch (const std::exception &) {
-                    // A corrupt file fails pool construction here; the
-                    // per-cell attempt will re-raise it where it can be
-                    // attributed.
-                    gated = true;
-                }
-            }
-            decodeGated[*input] = gated;
-            size_t groupTarget = opt_.groupSize;
-            if (groupTarget == 0) {
-                groupTarget =
-                    gated ? (bucket.size() + gatedShare - 1) / gatedShare
-                          : autoTarget;
-            }
-            std::vector<size_t> group;
-            size_t bytes = 0;
-            for (size_t i : bucket) {
-                size_t need = configFootprint(jobs[i].config);
-                if (!group.empty() && (group.size() >= groupTarget ||
-                                       bytes + need > opt_.groupMemoryBudget)) {
-                    groups.push_back(std::move(group));
-                    group.clear();
-                    bytes = 0;
-                }
-                group.push_back(i);
-                bytes += need;
-            }
-            if (!group.empty())
-                groups.push_back(std::move(group));
-        }
-    }
-
-    sweep.fusedGroups = groups.size();
-
-    // Group claiming: a mutex-guarded scan against the per-input decoder
-    // cap, parking surplus workers on a condvar until a pass over that
-    // input retires or an ungated group shows up.
-    std::vector<std::string> groupInput(groups.size());
-    for (size_t g = 0; g < groups.size(); ++g)
-        groupInput[g] = jobs[groups[g].front()].input;
-
-    std::mutex claimMutex;
-    std::condition_variable claimCv;
-    std::vector<char> groupTaken(groups.size(), 0);
-    std::map<std::string, unsigned> activeDecoders;
-    size_t groupsLeft = groups.size();
-
-    auto claimGroup = [&](size_t &out) {
-        std::unique_lock<std::mutex> lock(claimMutex);
-        for (;;) {
-            if (groupsLeft == 0)
-                return false;
-            for (size_t g = 0; g < groups.size(); ++g) {
-                if (groupTaken[g])
-                    continue;
-                const std::string &input = groupInput[g];
-                bool gated = decodeGated.find(input)->second;
-                if (gated &&
-                    activeDecoders[input] >= kMaxDecodersPerInput)
-                    continue;
-                groupTaken[g] = 1;
-                if (gated)
-                    ++activeDecoders[input];
-                if (--groupsLeft == 0)
-                    claimCv.notify_all(); // wake waiters so they can exit
-                out = g;
-                return true;
-            }
-            claimCv.wait(lock);
-        }
-    };
-
-    auto releaseGroup = [&](size_t g) {
-        const std::string &input = groupInput[g];
-        if (!decodeGated.find(input)->second)
-            return;
-        std::lock_guard<std::mutex> lock(claimMutex);
-        --activeDecoders[input];
-        claimCv.notify_all();
-    };
-
-    std::atomic<uint64_t> instructionsDone{0};
-    std::mutex progressMutex;
+    uint64_t instructionsDone = 0;
     size_t cellsDone = sweep.cellsSkipped;
     bool progressBroken = false;
 
-    CellExecOptions execOpt;
-    execOpt.maxRetries = opt_.maxRetries;
-    execOpt.cellDeadlineSeconds = opt_.cellDeadlineSeconds;
-    execOpt.shards = opt_.shards;
-
     // Journal + aggregate + progress bookkeeping, exactly once per cell,
-    // after its status is final.
+    // after its status is final. The scheduler serializes a batch's
+    // callbacks, so none of this needs a lock of its own.
     auto finishCell = [&](size_t i, SweepCell &cell) {
         if (journal) {
             std::string cellJson;
@@ -263,74 +137,50 @@ SweepEngine::runJobs(TraceRepository &repo, std::vector<SweepJob> jobs) const
                 cellJson = cellToJson(cell, journalOpt);
             journal->record(i, cell, cellJson);
         }
-
-        uint64_t total =
-            instructionsDone.fetch_add(cell.result.instructions,
-                                       std::memory_order_relaxed) +
-            cell.result.instructions;
-        if (opt_.progress) {
-            std::lock_guard<std::mutex> lock(progressMutex);
-            ++cellsDone;
-            if (!progressBroken) {
-                double elapsed = secondsSince(sweepStart);
-                try {
-                    opt_.progress(cellsDone, sweep.cells.size(),
-                                  elapsed > 0.0
-                                      ? static_cast<double>(total) / 1e6 /
-                                            elapsed
-                                      : 0.0);
-                } catch (const std::exception &e) {
-                    progressBroken = true;
-                    PARA_WARN("sweep progress callback threw (%s); "
-                              "further progress reports disabled",
-                              e.what());
-                } catch (...) {
-                    progressBroken = true;
-                    PARA_WARN("sweep progress callback threw; further "
-                              "progress reports disabled");
-                }
-            }
+        instructionsDone += cell.result.instructions;
+        ++cellsDone;
+        if (!opt_.progress || progressBroken)
+            return;
+        double elapsed = secondsSince(sweepStart);
+        try {
+            opt_.progress(cellsDone, sweep.cells.size(),
+                          elapsed > 0.0
+                              ? static_cast<double>(instructionsDone) / 1e6 /
+                                    elapsed
+                              : 0.0);
+        } catch (const std::exception &e) {
+            progressBroken = true;
+            PARA_WARN("sweep progress callback threw (%s); further progress "
+                      "reports disabled",
+                      e.what());
+        } catch (...) {
+            progressBroken = true;
+            PARA_WARN("sweep progress callback threw; further progress "
+                      "reports disabled");
         }
     };
 
-    auto worker = [&]() {
-        size_t g;
-        while (claimGroup(g)) {
-            const std::vector<size_t> &group = groups[g];
-            if (group.size() == 1) {
-                size_t i = group.front();
-                SweepCell &cell = sweep.cells[i];
-                cell.job = std::move(jobs[i]);
-                runCellSolo(repo, cell, execOpt);
-                finishCell(i, cell);
-            } else {
-                std::vector<SweepCell *> cells;
-                cells.reserve(group.size());
-                for (size_t i : group) {
-                    sweep.cells[i].job = std::move(jobs[i]);
-                    cells.push_back(&sweep.cells[i]);
-                }
-                runFusedCells(repo, cells, execOpt, [&](SweepCell &cell) {
-                    finishCell(static_cast<size_t>(&cell -
-                                                   sweep.cells.data()),
-                               cell);
-                });
-            }
-            releaseGroup(g);
-        }
-    };
+    // The pending cells run as one batch on a scheduler of their own: it
+    // forms the fused groups (auto-sized for --group=0), caps concurrent
+    // decoders per gated input, and shards solo cells.
+    if (!pending.empty()) {
+        SweepScheduler::Options so = opt_;
+        so.jobs =
+            static_cast<unsigned>(std::min<size_t>(jobs_, pending.size()));
+        SweepScheduler scheduler(repo, so);
 
-    unsigned nThreads =
-        static_cast<unsigned>(std::min<size_t>(jobs_, groups.size()));
-    if (nThreads <= 1) {
-        worker();
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(nThreads);
-        for (unsigned t = 0; t < nThreads; ++t)
-            pool.emplace_back(worker);
-        for (std::thread &t : pool)
-            t.join();
+        std::vector<SweepJob> work;
+        work.reserve(pending.size());
+        for (size_t i : pending)
+            work.push_back(std::move(jobs[i]));
+        auto batch = scheduler.submit(
+            std::move(work), [&](size_t k, SweepCell &cell) {
+                finishCell(pending[k], cell);
+            });
+        batch->wait();
+        sweep.fusedGroups = batch->fusedGroups();
+        for (size_t k = 0; k < pending.size(); ++k)
+            sweep.cells[pending[k]] = std::move(batch->cells()[k]);
     }
 
     for (const SweepCell &cell : sweep.cells) {
@@ -338,7 +188,7 @@ SweepEngine::runJobs(TraceRepository &repo, std::vector<SweepJob> jobs) const
             ++sweep.cellsFailed;
     }
     sweep.wallSeconds = secondsSince(sweepStart);
-    sweep.totalInstructions = instructionsDone.load();
+    sweep.totalInstructions = instructionsDone;
     sweep.aggregateMinstrPerSec =
         sweep.wallSeconds > 0.0
             ? static_cast<double>(sweep.totalInstructions) / 1e6 /

@@ -1,22 +1,25 @@
 /**
  * @file
- * SweepEngine: a threaded (trace × config) grid runner.
+ * SweepEngine: run one (trace × config) grid to completion.
  *
  * The paper's headline experiments are grids — Figure 8 re-extracts the DDG
  * once per window size per benchmark ("approximately 10 hours on a
  * DECstation 3100" per point), Table 4 crosses renaming switches with
  * benchmarks. Each grid cell is one independent core::Paragraph::analyze
- * run. Scheduling is trace-major: pending cells are grouped by input spec
- * into fused groups (at most Options::groupSize configs per group, clamped
- * by Options::groupMemoryBudget), one group is dispatched per worker
- * thread, and a group's cells run in a single block-major pass over the
- * shared trace (core::analyzeManyGuarded) — the trace is walked once per
- * group instead of once per cell. Inputs are captured once into shared
- * immutable buffers (TraceRepository) or, for streaming trace files,
- * decoded per pass on a pipelined background thread. Every core::Paragraph
- * is thread-private, so workers share no mutable analysis state. Results
- * are stored by grid position, making sweep output independent of worker
- * count, grouping, and completion order (a tested invariant).
+ * run. The engine is the one-shot front end of the repo's single runner:
+ * it splices cells already done from a resume journal, captures the
+ * remaining inputs once (serially, so worker timings stay pure analysis)
+ * into shared immutable buffers (TraceRepository), then submits the pending
+ * cells as one batch to a SweepScheduler built from its options and waits.
+ * The scheduler cuts the batch trace-major into fused groups — at most
+ * Options::groupSize configs per group (0 = auto), clamped by
+ * Options::groupMemoryBudget — and runs each group as a single block-major
+ * pass over the shared trace (core::analyzeManyGuarded), so the trace is
+ * walked once per group instead of once per cell; streaming trace files
+ * are decoded per pass. Every core::Paragraph is thread-private, so
+ * workers share no mutable analysis state. Results are stored by grid
+ * position, making sweep output independent of worker count, grouping,
+ * and completion order (a tested invariant).
  *
  * Cells are fault-isolated: a cell whose capture or analysis throws is
  * recorded as SweepCell::Status::Failed with its error text, and the rest
@@ -28,8 +31,8 @@
  * byte-identical to an ungrouped sweep. Failed attempts can be retried
  * (Options::maxRetries), runaway cells cut off by a cooperative per-cell
  * deadline (Options::cellDeadlineSeconds), and completed cells journaled
- * to a JSONL checkpoint file (Options::journalPath) so an interrupted
- * sweep resumes without redoing finished work.
+ * to a JSONL checkpoint file (Options::journalPath) as they finish, so an
+ * interrupted sweep resumes without redoing finished work.
  */
 
 #ifndef PARAGRAPH_ENGINE_SWEEP_HPP
@@ -87,10 +90,10 @@ struct SweepCell
     /** Wall-clock seconds for this cell's analysis alone. */
     double wallSeconds = 0.0;
 
-    /** Of which, seconds spent producing trace records: private stream
-     *  decode, or waits on the shared decode pool (cumulative across
-     *  shard threads). 0 for captured inputs — their capture is paid
-     *  once, up front, in SweepResult::captureSeconds. */
+    /** Of which, seconds spent waiting for trace records: on the
+     *  pipelined private decoder, or on the shared decode pool
+     *  (cumulative across shard threads). 0 for captured inputs — their
+     *  capture is paid once, up front, in SweepResult::captureSeconds. */
     double decodeSeconds = 0.0;
 
     /** Split-and-patch shard segments this cell ran as (0 = unsharded). */
@@ -141,6 +144,17 @@ struct SweepResult
 };
 
 /**
+ * The cross product @p inputs × @p configs as jobs in input-major grid
+ * order: job i*configs.size()+j holds inputs[i] under configs[j].
+ * @p configLabels (optional, parallel to @p configs) labels each config
+ * axis point; missing labels default to AnalysisConfig::describe().
+ */
+std::vector<SweepJob>
+sweepGrid(const std::vector<std::string> &inputs,
+          const std::vector<core::AnalysisConfig> &configs,
+          const std::vector<std::string> &configLabels = {});
+
+/**
  * Progress observer, called (serialized) after each cell completes:
  * cells done, cells total, aggregate million instructions/sec so far.
  * A throwing observer is disabled after its first throw (with a warning);
@@ -149,43 +163,55 @@ struct SweepResult
 using SweepProgressFn =
     std::function<void(size_t done, size_t total, double minstrPerSec)>;
 
+/**
+ * How the runner schedules and executes cells: SweepScheduler::Options,
+ * which SweepEngine::Options extends with its grid-level settings.
+ */
+struct SchedulerOptions
+{
+    /** Worker threads; 0 = std::thread::hardware_concurrency(). */
+    unsigned jobs = 0;
+
+    /** Most cells fused into one pass over a shared trace (always clamped
+     *  by groupMemoryBudget); 1 = every cell is its own pass. 0 = auto,
+     *  per submission: ceil(batch cells / workers), so each worker's share
+     *  of a grid becomes one pass — except on decode-gated streams, where
+     *  an input's cells are divided among the min(workers, 2) decoders
+     *  that may run at once. The default keeps a pass wide enough to
+     *  amortize the trace walk without letting one client's burst
+     *  monopolize a worker. */
+    unsigned groupSize = 8;
+
+    /** Cap on the estimated live analysis state (windows, profiles, live
+     *  wells) resident in one fused group; a group is cut early rather
+     *  than exceed it. */
+    size_t groupMemoryBudget = size_t(1) << 30;
+
+    /** Re-run a failed cell up to this many extra times. Cancelled /
+     *  deadline-expired attempts are final and never retried. */
+    unsigned maxRetries = 0;
+
+    /** Per-attempt cooperative deadline in seconds; a cell past it is cut
+     *  off at the next cancellation checkpoint and marked Failed. 0 = no
+     *  deadline. */
+    double cellDeadlineSeconds = 0.0;
+
+    /** Split each solo cell's trace into up to this many segments analyzed
+     *  on that many threads and patched into the exact solo result
+     *  (core/shard.hpp split-and-patch): how ONE trace × ONE config uses
+     *  more than one core. Applies to every config, over pooled `.ptrc`
+     *  streams and captures alike; 1 = off. */
+    unsigned shards = 1;
+};
+
 class SweepEngine
 {
   public:
-    struct Options
+    /** The scheduler's options plus the grid-level ones below. */
+    struct Options : SchedulerOptions
     {
-        /** Worker threads; 0 = std::thread::hardware_concurrency(). */
-        unsigned jobs = 0;
-
-        /** Configs fused into one pass over a shared trace. 1 = no fusion
-         *  (every cell is its own pass, the pre-grouping behavior);
-         *  0 = auto, ceil(pending / jobs) so each worker's share of an
-         *  input becomes a single pass — except over decode-gated
-         *  streamed inputs, where the share is taken over the decoder
-         *  cap instead of the worker count. Always clamped by
-         *  groupMemoryBudget. */
-        unsigned groupSize = 1;
-
-        /** Cap on the estimated live analysis state (windows, profiles,
-         *  live wells) resident in one fused group; a group is cut early
-         *  rather than exceed it. */
-        size_t groupMemoryBudget = size_t(1) << 30;
-
-        /** Re-run a failed cell up to this many extra times. Cancelled /
-         *  deadline-expired attempts are final and never retried. */
-        unsigned maxRetries = 0;
-
-        /** Per-attempt cooperative deadline in seconds; a cell past it is
-         *  cut off at the next cancellation checkpoint and marked Failed.
-         *  0 = no deadline. */
-        double cellDeadlineSeconds = 0.0;
-
-        /** Split each solo cell's trace into up to this many segments
-         *  analyzed on that many threads and patched into the exact solo
-         *  result (core/shard.hpp split-and-patch): how ONE trace × ONE
-         *  config uses more than one core. Applies to every config, over
-         *  pooled `.ptrc` inputs and shared captures alike; 1 = off. */
-        unsigned shards = 1;
+        /** A one-shot grid fuses nothing unless asked. */
+        Options() { groupSize = 1; }
 
         /** Append one JSONL line per completed cell to this file (plus a
          *  header line when the file is new). Empty = no journal. */
@@ -209,13 +235,8 @@ class SweepEngine
     /** Worker threads run() will use. */
     unsigned jobs() const { return jobs_; }
 
-    /**
-     * Run the full cross product @p inputs × @p configs.
-     *
-     * Cells come back in input-major grid order: cell i*configs.size()+j
-     * holds inputs[i] under configs[j]. @p configLabels (optional, parallel
-     * to @p configs) annotates each config axis point for reports.
-     */
+    /** Run the full cross product @p inputs × @p configs; cells come back
+     *  in sweepGrid() order. */
     SweepResult run(TraceRepository &repo,
                     const std::vector<std::string> &inputs,
                     const std::vector<core::AnalysisConfig> &configs,

@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <utility>
 
 #include <poll.h>
@@ -401,6 +402,76 @@ ServeServer::handleRequestLine(const std::string &line, bool &shutdown)
     }
 }
 
+void
+ServeServer::resolveCells(std::vector<engine::SweepJob> &jobs, bool profiles,
+                          std::vector<engine::SweepCell> &cells,
+                          uint64_t &cached)
+{
+    engine::SweepJsonOptions jsonOpt;
+    jsonOpt.timing = false;
+    jsonOpt.profiles = profiles;
+
+    cells.resize(jobs.size());
+    std::vector<engine::SweepJob> misses;
+    std::vector<size_t> missAt;             // job position per miss
+    std::map<size_t, ResultKey> keyAt;      // job position -> content address
+    std::map<std::string, std::optional<uint32_t>> traceCrcs;
+    for (size_t k = 0; k < jobs.size(); ++k) {
+        engine::SweepJob &job = jobs[k];
+        job.config.cancel = &cancel_;
+        auto [crc, fresh] = traceCrcs.try_emplace(job.input);
+        if (fresh) {
+            try {
+                crc->second = repo_.traceCrc(job.input);
+            } catch (const std::exception &) {
+                // Unknown/broken input: uncacheable — the scheduler's
+                // per-cell attempts loop will attribute the error per cell.
+            }
+        }
+        if (crc->second) {
+            // The key is the *analysis* config's fingerprint — the cancel
+            // pointer is excluded from the canonical text.
+            ResultKey &key = keyAt[k];
+            key = ResultKey{*crc->second, engine::configKey(job.config),
+                            profiles};
+            std::string cellJson;
+            if (store_ && store_->lookup(key, cellJson)) {
+                // The fragment is shared across grids by content address,
+                // but its index fields belong to whichever grid computed it
+                // first: rebind them to this job's coordinates so the
+                // spliced document stays byte-identical to a fresh
+                // computation.
+                rebindSpliceIndices(cellJson, job.inputIndex,
+                                    job.configIndex);
+                cells[k].job = std::move(job);
+                cells[k].status = engine::SweepCell::Status::Skipped;
+                cells[k].journalText = std::move(cellJson);
+                ++cached;
+                continue;
+            }
+        }
+        missAt.push_back(k);
+        misses.push_back(std::move(job));
+    }
+
+    if (!misses.empty()) {
+        // Store each Ok cell the moment it is final: a client that
+        // disconnects (or a daemon killed later) never loses cells that
+        // completed. The callback runs on worker threads; ResultStore
+        // serializes internally.
+        auto batch = scheduler_->submit(
+            std::move(misses), [&](size_t m, engine::SweepCell &cell) {
+                auto key = keyAt.find(missAt[m]);
+                if (cell.status == engine::SweepCell::Status::Ok && store_ &&
+                    key != keyAt.end())
+                    store_->insert(key->second, cellToJson(cell, jsonOpt));
+            });
+        batch->wait();
+        for (size_t m = 0; m < missAt.size(); ++m)
+            cells[missAt[m]] = std::move(batch->cells()[m]);
+    }
+}
+
 std::string
 ServeServer::handleSweep(const ServeRequest &req)
 {
@@ -411,89 +482,14 @@ ServeServer::handleSweep(const ServeRequest &req)
     if (!engine::buildSweepConfigAxis(args, configs, labels, error))
         return renderErrorResponse(error);
 
-    engine::SweepJsonOptions jsonOpt;
-    jsonOpt.timing = false;
-    jsonOpt.profiles = req.profiles;
-
-    // Lay out the grid exactly as SweepEngine::run would.
+    // Lay out the grid exactly as SweepEngine::run does.
+    std::vector<engine::SweepJob> jobs =
+        engine::sweepGrid(req.inputs, configs, labels);
     engine::SweepResult sweep;
     sweep.jobs = scheduler_->workers();
-    sweep.cells.resize(req.inputs.size() * configs.size());
-    std::vector<engine::SweepJob> misses;
-    std::vector<size_t> missSlot;         // grid index per submitted job
-    std::map<size_t, ResultKey> slotKey;  // grid index -> content address
     uint64_t cached = 0;
-    for (size_t i = 0; i < req.inputs.size(); ++i) {
-        uint32_t traceCrc = 0;
-        bool haveCrc = false;
-        try {
-            traceCrc = repo_.traceCrc(req.inputs[i]);
-            haveCrc = true;
-        } catch (const std::exception &) {
-            // Unknown/broken input: fall through — the scheduler's
-            // per-cell attempts loop will attribute the error per cell.
-        }
-        for (size_t j = 0; j < configs.size(); ++j) {
-            size_t slot = i * configs.size() + j;
-            engine::SweepJob job;
-            job.input = req.inputs[i];
-            job.config = configs[j];
-            job.config.cancel = &cancel_;
-            job.configLabel = labels[j];
-            job.inputIndex = i;
-            job.configIndex = j;
-
-            if (haveCrc) {
-                ResultKey key;
-                key.traceCrc = traceCrc;
-                // The key is the *analysis* config's fingerprint — the
-                // cancel pointer is excluded from the canonical text.
-                key.configKey = engine::configKey(job.config);
-                key.profiles = req.profiles;
-                slotKey[slot] = key;
-                std::string cellJson;
-                if (store_ && store_->lookup(key, cellJson)) {
-                    // The fragment is shared across grids by content
-                    // address, but its index fields belong to whichever
-                    // sweep computed it first: rebind them to this grid's
-                    // coordinates so the spliced document stays
-                    // byte-identical to a fresh computation.
-                    rebindSpliceIndices(cellJson, i, j);
-                    engine::SweepCell &cell = sweep.cells[slot];
-                    cell.job = std::move(job);
-                    cell.status = engine::SweepCell::Status::Skipped;
-                    cell.journalText = std::move(cellJson);
-                    ++cached;
-                    continue;
-                }
-            }
-            missSlot.push_back(slot);
-            misses.push_back(std::move(job));
-        }
-    }
+    resolveCells(jobs, req.profiles, sweep.cells, cached);
     sweep.cellsSkipped = cached;
-
-    if (!misses.empty()) {
-        // Store each Ok cell the moment it is final: a client that
-        // disconnects (or a daemon killed later) never loses cells that
-        // completed. The callback runs on worker threads; ResultStore
-        // serializes internally.
-        auto batch = scheduler_->submit(
-            std::move(misses), [&](engine::SweepCell &cell) {
-                if (cell.status != engine::SweepCell::Status::Ok || !store_)
-                    return;
-                size_t slot = cell.job.inputIndex * configs.size() +
-                              cell.job.configIndex;
-                auto it = slotKey.find(slot);
-                if (it == slotKey.end())
-                    return; // input CRC unavailable: uncacheable
-                store_->insert(it->second, cellToJson(cell, jsonOpt));
-            });
-        batch->wait();
-        std::vector<engine::SweepCell> &done = batch->cells();
-        for (size_t k = 0; k < done.size(); ++k)
-            sweep.cells[missSlot[k]] = std::move(done[k]);
-    }
 
     uint64_t failed = 0;
     for (const engine::SweepCell &cell : sweep.cells) {
@@ -514,6 +510,9 @@ ServeServer::handleSweep(const ServeRequest &req)
                   static_cast<unsigned long long>(failed));
     }
 
+    engine::SweepJsonOptions jsonOpt;
+    jsonOpt.timing = false;
+    jsonOpt.profiles = req.profiles;
     return renderSweepResponse(sweep.cells.size(), failed, cached, computed,
                                sweepToJson(sweep, jsonOpt));
 }
@@ -538,65 +537,12 @@ ServeServer::handleExplore(const ServeRequest &req)
     // and submits only the misses through the standing scheduler.
     uint64_t cached = 0;
     uint64_t computed = 0;
-    auto runner = [&](std::vector<engine::SweepJob> jobs)
-        -> std::vector<engine::SweepCell> {
-        std::vector<engine::SweepCell> cells(jobs.size());
-        std::vector<engine::SweepJob> misses;
-        std::vector<size_t> missAt; // position per submitted job
-        // Content address per grid coordinate: explore rounds carry
-        // arbitrary grid subsets, so the store callback maps a finished
-        // cell back to its key by (input, config) coordinate.
-        std::map<std::pair<size_t, size_t>, ResultKey> coordKey;
-        for (size_t k = 0; k < jobs.size(); ++k) {
-            engine::SweepJob job = jobs[k];
-            job.config.cancel = &cancel_;
-            bool haveCrc = false;
-            ResultKey key;
-            try {
-                key.traceCrc = repo_.traceCrc(job.input);
-                haveCrc = true;
-            } catch (const std::exception &) {
-                // Unknown input: let the scheduler attribute the error.
-            }
-            if (haveCrc) {
-                key.configKey = engine::configKey(job.config);
-                key.profiles = req.profiles;
-                coordKey[{job.inputIndex, job.configIndex}] = key;
-                std::string cellJson;
-                if (store_ && store_->lookup(key, cellJson)) {
-                    rebindSpliceIndices(cellJson, job.inputIndex,
-                                        job.configIndex);
-                    cells[k].job = std::move(job);
-                    cells[k].status = engine::SweepCell::Status::Skipped;
-                    cells[k].journalText = std::move(cellJson);
-                    ++cached;
-                    continue;
-                }
-            }
-            ++computed;
-            missAt.push_back(k);
-            misses.push_back(std::move(job));
-        }
-        if (!misses.empty()) {
-            // Store each Ok cell the moment it is final, exactly as a
-            // sweep would: a client gone mid-explore still leaves every
-            // finished cell behind for the next asker.
-            auto batch = scheduler_->submit(
-                std::move(misses), [&](engine::SweepCell &cell) {
-                    if (cell.status != engine::SweepCell::Status::Ok ||
-                        !store_)
-                        return;
-                    auto it = coordKey.find(
-                        {cell.job.inputIndex, cell.job.configIndex});
-                    if (it == coordKey.end())
-                        return; // input CRC unavailable: uncacheable
-                    store_->insert(it->second, cellToJson(cell, jsonOpt));
-                });
-            batch->wait();
-            std::vector<engine::SweepCell> &done = batch->cells();
-            for (size_t k = 0; k < done.size(); ++k)
-                cells[missAt[k]] = std::move(done[k]);
-        }
+    auto runner = [&](std::vector<engine::SweepJob> jobs) {
+        uint64_t hits = 0;
+        std::vector<engine::SweepCell> cells;
+        resolveCells(jobs, req.profiles, cells, hits);
+        cached += hits;
+        computed += jobs.size() - hits;
         return cells;
     };
 

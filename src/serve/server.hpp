@@ -138,6 +138,18 @@ class ServeServer
     std::string handleRequestLine(const std::string &line, bool &shutdown);
     std::string handleSweep(const ServeRequest &req);
     std::string handleExplore(const ServeRequest &req);
+
+    /**
+     * Resolve @p jobs cell by cell into @p cells (job order): key each by
+     * content address (trace CRC + config key + @p profiles), serve store
+     * hits as Skipped cells carrying the stored JSON (index fields rebound
+     * to the job's grid coordinates), submit only the misses to the
+     * scheduler, and store every miss the moment it finishes Ok. The jobs
+     * are moved from. @p cached counts the hits.
+     */
+    void resolveCells(std::vector<engine::SweepJob> &jobs, bool profiles,
+                      std::vector<engine::SweepCell> &cells,
+                      uint64_t &cached);
     std::string statsLine();
     std::string healthLine();
     std::string failpointLine(const ServeRequest &req);

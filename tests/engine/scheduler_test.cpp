@@ -6,6 +6,7 @@
 // pinned capture out from under a running group.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "engine/sweep.hpp"
 #include "engine/sweep_json.hpp"
 #include "engine/trace_repository.hpp"
+#include "trace/compressed_io.hpp"
 #include "trace/source.hpp"
 
 using namespace paragraph;
@@ -51,12 +53,26 @@ gridJobs(const std::vector<std::string> &inputs,
 
 } // namespace
 
+/** @p job's cell JSON from an independent serial Paragraph::analyze over
+ *  @p src — the reference no scheduler path is involved in. */
+std::string
+serialCellJson(const SweepJob &job, trace::TraceSource &src)
+{
+    SweepCell ref;
+    ref.job = job;
+    ref.result = core::Paragraph(job.config).analyze(src);
+    SweepJsonOptions json;
+    json.timing = false;
+    return cellToJson(ref, json);
+}
+
 TEST(SweepScheduler, CellsAreByteIdenticalToSweepEngine)
 {
     // The property the serve result cache depends on: a scheduler-produced
     // cell must render to exactly the JSON a paragraph-sweep run of the
     // same job produces, or a warm daemon answer would differ from a cold
-    // CLI one.
+    // CLI one. SweepEngine itself runs on a scheduler, so every cell is
+    // also checked against a serial Paragraph::analyze of its own.
     std::vector<SweepJob> jobs = gridJobs(
         {"xlisp", "matrix300"},
         {core::AnalysisConfig::windowed(16),
@@ -85,7 +101,46 @@ TEST(SweepScheduler, CellsAreByteIdenticalToSweepEngine)
         EXPECT_EQ(got.status, SweepCell::Status::Ok);
         EXPECT_EQ(cellToJson(got, json),
                   cellToJson(viaEngine.cells[i], json));
+        trace::SharedBufferSource solo(repo.get(jobs[i].input));
+        EXPECT_EQ(cellToJson(got, json), serialCellJson(jobs[i], solo));
     }
+
+    // A streamed `.ptrz` input under auto grouping: decode-gated, so its
+    // cells split among two fused passes, each cell still equal to its
+    // serial reference.
+    std::string path = (std::filesystem::temp_directory_path() /
+                        "scheduler_identity.ptrz")
+                           .string();
+    {
+        trace::SharedBufferSource src(repo.get("xlisp"), "xlisp");
+        trace::CompressedTraceWriter writer(path);
+        writer.writeAll(src);
+        writer.close();
+    }
+    TraceRepository::Options streamOpt = smallScale();
+    streamOpt.streamFiles = true;
+    TraceRepository streamRepo(streamOpt);
+    SweepScheduler::Options autoOpt;
+    autoOpt.jobs = 3;
+    autoOpt.groupSize = 0;
+    SweepScheduler streamed(streamRepo, autoOpt);
+    std::vector<SweepJob> ptrzJobs = gridJobs(
+        {path},
+        {core::AnalysisConfig::windowed(16),
+         core::AnalysisConfig::windowed(64),
+         core::AnalysisConfig::noRenaming(),
+         core::AnalysisConfig::dataflowConservative()});
+    auto ptrzBatch = streamed.submit(ptrzJobs);
+    ptrzBatch->wait();
+    EXPECT_EQ(ptrzBatch->fusedGroups(), 2u);
+    for (size_t i = 0; i < ptrzJobs.size(); ++i) {
+        SCOPED_TRACE(ptrzJobs[i].configLabel);
+        const SweepCell &got = ptrzBatch->cells()[i];
+        EXPECT_EQ(got.status, SweepCell::Status::Ok) << got.errorMessage;
+        std::unique_ptr<trace::TraceSource> src = trace::openTraceFile(path);
+        EXPECT_EQ(cellToJson(got, json), serialCellJson(ptrzJobs[i], *src));
+    }
+    std::filesystem::remove(path);
 }
 
 TEST(SweepScheduler, IndependentBatchesShareOneCapture)

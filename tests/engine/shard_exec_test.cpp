@@ -1,10 +1,12 @@
-// Engine-level split-and-patch sharding: a streamed `.ptrc` cell run with
-// --shard=N must render the byte-identical JSON document of the unsharded
-// run for EVERY config — the splice/replay equivalence proved
-// record-by-record in tests/core/shard_test.cpp, here end-to-end through
-// TraceRepository's shared decode pool, the sweep scheduler, and the JSON
-// writer. Plus the CLI surface: --shard / --stats argument parsing and
-// the --stats timing fields.
+// Engine-level split-and-patch sharding: a cell run with --shard=N must
+// render the byte-identical JSON document of the unsharded run for EVERY
+// config — the splice/replay equivalence proved record-by-record in
+// tests/core/shard_test.cpp, here end-to-end through TraceRepository, the
+// sweep scheduler, and the JSON writer, in each input mode: a captured
+// buffer and a pooled `.ptrc` stream shard over their record blocks, and a
+// streamed `.ptrz` (no block index) runs unsharded with the same document.
+// Plus the CLI surface: --shard / --stats argument parsing and the --stats
+// timing fields.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -18,6 +20,7 @@
 #include "engine/sweep_json.hpp"
 #include "engine/trace_repository.hpp"
 #include "trace/buffer.hpp"
+#include "trace/compressed_io.hpp"
 #include "trace/file_io.hpp"
 
 #include "../core/trace_helpers.hpp"
@@ -27,39 +30,70 @@ using namespace paragraph::engine;
 
 namespace {
 
-/** A syscall-bearing random trace persisted as a `.ptrc` file. */
+/** How a sweep reads the fixture's trace. */
+enum class InputMode { Captured, PooledPtrc, StreamedPtrz };
+
+const InputMode kInputModes[] = {InputMode::Captured, InputMode::PooledPtrc,
+                                 InputMode::StreamedPtrz};
+
+const char *
+modeName(InputMode mode)
+{
+    switch (mode) {
+      case InputMode::Captured:
+        return "captured .ptrc";
+      case InputMode::PooledPtrc:
+        return "pooled .ptrc stream";
+      case InputMode::StreamedPtrz:
+        return "streamed .ptrz";
+    }
+    return "?";
+}
+
+/** A syscall-bearing random trace persisted as `.ptrc` and `.ptrz`. */
 class ShardExec : public ::testing::Test
 {
   protected:
-    std::string path_;
+    std::string path_;  ///< the `.ptrc` file
+    std::string ptrz_;  ///< the same records as `.ptrz`
 
     void SetUp() override
     {
-        // Per-test file name: ctest runs each test as its own process, so
+        // Per-test file names: ctest runs each test as its own process, so
         // sibling tests of this fixture can be live at the same instant.
-        path_ = (std::filesystem::temp_directory_path() /
-                 (std::string("para_shard_exec_") +
-                  ::testing::UnitTest::GetInstance()
-                      ->current_test_info()
-                      ->name() +
-                  ".ptrc"))
-                    .string();
+        std::string stem =
+            (std::filesystem::temp_directory_path() /
+             (std::string("para_shard_exec_") +
+              ::testing::UnitTest::GetInstance()->current_test_info()->name()))
+                .string();
+        path_ = stem + ".ptrc";
+        ptrz_ = stem + ".ptrz";
         trace::TraceBuffer buf = testhelpers::randomTrace(17, 20000);
         trace::TraceFileWriter writer(path_);
         trace::BufferSource replay(buf, "shard-exec");
         writer.writeAll(replay);
         writer.close();
+        trace::CompressedTraceWriter packed(ptrz_);
+        trace::BufferSource again(buf, "shard-exec");
+        packed.writeAll(again);
+        packed.close();
     }
 
-    void TearDown() override { std::remove(path_.c_str()); }
+    void TearDown() override
+    {
+        std::remove(path_.c_str());
+        std::remove(ptrz_.c_str());
+    }
 
-    /** One streamed sweep over the file; returns its no-timing document. */
+    /** One sweep over the file in @p mode; returns its no-timing
+     *  document. */
     std::string
-    runSweep(unsigned shards, const std::vector<core::AnalysisConfig> &cfgs,
+    runSweep(InputMode mode, unsigned shards,
+             const std::vector<core::AnalysisConfig> &cfgs,
              SweepResult *outResult = nullptr)
     {
         TraceRepository::Options repoOpt;
-        repoOpt.streamFiles = true;
+        repoOpt.streamFiles = mode != InputMode::Captured;
         TraceRepository repo(repoOpt);
 
         SweepEngine::Options opt;
@@ -67,7 +101,8 @@ class ShardExec : public ::testing::Test
         opt.groupSize = 1;
         opt.shards = shards;
         SweepEngine sweeper(opt);
-        SweepResult result = sweeper.run(repo, {path_}, cfgs);
+        SweepResult result = sweeper.run(
+            repo, {mode == InputMode::StreamedPtrz ? ptrz_ : path_}, cfgs);
 
         SweepJsonOptions json;
         json.timing = false;
@@ -77,6 +112,16 @@ class ShardExec : public ::testing::Test
         return doc;
     }
 };
+
+/** A `.ptrz` stream has no block index: its sharded run stays solo. */
+void
+expectUnsharded(const SweepResult &result)
+{
+    for (const SweepCell &cell : result.cells) {
+        EXPECT_TRUE(cell.ok()) << cell.errorMessage;
+        EXPECT_EQ(cell.shardSegments, 0u);
+    }
+}
 
 } // namespace
 
@@ -90,18 +135,28 @@ TEST_F(ShardExec, ShardedSweepIsByteIdenticalToSolo)
     core::AnalysisConfig plain; // no renaming defaults, still shardable
     cfgs.push_back(plain);
 
-    SweepResult sharded;
-    std::string solo = runSweep(1, cfgs);
-    std::string split = runSweep(4, cfgs, &sharded);
-    EXPECT_EQ(solo, split);
+    for (InputMode mode : kInputModes) {
+        SCOPED_TRACE(modeName(mode));
+        SweepResult sharded;
+        std::string solo = runSweep(mode, 1, cfgs);
+        std::string split = runSweep(mode, 4, cfgs, &sharded);
+        EXPECT_EQ(solo, split);
 
-    // And the sharded run really did shard: a 1%-syscall 20K trace has
-    // hundreds of firewall candidates, so every cell splits.
-    ASSERT_EQ(sharded.cells.size(), cfgs.size());
-    for (const SweepCell &cell : sharded.cells) {
-        EXPECT_TRUE(cell.ok()) << cell.errorMessage;
-        EXPECT_GE(cell.shardSegments, 2u);
-        EXPECT_LE(cell.shardSegments, 4u);
+        ASSERT_EQ(sharded.cells.size(), cfgs.size());
+        if (mode == InputMode::StreamedPtrz) {
+            expectUnsharded(sharded);
+            continue;
+        }
+        // And the sharded run really did shard: a 1%-syscall 20K trace has
+        // hundreds of firewall candidates, so every cell splits — and
+        // every config here stalls under perfect prediction, so every
+        // segment takes the firewall fast path, captured or pooled.
+        for (const SweepCell &cell : sharded.cells) {
+            EXPECT_TRUE(cell.ok()) << cell.errorMessage;
+            EXPECT_GE(cell.shardSegments, 2u);
+            EXPECT_LE(cell.shardSegments, 4u);
+            EXPECT_EQ(cell.shardSpliced, cell.shardSegments);
+        }
     }
 }
 
@@ -121,17 +176,24 @@ TEST_F(ShardExec, FormerlyGatedConfigsShardByteIdentically)
     fu.totalFuLimit = 2;
     cfgs.push_back(fu);
 
-    SweepResult sharded;
-    std::string solo = runSweep(1, cfgs);
-    std::string split = runSweep(4, cfgs, &sharded);
-    EXPECT_EQ(solo, split);
-    ASSERT_EQ(sharded.cells.size(), cfgs.size());
-    for (const SweepCell &cell : sharded.cells) {
-        EXPECT_TRUE(cell.ok()) << cell.errorMessage;
-        EXPECT_GE(cell.shardSegments, 2u);
-        EXPECT_LE(cell.shardSegments, 4u);
-        EXPECT_EQ(cell.shardSpliced + cell.shardReplayed,
-                  cell.shardSegments);
+    for (InputMode mode : kInputModes) {
+        SCOPED_TRACE(modeName(mode));
+        SweepResult sharded;
+        std::string solo = runSweep(mode, 1, cfgs);
+        std::string split = runSweep(mode, 4, cfgs, &sharded);
+        EXPECT_EQ(solo, split);
+        ASSERT_EQ(sharded.cells.size(), cfgs.size());
+        if (mode == InputMode::StreamedPtrz) {
+            expectUnsharded(sharded);
+            continue;
+        }
+        for (const SweepCell &cell : sharded.cells) {
+            EXPECT_TRUE(cell.ok()) << cell.errorMessage;
+            EXPECT_GE(cell.shardSegments, 2u);
+            EXPECT_LE(cell.shardSegments, 4u);
+            EXPECT_EQ(cell.shardSpliced + cell.shardReplayed,
+                      cell.shardSegments);
+        }
     }
 }
 
@@ -143,14 +205,21 @@ TEST_F(ShardExec, MoreShardsThanSegmentsClampAndStayExact)
     bimodal.branchPredictor = core::PredictorKind::Bimodal;
     cfgs.push_back(bimodal);
 
-    SweepResult sharded;
-    std::string solo = runSweep(1, cfgs);
-    std::string split = runSweep(64, cfgs, &sharded);
-    EXPECT_EQ(solo, split);
-    for (const SweepCell &cell : sharded.cells) {
-        EXPECT_TRUE(cell.ok()) << cell.errorMessage;
-        EXPECT_GE(cell.shardSegments, 2u);
-        EXPECT_LE(cell.shardSegments, 64u);
+    for (InputMode mode : kInputModes) {
+        SCOPED_TRACE(modeName(mode));
+        SweepResult sharded;
+        std::string solo = runSweep(mode, 1, cfgs);
+        std::string split = runSweep(mode, 64, cfgs, &sharded);
+        EXPECT_EQ(solo, split);
+        if (mode == InputMode::StreamedPtrz) {
+            expectUnsharded(sharded);
+            continue;
+        }
+        for (const SweepCell &cell : sharded.cells) {
+            EXPECT_TRUE(cell.ok()) << cell.errorMessage;
+            EXPECT_GE(cell.shardSegments, 2u);
+            EXPECT_LE(cell.shardSegments, 64u);
+        }
     }
 }
 
@@ -159,27 +228,31 @@ TEST_F(ShardExec, StatsEmitDecodeAnalyzeSplitAndSegments)
     std::vector<core::AnalysisConfig> cfgs;
     cfgs.push_back(core::AnalysisConfig::dataflowConservative());
 
-    TraceRepository::Options repoOpt;
-    repoOpt.streamFiles = true;
-    TraceRepository repo(repoOpt);
-    SweepEngine::Options opt;
-    opt.jobs = 1;
-    opt.shards = 2;
-    SweepEngine sweeper(opt);
-    SweepResult result = sweeper.run(repo, {path_}, cfgs);
+    for (InputMode mode : kInputModes) {
+        SCOPED_TRACE(modeName(mode));
+        TraceRepository::Options repoOpt;
+        repoOpt.streamFiles = mode != InputMode::Captured;
+        TraceRepository repo(repoOpt);
+        SweepEngine::Options opt;
+        opt.jobs = 1;
+        opt.shards = 2;
+        SweepEngine sweeper(opt);
+        SweepResult result = sweeper.run(
+            repo, {mode == InputMode::StreamedPtrz ? ptrz_ : path_}, cfgs);
 
-    SweepJsonOptions json;
-    json.stats = true;
-    std::string doc = sweepToJson(result, json);
-    EXPECT_NE(doc.find("\"decode_seconds\""), std::string::npos);
-    EXPECT_NE(doc.find("\"analyze_seconds\""), std::string::npos);
-    EXPECT_NE(doc.find("\"shard_segments\""), std::string::npos);
+        SweepJsonOptions json;
+        json.stats = true;
+        std::string doc = sweepToJson(result, json);
+        EXPECT_NE(doc.find("\"decode_seconds\""), std::string::npos);
+        EXPECT_NE(doc.find("\"analyze_seconds\""), std::string::npos);
+        EXPECT_NE(doc.find("\"shard_segments\""), std::string::npos);
 
-    // --no-timing still wins: stats ride inside the timing object.
-    json.timing = false;
-    doc = sweepToJson(result, json);
-    EXPECT_EQ(doc.find("decode_seconds"), std::string::npos);
-    EXPECT_EQ(doc.find("shard_segments"), std::string::npos);
+        // --no-timing still wins: stats ride inside the timing object.
+        json.timing = false;
+        doc = sweepToJson(result, json);
+        EXPECT_EQ(doc.find("decode_seconds"), std::string::npos);
+        EXPECT_EQ(doc.find("shard_segments"), std::string::npos);
+    }
 }
 
 TEST(ShardArgs, ShardAndStatsFlagsParse)

@@ -1,7 +1,8 @@
 // paragraph-sweep — threaded (trace × config) grid runner with JSON output.
 //
-// Executes the cross product of the input axis and every config axis across
-// a worker thread pool (engine::SweepEngine). Each input is captured once
+// Executes the cross product of the input axis and every config axis as one
+// batch on engine::SweepScheduler's worker pool (engine::SweepEngine), the
+// runner paragraph-serve uses too. Each input is captured once
 // into a shared immutable trace buffer (engine::TraceRepository); each grid
 // cell is one independent core::Paragraph analysis. Results stream to
 // stdout (or --out=FILE) as one JSON object per cell, in grid order, so the
