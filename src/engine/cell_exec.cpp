@@ -1,16 +1,16 @@
 #include "engine/cell_exec.hpp"
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
 #include <deque>
 #include <exception>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "core/cancel_token.hpp"
 #include "core/multi.hpp"
 #include "core/shard.hpp"
+#include "support/parallel.hpp"
 #include "trace/shared_decode.hpp"
 
 namespace paragraph {
@@ -78,32 +78,20 @@ fusedPass(TraceRepository &repo, const std::string &input,
     return core::analyzeManyGuarded(*src, cfgs);
 }
 
-/** Run @p nSegments segment jobs at once, one per thread (the calling
- *  thread takes segment 0); rethrows the first segment's error, in trace
- *  order, after every thread has joined. */
-template <typename RunOne>
-void
-runSegmentsParallel(size_t nSegments, const RunOne &runOne)
+/** @p trace with the wait of every block fetch added to @p waitNs. */
+core::TraceBlocks
+timedBlocks(const core::TraceBlocks &trace, int64_t &waitNs)
 {
-    std::vector<std::exception_ptr> errors(nSegments);
-    auto guarded = [&](size_t s) {
-        try {
-            runOne(s);
-        } catch (...) {
-            errors[s] = std::current_exception();
-        }
+    core::TraceBlocks timed = trace;
+    timed.block = [inner = trace.block, &waitNs](size_t b) {
+        auto t0 = std::chrono::steady_clock::now();
+        core::TraceBlocks::Span span = inner(b);
+        waitNs += std::chrono::duration_cast<std::chrono::nanoseconds>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+        return span;
     };
-    std::vector<std::thread> threads;
-    threads.reserve(nSegments);
-    for (size_t s = 1; s < nSegments; ++s)
-        threads.emplace_back(guarded, s);
-    guarded(0);
-    for (std::thread &t : threads)
-        t.join();
-    for (const std::exception_ptr &e : errors) {
-        if (e)
-            std::rethrow_exception(e);
-    }
+    return timed;
 }
 
 /**
@@ -120,23 +108,17 @@ analyzeSharded(TraceRepository &repo, const core::AnalysisConfig &cfg,
 {
     const std::string &input = cell.job.input;
     std::shared_ptr<const trace::TraceBuffer> buffer; // outlives `trace`
-    std::atomic<int64_t> decodeNs{0};
     core::TraceBlocks trace;
-    if (repo.streamingInput(input)) {
+    const bool pooled = repo.streamingInput(input);
+    if (pooled) {
         std::shared_ptr<trace::SharedDecodePool> pool =
             repo.decodePool(input);
         if (!pool)
             return false;
         trace.count = pool->recordCount();
         trace.blockRecords = pool->blockRecords();
-        // Block waits — decode, or contention with other consumers of the
-        // pool — are the cell's decode share, summed across segments.
-        trace.block = [pool, &decodeNs](size_t b) {
-            auto t0 = std::chrono::steady_clock::now();
+        trace.block = [pool](size_t b) {
             std::shared_ptr<const trace::DecodedBlock> blk = pool->block(b);
-            decodeNs += std::chrono::duration_cast<std::chrono::nanoseconds>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
             return core::TraceBlocks::Span{blk->records.data(),
                                            blk->records.size(), blk};
         };
@@ -152,9 +134,18 @@ analyzeSharded(TraceRepository &repo, const core::AnalysisConfig &cfg,
     const bool modeled =
         cfg.branchPredictor != core::PredictorKind::Perfect;
 
-    core::PatchPlan plan = core::planPatchPlan(cfg, trace, shards);
+    // Block waits on a pooled stream — decode, or contention with other
+    // consumers of the pool — are the cell's decode share. Only the waits
+    // on its wall-clock path count: the plan walk, the slowest segment and
+    // the patch replays. A capture never waits.
+    auto waiting = [&](int64_t &waitNs) {
+        return pooled ? timedBlocks(trace, waitNs) : trace;
+    };
+    int64_t planWaitNs = 0;
+    core::PatchPlan plan =
+        core::planPatchPlan(cfg, waiting(planWaitNs), shards);
     if (plan.cuts.empty()) {
-        cell.decodeSeconds += decodeNs * 1e-9; // the walk still decoded
+        cell.decodeSeconds += planWaitNs * 1e-9; // the walk still decoded
         return false;
     }
     std::vector<uint64_t> bounds{0};
@@ -164,27 +155,38 @@ analyzeSharded(TraceRepository &repo, const core::AnalysisConfig &cfg,
 
     // The plan has at most `shards` segments, so each gets its own thread.
     std::vector<core::SegmentRun> segments(nSegments);
+    std::vector<int64_t> segmentWaitNs(nSegments, 0);
+    std::vector<std::chrono::steady_clock::duration> segmentWall(nSegments);
     runSegmentsParallel(nSegments, [&](size_t s) {
-        core::runSegment(cfg, trace, bounds[s], bounds[s + 1], segments[s],
+        auto t0 = std::chrono::steady_clock::now();
+        core::runSegment(cfg, waiting(segmentWaitNs[s]), bounds[s],
+                         bounds[s + 1], segments[s],
                          modeled ? &plan.bits : nullptr,
                          modeled ? plan.branchBase[s] : 0);
+        segmentWall[s] = std::chrono::steady_clock::now() - t0;
     });
+    const size_t slowest = static_cast<size_t>(
+        std::max_element(segmentWall.begin(), segmentWall.end()) -
+        segmentWall.begin());
 
     core::PatchOutcome outcome;
+    int64_t patchWaitNs = 0;
     if (core::shardableConfig(cfg) && plan.naturalCuts) {
         // Firewall fast path: every stall cut is a total firewall, so all
         // splices validate by construction — skip the per-boundary checks.
         cell.result = core::stitchSegments(cfg, segments);
         outcome.spliced = static_cast<unsigned>(nSegments);
     } else {
+        const core::TraceBlocks replayTrace = waiting(patchWaitNs);
         auto replay = [&](core::Paragraph &engine, size_t s) {
-            trace.feed(engine, bounds[s], bounds[s + 1]);
+            replayTrace.feed(engine, bounds[s], bounds[s + 1]);
         };
         cell.result = core::patchSegments(
             cfg, segments, replay, modeled ? &plan.bits : nullptr,
             modeled ? &plan.branchBase : nullptr, &outcome);
     }
-    cell.decodeSeconds += decodeNs * 1e-9;
+    cell.decodeSeconds +=
+        (planWaitNs + segmentWaitNs[slowest] + patchWaitNs) * 1e-9;
     cell.shardSegments = static_cast<unsigned>(nSegments);
     cell.shardSpliced = outcome.spliced;
     cell.shardReplayed = outcome.replayed;

@@ -103,6 +103,7 @@ SweepScheduler::submit(std::vector<SweepJob> jobs, IndexedCellFn onCell)
     // Per-input cell counts and decode gating, resolved here on the
     // submitting thread: decodePool() maps and checksums a file outside
     // the repository lock, so workers asking first would each pay it.
+    // (SweepEngine has already built its pools in its timed warm-up.)
     std::map<std::string, std::pair<size_t, bool>> inputs;
     for (const SweepCell &cell : batch->cells_) {
         auto [it, fresh] = inputs.try_emplace(cell.job.input, 0, false);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <set>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -105,19 +107,23 @@ SweepEngine::runJobs(TraceRepository &repo, std::vector<SweepJob> jobs) const
         }
     }
 
-    // Warm the repository cache for every pending captured input up front,
-    // serially: simulation and decompression are the parts that cannot be
-    // split across cells, and doing it here (rather than lazily from the
-    // pool) keeps the workers' wall-time numbers pure analysis. Streaming
-    // inputs are skipped — their decode happens per pass, by design.
-    // Failures are deliberately swallowed — a bad input surfaces as a
-    // per-cell error below, where it can be attributed (and retried) per
-    // cell instead of aborting the whole grid.
+    // Warm the repository for every pending input up front, serially:
+    // simulation, decompression and a streamed `.ptrc`'s decode pool (its
+    // map and payload checksum) are the parts that cannot be split across
+    // cells, and doing them here (rather than lazily from the pool) keeps
+    // the workers' wall-time numbers pure analysis and counts them in
+    // captureSeconds. Other streams decode per pass, by design. Failures
+    // are deliberately swallowed — a bad input surfaces as a per-cell
+    // error below, where it can be attributed (and retried) per cell
+    // instead of aborting the whole grid.
+    std::set<std::string> warmedStreams;
     for (size_t i : pending) {
-        if (repo.streamingInput(jobs[i].input))
-            continue;
+        const std::string &input = jobs[i].input;
         try {
-            repo.get(jobs[i].input);
+            if (!repo.streamingInput(input))
+                repo.get(input);
+            else if (warmedStreams.insert(input).second)
+                repo.decodePool(input);
         } catch (const std::exception &) {
         }
     }

@@ -153,7 +153,7 @@ MmapTraceFile::verifyPayload() const
         return;
     if (avail_ < count_)
         throwTruncated(path_, avail_);
-    uint32_t crc = crcRange(0, count_, 0);
+    uint32_t crc = crc32Parallel(payload_, count_ * sizeof(PackedRecord));
     if (PARA_FAILPOINT("trace.mmap.crc"))
         crc ^= 1; // simulated flipped payload bit
     if (crc != payloadCrc_) {

@@ -78,8 +78,10 @@ class MmapTraceFile
 
     /**
      * CRC-32 the whole payload against the header's stored value (v2).
-     * Throws the reader's payload-mismatch FatalError on disagreement;
-     * no-op for v1 files. One linear pass over the mapped bytes.
+     * Throws the reader's truncation error when the payload is short, and
+     * its payload-mismatch FatalError on disagreement; no-op for v1 files.
+     * The payload is checksummed in 8 MiB chunks on up to
+     * hardware_concurrency() threads (crc32Parallel), joined before return.
      */
     void verifyPayload() const;
 

@@ -240,6 +240,11 @@ TEST_F(ShardExec, StatsEmitDecodeAnalyzeSplitAndSegments)
         SweepResult result = sweeper.run(
             repo, {mode == InputMode::StreamedPtrz ? ptrz_ : path_}, cfgs);
 
+        // Only waits on the cell's wall-clock path count as decode, so a
+        // sharded cell never reports more decode time than wall time.
+        for (const SweepCell &cell : result.cells)
+            EXPECT_LE(cell.decodeSeconds, cell.wallSeconds);
+
         SweepJsonOptions json;
         json.stats = true;
         std::string doc = sweepToJson(result, json);

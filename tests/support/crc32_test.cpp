@@ -1,0 +1,123 @@
+// The slicing-by-16 CRC-32 kernel, crc32Combine and the chunked CRC,
+// each held to a bit-at-a-time reference loop: the definition of the
+// reflected CRC-32 that zlib computes.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <vector>
+
+#include "support/crc32.hpp"
+#include "support/prng.hpp"
+#include "support/test_seed.hpp"
+
+using namespace paragraph;
+
+namespace {
+
+uint32_t
+referenceCrc(const unsigned char *p, size_t len)
+{
+    uint32_t crc = ~0u;
+    while (len--) {
+        crc ^= *p++;
+        for (int k = 0; k < 8; ++k)
+            crc = (crc & 1) ? (crc >> 1) ^ 0xEDB88320u : crc >> 1;
+    }
+    return ~crc;
+}
+
+std::vector<unsigned char>
+randomBytes(size_t n, uint64_t seed)
+{
+    Prng prng(testSeed(seed));
+    std::vector<unsigned char> bytes(n);
+    for (unsigned char &b : bytes)
+        b = static_cast<unsigned char>(prng.next());
+    return bytes;
+}
+
+} // namespace
+
+TEST(Crc32, KnownAnswers)
+{
+    const char digits[] = "123456789";
+    EXPECT_EQ(crc32Of(digits, 9), 0xCBF43926u);
+    EXPECT_EQ(crc32Of(digits, 0), 0u);
+    EXPECT_EQ(crc32Update(0xCBF43926u, digits, 0), 0xCBF43926u);
+}
+
+TEST(Crc32, MatchesReferenceAtEveryLengthAndAlignment)
+{
+    std::vector<unsigned char> buf = randomBytes(300 + 16, 1);
+    for (size_t offset = 0; offset < 16; ++offset) {
+        for (size_t len = 0; len <= 300; ++len) {
+            ASSERT_EQ(crc32Of(buf.data() + offset, len),
+                      referenceCrc(buf.data() + offset, len))
+                << "offset " << offset << " length " << len;
+        }
+    }
+}
+
+TEST(Crc32, IncrementalUpdateSplitsAnywhere)
+{
+    std::vector<unsigned char> buf = randomBytes(77, 2);
+    const uint32_t whole = crc32Of(buf.data(), buf.size());
+    for (size_t split = 0; split <= buf.size(); ++split) {
+        uint32_t crc = crc32Update(0, buf.data(), split);
+        crc = crc32Update(crc, buf.data() + split, buf.size() - split);
+        EXPECT_EQ(crc, whole) << "split at " << split;
+    }
+}
+
+TEST(Crc32, CombineMatchesTheConcatenation)
+{
+    std::vector<unsigned char> buf = randomBytes(4096, 3);
+    Prng prng(testSeed(4));
+    for (int trial = 0; trial < 200; ++trial) {
+        const size_t len = prng.nextBelow(buf.size() + 1);
+        // Every tenth split is an empty half.
+        size_t split = prng.nextBelow(len + 1);
+        if (trial % 10 == 0)
+            split = trial % 20 == 0 ? 0 : len;
+        const uint32_t a = crc32Of(buf.data(), split);
+        const uint32_t b = crc32Of(buf.data() + split, len - split);
+        EXPECT_EQ(crc32Combine(a, b, len - split), crc32Of(buf.data(), len))
+            << "length " << len << " split " << split;
+    }
+}
+
+TEST(Crc32, CombineShiftsComposeAtAnyLength)
+{
+    // Appending b then c equals appending the combined bc: the shift by
+    // lenB + lenC must equal the two shifts in turn, here at lengths past
+    // 2^29 bytes, where the x^(2^k) powers wrap around their period.
+    Prng prng(testSeed(5));
+    for (int trial = 0; trial < 100; ++trial) {
+        const uint32_t a = static_cast<uint32_t>(prng.next());
+        const uint32_t b = static_cast<uint32_t>(prng.next());
+        const uint32_t c = static_cast<uint32_t>(prng.next());
+        const uint64_t lenB = prng.next() >> 20;
+        const uint64_t lenC = prng.next() >> 20;
+        EXPECT_EQ(crc32Combine(crc32Combine(a, b, lenB), c, lenC),
+                  crc32Combine(a, crc32Combine(b, c, lenC), lenB + lenC));
+    }
+}
+
+TEST(Crc32, ChunkedEqualsSerialAroundChunkMultiples)
+{
+    constexpr size_t kChunk = 64;
+    std::vector<unsigned char> buf = randomBytes(9 * kChunk, 6);
+    for (unsigned threads : {1u, 2u, 3u, 4u, 7u}) {
+        EXPECT_EQ(detail::crc32Chunked(buf.data(), 0, kChunk, threads), 0u);
+        for (size_t k = 1; k <= 8; ++k) {
+            for (size_t len : {k * kChunk - 1, k * kChunk, k * kChunk + 1}) {
+                EXPECT_EQ(detail::crc32Chunked(buf.data(), len, kChunk,
+                                               threads),
+                          referenceCrc(buf.data(), len))
+                    << "length " << len << " on " << threads << " threads";
+            }
+        }
+    }
+    EXPECT_EQ(crc32Parallel(buf.data(), buf.size()),
+              referenceCrc(buf.data(), buf.size()));
+}

@@ -122,7 +122,18 @@ packedRecords(unsigned n)
 class CorruptTrace : public ::testing::Test
 {
   protected:
-    std::string path_ = tempPath("para_corrupt.ptrc");
+    std::string path_;
+
+    // Per-test file name: ctest runs each test as its own process, so
+    // sibling tests of this fixture can be live at the same instant.
+    void SetUp() override
+    {
+        path_ = tempPath(std::string("para_corrupt_") +
+                         ::testing::UnitTest::GetInstance()
+                             ->current_test_info()
+                             ->name() +
+                         ".ptrc");
+    }
 
     void TearDown() override { std::remove(path_.c_str()); }
 };

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "support/crc32.hpp"
+#include "support/failpoint.hpp"
 #include "support/panic.hpp"
 #include "trace/file_io.hpp"
 #include "trace/mmap_io.hpp"
@@ -114,6 +115,26 @@ mmapError(const std::string &path)
     } catch (const FatalError &e) {
         return e.what();
     }
+}
+
+/** The eager whole-payload check alone; "" when it passes. */
+std::string
+verifyError(const std::string &path)
+{
+    try {
+        MmapTraceFile(path).verifyPayload();
+        return "";
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+}
+
+/** Offset of a byte inside record @p index that no field check catches. */
+long
+inRangeByte(uint64_t index)
+{
+    return static_cast<long>(sizeof(TraceFileHeader) +
+                             index * sizeof(PackedRecord) + 8);
 }
 
 class MmapTrace : public ::testing::Test
@@ -319,4 +340,67 @@ TEST_F(MmapTrace, TryOpenValidatesLikeTheConstructor)
 
     flipByte(path_, 0);
     EXPECT_THROW(MmapTraceFile::tryOpen(path_), FatalError);
+}
+
+TEST_F(MmapTrace, ChunkedVerifyReportsAFlipInAnyChunkLikeTheReader)
+{
+    // A payload spanning three 8 MiB verify chunks and a partial fourth.
+    constexpr uint64_t kChunkRecords = (uint64_t{8} << 20) /
+                                       sizeof(PackedRecord);
+    const uint64_t n = 3 * kChunkRecords + kChunkRecords / 4;
+    writeValidTrace(path_, static_cast<unsigned>(n));
+    EXPECT_EQ(verifyError(path_), "");
+
+    for (uint64_t index : {uint64_t{100}, kChunkRecords * 3 / 2, n - 1}) {
+        SCOPED_TRACE("flip in record " + std::to_string(index));
+        flipByte(path_, inRangeByte(index));
+        std::string err = verifyError(path_);
+        EXPECT_NE(err.find("payload checksum mismatch"), std::string::npos)
+            << err;
+        EXPECT_NE(err.find("over " + std::to_string(n) + " records"),
+                  std::string::npos)
+            << err;
+        EXPECT_EQ(err, readerError(path_));
+        flipByte(path_, inRangeByte(index)); // and back
+    }
+    EXPECT_EQ(verifyError(path_), "");
+}
+
+TEST_F(MmapTrace, CrcFailpointFailsExactlyOneVerify)
+{
+    writeValidTrace(path_);
+    failpoint::reset();
+    std::string error;
+    ASSERT_TRUE(failpoint::configure("trace.mmap.crc=once", error)) << error;
+    std::string err = verifyError(path_);
+    EXPECT_NE(err.find("payload checksum mismatch"), std::string::npos)
+        << err;
+    EXPECT_EQ(verifyError(path_), "");
+    failpoint::reset();
+}
+
+TEST_F(MmapTrace, VerifyIsANoOpOnV1Files)
+{
+    std::vector<PackedRecord> recs;
+    for (unsigned i = 0; i < 4; ++i)
+        recs.push_back(packRecord(simpleRecord(i)));
+    writeCraftedTrace(path_, 1, recs);
+    flipByte(path_, inRangeByte(2)); // v1 has no checksum to catch it
+    EXPECT_EQ(verifyError(path_), "");
+}
+
+TEST_F(MmapTrace, VerifyReportsTruncationBeforeAnyChecksum)
+{
+    writeValidTrace(path_);
+    std::filesystem::resize_file(path_, sizeof(TraceFileHeader) +
+                                            2 * sizeof(PackedRecord));
+    failpoint::reset();
+    std::string error;
+    ASSERT_TRUE(failpoint::configure("trace.mmap.crc=once", error)) << error;
+    std::string err = verifyError(path_);
+    EXPECT_NE(err.find("truncated"), std::string::npos) << err;
+    EXPECT_EQ(err, readerError(path_));
+    // The checksum never ran: its failpoint is still armed.
+    EXPECT_EQ(failpoint::activeSites(), 1u);
+    failpoint::reset();
 }
