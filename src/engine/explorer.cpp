@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <sstream>
 
 #include "support/panic.hpp"
 #include "support/prng.hpp"
@@ -858,9 +857,14 @@ verifyExploreAgainstGrid(const ExploreResult &result, const SweepResult &grid,
     return true;
 }
 
-void
-writeExploreJson(std::ostream &os, const ExploreResult &result,
-                 const SweepJsonOptions &opt)
+namespace {
+
+/** Render @p result into @p os, calling @p flush (which returns false to
+ *  stop) after each executed cell and at the end. */
+template <class Flush>
+bool
+writeExplore(JsonOut &os, const ExploreResult &result,
+             const SweepJsonOptions &opt, Flush &&flush)
 {
     // Executed cells must stay byte-identical to their full-grid twins,
     // so cell fragments are rendered through the exact writer the sweep
@@ -872,7 +876,7 @@ writeExploreJson(std::ostream &os, const ExploreResult &result,
 
     os << "{\n";
     os << "  \"schema\": \"paragraph-explore-v1\",\n";
-    os << "  \"knee_tol\": " << jsonDouble(result.kneeTol) << ",\n";
+    os << "  \"knee_tol\": " << result.kneeTol << ",\n";
     os << "  \"exact\": " << (result.exact ? "true" : "false") << ",\n";
     os << "  \"inputs\": " << result.traces.size() << ",\n";
     os << "  \"configs\": " << result.configs.size() << ",\n";
@@ -883,8 +887,8 @@ writeExploreJson(std::ostream &os, const ExploreResult &result,
     os << "  \"rounds\": " << result.rounds << ",\n";
     if (opt.timing) {
         os << "  \"jobs\": " << result.jobs << ",\n";
-        os << "  \"timing\": {\"wall_seconds\": "
-           << jsonDouble(result.wallSeconds) << "},\n";
+        os << "  \"timing\": {\"wall_seconds\": " << result.wallSeconds
+           << "},\n";
     }
     os << "  \"traces\": [";
     bool firstTrace = true;
@@ -892,7 +896,7 @@ writeExploreJson(std::ostream &os, const ExploreResult &result,
         os << (firstTrace ? "" : ",") << "\n";
         firstTrace = false;
         os << "    {\n";
-        os << "      \"input\": " << jsonString(trace.input) << ",\n";
+        os << "      \"input\": " << quoted(trace.input) << ",\n";
         os << "      \"input_index\": " << trace.inputIndex << ",\n";
         os << "      \"cells_total\": " << result.configs.size() << ",\n";
         os << "      \"cells_executed\": " << trace.cells.size() << ",\n";
@@ -902,8 +906,10 @@ writeExploreJson(std::ostream &os, const ExploreResult &result,
         bool first = true;
         for (const SweepCell &cell : trace.cells) {
             os << (first ? "" : ",") << "\n";
-            os << cellToJson(cell, cellOpt);
+            appendCellJson(os.buffer(), cell, cellOpt);
             first = false;
+            if (!flush())
+                return false;
         }
         if (!first)
             os << "\n      ";
@@ -913,12 +919,12 @@ writeExploreJson(std::ostream &os, const ExploreResult &result,
         for (size_t j : trace.frontier) {
             os << (first ? "" : ",") << "\n";
             os << "        {\"config_index\": " << j
-               << ", \"label\": " << jsonString(result.labels[j])
+               << ", \"label\": " << quoted(result.labels[j])
                << ", \"cost\": " << exploreCost(result.configs[j]);
             for (const SweepCell &cell : trace.cells) {
                 if (cell.job.configIndex == j) {
                     os << ", \"parallelism\": "
-                       << jsonDouble(exploreCellParallelism(cell));
+                       << exploreCellParallelism(cell);
                     break;
                 }
             }
@@ -934,20 +940,19 @@ writeExploreJson(std::ostream &os, const ExploreResult &result,
             const ExploreCertificate &cert = p.certificate;
             os << (first ? "" : ",") << "\n";
             os << "        {\"config_index\": " << p.configIndex
-               << ", \"label\": " << jsonString(p.label)
+               << ", \"label\": " << quoted(p.label)
                << ", \"cost\": " << p.cost << ",\n";
             os << "         \"certificate\": {\"axes\": [";
             for (size_t a = 0; a < cert.axes.size(); ++a)
-                os << (a ? ", " : "") << jsonString(cert.axes[a]);
+                os << (a ? ", " : "") << quoted(cert.axes[a]);
             os << "], \"direction\": \"up\",\n";
             os << "          \"bound_config_index\": "
                << cert.boundConfigIndex << ", \"bound_parallelism\": "
-               << jsonDouble(cert.boundParallelism) << ",\n";
+               << cert.boundParallelism << ",\n";
             os << "          \"dominator_config_index\": "
                << cert.dominatorConfigIndex << ", \"dominator_cost\": "
                << cert.dominatorCost << ", \"dominator_parallelism\": "
-               << jsonDouble(cert.dominatorParallelism)
-               << ", \"approximate\": "
+               << cert.dominatorParallelism << ", \"approximate\": "
                << (cert.approximate ? "true" : "false") << "}}";
             first = false;
         }
@@ -960,14 +965,31 @@ writeExploreJson(std::ostream &os, const ExploreResult &result,
         os << "\n  ";
     os << "]\n";
     os << "}\n";
+    return flush();
+}
+
+} // namespace
+
+bool
+streamExploreJson(const ExploreResult &result, const SweepJsonOptions &opt,
+                  const JsonSink &sink)
+{
+    std::string buf;
+    JsonOut os(buf);
+    return writeExplore(os, result, opt, [&] {
+        bool more = sink(buf);
+        buf.clear();
+        return more;
+    });
 }
 
 std::string
 exploreToJson(const ExploreResult &result, const SweepJsonOptions &opt)
 {
-    std::ostringstream oss;
-    writeExploreJson(oss, result, opt);
-    return oss.str();
+    std::string out;
+    JsonOut os(out);
+    writeExplore(os, result, opt, [] { return true; });
+    return out;
 }
 
 } // namespace engine

@@ -72,7 +72,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -295,15 +294,16 @@ bool verifyExploreAgainstGrid(const ExploreResult &result,
                               const SweepJsonOptions &jsonOpt,
                               std::string &diag);
 
-/** Write @p result as a "paragraph-explore-v1" JSON document. Executed
- *  cells are embedded verbatim via cellToJson (timing stripped), so each
- *  is byte-identical to its full-grid twin. */
-void writeExploreJson(std::ostream &os, const ExploreResult &result,
-                      const SweepJsonOptions &opt);
-
-/** writeExploreJson into a string. */
+/** @p result as a "paragraph-explore-v1" JSON document. Executed cells
+ *  are embedded verbatim via appendCellJson (timing stripped), so each is
+ *  byte-identical to its full-grid twin. */
 std::string exploreToJson(const ExploreResult &result,
                           const SweepJsonOptions &opt);
+
+/** Render exploreToJson's document into @p sink one executed cell at a
+ *  time, as streamSweepJson does. @return false as soon as @p sink does. */
+bool streamExploreJson(const ExploreResult &result,
+                       const SweepJsonOptions &opt, const JsonSink &sink);
 
 } // namespace engine
 } // namespace paragraph

@@ -142,19 +142,18 @@ SweepJournal::record(size_t index, const SweepCell &cell,
                      const std::string &cellJson)
 {
     bool failed = cell.status == SweepCell::Status::Failed;
-    std::string line = "{\"index\": " + std::to_string(index) +
-                       ", \"input\": " + jsonString(cell.job.input) +
-                       ", \"config_label\": " +
-                       jsonString(cell.job.configLabel) +
-                       ", \"config_key\": \"" +
-                       configKeyHex(cell.job.config) + "\", \"status\": \"" +
-                       (failed ? "failed" : "ok") + "\", \"attempts\": " +
-                       std::to_string(cell.attempts);
+    std::string line;
+    JsonOut os(line);
+    os << "{\"index\": " << index << ", \"input\": " << quoted(cell.job.input)
+       << ", \"config_label\": " << quoted(cell.job.configLabel)
+       << ", \"config_key\": \"" << configKeyHex(cell.job.config)
+       << "\", \"status\": \"" << (failed ? "failed" : "ok")
+       << "\", \"attempts\": " << cell.attempts;
     if (failed)
-        line += ", \"error\": " + jsonString(cell.errorMessage);
+        os << ", \"error\": " << quoted(cell.errorMessage);
     else
-        line += ", \"cell\": " + jsonString(cellJson);
-    line += "}\n";
+        os << ", \"cell\": " << quoted(cellJson);
+    os << "}\n";
 
     std::lock_guard<std::mutex> lock(mutex_);
     if (!file_ || writeFailed_)

@@ -1,70 +1,138 @@
 #include "engine/sweep_json.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
-#include <cstdlib>
-#include <sstream>
-
-#include "support/string_utils.hpp"
+#include <cstring>
 
 namespace paragraph {
 namespace engine {
 
-std::string
-jsonDouble(double v)
+void
+appendJsonDouble(std::string &out, double v)
 {
-    if (!std::isfinite(v)) // JSON has no inf/nan
-        return "null";
-    for (int prec = 1; prec <= 17; ++prec) {
-        std::string s = strFormat("%.*g", prec, v);
-        if (std::strtod(s.c_str(), nullptr) == v)
-            return s;
+    if (!std::isfinite(v)) { // JSON has no inf/nan
+        out += "null";
+        return;
     }
-    return strFormat("%.17g", v);
+    // The contract is the first `%.*g` precision (1..17) whose text reads
+    // back as v. No precision below the shortest round-trip digit count
+    // can read back (a shorter decimal would have been found), so the
+    // search starts there and its first match is the one a search from 1
+    // finds; DESIGN.md §3.6 gives the argument.
+    char buf[32];
+    char *end = std::to_chars(buf, buf + sizeof(buf), v,
+                              std::chars_format::scientific)
+                    .ptr;
+    int digits = 0;
+    for (const char *p = buf; p != end && *p != 'e'; ++p)
+        digits += *p >= '0' && *p <= '9';
+    for (int prec = digits; prec <= 17; ++prec) {
+        end = std::to_chars(buf, buf + sizeof(buf), v,
+                            std::chars_format::general, prec)
+                  .ptr;
+        double back = 0.0;
+        std::from_chars(buf, end, back);
+        if (back == v)
+            break;
+    }
+    out.append(buf, end); // the loop always matches by 17 digits
 }
 
 std::string
-jsonString(const std::string &s)
+jsonDouble(double v)
 {
-    std::string out = "\"";
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += strFormat("\\u%04x", c);
-            else
-                out += c;
+    std::string s;
+    appendJsonDouble(s, v);
+    return s;
+}
+
+namespace {
+
+/** One byte's escaped form: its text and length (1 = the byte itself).
+ *  Eight bytes, so the escaper copies a whole entry per input byte. */
+struct JsonEscape
+{
+    char text[7];
+    unsigned char length;
+};
+
+constexpr std::array<JsonEscape, 256>
+makeJsonEscapes()
+{
+    std::array<JsonEscape, 256> table{};
+    const char *hex = "0123456789abcdef";
+    for (unsigned c = 0; c < 256; ++c) {
+        JsonEscape &e = table[c];
+        if (c == '"' || c == '\\' || c == '\n' || c == '\t') {
+            e.text[0] = '\\';
+            e.text[1] = c == '\n' ? 'n' : c == '\t' ? 't' : char(c);
+            e.length = 2;
+        } else if (c < 0x20) {
+            const char u[] = {'\\', 'u', '0', '0', hex[c >> 4], hex[c & 15]};
+            for (int i = 0; i < 6; ++i)
+                e.text[i] = u[i];
+            e.length = 6;
+        } else {
+            e.text[0] = static_cast<char>(c);
+            e.length = 1;
         }
     }
+    return table;
+}
+
+constexpr std::array<JsonEscape, 256> kJsonEscapes = makeJsonEscapes();
+
+/** Input bytes escaped per block; the block's worst case (6 bytes out
+ *  per byte in, plus one entry of slack) stays on the stack. */
+constexpr size_t kEscapeBlock = 1024;
+
+} // namespace
+
+void
+appendJsonEscaped(std::string &out, std::string_view s)
+{
+    // Escapes grow a sweep document by ~9%: one reservation then usually
+    // holds the whole text.
+    out.reserve(out.size() + s.size() + s.size() / 8 + 2);
+    char block[6 * kEscapeBlock + sizeof(JsonEscape)];
+    for (size_t at = 0; at < s.size(); at += kEscapeBlock) {
+        const size_t n = std::min(kEscapeBlock, s.size() - at);
+        char *d = block;
+        for (size_t i = 0; i < n; ++i) {
+            const JsonEscape &e =
+                kJsonEscapes[static_cast<unsigned char>(s[at + i])];
+            std::memcpy(d, &e, sizeof(e)); // branch-free; excess overwritten
+            d += e.length;
+        }
+        out.append(block, d);
+    }
+}
+
+void
+appendJsonString(std::string &out, std::string_view s)
+{
     out += '"';
+    appendJsonEscaped(out, s);
+    out += '"';
+}
+
+std::string
+jsonString(std::string_view s)
+{
+    std::string out;
+    appendJsonString(out, s);
     return out;
 }
 
 namespace {
 
-const char *
-predictorJsonName(core::PredictorKind kind)
-{
-    return core::predictorKindName(kind);
-}
-
 void
-writeConfig(std::ostream &os, const SweepJob &job, const char *ind)
+writeConfig(JsonOut &os, const SweepJob &job, const char *ind)
 {
     const core::AnalysisConfig &cfg = job.config;
     os << ind << "\"config\": {\n";
-    os << ind << "  \"label\": " << jsonString(job.configLabel) << ",\n";
+    os << ind << "  \"label\": " << quoted(job.configLabel) << ",\n";
     os << ind << "  \"syscalls\": \""
        << (cfg.sysCallsStall ? "stall" : "ignore") << "\",\n";
     os << ind << "  \"rename_regs\": "
@@ -75,7 +143,7 @@ writeConfig(std::ostream &os, const SweepJob &job, const char *ind)
        << ",\n";
     os << ind << "  \"window\": " << cfg.windowSize << ",\n";
     os << ind << "  \"predictor\": \""
-       << predictorJsonName(cfg.branchPredictor) << "\",\n";
+       << core::predictorKindName(cfg.branchPredictor) << "\",\n";
     os << ind << "  \"total_fus\": " << cfg.totalFuLimit << ",\n";
     os << ind << "  \"pipelined_fus\": "
        << (cfg.pipelinedFus ? "true" : "false") << ",\n";
@@ -84,8 +152,7 @@ writeConfig(std::ostream &os, const SweepJob &job, const char *ind)
 }
 
 void
-writeProfile(std::ostream &os, const BucketedProfile &profile,
-             const char *ind)
+writeProfile(JsonOut &os, const BucketedProfile &profile, const char *ind)
 {
     os << ind << "\"profile\": [";
     bool first = true;
@@ -93,7 +160,7 @@ writeProfile(std::ostream &os, const BucketedProfile &profile,
         os << (first ? "" : ",") << "\n"
            << ind << "  {\"first_level\": " << p.firstLevel
            << ", \"last_level\": " << p.lastLevel
-           << ", \"ops_per_level\": " << jsonDouble(p.opsPerLevel) << "}";
+           << ", \"ops_per_level\": " << p.opsPerLevel << "}";
         first = false;
     }
     if (!first)
@@ -102,8 +169,7 @@ writeProfile(std::ostream &os, const BucketedProfile &profile,
 }
 
 void
-writeCell(std::ostream &os, const SweepCell &cell,
-          const SweepJsonOptions &opt)
+writeCell(JsonOut &os, const SweepCell &cell, const SweepJsonOptions &opt)
 {
     // Cells satisfied from a resume journal carry their original rendering;
     // splicing it verbatim is what makes a resumed document byte-identical
@@ -116,14 +182,14 @@ writeCell(std::ostream &os, const SweepCell &cell,
 
     const core::AnalysisResult &r = cell.result;
     os << "    {\n";
-    os << "      \"input\": " << jsonString(cell.job.input) << ",\n";
+    os << "      \"input\": " << quoted(cell.job.input) << ",\n";
     os << "      \"input_index\": " << cell.job.inputIndex << ",\n";
     os << "      \"config_index\": " << cell.job.configIndex << ",\n";
     writeConfig(os, cell.job, "      ");
     os << ",\n";
     if (cell.status == SweepCell::Status::Failed) {
         os << "      \"status\": \"failed\",\n";
-        os << "      \"error\": " << jsonString(cell.errorMessage) << ",\n";
+        os << "      \"error\": " << quoted(cell.errorMessage) << ",\n";
         os << "      \"attempts\": " << cell.attempts << "\n";
         os << "    }";
         return;
@@ -134,8 +200,8 @@ writeCell(std::ostream &os, const SweepCell &cell,
     os << "      \"instructions\": " << r.instructions << ",\n";
     os << "      \"placed_ops\": " << r.placedOps << ",\n";
     os << "      \"critical_path\": " << r.criticalPathLength << ",\n";
-    os << "      \"available_parallelism\": "
-       << jsonDouble(r.availableParallelism) << ",\n";
+    os << "      \"available_parallelism\": " << r.availableParallelism
+       << ",\n";
     os << "      \"syscalls\": " << r.sysCalls << ",\n";
     os << "      \"firewalls\": " << r.firewalls << ",\n";
     os << "      \"pre_existing_values\": " << r.preExistingValues << ",\n";
@@ -146,25 +212,22 @@ writeCell(std::ostream &os, const SweepCell &cell,
        << ",\n";
     os << "      \"live_well_peak\": " << r.liveWellPeak << ",\n";
     os << "      \"live_well_final\": " << r.liveWellFinal << ",\n";
-    os << "      \"lifetime_mean\": " << jsonDouble(r.lifetimes.mean())
-       << ",\n";
-    os << "      \"sharing_mean\": " << jsonDouble(r.sharing.mean());
+    os << "      \"lifetime_mean\": " << r.lifetimes.mean() << ",\n";
+    os << "      \"sharing_mean\": " << r.sharing.mean();
     if (opt.profiles) {
         os << ",\n";
         writeProfile(os, r.profile, "      ");
     }
     if (opt.timing) {
         os << ",\n";
-        os << "      \"timing\": {\"wall_seconds\": "
-           << jsonDouble(cell.wallSeconds)
-           << ", \"minstr_per_sec\": " << jsonDouble(cell.minstrPerSec);
+        os << "      \"timing\": {\"wall_seconds\": " << cell.wallSeconds
+           << ", \"minstr_per_sec\": " << cell.minstrPerSec;
         if (opt.stats) {
             double analyze = cell.wallSeconds - cell.decodeSeconds;
             if (analyze < 0.0) // shard threads decode concurrently
                 analyze = 0.0;
-            os << ",\n        \"decode_seconds\": "
-               << jsonDouble(cell.decodeSeconds)
-               << ", \"analyze_seconds\": " << jsonDouble(analyze)
+            os << ",\n        \"decode_seconds\": " << cell.decodeSeconds
+               << ", \"analyze_seconds\": " << analyze
                << ", \"shard_segments\": " << cell.shardSegments
                << ", \"shard_spliced\": " << cell.shardSpliced
                << ", \"shard_replayed\": " << cell.shardReplayed;
@@ -174,11 +237,12 @@ writeCell(std::ostream &os, const SweepCell &cell,
     os << "\n    }";
 }
 
-} // namespace
-
-void
-writeSweepJson(std::ostream &os, const SweepResult &sweep,
-               const SweepJsonOptions &opt)
+/** Render @p sweep into @p os, calling @p flush (which returns false to
+ *  stop) after each cell and at the end. */
+template <class Flush>
+bool
+writeSweep(JsonOut &os, const SweepResult &sweep, const SweepJsonOptions &opt,
+           Flush &&flush)
 {
     size_t failed = 0;
     for (const SweepCell &cell : sweep.cells) {
@@ -191,17 +255,16 @@ writeSweepJson(std::ostream &os, const SweepResult &sweep,
     os << "  \"cells_failed\": " << failed << ",\n";
     if (opt.timing) {
         os << "  \"jobs\": " << sweep.jobs << ",\n";
-        os << "  \"timing\": {\"wall_seconds\": "
-           << jsonDouble(sweep.wallSeconds)
-           << ", \"capture_seconds\": " << jsonDouble(sweep.captureSeconds)
+        os << "  \"timing\": {\"wall_seconds\": " << sweep.wallSeconds
+           << ", \"capture_seconds\": " << sweep.captureSeconds
            << ", \"total_instructions\": " << sweep.totalInstructions
            << ", \"aggregate_minstr_per_sec\": "
-           << jsonDouble(sweep.aggregateMinstrPerSec);
+           << sweep.aggregateMinstrPerSec;
         if (opt.stats) {
             double decode = 0.0;
             for (const SweepCell &cell : sweep.cells)
                 decode += cell.decodeSeconds;
-            os << ",\n    \"decode_seconds\": " << jsonDouble(decode);
+            os << ",\n    \"decode_seconds\": " << decode;
         }
         os << "},\n";
     }
@@ -211,27 +274,60 @@ writeSweepJson(std::ostream &os, const SweepResult &sweep,
         os << (first ? "" : ",") << "\n";
         writeCell(os, cell, opt);
         first = false;
+        if (!flush())
+            return false;
     }
     if (!first)
         os << "\n  ";
     os << "]\n";
     os << "}\n";
+    return flush();
+}
+
+} // namespace
+
+void
+appendCellJson(std::string &out, const SweepCell &cell,
+               const SweepJsonOptions &opt)
+{
+    JsonOut os(out);
+    writeCell(os, cell, opt);
+}
+
+bool
+streamSweepJson(const SweepResult &sweep, const SweepJsonOptions &opt,
+                const JsonSink &sink)
+{
+    std::string buf;
+    JsonOut os(buf);
+    return writeSweep(os, sweep, opt, [&] {
+        bool more = sink(buf);
+        buf.clear();
+        return more;
+    });
 }
 
 std::string
 cellToJson(const SweepCell &cell, const SweepJsonOptions &opt)
 {
-    std::ostringstream oss;
-    writeCell(oss, cell, opt);
-    return oss.str();
+    std::string out;
+    appendCellJson(out, cell, opt);
+    return out;
 }
 
 std::string
 sweepToJson(const SweepResult &sweep, const SweepJsonOptions &opt)
 {
-    std::ostringstream oss;
-    writeSweepJson(oss, sweep, opt);
-    return oss.str();
+    // Spliced cell texts are nearly all of a store hit's document; one
+    // reservation for them spares the doubling copies of a growing buffer.
+    size_t spliced = 0;
+    for (const SweepCell &cell : sweep.cells)
+        spliced += cell.journalText.size();
+    std::string out;
+    out.reserve(spliced + 4096);
+    JsonOut os(out);
+    writeSweep(os, sweep, opt, [] { return true; });
+    return out;
 }
 
 } // namespace engine

@@ -9,13 +9,21 @@
  * of worker count — the timing fields are segregated under "timing" keys
  * and can be omitted (`timing = false`) for such comparisons, and for
  * `BENCH_*.json` trajectories that diff runs.
+ *
+ * Everything renders by appending to a caller's std::string (JsonOut
+ * below). A whole document renders into a string (sweepToJson) or streams
+ * to a sink a cell at a time (streamSweepJson), so a file or a daemon
+ * response line takes it without the document ever being held whole.
  */
 
 #ifndef PARAGRAPH_ENGINE_SWEEP_JSON_HPP
 #define PARAGRAPH_ENGINE_SWEEP_JSON_HPP
 
-#include <ostream>
+#include <charconv>
+#include <concepts>
+#include <functional>
 #include <string>
+#include <string_view>
 
 #include "engine/sweep.hpp"
 
@@ -36,26 +44,114 @@ struct SweepJsonOptions
     bool stats = false;
 };
 
-/** Write @p sweep as a JSON document. */
-void writeSweepJson(std::ostream &os, const SweepResult &sweep,
-                    const SweepJsonOptions &opt = {});
+/** Append the shortest `%.*g` rendering of @p v that strtod reads back
+ *  exactly (`null` for inf/nan, which JSON cannot express). */
+void appendJsonDouble(std::string &out, double v);
 
-/**
- * Render one cell exactly as it appears inside the "cells" array. The
- * checkpoint journal stores this text so a resumed sweep can splice it
- * back verbatim (byte-identical to an uninterrupted run).
- */
-std::string cellToJson(const SweepCell &cell, const SweepJsonOptions &opt);
+/** Append @p s escaped for the inside of a JSON string literal: `"`,
+ *  `\`, newline and tab by name, other control bytes as `\u00xx`.
+ *  Escaping is per byte, so a text escaped in pieces reads the same. */
+void appendJsonEscaped(std::string &out, std::string_view s);
 
-/** writeSweepJson into a string. */
-std::string sweepToJson(const SweepResult &sweep,
-                        const SweepJsonOptions &opt = {});
+/** Append @p s as a JSON string literal (quoted appendJsonEscaped). */
+void appendJsonString(std::string &out, std::string_view s);
 
 /** Shortest round-trip decimal rendering of @p v (JSON number syntax). */
 std::string jsonDouble(double v);
 
 /** JSON string literal (quotes and escapes @p s). */
-std::string jsonString(const std::string &s);
+std::string jsonString(std::string_view s);
+
+/**
+ * Stream-style appender the document writers render through: text and
+ * chars verbatim, integers in decimal, doubles as appendJsonDouble
+ * renders them, and quoted() text as a JSON string literal.
+ */
+class JsonOut
+{
+  public:
+    struct Quoted
+    {
+        std::string_view text;
+    };
+
+    explicit JsonOut(std::string &out) : out_(out) {}
+
+    JsonOut &operator<<(std::string_view text)
+    {
+        out_.append(text);
+        return *this;
+    }
+    JsonOut &operator<<(const char *text)
+    {
+        out_.append(text);
+        return *this;
+    }
+    JsonOut &operator<<(char c)
+    {
+        out_ += c;
+        return *this;
+    }
+    JsonOut &operator<<(double v)
+    {
+        appendJsonDouble(out_, v);
+        return *this;
+    }
+    JsonOut &operator<<(Quoted q)
+    {
+        appendJsonString(out_, q.text);
+        return *this;
+    }
+    template <std::integral T>
+    JsonOut &operator<<(T v)
+    {
+        char digits[24];
+        out_.append(digits,
+                    std::to_chars(digits, digits + sizeof(digits), v).ptr);
+        return *this;
+    }
+    JsonOut &operator<<(bool) = delete; // spell booleans out
+
+    std::string &buffer() { return out_; }
+
+  private:
+    std::string &out_;
+};
+
+/** Mark @p s for JsonOut as a string literal to quote and escape. */
+inline JsonOut::Quoted
+quoted(std::string_view s)
+{
+    return {s};
+}
+
+/**
+ * Append one cell exactly as it appears inside the "cells" array. The
+ * checkpoint journal stores this text so a resumed sweep can splice it
+ * back verbatim (byte-identical to an uninterrupted run).
+ */
+void appendCellJson(std::string &out, const SweepCell &cell,
+                    const SweepJsonOptions &opt);
+
+/** Takes a document piece by piece; returns false to stop the render. */
+using JsonSink = std::function<bool(std::string_view piece)>;
+
+/**
+ * Render @p sweep's document into @p sink in pieces, one per cell (the
+ * first also carries the header) and one for the footer, through one
+ * reused buffer, so the document is never held whole: a file or a
+ * response line can take it as it is rendered.
+ * @return false as soon as @p sink does.
+ */
+bool streamSweepJson(const SweepResult &sweep, const SweepJsonOptions &opt,
+                     const JsonSink &sink);
+
+/** appendCellJson into a fresh string. */
+std::string cellToJson(const SweepCell &cell, const SweepJsonOptions &opt);
+
+/** @p sweep as a JSON document. */
+std::string sweepToJson(const SweepResult &sweep,
+                        const SweepJsonOptions &opt = {});
 
 } // namespace engine
 } // namespace paragraph

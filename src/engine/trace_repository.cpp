@@ -213,6 +213,13 @@ TraceRepository::traceCrc(const std::string &spec)
     return crc;
 }
 
+bool
+TraceRepository::hasTraceCrc(const std::string &spec) const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return crcs_.count(spec) != 0;
+}
+
 void
 TraceRepository::release(const std::string &spec)
 {

@@ -165,6 +165,10 @@ class TraceRepository
      *  itself is evicted. */
     uint32_t traceCrc(const std::string &spec);
 
+    /** True once traceCrc(@p spec) is known, so asking for it captures
+     *  nothing. */
+    bool hasTraceCrc(const std::string &spec) const;
+
     /** Drop the cached capture for @p spec (in-flight sources keep theirs;
      *  pinned entries are not droppable until unpinned). */
     void release(const std::string &spec);

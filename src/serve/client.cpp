@@ -107,13 +107,17 @@ ServeClient::roundTrip(const std::string &line, std::string &responseLine,
     std::string sendError;
     bool sendOk = sendLine(line, sendError);
     char chunk[4096];
+    // Only the bytes each recv adds are searched: rescanning the whole
+    // buffer per read made a multi-MB response quadratic.
+    size_t scanned = 0;
     for (;;) {
-        size_t nl = buffer_.find('\n');
+        size_t nl = buffer_.find('\n', scanned);
         if (nl != std::string::npos) {
-            responseLine = buffer_.substr(0, nl);
+            responseLine.assign(buffer_, 0, nl);
             buffer_.erase(0, nl + 1);
             return true;
         }
+        scanned = buffer_.size();
         ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
         if (n < 0) {
             if (errno == EINTR)

@@ -45,7 +45,7 @@ appendStrList(std::string &s, const char *key,
     for (size_t i = 0; i < items.size(); ++i) {
         if (i)
             s += ", ";
-        s += engine::jsonString(items[i]);
+        engine::appendJsonString(s, items[i]);
     }
     s += ']';
 }
@@ -65,6 +65,20 @@ appendNumList(std::string &s, const char *key,
         s += std::to_string(items[i]);
     }
     s += ']';
+}
+
+/** Close the response header @p os has begun: the escaped document from
+ *  @p render as the "document" string, then the closing brace. */
+void
+appendDocument(engine::JsonOut &os, const DocumentRender &render)
+{
+    std::string &out = os.buffer();
+    os << ", \"document\": \"";
+    render([&out](std::string_view piece) {
+        engine::appendJsonEscaped(out, piece);
+        return true;
+    });
+    os << "\"}";
 }
 
 } // namespace
@@ -246,18 +260,48 @@ parseServeResponse(const std::string &line, ServeResponse &out,
     return true;
 }
 
+void
+appendSweepResponse(std::string &out, uint64_t cellsTotal,
+                    uint64_t cellsFailed, uint64_t cellsCached,
+                    uint64_t cellsComputed, const DocumentRender &render)
+{
+    engine::JsonOut os(out);
+    os << "{\"schema\": \"" << protocolSchema
+       << "\", \"status\": \"ok\", \"op\": \"sweep\", \"cells_total\": "
+       << cellsTotal << ", \"cells_failed\": " << cellsFailed
+       << ", \"cells_cached\": " << cellsCached
+       << ", \"cells_computed\": " << cellsComputed;
+    appendDocument(os, render);
+}
+
 std::string
 renderSweepResponse(uint64_t cellsTotal, uint64_t cellsFailed,
                     uint64_t cellsCached, uint64_t cellsComputed,
                     const std::string &document)
 {
-    return std::string("{\"schema\": \"") + protocolSchema +
-           "\", \"status\": \"ok\", \"op\": \"sweep\", \"cells_total\": " +
-           std::to_string(cellsTotal) +
-           ", \"cells_failed\": " + std::to_string(cellsFailed) +
-           ", \"cells_cached\": " + std::to_string(cellsCached) +
-           ", \"cells_computed\": " + std::to_string(cellsComputed) +
-           ", \"document\": " + engine::jsonString(document) + '}';
+    std::string out;
+    appendSweepResponse(out, cellsTotal, cellsFailed, cellsCached,
+                        cellsComputed, [&](const engine::JsonSink &sink) {
+                            return sink(document);
+                        });
+    return out;
+}
+
+void
+appendExploreResponse(std::string &out, uint64_t cellsTotal,
+                      uint64_t cellsExecuted, uint64_t cellsPruned,
+                      uint64_t cellsFailed, uint64_t cellsCached,
+                      uint64_t cellsComputed, const DocumentRender &render)
+{
+    engine::JsonOut os(out);
+    os << "{\"schema\": \"" << protocolSchema
+       << "\", \"status\": \"ok\", \"op\": \"explore\", \"cells_total\": "
+       << cellsTotal << ", \"cells_executed\": " << cellsExecuted
+       << ", \"cells_pruned\": " << cellsPruned
+       << ", \"cells_failed\": " << cellsFailed
+       << ", \"cells_cached\": " << cellsCached
+       << ", \"cells_computed\": " << cellsComputed;
+    appendDocument(os, render);
 }
 
 std::string
@@ -266,16 +310,13 @@ renderExploreResponse(uint64_t cellsTotal, uint64_t cellsExecuted,
                       uint64_t cellsCached, uint64_t cellsComputed,
                       const std::string &document)
 {
-    return std::string("{\"schema\": \"") + protocolSchema +
-           "\", \"status\": \"ok\", \"op\": \"explore\", "
-           "\"cells_total\": " +
-           std::to_string(cellsTotal) +
-           ", \"cells_executed\": " + std::to_string(cellsExecuted) +
-           ", \"cells_pruned\": " + std::to_string(cellsPruned) +
-           ", \"cells_failed\": " + std::to_string(cellsFailed) +
-           ", \"cells_cached\": " + std::to_string(cellsCached) +
-           ", \"cells_computed\": " + std::to_string(cellsComputed) +
-           ", \"document\": " + engine::jsonString(document) + '}';
+    std::string out;
+    appendExploreResponse(out, cellsTotal, cellsExecuted, cellsPruned,
+                          cellsFailed, cellsCached, cellsComputed,
+                          [&](const engine::JsonSink &sink) {
+                              return sink(document);
+                          });
+    return out;
 }
 
 std::string

@@ -20,10 +20,12 @@
 #define PARAGRAPH_SERVE_PROTOCOL_HPP
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "engine/sweep_args.hpp"
+#include "engine/sweep_json.hpp"
 
 namespace paragraph {
 namespace serve {
@@ -131,12 +133,32 @@ struct ServeResponse
 bool parseServeResponse(const std::string &line, ServeResponse &out,
                         std::string &error);
 
-/** Render a sweep response line (no trailing newline). */
+/** Renders a response's document into the sink it is given, piece by
+ *  piece (engine::streamSweepJson, engine::streamExploreJson). */
+using DocumentRender = std::function<bool(const engine::JsonSink &sink)>;
+
+/** Append a sweep response line (no trailing newline) to @p out. Each
+ *  piece @p render produces is escaped straight into @p out, so the
+ *  document itself is never held whole. */
+void appendSweepResponse(std::string &out, uint64_t cellsTotal,
+                         uint64_t cellsFailed, uint64_t cellsCached,
+                         uint64_t cellsComputed,
+                         const DocumentRender &render);
+
+/** appendSweepResponse into a fresh string. */
 std::string renderSweepResponse(uint64_t cellsTotal, uint64_t cellsFailed,
                                 uint64_t cellsCached, uint64_t cellsComputed,
                                 const std::string &document);
 
-/** Render an explore response line (no trailing newline). */
+/** Append an explore response line (no trailing newline) to @p out, as
+ *  appendSweepResponse does. */
+void appendExploreResponse(std::string &out, uint64_t cellsTotal,
+                           uint64_t cellsExecuted, uint64_t cellsPruned,
+                           uint64_t cellsFailed, uint64_t cellsCached,
+                           uint64_t cellsComputed,
+                           const DocumentRender &render);
+
+/** appendExploreResponse into a fresh string. */
 std::string renderExploreResponse(uint64_t cellsTotal, uint64_t cellsExecuted,
                                   uint64_t cellsPruned, uint64_t cellsFailed,
                                   uint64_t cellsCached,

@@ -22,10 +22,13 @@ constexpr const char *storeSchema = "paragraph-serve-store-v1";
 std::string
 renderEntry(const ResultKey &key, const std::string &cellJson)
 {
-    return "{\"trace_crc\": " + std::to_string(key.traceCrc) +
-           ", \"config_key\": " + std::to_string(key.configKey) +
-           ", \"profiles\": " + (key.profiles ? "true" : "false") +
-           ", \"cell\": " + engine::jsonString(cellJson) + "}\n";
+    std::string line;
+    engine::JsonOut os(line);
+    os << "{\"trace_crc\": " << key.traceCrc
+       << ", \"config_key\": " << key.configKey
+       << ", \"profiles\": " << (key.profiles ? "true" : "false")
+       << ", \"cell\": " << engine::quoted(cellJson) << "}\n";
+    return line;
 }
 
 /** Parse one entry line; false if it is not a complete, well-formed entry. */

@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstring>
 #include <map>
+#include <new>
 #include <optional>
 #include <utility>
 
@@ -114,6 +115,32 @@ rebindSpliceIndices(std::string &cellJson, size_t inputIndex,
     rewrite("\n      \"config_index\": ", configIndex);
 }
 
+/** Response buffers smaller than this are not kept as spares: below
+ *  glibc's default mmap threshold, allocating one is a cheap heap carve. */
+constexpr size_t kSpareMinBytes = size_t{128} << 10;
+
+/** Bytes of stored cell text @p cells splice into their document. */
+size_t
+splicedBytes(const std::vector<engine::SweepCell> &cells)
+{
+    size_t bytes = 0;
+    for (const engine::SweepCell &cell : cells)
+        bytes += cell.journalText.size();
+    return bytes;
+}
+
+/**
+ * Size @p response for @p spliced bytes of cell text once escaped (~9%
+ * more, as engine::appendJsonEscaped reserves). Spliced cells are nearly
+ * all of a store hit's response, which then renders in place without
+ * doubling copies or twice the capacity.
+ */
+void
+reserveResponse(std::string &response, size_t spliced)
+{
+    response.reserve(response.size() + spliced + spliced / 8 + 4096);
+}
+
 } // namespace
 
 ServeServer::ServeServer(Options opt) : opt_(std::move(opt)), repo_(repoOptions(opt_))
@@ -154,36 +181,42 @@ ServeServer::~ServeServer()
 bool
 ServeServer::start(std::string &error)
 {
+    // The socket is bound under a temporary name and linked to its real
+    // path only once it listens: a client that waits for the path to
+    // appear never meets a socket that refuses connections, and an
+    // existing path still fails the start rather than being replaced.
+    const std::string tmpPath =
+        opt_.socketPath + "." + std::to_string(::getpid());
     sockaddr_un addr;
     std::memset(&addr, 0, sizeof(addr));
     addr.sun_family = AF_UNIX;
-    if (opt_.socketPath.empty() ||
-        opt_.socketPath.size() >= sizeof(addr.sun_path)) {
+    if (opt_.socketPath.empty() || tmpPath.size() >= sizeof(addr.sun_path)) {
         error = "socket path empty or too long for AF_UNIX";
         return false;
     }
-    std::memcpy(addr.sun_path, opt_.socketPath.c_str(),
-                opt_.socketPath.size() + 1);
+    std::memcpy(addr.sun_path, tmpPath.c_str(), tmpPath.size() + 1);
 
     listenFd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
     if (listenFd_ < 0) {
         error = std::string("socket: ") + std::strerror(errno);
         return false;
     }
+    ::unlink(tmpPath.c_str()); // left by a killed daemon with this pid
+    auto fail = [&](int err) {
+        error = opt_.socketPath + ": " + std::strerror(err);
+        ::close(listenFd_);
+        listenFd_ = -1;
+        ::unlink(tmpPath.c_str());
+        return false;
+    };
     if (::bind(listenFd_, reinterpret_cast<sockaddr *>(&addr),
-               sizeof(addr)) != 0) {
-        error = opt_.socketPath + ": " + std::strerror(errno);
-        ::close(listenFd_);
-        listenFd_ = -1;
-        return false;
-    }
-    if (::listen(listenFd_, 16) != 0) {
-        error = std::string("listen: ") + std::strerror(errno);
-        ::close(listenFd_);
-        listenFd_ = -1;
-        ::unlink(opt_.socketPath.c_str());
-        return false;
-    }
+               sizeof(addr)) != 0)
+        return fail(errno);
+    if (::listen(listenFd_, 16) != 0)
+        return fail(errno);
+    if (::link(tmpPath.c_str(), opt_.socketPath.c_str()) != 0)
+        return fail(errno == EEXIST ? EADDRINUSE : errno);
+    ::unlink(tmpPath.c_str());
     return true;
 }
 
@@ -271,6 +304,7 @@ void
 ServeServer::handleClient(int fd)
 {
     std::string buffer;
+    size_t scanned = 0; // bytes of buffer already searched for a newline
     char chunk[4096];
     bool shutdownRequested = false;
     while (!shutdownRequested) {
@@ -291,23 +325,15 @@ ServeServer::handleClient(int fd)
         if (n == 0)
             break; // client closed; any partial line is abandoned
         buffer.append(chunk, static_cast<size_t>(n));
-        if (opt_.maxRequestBytes != 0 &&
-            buffer.size() > opt_.maxRequestBytes &&
-            buffer.find('\n') == std::string::npos) {
-            // An unterminated line past the cap would otherwise grow
-            // without bound on daemon memory.
-            sendAll(fd,
-                    renderErrorResponse("request exceeds the daemon's "
-                                        "max request size") +
-                        "\n",
-                    opt_.ioTimeoutSeconds);
-            break;
-        }
-        size_t nl;
-        while (!shutdownRequested &&
-               (nl = buffer.find('\n')) != std::string::npos) {
-            std::string line = buffer.substr(0, nl);
-            buffer.erase(0, nl + 1);
+        size_t start = 0; // first byte of the next unanswered line
+        while (!shutdownRequested) {
+            size_t nl = buffer.find('\n', scanned);
+            if (nl == std::string::npos) {
+                scanned = buffer.size();
+                break;
+            }
+            std::string line(buffer, start, nl - start);
+            start = scanned = nl + 1;
             if (line.empty())
                 continue;
             std::string response;
@@ -318,13 +344,27 @@ ServeServer::handleClient(int fd)
             } else {
                 response = handleRequestLine(line, shutdownRequested);
             }
-            if (!sendAll(fd, response + "\n", opt_.ioTimeoutSeconds)) {
+            response += '\n';
+            bool sent = sendAll(fd, response, opt_.ioTimeoutSeconds);
+            returnResponseBuffer(std::move(response));
+            if (!sent) {
                 // Client went away mid-response. Completed cells are
                 // already in the store; nothing to unwind.
-                shutdownRequested = shutdownRequested || false;
-                nl = std::string::npos;
                 break;
             }
+        }
+        buffer.erase(0, start);
+        scanned -= start;
+        if (opt_.maxRequestBytes != 0 && scanned == buffer.size() &&
+            buffer.size() > opt_.maxRequestBytes) {
+            // An unterminated line past the cap would otherwise grow
+            // without bound on daemon memory.
+            sendAll(fd,
+                    renderErrorResponse("request exceeds the daemon's "
+                                        "max request size") +
+                        "\n",
+                    opt_.ioTimeoutSeconds);
+            break;
         }
     }
     ::close(fd);
@@ -334,6 +374,39 @@ ServeServer::handleClient(int fd)
     }
     if (shutdownRequested)
         requestStop();
+}
+
+std::string
+ServeServer::takeResponseBuffer()
+{
+    std::lock_guard<std::mutex> lock(spareMutex_);
+    if (spareResponses_.empty())
+        return {};
+    std::string buffer = std::move(spareResponses_.back());
+    spareResponses_.pop_back();
+    return buffer;
+}
+
+void
+ServeServer::returnResponseBuffer(std::string buffer)
+{
+    // Keeping only big buffers also bounds the spares by the sweeps once
+    // rendered at the same time.
+    if (buffer.capacity() < kSpareMinBytes)
+        return;
+    buffer.clear();
+    std::lock_guard<std::mutex> lock(spareMutex_);
+    spareResponses_.push_back(std::move(buffer));
+}
+
+void
+ServeServer::releaseSpareResponses()
+{
+    std::vector<std::string> spares;
+    {
+        std::lock_guard<std::mutex> lock(spareMutex_);
+        spares.swap(spareResponses_);
+    }
 }
 
 std::string
@@ -391,6 +464,11 @@ ServeServer::handleRequestLine(const std::string &line, bool &shutdown)
         std::string response = req.op == ServeRequest::Op::Explore
                                    ? handleExplore(req)
                                    : handleSweep(req);
+        // Growing a multi-MB response can fail to allocate; the site fires
+        // once the document is escaped into the response, whose partial
+        // line the error reply below must replace.
+        if (PARA_FAILPOINT("serve.render"))
+            throw std::bad_alloc();
         activeSweeps_.fetch_sub(1, std::memory_order_relaxed);
         return response;
     } catch (const std::exception &e) {
@@ -421,6 +499,11 @@ ServeServer::resolveCells(std::vector<engine::SweepJob> &jobs, bool profiles,
         job.config.cancel = &cancel_;
         auto [crc, fresh] = traceCrcs.try_emplace(job.input);
         if (fresh) {
+            // The daemon's memory peaks while it captures a new input,
+            // which outlasts re-faulting a response buffer many times
+            // over: no spares are held across a capture.
+            if (!repo_.hasTraceCrc(job.input))
+                releaseSpareResponses();
             try {
                 crc->second = repo_.traceCrc(job.input);
             } catch (const std::exception &) {
@@ -513,8 +596,14 @@ ServeServer::handleSweep(const ServeRequest &req)
     engine::SweepJsonOptions jsonOpt;
     jsonOpt.timing = false;
     jsonOpt.profiles = req.profiles;
-    return renderSweepResponse(sweep.cells.size(), failed, cached, computed,
-                               sweepToJson(sweep, jsonOpt));
+    std::string response = takeResponseBuffer();
+    reserveResponse(response, splicedBytes(sweep.cells));
+    appendSweepResponse(response, sweep.cells.size(), failed, cached,
+                        computed, [&](const engine::JsonSink &sink) {
+                            return engine::streamSweepJson(sweep, jsonOpt,
+                                                           sink);
+                        });
+    return response;
 }
 
 std::string
@@ -566,10 +655,19 @@ ServeServer::handleExplore(const ServeRequest &req)
                   explored.cellsPruned, explored.cellsFailed);
     }
 
-    return renderExploreResponse(explored.cellsTotal, explored.cellsExecuted,
-                                 explored.cellsPruned, explored.cellsFailed,
-                                 cached, computed,
-                                 exploreToJson(explored, jsonOpt));
+    size_t spliced = 0;
+    for (const engine::ExploreTrace &trace : explored.traces)
+        spliced += splicedBytes(trace.cells);
+    std::string response = takeResponseBuffer();
+    reserveResponse(response, spliced);
+    appendExploreResponse(response, explored.cellsTotal,
+                          explored.cellsExecuted, explored.cellsPruned,
+                          explored.cellsFailed, cached, computed,
+                          [&](const engine::JsonSink &sink) {
+                              return engine::streamExploreJson(
+                                  explored, jsonOpt, sink);
+                          });
+    return response;
 }
 
 std::string

@@ -135,7 +135,20 @@ class ServeServer
 
   private:
     void handleClient(int fd);
+
+    /** A spare response buffer (empty if there is none) for a sweep or
+     *  explore to render into; handleClient hands every response line's
+     *  buffer back once it is sent, and big ones are kept. */
+    std::string takeResponseBuffer();
+    void returnResponseBuffer(std::string buffer);
+
+    /** Free the spares; a request that captures a new input calls it
+     *  first. */
+    void releaseSpareResponses();
+
     std::string handleRequestLine(const std::string &line, bool &shutdown);
+
+    /** Render the response line into a spare buffer (no newline). */
     std::string handleSweep(const ServeRequest &req);
     std::string handleExplore(const ServeRequest &req);
 
@@ -164,6 +177,14 @@ class ServeServer
 
     int listenFd_ = -1;
     std::atomic<bool> stop_{false};
+
+    /** Multi-MB response buffers between requests (DESIGN.md §7). A store
+     *  hit renders its line into one of these instead of allocating,
+     *  freeing and re-faulting it; there are never more than the sweeps
+     *  once rendered at the same time, and none while a new input is
+     *  captured. */
+    std::mutex spareMutex_;
+    std::vector<std::string> spareResponses_;
 
     std::mutex clientMutex_;
     std::set<int> clientFds_;

@@ -33,10 +33,12 @@ struct CliResult
     std::string output;
 };
 
+/** Run the CLI; @p redirect picks where stderr (and stdout) go. */
 CliResult
-runSweep(const std::string &args)
+runSweep(const std::string &args,
+         const std::string &redirect = "2>/dev/null")
 {
-    std::string cmd = sweepCliPath() + " " + args + " 2>/dev/null";
+    std::string cmd = sweepCliPath() + " " + args + " " + redirect;
     std::FILE *pipe = popen(cmd.c_str(), "r");
     EXPECT_NE(pipe, nullptr);
     std::string out;
@@ -166,4 +168,32 @@ TEST(SweepCli, BadArgumentsFailCleanly)
     EXPECT_NE(runSweep("--inputs=no-such-workload --quiet").status, 0);
     EXPECT_NE(runSweep("--inputs=xlisp --rename=everything").status, 0);
     EXPECT_NE(runSweep("").status, 0);
+}
+
+TEST(SweepCli, DocumentWriteFailuresExitOneWithTheReason)
+{
+    if (!std::filesystem::exists("/dev/full"))
+        GTEST_SKIP() << "no /dev/full on this system";
+    // A full device must not pass for success: every write, the flush and
+    // the close are checked, for a grid and for --explore, to --out and
+    // to stdout. The captured output is stderr.
+    const std::string grid = "--inputs=xlisp --small --max=2000 "
+                             "--windows=16,0 --quiet";
+    for (const std::string mode : {"", " --explore"}) {
+        CliResult r = runSweep(grid + mode + " --out=/dev/full", "2>&1");
+        EXPECT_TRUE(WIFEXITED(r.status) && WEXITSTATUS(r.status) == 1)
+            << mode << ": " << r.output;
+        EXPECT_NE(r.output.find(
+                      "cannot write /dev/full: No space left on device"),
+                  std::string::npos)
+            << mode << ": " << r.output;
+
+        r = runSweep(grid + mode, "2>&1 >/dev/full");
+        EXPECT_TRUE(WIFEXITED(r.status) && WEXITSTATUS(r.status) == 1)
+            << mode << ": " << r.output;
+        EXPECT_NE(
+            r.output.find("cannot write stdout: No space left on device"),
+            std::string::npos)
+            << mode << ": " << r.output;
+    }
 }

@@ -394,15 +394,3 @@ TEST(SweepEngine, ProgressReportsEveryCellExactlyOnce)
     EXPECT_GT(sweep.totalInstructions, 0u);
 }
 
-TEST(SweepJson, RendersStableNumbersAndStrings)
-{
-    EXPECT_EQ(jsonDouble(0.0), "0");
-    EXPECT_EQ(jsonDouble(2.5), "2.5");
-    EXPECT_EQ(jsonDouble(1.0 / 3.0), "0.3333333333333333");
-    // Round-trip: parsing the rendering recovers the exact double.
-    double v = 3.0651797117314357;
-    EXPECT_EQ(std::strtod(jsonDouble(v).c_str(), nullptr), v);
-
-    EXPECT_EQ(jsonString("plain"), "\"plain\"");
-    EXPECT_EQ(jsonString("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-}

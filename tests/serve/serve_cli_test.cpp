@@ -52,11 +52,13 @@ struct CliResult
     std::string output;
 };
 
-/** Run the binary in client mode (or any one-shot invocation). */
+/** Run the binary in client mode (or any one-shot invocation); @p redirect
+ *  picks where stderr (and stdout) go. */
 CliResult
-runServe(const std::string &args)
+runServe(const std::string &args,
+         const std::string &redirect = "2>/dev/null")
 {
-    std::string cmd = serveCliPath() + " " + args + " 2>/dev/null";
+    std::string cmd = serveCliPath() + " " + args + " " + redirect;
     std::FILE *pipe = popen(cmd.c_str(), "r");
     EXPECT_NE(pipe, nullptr);
     std::string out;
@@ -201,6 +203,38 @@ TEST(ServeCli, ShutdownOpStopsTheDaemonWithExitZero)
     daemon.pid = -1;
     ASSERT_TRUE(WIFEXITED(status));
     EXPECT_EQ(WEXITSTATUS(status), 0);
+    fs::remove(store);
+}
+
+TEST(ServeCli, ClientDocumentWriteFailuresExitOneWithTheReason)
+{
+    if (!fs::exists("/dev/full"))
+        GTEST_SKIP() << "no /dev/full on this system";
+    std::string store = tempPath("full.store");
+    fs::remove(store);
+    DaemonProcess daemon("full", store);
+    std::string grid = daemon.clientArgs() + " --inputs=" +
+                       goldenTrace("xlisp-800.ptrc") + " --windows=16,64";
+
+    // The captured output is stderr; the document goes to a full device.
+    CliResult r = runServe(grid + " --out=/dev/full", "2>&1");
+    EXPECT_TRUE(WIFEXITED(r.status) && WEXITSTATUS(r.status) == 1)
+        << r.output;
+    EXPECT_NE(
+        r.output.find("cannot write /dev/full: No space left on device"),
+        std::string::npos)
+        << r.output;
+
+    r = runServe(grid, "2>&1 >/dev/full");
+    EXPECT_TRUE(WIFEXITED(r.status) && WEXITSTATUS(r.status) == 1)
+        << r.output;
+    EXPECT_NE(r.output.find("cannot write stdout: No space left on device"),
+              std::string::npos)
+        << r.output;
+
+    r = runServe(daemon.clientArgs() + " --ping", "2>&1 >/dev/full");
+    EXPECT_TRUE(WIFEXITED(r.status) && WEXITSTATUS(r.status) == 1)
+        << r.output;
     fs::remove(store);
 }
 

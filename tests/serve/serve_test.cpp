@@ -6,6 +6,7 @@
 // overlapping grids, concurrent clients, disconnects, and restarts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -16,7 +17,9 @@
 #include <vector>
 
 #include <signal.h>
+#include <sys/socket.h>
 #include <sys/time.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include "serve/client.hpp"
@@ -921,4 +924,156 @@ TEST(ServeDaemon, RefusesOversizedRequestLines)
     // A well-formed request on a fresh connection still serves.
     ServeRequest ping;
     EXPECT_TRUE(ask(daemon, ping).ok());
+}
+
+TEST(ServeDaemon, ReusedResponseBuffersLeakNoStaleBytes)
+{
+    // Store hits render into response buffers the daemon keeps between
+    // requests. On one connection: a 32-cell hit, a 1-cell hit that reuses
+    // its buffer, a hit whose render throws once the document is escaped
+    // in, a malformed request and the 32-cell hit again. Each reply must
+    // equal a fresh render of the same result.
+    std::string store = tempPath("reuse.store");
+    fs::remove(store);
+    ServeServer::Options opt;
+    opt.storePath = store;
+    Daemon daemon("reuse", opt);
+    Daemon fresh("reuse.fresh"); // no store: every document from scratch
+
+    std::string xlisp = goldenTrace("xlisp-800.ptrc");
+    std::string matrix = goldenTrace("matrix300-600.ptrc");
+    ServeRequest big = sweepRequest({xlisp, matrix}, {4, 16, 64, 0});
+    big.renames = {"none", "regs", "stack", "data"};
+    ServeRequest small = sweepRequest({matrix}, {16});
+    small.renames = {"none"};
+    ServeResponse bigFresh = ask(fresh, big);
+    ServeResponse smallFresh = ask(fresh, small);
+    ASSERT_TRUE(bigFresh.ok()) << bigFresh.error;
+    ASSERT_TRUE(smallFresh.ok()) << smallFresh.error;
+    ASSERT_EQ(bigFresh.cellsTotal, 32u);
+    ASSERT_TRUE(ask(daemon, big).ok()); // warm the store
+
+    ServeClient client(daemon.socketPath);
+    std::string error;
+    std::string line;
+    ASSERT_TRUE(client.connect(error)) << error;
+    const std::string bigLine =
+        renderSweepResponse(32, 0, 32, 0, bigFresh.document);
+
+    ASSERT_TRUE(client.roundTrip(renderServeRequest(big), line, error))
+        << error;
+    EXPECT_EQ(line, bigLine);
+
+    ASSERT_TRUE(client.roundTrip(renderServeRequest(small), line, error))
+        << error;
+    EXPECT_EQ(line, renderSweepResponse(1, 0, 1, 0, smallFresh.document));
+
+    ASSERT_TRUE(failpoint::configure("serve.render=once", error)) << error;
+    bool sent = client.roundTrip(renderServeRequest(big), line, error);
+    failpoint::reset();
+    ASSERT_TRUE(sent) << error;
+    EXPECT_EQ(line, renderErrorResponse("std::bad_alloc"));
+
+    ASSERT_TRUE(client.roundTrip("{\"schema\": ", line, error)) << error;
+    EXPECT_EQ(line, renderErrorResponse("malformed request line"));
+
+    ASSERT_TRUE(client.roundTrip(renderServeRequest(big), line, error))
+        << error;
+    EXPECT_EQ(line, bigLine);
+    fs::remove(store);
+}
+
+TEST(ServeDaemon, AnswersCoalescedAndMultiMegabyteRequestLines)
+{
+    Daemon daemon("lines");
+    ServeClient client(daemon.socketPath);
+    std::string error;
+    std::string line;
+    ASSERT_TRUE(client.connect(error)) << error;
+    ServeRequest ping;
+    ping.op = ServeRequest::Op::Ping;
+    ServeRequest stats;
+    stats.op = ServeRequest::Op::Stats;
+
+    // Two request lines in one write are answered in order. The daemon
+    // skips empty lines, so an empty round trip just reads the next reply.
+    ASSERT_TRUE(client.sendLine(renderServeRequest(ping) + "\n" +
+                                    renderServeRequest(stats),
+                                error))
+        << error;
+    ASSERT_TRUE(client.roundTrip("", line, error)) << error;
+    EXPECT_EQ(line, renderAckResponse("ping"));
+    ASSERT_TRUE(client.roundTrip("", line, error)) << error;
+    ServeResponse resp;
+    ASSERT_TRUE(parseServeResponse(line, resp, error)) << error;
+    EXPECT_EQ(resp.op, "stats");
+
+    // One 3 MB line arrives across hundreds of reads.
+    std::string pingLine = renderServeRequest(ping);
+    ASSERT_EQ(pingLine.back(), '}');
+    pingLine.insert(pingLine.size() - 1, std::string(3 << 20, ' '));
+    ASSERT_TRUE(client.roundTrip(pingLine, line, error)) << error;
+    EXPECT_EQ(line, renderAckResponse("ping"));
+}
+
+TEST(ServeClient, ReassemblesCoalescedAndSplitResponseLines)
+{
+    // A scripted peer: two whole lines in one write, then, once the third
+    // request is in, one multi-MB line in 1000-byte writes. Each round trip
+    // must return its line intact, the second from bytes the first read
+    // already buffered.
+    std::string sock = tempPath("peer.sock");
+    fs::remove(sock);
+    int listenFd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    ASSERT_GE(listenFd, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    ASSERT_LT(sock.size(), sizeof(addr.sun_path));
+    std::memcpy(addr.sun_path, sock.c_str(), sock.size() + 1);
+    ASSERT_EQ(::bind(listenFd, reinterpret_cast<sockaddr *>(&addr),
+                     sizeof(addr)),
+              0);
+    ASSERT_EQ(::listen(listenFd, 1), 0);
+
+    std::string bigLine(3 << 20, '\0');
+    for (size_t i = 0; i < bigLine.size(); ++i)
+        bigLine[i] = static_cast<char>('a' + i % 26);
+    std::thread peer([&] {
+        int fd = ::accept(listenFd, nullptr, nullptr);
+        if (fd < 0)
+            return;
+        const char both[] = "first\nsecond\n";
+        ::send(fd, both, sizeof(both) - 1, MSG_NOSIGNAL);
+        int requests = 0;
+        char c;
+        while (requests < 3 && ::recv(fd, &c, 1, 0) == 1)
+            requests += c == '\n';
+        const std::string wire = bigLine + '\n';
+        for (size_t at = 0; at < wire.size(); at += 1000) {
+            size_t n = std::min<size_t>(1000, wire.size() - at);
+            if (::send(fd, wire.data() + at, n, MSG_NOSIGNAL) !=
+                static_cast<ssize_t>(n))
+                break;
+        }
+        ::close(fd);
+    });
+
+    ServeClient client(sock);
+    std::string error;
+    std::string first, second, third;
+    bool ok = client.connect(error) &&
+              client.roundTrip("a", first, error) &&
+              client.roundTrip("b", second, error) &&
+              client.roundTrip("c", third, error);
+    if (!client.connected())
+        ::shutdown(listenFd, SHUT_RDWR); // never accepted: unblock the peer
+    client.close();
+    peer.join();
+    ::close(listenFd);
+    fs::remove(sock);
+    ASSERT_TRUE(ok) << error;
+    EXPECT_EQ(first, "first");
+    EXPECT_EQ(second, "second");
+    EXPECT_EQ(third.size(), bigLine.size());
+    EXPECT_TRUE(third == bigLine);
 }

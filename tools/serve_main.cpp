@@ -84,13 +84,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
+#include "support/output_file.hpp"
 #include "support/panic.hpp"
 #include "support/string_utils.hpp"
 
@@ -370,13 +370,16 @@ int
 runDaemon(const ServeCliArgs &opt)
 {
     serve::ServeServer server(opt.server);
+    // Handlers go in before the socket appears, so a client that sees it
+    // can always stop the daemon cleanly with a signal.
+    g_server = &server;
+    installSignalHandlers();
     std::string error;
     if (!server.start(error)) {
+        g_server = nullptr;
         std::fprintf(stderr, "paragraph-serve: %s\n", error.c_str());
         return 1;
     }
-    g_server = &server;
-    installSignalHandlers();
     if (!opt.quiet) {
         std::fprintf(stderr, "paragraph-serve: listening on %s%s%s\n",
                      opt.socketPath.c_str(),
@@ -391,6 +394,15 @@ runDaemon(const ServeCliArgs &opt)
                      g_signal ? "shut down on signal" : "shut down");
     }
     return 0; // a graceful shutdown — signalled or client-requested — is ok
+}
+
+/** Print @p line and a newline on stdout, checked like a document. */
+void
+printLine(const std::string &line)
+{
+    writeOutputFile("", [&](const OutputWriter &write) {
+        return write(line) && write("\n");
+    });
 }
 
 int
@@ -440,7 +452,7 @@ runClient(const ServeCliArgs &opt)
     }
 
     if (!opt.rawLine.empty()) {
-        std::printf("%s\n", responseLine.c_str());
+        printLine(responseLine);
         return 0;
     }
 
@@ -463,18 +475,9 @@ runClient(const ServeCliArgs &opt)
     }
 
     if (response.op == "sweep" || response.op == "explore") {
-        if (opt.outPath.empty()) {
-            std::fwrite(response.document.data(), 1,
-                        response.document.size(), stdout);
-        } else {
-            std::ofstream out(opt.outPath);
-            if (!out) {
-                std::fprintf(stderr, "paragraph-serve: cannot open %s\n",
-                             opt.outPath.c_str());
-                return 1;
-            }
-            out << response.document;
-        }
+        writeOutputFile(opt.outPath, [&](const OutputWriter &write) {
+            return write(response.document);
+        });
         if (!opt.quiet && response.op == "explore") {
             std::fprintf(stderr,
                          "serve: explore %llu/%llu cells (%llu cached, "
@@ -505,7 +508,7 @@ runClient(const ServeCliArgs &opt)
                              response.cellsFailed));
         }
     } else {
-        std::printf("%s\n", responseLine.c_str());
+        printLine(responseLine);
     }
     return 0;
 }

@@ -87,8 +87,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <iostream>
 #include <string>
 #include <vector>
 
@@ -99,6 +97,7 @@
 #include "engine/sweep_args.hpp"
 #include "engine/sweep_json.hpp"
 #include "engine/trace_repository.hpp"
+#include "support/output_file.hpp"
 #include "support/panic.hpp"
 #include "support/string_utils.hpp"
 #include "support/test_seed.hpp"
@@ -280,17 +279,12 @@ main(int argc, char **argv)
                              explored.rounds);
             }
 
-            if (opt.outPath.empty()) {
-                engine::writeExploreJson(std::cout, explored, opt.json);
-            } else {
-                std::ofstream out(opt.outPath);
-                if (!out)
-                    PARA_FATAL("cannot open %s", opt.outPath.c_str());
-                engine::writeExploreJson(out, explored, opt.json);
-                if (!opt.quiet)
-                    std::fprintf(stderr, "sweep: wrote %s\n",
-                                 opt.outPath.c_str());
-            }
+            writeOutputFile(opt.outPath, [&](const OutputWriter &write) {
+                return engine::streamExploreJson(explored, opt.json, write);
+            });
+            if (!opt.quiet && !opt.outPath.empty())
+                std::fprintf(stderr, "sweep: wrote %s\n",
+                             opt.outPath.c_str());
             if (g_signal != 0) {
                 std::fprintf(stderr,
                              "paragraph-sweep: interrupted by signal %d\n",
@@ -323,17 +317,11 @@ main(int argc, char **argv)
                          "in the JSON)\n",
                          result.cellsFailed);
 
-        if (opt.outPath.empty()) {
-            engine::writeSweepJson(std::cout, result, opt.json);
-        } else {
-            std::ofstream out(opt.outPath);
-            if (!out)
-                PARA_FATAL("cannot open %s", opt.outPath.c_str());
-            engine::writeSweepJson(out, result, opt.json);
-            if (!opt.quiet)
-                std::fprintf(stderr, "sweep: wrote %s\n",
-                             opt.outPath.c_str());
-        }
+        writeOutputFile(opt.outPath, [&](const OutputWriter &write) {
+            return engine::streamSweepJson(result, opt.json, write);
+        });
+        if (!opt.quiet && !opt.outPath.empty())
+            std::fprintf(stderr, "sweep: wrote %s\n", opt.outPath.c_str());
         // An interrupted sweep still writes its (partial) document and
         // journal, but the exit status says so: 128+signal, the shell
         // convention for death-by-signal.
