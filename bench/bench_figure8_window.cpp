@@ -7,11 +7,11 @@
 // and analysis ... and requires approximately 10 hours on a DECstation
 // 3100" — here each point takes well under a second).
 //
-// The sweep runs on the parallel sweep engine: each benchmark's trace is
-// simulated once into a shared immutable capture (engine::TraceRepository)
-// and all window sizes are analyzed concurrently across a worker pool
-// (engine::SweepEngine) — the paper paid ~10 hours per point for the same
-// grid, serially.
+// The sweep runs on the parallel sweep engine: each benchmark's analog is
+// simulated inside each fused pass, with no trace stored
+// (engine::TraceRepository), and all window sizes are analyzed
+// concurrently across a worker pool (engine::SweepEngine) — the paper paid
+// ~10 hours per point for the same grid, serially.
 //
 // Traces are capped at 2,000,000 instructions per point so the whole sweep
 // stays laptop-scale; the 100% reference is the unlimited-window analysis of
@@ -47,7 +47,7 @@ main()
     table.addColumn("Total Par");
 
     // One grid per benchmark: every window size plus the unlimited
-    // reference, all replaying one shared capture across the worker pool.
+    // reference, fused into passes across the worker pool.
     std::vector<core::AnalysisConfig> configs;
     for (uint64_t w : windowSizes) {
         core::AnalysisConfig cfg = core::AnalysisConfig::windowed(w);
@@ -77,7 +77,6 @@ main()
                     total));
         }
         table.cell(total, 2);
-        repo.release(wl.name); // captures are per-benchmark; bound memory
     }
     table.print(std::cout);
 
@@ -109,7 +108,6 @@ main()
         small.cell(wl.name);
         small.cell(sweep.cells[0].result.availableParallelism, 2);
         small.cell(sweep.cells[1].result.availableParallelism, 2);
-        repo.release(wl.name);
     }
     small.print(std::cout);
     return 0;

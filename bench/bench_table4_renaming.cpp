@@ -4,9 +4,9 @@
 // stack renamed, and registers + all memory renamed. Conservative syscalls,
 // unlimited window, no functional-unit limits — exactly the paper's setup.
 //
-// Runs on the parallel sweep engine: each benchmark's trace is simulated
-// once into a shared capture and the four renaming conditions are analyzed
-// concurrently across a worker pool.
+// Runs on the parallel sweep engine: each benchmark's analog is simulated
+// inside each fused pass (no trace is stored) and the four renaming
+// conditions are analyzed concurrently across a worker pool.
 #include <cstdio>
 #include <iostream>
 
@@ -47,7 +47,6 @@ main()
         table.cell(w.name);
         for (const engine::SweepCell &cell : sweep.cells)
             table.cell(cell.result.availableParallelism, 2);
-        repo.release(w.name); // captures are per-benchmark; bound memory
     }
     table.print(std::cout);
 

@@ -1,5 +1,6 @@
 #include "core/multi.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <utility>
@@ -124,30 +125,33 @@ runFusedSource(trace::TraceSource &src,
                const std::vector<AnalysisConfig> &configs,
                bool stop_on_engine_error)
 {
-    // When every config has an instruction cap, the pass needs exactly
-    // max(cap) records — don't drain the (shared) source past that.
-    uint64_t capRecords = 0;
-    bool bounded = !configs.empty();
-    for (const AnalysisConfig &cfg : configs) {
-        if (cfg.maxInstructions == 0)
-            bounded = false;
-        else if (cfg.maxInstructions > capRecords)
-            capRecords = cfg.maxInstructions;
-    }
-
     if (configs.empty())
         return {};
 
     // Pipelined decode: the producer thread unpacks the next block
-    // while the engines consume the current one.
+    // while the engines consume the current one. When every config has
+    // an instruction cap, the (shared) source is not drained past the
+    // largest.
     trace::BlockPipeline::Options popt;
     popt.blockRecords = fusedBlockRecords;
-    popt.maxRecords = bounded ? capRecords : 0;
+    popt.maxRecords = passRecordLimit(configs);
     trace::BlockPipeline pipe(src, popt);
     return runFusedBlocks(pipe, configs, stop_on_engine_error);
 }
 
 } // namespace
+
+uint64_t
+passRecordLimit(const std::vector<AnalysisConfig> &configs)
+{
+    uint64_t limit = 0;
+    for (const AnalysisConfig &cfg : configs) {
+        if (cfg.maxInstructions == 0)
+            return 0;
+        limit = std::max<uint64_t>(limit, cfg.maxInstructions);
+    }
+    return limit;
+}
 
 std::vector<AnalysisResult>
 analyzeMany(trace::TraceSource &src,

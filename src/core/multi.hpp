@@ -57,6 +57,13 @@ std::vector<AnalysisResult>
 analyzeMany(trace::TraceSource &src,
             const std::vector<AnalysisConfig> &configs);
 
+/**
+ * The most records a fused pass under @p configs can consume: the largest
+ * AnalysisConfig::maxInstructions, or 0 (the whole trace) when any config
+ * is uncapped or there are none.
+ */
+uint64_t passRecordLimit(const std::vector<AnalysisConfig> &configs);
+
 /** Per-config outcome of a guarded fused pass. */
 struct MultiOutcome
 {

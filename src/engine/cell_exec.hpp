@@ -12,9 +12,10 @@
  * A solo attempt runs the same guarded fused pass a group runs, over one
  * config — or, with Options::shards > 1, the split-and-patch path over the
  * input's record blocks (a capture's 64K-record slices or a pooled `.ptrc`
- * stream's decoded blocks). Keeping all of it in one place is what makes a
- * daemon-served cell byte-identical to the same cell from a paragraph-sweep
- * run.
+ * stream's decoded blocks; a simulated input or a `.ptrz` stream has no
+ * random access and stays on the fused pass). Keeping all of it in one
+ * place is what makes a daemon-served cell byte-identical to the same cell
+ * from a paragraph-sweep run.
  */
 
 #ifndef PARAGRAPH_ENGINE_CELL_EXEC_HPP
@@ -31,7 +32,7 @@ namespace paragraph {
 namespace engine {
 
 /**
- * Run @p cell's attempts loop: guarded capture + analysis, retries for
+ * Run @p cell's attempts loop: guarded input + analysis, retries for
  * ordinary failures, no retry after cancellation. On return the cell's
  * status, result, attempts, error text, and timing are final. Never
  * throws.

@@ -282,12 +282,13 @@ SweepScheduler::workerLoop()
             }
         }
 
-        // Hold the capture for the duration of the group so a bounded
-        // repository cannot evict (and later re-capture) it mid-pass. A
-        // capture failure is not handled here — the per-cell attempts
-        // loop will surface it as each cell's error.
+        // Hold a captured input for the duration of the group so a bounded
+        // repository cannot evict (and later re-capture) it mid-pass; a
+        // simulated or streamed input holds nothing. A capture failure is
+        // not handled here — the per-cell attempts loop will surface it as
+        // each cell's error.
         TracePin pin;
-        if (!repo_.streamingInput(input)) {
+        if (repo_.capturedInput(input)) {
             try {
                 pin = repo_.pin(input);
             } catch (const std::exception &) {

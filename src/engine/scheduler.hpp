@@ -14,9 +14,10 @@
  * whose shared semantics let the serve layer cache a scheduler-produced
  * cell and replay it byte-identically against a paragraph-sweep run.
  *
- * While a group runs, its trace is held through TraceRepository::pin(), so
- * a budget-bounded repository can never drop (and re-capture) a trace that
- * a fused pass is still reading.
+ * While a group over a captured input runs, its trace is held through
+ * TraceRepository::pin(), so a budget-bounded repository can never drop
+ * (and re-capture) a trace that a fused pass is still reading. A simulated
+ * input is simulated by each pass on its own worker, and needs no pin.
  */
 
 #ifndef PARAGRAPH_ENGINE_SCHEDULER_HPP

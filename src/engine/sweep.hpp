@@ -7,21 +7,23 @@
  * DECstation 3100" per point), Table 4 crosses renaming switches with
  * benchmarks. Each grid cell is one independent core::Paragraph::analyze
  * run. The engine is the one-shot front end of the repo's single runner:
- * it splices cells already done from a resume journal, captures the
- * remaining inputs once (serially, so worker timings stay pure analysis)
- * into shared immutable buffers (TraceRepository), then submits the pending
- * cells as one batch to a SweepScheduler built from its options and waits.
- * The scheduler cuts the batch trace-major into fused groups — at most
+ * it splices cells already done from a resume journal, readies the
+ * remaining inputs once (serially: a simulated input's program is
+ * compiled, a trace file captured into a shared immutable buffer or its
+ * decode pool opened; TraceRepository), then submits the pending cells as
+ * one batch to a SweepScheduler built from its options and waits. The
+ * scheduler cuts the batch trace-major into fused groups — at most
  * Options::groupSize configs per group (0 = auto), clamped by
  * Options::groupMemoryBudget — and runs each group as a single block-major
- * pass over the shared trace (core::analyzeManyGuarded), so the trace is
- * walked once per group instead of once per cell; streaming trace files
- * are decoded per pass. Every core::Paragraph is thread-private, so
- * workers share no mutable analysis state. Results are stored by grid
- * position, making sweep output independent of worker count, grouping,
- * and completion order (a tested invariant).
+ * pass over the trace (core::analyzeManyGuarded), so the trace is produced
+ * or walked once per group instead of once per cell: a simulated input is
+ * simulated by each pass, a streamed trace file decoded per pass. Every
+ * core::Paragraph is thread-private, so workers share no mutable analysis
+ * state. Results are stored by grid position, making sweep output
+ * independent of worker count, grouping, and completion order (a tested
+ * invariant).
  *
- * Cells are fault-isolated: a cell whose capture or analysis throws is
+ * Cells are fault-isolated: a cell whose input or analysis throws is
  * recorded as SweepCell::Status::Failed with its error text, and the rest
  * of the grid still runs — at the paper's hours-per-point scale, one bad
  * benchmark must not void a night of compute. Fusion never weakens that
@@ -91,6 +93,7 @@ struct SweepCell
     double wallSeconds = 0.0;
 
     /** Of which, seconds spent waiting for trace records: on the
+     *  simulator (a simulated input's pass runs it inline), on the
      *  pipelined private decoder, or on the shared decode pool
      *  (cumulative across shard threads). 0 for captured inputs — their
      *  capture is paid once, up front, in SweepResult::captureSeconds. */
@@ -126,10 +129,12 @@ struct SweepResult
     /** Worker threads the sweep ran on. */
     unsigned jobs = 0;
 
-    /** Wall-clock seconds for the whole sweep (captures + analyses). */
+    /** Wall-clock seconds for the whole sweep (input set-up + analyses). */
     double wallSeconds = 0.0;
 
-    /** Of which, seconds spent capturing the inputs (serial, paid once). */
+    /** Of which, seconds spent readying the inputs (serial, paid once):
+     *  compiles of simulated inputs, captures of trace files, and decode
+     *  pools of streamed `.ptrc` files. */
     double captureSeconds = 0.0;
 
     /** Total instructions analyzed across all cells. */
@@ -200,7 +205,8 @@ struct SchedulerOptions
      *  on that many threads and patched into the exact solo result
      *  (core/shard.hpp split-and-patch): how ONE trace × ONE config uses
      *  more than one core. Applies to every config, over pooled `.ptrc`
-     *  streams and captures alike; 1 = off. */
+     *  streams and captures alike; a simulated input or a `.ptrz` stream
+     *  has no random access, and its cells run unsharded; 1 = off. */
     unsigned shards = 1;
 };
 

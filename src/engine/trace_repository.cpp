@@ -35,6 +35,20 @@ readFile(const std::string &path)
     return oss.str();
 }
 
+bool
+isTraceFile(const std::string &spec)
+{
+    return hasSuffix(spec, ".ptrc") || hasSuffix(spec, ".ptrz");
+}
+
+/** An assembly or MiniC program file (simulated, not a bundled analog). */
+bool
+isProgramFile(const std::string &spec)
+{
+    return hasSuffix(spec, ".s") || hasSuffix(spec, ".mc") ||
+           hasSuffix(spec, ".c");
+}
+
 } // namespace
 
 void
@@ -52,8 +66,10 @@ TraceRepository::fetch(const std::string &spec)
 {
     auto it = cache_.find(spec);
     if (it == cache_.end()) {
+        auto buffer = std::make_shared<trace::TraceBuffer>();
+        buffer->capture(*produce(spec));
         Entry entry;
-        entry.buffer = capture(spec);
+        entry.buffer = std::move(buffer);
         entry.bytes =
             entry.buffer->size() * sizeof(trace::TraceRecord);
         it = cache_.emplace(spec, std::move(entry)).first;
@@ -135,22 +151,59 @@ TraceRepository::unpin(const std::string &spec)
 std::unique_ptr<trace::TraceSource>
 TraceRepository::makeSource(const std::string &spec)
 {
-    if (streamingInput(spec)) {
-        std::unique_ptr<trace::TraceSource> src = trace::openTraceFile(spec);
-        if (opt_.maxRecords == 0)
-            return src;
-        // Match a capped capture exactly: the source ends at maxRecords.
-        return std::make_unique<trace::LimitedSource>(std::move(src),
-                                                      opt_.maxRecords);
-    }
-    return std::make_unique<trace::SharedBufferSource>(get(spec), spec);
+    if (capturedInput(spec))
+        return std::make_unique<trace::SharedBufferSource>(get(spec), spec);
+    return produce(spec);
+}
+
+bool
+TraceRepository::simulatedInput(const std::string &spec) const
+{
+    return !isTraceFile(spec);
 }
 
 bool
 TraceRepository::streamingInput(const std::string &spec) const
 {
-    return opt_.streamFiles &&
-           (hasSuffix(spec, ".ptrc") || hasSuffix(spec, ".ptrz"));
+    return opt_.streamFiles && isTraceFile(spec);
+}
+
+bool
+TraceRepository::capturedInput(const std::string &spec) const
+{
+    return !opt_.streamFiles && isTraceFile(spec);
+}
+
+std::shared_ptr<const casm::Program>
+TraceRepository::program(const std::string &spec)
+{
+    std::lock_guard<std::mutex> lock(programsMutex_);
+    std::shared_ptr<const casm::Program> &slot = programs_[spec];
+    if (slot)
+        return slot;
+    if (hasSuffix(spec, ".s")) {
+        slot = std::make_shared<const casm::Program>(
+            casm::assemble(readFile(spec)));
+    } else if (isProgramFile(spec)) {
+        slot = std::make_shared<const casm::Program>(
+            minic::compile(readFile(spec)));
+    } else {
+        // The suite keeps an analog's program for the whole process: hand
+        // it out without an owner.
+        auto &suite = workloads::WorkloadSuite::instance();
+        slot = std::shared_ptr<const casm::Program>(
+            std::shared_ptr<const casm::Program>(),
+            &suite.program(suite.find(spec)));
+    }
+    ++programsBuilt_;
+    return slot;
+}
+
+size_t
+TraceRepository::programsBuilt() const
+{
+    std::lock_guard<std::mutex> lock(programsMutex_);
+    return programsBuilt_;
 }
 
 std::shared_ptr<trace::SharedDecodePool>
@@ -194,20 +247,12 @@ TraceRepository::traceCrc(const std::string &spec)
         if (it != crcs_.end())
             return it->second;
     }
-    // Compute outside the lock: the CRC pass over a large capture must not
-    // stall every other worker's get().
-    std::shared_ptr<const trace::TraceBuffer> buffer;
-    if (streamingInput(spec)) {
-        // A streamed input is never resident; CRC it through a one-off
-        // bounded capture so the value matches the captured form exactly.
-        auto tmp = std::make_shared<trace::TraceBuffer>();
-        std::unique_ptr<trace::TraceSource> src = makeSource(spec);
-        tmp->capture(*src, opt_.maxRecords);
-        buffer = std::move(tmp);
-    } else {
-        buffer = get(spec);
-    }
-    uint32_t crc = trace::traceBufferCrc(*buffer);
+    // Compute outside the lock: the CRC pass over a large input must not
+    // stall every other worker's get(). An input that is not captured is
+    // never resident, so it is checksummed as it streams by.
+    uint32_t crc = capturedInput(spec)
+                       ? trace::traceBufferCrc(*get(spec))
+                       : trace::traceSourceCrc(*produce(spec));
     std::lock_guard<std::mutex> lock(mutex_);
     crcs_.emplace(spec, crc);
     return crc;
@@ -261,29 +306,27 @@ TraceRepository::cachedBytes() const
     return cachedBytes_;
 }
 
-std::shared_ptr<const trace::TraceBuffer>
-TraceRepository::capture(const std::string &spec) const
+std::unique_ptr<trace::TraceSource>
+TraceRepository::produce(const std::string &spec)
 {
-    auto buf = std::make_shared<trace::TraceBuffer>();
-    if (hasSuffix(spec, ".ptrc") || hasSuffix(spec, ".ptrz")) {
-        std::unique_ptr<trace::TraceSource> src = trace::openTraceFile(spec);
-        buf->capture(*src, opt_.maxRecords);
-    } else if (hasSuffix(spec, ".s")) {
-        casm::Program program = casm::assemble(readFile(spec));
-        sim::MachineTraceSource src(program, {}, {}, spec);
-        buf->capture(src, opt_.maxRecords);
-    } else if (hasSuffix(spec, ".mc") || hasSuffix(spec, ".c")) {
-        casm::Program program = minic::compile(readFile(spec));
-        sim::MachineTraceSource src(program, {}, {}, spec);
-        buf->capture(src, opt_.maxRecords);
+    std::unique_ptr<trace::TraceSource> src;
+    if (isTraceFile(spec)) {
+        src = trace::openTraceFile(spec);
     } else {
-        auto &suite = workloads::WorkloadSuite::instance();
-        const workloads::Workload &w = suite.find(spec);
-        std::unique_ptr<sim::MachineTraceSource> src =
-            suite.makeSource(w, opt_.scale);
-        buf->capture(*src, opt_.maxRecords);
+        std::vector<int32_t> input;
+        if (!isProgramFile(spec)) {
+            const workloads::Workload &w =
+                workloads::WorkloadSuite::instance().find(spec);
+            input = opt_.scale == workloads::Scale::Full ? w.input
+                                                         : w.smallInput;
+        }
+        src = std::make_unique<sim::MachineTraceSource>(
+            program(spec), std::move(input), std::vector<double>{}, spec);
     }
-    return buf;
+    if (opt_.maxRecords == 0)
+        return src;
+    return std::make_unique<trace::LimitedSource>(std::move(src),
+                                                  opt_.maxRecords);
 }
 
 } // namespace engine

@@ -1,15 +1,24 @@
 /**
  * @file
- * TraceRepository: capture each sweep input once, share it with all workers.
+ * TraceRepository: where every sweep input's records come from.
  *
- * A (trace × config) sweep re-analyzes the same trace many times. Trace
- * *generation* — functional simulation of a workload or MiniC program,
- * assembly, or `.ptrc`/`.ptrz` decompression — is the expensive, inherently
- * serial part, so the repository performs it exactly once per input and
- * stores the result in an immutable, shared in-memory trace::TraceBuffer.
- * Workers replay the capture through trace::SharedBufferSource instances
- * that carry only a private cursor, so any number of analyses can run over
- * one capture concurrently without synchronization.
+ * A (trace × config) sweep re-analyzes the same trace many times. How an
+ * input is produced decides how it is shared:
+ *
+ *  - A *simulated* input (a bundled workload analog, a `.s` assembly file
+ *    or a `.mc`/`.c` MiniC program) is never stored. The repository caches
+ *    its compiled casm::Program and hands each pass a fresh simulator that
+ *    steps the machine straight into the pass's block; the simulator is
+ *    deterministic, so every pass sees the identical records. One pass
+ *    over 1M records costs less than one config's analysis, which a fused
+ *    pass pays once for all its configs.
+ *  - A *streamed* trace file (Options::streamFiles) is re-read per pass,
+ *    `.ptrc` through a shared decode pool.
+ *  - Any other trace file, and any input get() is asked for directly, is
+ *    *captured* once into an immutable, shared in-memory
+ *    trace::TraceBuffer. Workers replay a capture through
+ *    trace::SharedBufferSource cursors, concurrently and without
+ *    synchronization.
  *
  * Long-running holders (the paragraph-serve daemon keeps one repository
  * alive across every client's sweeps) bound the resident set with
@@ -17,11 +26,12 @@
  * cache when a new capture would exceed the budget. Eviction is always
  * safe mid-analysis — get() hands out shared_ptrs, so an in-flight
  * analysis keeps its capture alive even after the cache lets go — and
- * entries pinned through pin() (held for the duration of a fused group)
- * are never evicted, so a group's trace cannot be captured twice by the
- * same request. traceCrc() exposes each capture's content identity (CRC-32
- * of the packed records, the value a trace-file header would carry), the
- * trace half of the serve result cache's content address.
+ * entries pinned through pin() (held for the duration of a fused group
+ * over a captured input) are never evicted, so a group's trace cannot be
+ * captured twice by the same request. traceCrc() exposes each input's
+ * content identity (CRC-32 of the packed records, the value a trace-file
+ * header would carry), the trace half of the serve result cache's content
+ * address.
  */
 
 #ifndef PARAGRAPH_ENGINE_TRACE_REPOSITORY_HPP
@@ -34,6 +44,7 @@
 #include <string>
 #include <utility>
 
+#include "casm/program.hpp"
 #include "trace/buffer.hpp"
 #include "trace/shared_decode.hpp"
 #include "trace/source.hpp"
@@ -95,9 +106,10 @@ class TraceRepository
         /** Scale used when an input names a bundled workload. */
         workloads::Scale scale = workloads::Scale::Full;
 
-        /** Capture at most this many records per input; 0 = whole trace.
-         *  Set this to the sweep's maxInstructions so memory stays bounded
-         *  by what any analysis will actually consume. */
+        /** Produce at most this many records per input — per capture,
+         *  per streamed pass, per simulation; 0 = whole trace. Set this to
+         *  the sweep's maxInstructions so no pass produces records that
+         *  no analysis will consume. */
         uint64_t maxRecords = 0;
 
         /** Stream `.ptrc`/`.ptrz` trace-file inputs instead of capturing
@@ -105,17 +117,16 @@ class TraceRepository
          *  maxRecords). Trades the one-time capture's memory footprint
          *  for a decode per analysis pass — the trace-major sweep
          *  scheduler amortizes that decode across every config fused
-         *  into the pass. Non-file inputs (workloads, assembly, MiniC)
-         *  are always captured, and get() still captures a trace file
-         *  if asked directly. */
+         *  into the pass. Simulated inputs always stream, and get()
+         *  still captures any input if asked directly. */
         bool streamFiles = false;
 
-        /** Byte budget for cached captures; 0 = unlimited (the one-shot
-         *  sweep CLI default). When a new capture would exceed it, the
-         *  least-recently-used unpinned captures are dropped first. A
-         *  single capture larger than the budget, or a budget fully
-         *  occupied by pins, is allowed to overshoot — eviction never
-         *  blocks and never touches pinned entries. */
+        /** Byte budget for cached captures and decode-pool blocks; 0 =
+         *  unlimited (the one-shot sweep CLI default). When a new capture
+         *  would exceed it, the least-recently-used unpinned captures are
+         *  dropped first. A single capture larger than the budget, or a
+         *  budget fully occupied by pins, is allowed to overshoot —
+         *  eviction never blocks and never touches pinned entries. */
         size_t memoryBudget = 0;
     };
 
@@ -126,7 +137,10 @@ class TraceRepository
     TraceRepository &operator=(const TraceRepository &) = delete;
 
     /**
-     * The shared capture for @p spec, producing it on first request.
+     * The shared capture for @p spec, producing it on first request —
+     * for any input, simulated ones included (tests, the two-pass
+     * trace::LastUseAnnotator). The sweep paths never call it for an
+     * input that is not capturedInput().
      *
      * @p spec is resolved exactly like the `paragraph` CLI input argument:
      * `.ptrc`/`.ptrz` trace files are read back, `.s` assembly and
@@ -140,13 +154,36 @@ class TraceRepository
      *  pressure until the returned pin is released. */
     TracePin pin(const std::string &spec);
 
-    /** A fresh replayable source for @p spec: a cursor over the shared
-     *  capture, or (for a streaming input) a re-opened trace file. */
+    /** A fresh replayable source for @p spec, capped at maxRecords: a
+     *  simulator for a simulated input, a re-opened trace file for a
+     *  streamed one, or a cursor over the shared capture. */
     std::unique_ptr<trace::TraceSource> makeSource(const std::string &spec);
 
-    /** True when @p spec is served by streaming (Options::streamFiles and
-     *  the spec names a trace file). */
+    /** True when @p spec is simulated: a bundled workload analog, a `.s`
+     *  or a `.mc`/`.c` input, streamed from the simulator per pass. */
+    bool simulatedInput(const std::string &spec) const;
+
+    /** True when @p spec is served by streaming a trace file
+     *  (Options::streamFiles and the spec names a `.ptrc`/`.ptrz`). */
     bool streamingInput(const std::string &spec) const;
+
+    /** True when the sweep paths read @p spec from a capture: a trace
+     *  file that is not streamed. */
+    bool capturedInput(const std::string &spec) const;
+
+    /**
+     * The compiled program of simulated input @p spec: a bundled analog's
+     * comes from the workload suite, a `.s`/`.mc` file is assembled or
+     * compiled on first request (once, however many threads ask at once)
+     * and cached for the repository's lifetime. Sources made from it
+     * co-own it. Thread-safe; throws FatalError for an unknown analog or
+     * an unreadable or invalid program.
+     */
+    std::shared_ptr<const casm::Program> program(const std::string &spec);
+
+    /** Programs program() has resolved: each `.s`/`.mc` compile, and each
+     *  analog taken from the suite, counts once. */
+    size_t programsBuilt() const;
 
     /**
      * The shared decode pool for a streamed `.ptrc` input: every consumer
@@ -160,13 +197,15 @@ class TraceRepository
     std::shared_ptr<trace::SharedDecodePool>
     decodePool(const std::string &spec);
 
-    /** CRC-32 of @p spec's records in packed on-disk form (capturing the
-     *  input on first request). Remembered per spec even after the capture
-     *  itself is evicted. */
+    /** CRC-32 of @p spec's records in packed on-disk form: equal to
+     *  trace::traceBufferCrc of its capture. A captured input is captured
+     *  (if it is not yet) and checksummed; any other input is checksummed
+     *  in one streaming pass in O(block) memory, capturing nothing.
+     *  Remembered per spec, even after a capture is evicted. */
     uint32_t traceCrc(const std::string &spec);
 
-    /** True once traceCrc(@p spec) is known, so asking for it captures
-     *  nothing. */
+    /** True once traceCrc(@p spec) is known, so asking for it produces no
+     *  records. */
     bool hasTraceCrc(const std::string &spec) const;
 
     /** Drop the cached capture for @p spec (in-flight sources keep theirs;
@@ -201,6 +240,13 @@ class TraceRepository
     uint64_t useCounter_ = 0;
     size_t cachedBytes_ = 0;
 
+    /** Compiled programs of simulated inputs. Their own lock, so a capture
+     *  (which runs under mutex_) can resolve one: mutex_ is taken first
+     *  whenever both are held. */
+    mutable std::mutex programsMutex_;
+    std::map<std::string, std::shared_ptr<const casm::Program>> programs_;
+    size_t programsBuilt_ = 0;
+
     /** Look up / produce the entry for @p spec (mutex_ held), bumping its
      *  LRU stamp and evicting as needed on insert. */
     Entry &fetch(const std::string &spec);
@@ -210,9 +256,10 @@ class TraceRepository
 
     void unpin(const std::string &spec);
 
-    /** Generate/load and capture one input (called with mutex_ held). */
-    std::shared_ptr<const trace::TraceBuffer>
-    capture(const std::string &spec) const;
+    /** A fresh source producing @p spec's records, capped at maxRecords:
+     *  the simulator or the trace file read back. The one factory behind
+     *  captures, streamed passes and streaming checksums. */
+    std::unique_ptr<trace::TraceSource> produce(const std::string &spec);
 };
 
 } // namespace engine

@@ -30,8 +30,9 @@ repoOptions(const ServeServer::Options &opt)
     engine::TraceRepository::Options ro;
     ro.scale = opt.small ? workloads::Scale::Small : workloads::Scale::Full;
     ro.memoryBudget = opt.traceMemoryBudget;
-    // maxRecords stays 0: the daemon captures whole traces, and per-request
-    // instruction caps live in each cell's config (covered by its key).
+    // maxRecords stays 0: the daemon keys and captures whole traces, and
+    // per-request instruction caps live in each cell's config (covered by
+    // its key); a simulated pass stops at its largest cap.
     return ro;
 }
 
@@ -499,9 +500,12 @@ ServeServer::resolveCells(std::vector<engine::SweepJob> &jobs, bool profiles,
         job.config.cancel = &cancel_;
         auto [crc, fresh] = traceCrcs.try_emplace(job.input);
         if (fresh) {
-            // The daemon's memory peaks while it captures a new input,
+            // No spares are held across a new input's first touch. The
+            // daemon's memory peaks while it captures a new trace file,
             // which outlasts re-faulting a response buffer many times
-            // over: no spares are held across a capture.
+            // over; a simulated input is keyed in O(block) memory, but
+            // holding the spares across its first touch too measured
+            // slower hits afterwards (DESIGN.md §7).
             if (!repo_.hasTraceCrc(job.input))
                 releaseSpareResponses();
             try {

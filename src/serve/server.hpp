@@ -2,10 +2,11 @@
  * @file
  * ServeServer: the paragraph-serve daemon core.
  *
- * One process owns three shared layers — a TraceRepository (byte-budgeted
- * capture cache), a SweepScheduler (standing worker pool with trace-major
- * fusion across *all* clients' cells), and a ResultStore (the persistent
- * content-addressed cell cache). Clients connect over an AF_UNIX socket
+ * One process owns three shared layers — a TraceRepository (compiled
+ * programs of simulated inputs, which each pass re-simulates, and a
+ * byte-budgeted cache of trace-file captures), a SweepScheduler (standing
+ * worker pool with trace-major fusion across *all* clients' cells), and a
+ * ResultStore (the persistent content-addressed cell cache). Clients connect over an AF_UNIX socket
  * and exchange one newline-delimited JSON request/response pair per
  * operation (serve/protocol.hpp); each connection gets a handler thread,
  * but all actual analysis flows through the one scheduler, so two clients
@@ -142,8 +143,8 @@ class ServeServer
     std::string takeResponseBuffer();
     void returnResponseBuffer(std::string buffer);
 
-    /** Free the spares; a request that captures a new input calls it
-     *  first. */
+    /** Free the spares; a request that first touches a new input calls
+     *  it first. */
     void releaseSpareResponses();
 
     std::string handleRequestLine(const std::string &line, bool &shutdown);
@@ -182,7 +183,7 @@ class ServeServer
      *  hit renders its line into one of these instead of allocating,
      *  freeing and re-faulting it; there are never more than the sweeps
      *  once rendered at the same time, and none while a new input is
-     *  captured. */
+     *  first touched. */
     std::mutex spareMutex_;
     std::vector<std::string> spareResponses_;
 

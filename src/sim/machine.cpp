@@ -441,8 +441,7 @@ MachineTraceSource::MachineTraceSource(const casm::Program &program,
                                        std::vector<int32_t> int_input,
                                        std::vector<double> fp_input,
                                        std::string name)
-    : program_(program),
-      intInput_(std::move(int_input)),
+    : intInput_(std::move(int_input)),
       fpInput_(std::move(fp_input)),
       name_(std::move(name)),
       machine_(program)
@@ -451,10 +450,29 @@ MachineTraceSource::MachineTraceSource(const casm::Program &program,
     machine_.setFpInput(fpInput_);
 }
 
+MachineTraceSource::MachineTraceSource(
+    std::shared_ptr<const casm::Program> program,
+    std::vector<int32_t> int_input, std::vector<double> fp_input,
+    std::string name)
+    : MachineTraceSource(*program, std::move(int_input), std::move(fp_input),
+                         std::move(name))
+{
+    owned_ = std::move(program);
+}
+
 bool
 MachineTraceSource::next(trace::TraceRecord &rec)
 {
     return machine_.step(rec);
+}
+
+size_t
+MachineTraceSource::nextBatch(trace::TraceRecord *out, size_t max)
+{
+    size_t n = 0;
+    while (n < max && machine_.step(out[n]))
+        ++n;
+    return n;
 }
 
 void

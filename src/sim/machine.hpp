@@ -12,6 +12,7 @@
 #define PARAGRAPH_SIM_MACHINE_HPP
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -109,18 +110,27 @@ class Machine
 
 /**
  * Streaming TraceSource that executes a program on demand: next() runs one
- * instruction. reset() rebuilds the machine (with its queued inputs), so
+ * instruction, nextBatch() steps the machine straight into the caller's
+ * block. reset() rebuilds the machine (with its queued inputs), so
  * window-size sweeps can replay the identical trace without storing it.
  */
 class MachineTraceSource : public trace::TraceSource
 {
   public:
+    /** @param program must outlive the source. */
     MachineTraceSource(const casm::Program &program,
                        std::vector<int32_t> int_input = {},
                        std::vector<double> fp_input = {},
                        std::string name = "program");
 
+    /** As above, co-owning @p program for the source's lifetime. */
+    MachineTraceSource(std::shared_ptr<const casm::Program> program,
+                       std::vector<int32_t> int_input = {},
+                       std::vector<double> fp_input = {},
+                       std::string name = "program");
+
     bool next(trace::TraceRecord &rec) override;
+    size_t nextBatch(trace::TraceRecord *out, size_t max) override;
     void reset() override;
     std::string name() const override { return name_; }
 
@@ -128,7 +138,7 @@ class MachineTraceSource : public trace::TraceSource
     Machine &machine() { return machine_; }
 
   private:
-    const casm::Program &program_;
+    std::shared_ptr<const casm::Program> owned_; ///< null when borrowed
     std::vector<int32_t> intInput_;
     std::vector<double> fpInput_;
     std::string name_;

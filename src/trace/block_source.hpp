@@ -4,17 +4,22 @@
  *
  * BlockPipeline's next(const TraceRecord **) protocol turned out to be the
  * natural feeding contract for block-major analysis; the shared decode pool
- * serves the same protocol from refcounted cached blocks. This interface
- * lets core::analyzeManyGuarded feed engines from either without caring
- * which is behind it.
+ * serves the same protocol from refcounted cached blocks, and SourceBlocks
+ * fills one reused block from a TraceSource on the consumer's own thread.
+ * This interface lets core::analyzeManyGuarded feed engines from any of
+ * them without caring which is behind it.
  */
 
 #ifndef PARAGRAPH_TRACE_BLOCK_SOURCE_HPP
 #define PARAGRAPH_TRACE_BLOCK_SOURCE_HPP
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "trace/record.hpp"
+#include "trace/source.hpp"
 
 namespace paragraph {
 namespace trace {
@@ -32,6 +37,37 @@ class BlockSource
      *        0 at end of trace. May throw decode errors.
      */
     virtual size_t next(const TraceRecord **records) = 0;
+};
+
+/**
+ * Blocks pulled from a TraceSource inline: each next() is one nextBatch()
+ * into a reused block of @p blockRecords records, with no producer thread.
+ * Ends after @p maxRecords records (0 = at the end of the source).
+ */
+class SourceBlocks : public BlockSource
+{
+  public:
+    SourceBlocks(TraceSource &src, size_t blockRecords,
+                 uint64_t maxRecords = 0)
+        : src_(src),
+          block_(blockRecords),
+          remaining_(maxRecords ? maxRecords : UINT64_MAX) {}
+
+    size_t
+    next(const TraceRecord **records) override
+    {
+        size_t want = static_cast<size_t>(
+            std::min<uint64_t>(block_.size(), remaining_));
+        size_t n = want ? src_.nextBatch(block_.data(), want) : 0;
+        remaining_ -= n;
+        *records = block_.data();
+        return n;
+    }
+
+  private:
+    TraceSource &src_;
+    std::vector<TraceRecord> block_;
+    uint64_t remaining_;
 };
 
 } // namespace trace

@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "trace/block_source.hpp"
 #include "trace/record.hpp"
 #include "trace/source.hpp"
 
@@ -47,16 +48,21 @@ class TraceBuffer
     const std::vector<TraceRecord> &records() const { return records_; }
 
     /**
-     * Capture records of @p src (drains it from its current point).
+     * Capture records of @p src (drains it from its current point). If
+     * @p src throws, the records captured so far are unspecified.
      * @param max_records stop after this many records; 0 = whole trace.
      */
     void
     capture(TraceSource &src, size_t max_records = 0)
     {
-        TraceRecord rec;
-        while ((max_records == 0 || records_.size() < max_records) &&
-               src.next(rec))
-            records_.push_back(rec);
+        if (max_records != 0 && records_.size() >= max_records)
+            return;
+        // One nextBatch() call per block, not one next() per record.
+        SourceBlocks blocks(src, 4096,
+                            max_records ? max_records - records_.size() : 0);
+        const TraceRecord *block = nullptr;
+        while (size_t n = blocks.next(&block))
+            records_.insert(records_.end(), block, block + n);
     }
 
   private:

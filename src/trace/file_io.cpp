@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstring>
+#include <vector>
 
 #include "support/crc32.hpp"
 #include "support/failpoint.hpp"
@@ -288,10 +289,21 @@ TraceFileReader::reset()
 uint32_t
 traceBufferCrc(const TraceBuffer &buffer)
 {
+    BufferSource src(buffer);
+    return traceSourceCrc(src);
+}
+
+uint32_t
+traceSourceCrc(TraceSource &src)
+{
+    constexpr size_t blockRecords = 4096;
+    std::vector<TraceRecord> block(blockRecords);
+    std::vector<PackedRecord> packed(blockRecords);
     uint32_t crc = 0;
-    for (const TraceRecord &rec : buffer.records()) {
-        PackedRecord p = packRecord(rec);
-        crc = crc32Update(crc, &p, sizeof(p));
+    while (size_t n = src.nextBatch(block.data(), blockRecords)) {
+        for (size_t i = 0; i < n; ++i)
+            packed[i] = packRecord(block[i]);
+        crc = crc32Update(crc, packed.data(), n * sizeof(PackedRecord));
     }
     return crc;
 }

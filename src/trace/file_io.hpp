@@ -153,6 +153,13 @@ TraceRecord unpackRecord(const PackedRecord &packed);
  */
 uint32_t traceBufferCrc(const TraceBuffer &buffer);
 
+/**
+ * traceBufferCrc() of the capture of @p src (drained from its current
+ * point to its end) without the capture: each block of records is packed
+ * and checksummed in turn, so memory stays O(block) for any trace length.
+ */
+uint32_t traceSourceCrc(TraceSource &src);
+
 } // namespace trace
 } // namespace paragraph
 

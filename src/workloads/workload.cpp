@@ -50,6 +50,7 @@ WorkloadSuite::WorkloadSuite()
          srcXlisp, {40000}, {1500}},
     };
     programs_.resize(workloads_.size());
+    compiled_ = std::make_unique<std::once_flag[]>(workloads_.size());
 }
 
 const Workload &
@@ -67,10 +68,10 @@ WorkloadSuite::program(const Workload &w)
 {
     for (size_t i = 0; i < workloads_.size(); ++i) {
         if (&workloads_[i] == &w || workloads_[i].name == w.name) {
-            if (!programs_[i]) {
+            std::call_once(compiled_[i], [&] {
                 programs_[i] = std::make_unique<casm::Program>(
-                    minic::compile(w.source));
-            }
+                    minic::compile(workloads_[i].source));
+            });
             return *programs_[i];
         }
     }

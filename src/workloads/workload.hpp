@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -54,7 +55,8 @@ enum class Scale { Small, Full };
 class WorkloadSuite
 {
   public:
-    /** The singleton suite (compiles lazily, caches programs). */
+    /** The singleton suite (compiles lazily, caches programs; safe to use
+     *  from any number of threads). */
     static WorkloadSuite &instance();
 
     /** All ten analogs, in the paper's Table 2 order. */
@@ -63,7 +65,8 @@ class WorkloadSuite
     /** Find by name; throws FatalError when unknown. */
     const Workload &find(const std::string &name) const;
 
-    /** Compiled program for a workload (compiled once, cached). */
+    /** Compiled program for a workload: compiled on first use (once, even
+     *  when several threads ask at once), then cached for the process. */
     const casm::Program &program(const Workload &w);
 
     /** Fresh streaming trace source for a workload. */
@@ -74,6 +77,9 @@ class WorkloadSuite
     WorkloadSuite();
     std::vector<Workload> workloads_;
     std::vector<std::unique_ptr<casm::Program>> programs_;
+    /** One per analog: each compiles alone, and only when first asked for
+     *  (a compile takes about 1 ms; no process needs all ten). */
+    std::unique_ptr<std::once_flag[]> compiled_;
 };
 
 // Raw MiniC sources (one per analog; defined in sources_*.cpp).

@@ -19,6 +19,7 @@
 #include "engine/trace_repository.hpp"
 #include "trace/buffer.hpp"
 #include "trace/compressed_io.hpp"
+#include "trace/file_io.hpp"
 
 using namespace paragraph;
 using namespace paragraph::engine;
@@ -252,13 +253,26 @@ TEST(ExploreSoundness, StreamedRepository)
 
 TEST(ExploreSoundness, ShardedEngine)
 {
+    // A captured `.ptrc`: a simulated input has no random access and would
+    // run its cells unsharded.
+    namespace fs = std::filesystem;
+    std::string path =
+        (fs::temp_directory_path() / "explore_sharded.ptrc").string();
+    {
+        TraceRepository captureRepo(smallScale());
+        trace::SharedBufferSource src(captureRepo.get("xlisp"), "xlisp");
+        trace::TraceFileWriter writer(path);
+        writer.writeAll(src);
+        writer.close();
+    }
     TraceRepository repo(smallScale());
     SweepEngine::Options engineOpt;
     engineOpt.jobs = 2;
     engineOpt.shards = 4; // split-and-patch solo cells across threads
     SweepEngine sweeper(engineOpt);
     Grid grid = makeGrid({4, 16, 64, 0}, {"none", "data"}, {}, {}, {2, 0});
-    expectSoundAgainstGrid(repo, sweeper, {"xlisp"}, grid);
+    expectSoundAgainstGrid(repo, sweeper, {path}, grid);
+    fs::remove(path);
 }
 
 TEST(ExploreSoundness, PredictorAndSyscallAxes)

@@ -17,6 +17,7 @@
 #include "engine/sweep_json.hpp"
 #include "engine/trace_repository.hpp"
 #include "trace/compressed_io.hpp"
+#include "trace/file_io.hpp"
 #include "trace/source.hpp"
 
 using namespace paragraph;
@@ -49,6 +50,21 @@ gridJobs(const std::vector<std::string> &inputs,
         }
     }
     return jobs;
+}
+
+/** @p analog's small trace written to a temporary `.ptrc` named @p name:
+ *  an input the repository captures when it is not streaming files. */
+std::string
+capturedTraceFile(const char *name, const char *analog = "xlisp")
+{
+    std::string path =
+        (std::filesystem::temp_directory_path() / name).string();
+    TraceRepository repo(smallScale());
+    trace::SharedBufferSource src(repo.get(analog), analog);
+    trace::TraceFileWriter writer(path);
+    writer.writeAll(src);
+    writer.close();
+    return path;
 }
 
 } // namespace
@@ -147,15 +163,18 @@ TEST(SweepScheduler, IndependentBatchesShareOneCapture)
 {
     // Two clients asking about the same trace: the repository captures it
     // once, and both batches' cells are correct against a solo analysis.
+    // The input is a `.ptrc` read without streaming, which is captured (a
+    // simulated input never is).
+    std::string path = capturedTraceFile("share_one_capture.ptrc");
     TraceRepository repo(smallScale());
     SweepScheduler::Options opt;
     opt.jobs = 2;
     SweepScheduler scheduler(repo, opt);
 
     std::vector<SweepJob> a =
-        gridJobs({"xlisp"}, {core::AnalysisConfig::windowed(16)});
+        gridJobs({path}, {core::AnalysisConfig::windowed(16)});
     std::vector<SweepJob> b =
-        gridJobs({"xlisp"}, {core::AnalysisConfig::windowed(64)});
+        gridJobs({path}, {core::AnalysisConfig::windowed(64)});
     auto batchA = scheduler.submit(a);
     auto batchB = scheduler.submit(b);
     batchA->wait();
@@ -165,7 +184,7 @@ TEST(SweepScheduler, IndependentBatchesShareOneCapture)
     for (const SweepCell *cell :
          {&batchA->cells()[0], &batchB->cells()[0]}) {
         ASSERT_EQ(cell->status, SweepCell::Status::Ok);
-        trace::SharedBufferSource solo(repo.get("xlisp"));
+        trace::SharedBufferSource solo(repo.get(path));
         core::AnalysisResult alone =
             core::Paragraph(cell->job.config).analyze(solo);
         EXPECT_EQ(cell->result.criticalPathLength,
@@ -174,6 +193,7 @@ TEST(SweepScheduler, IndependentBatchesShareOneCapture)
                   alone.availableParallelism);
         EXPECT_EQ(cell->result.instructions, alone.instructions);
     }
+    std::filesystem::remove(path);
 }
 
 TEST(SweepScheduler, OnCellFiresOncePerCellWithFinalStatus)
@@ -340,19 +360,60 @@ TEST(TraceRepository, SchedulerCompletesCorrectlyUnderMaximalEviction)
     }
 }
 
+TEST(TraceRepository, PinsHoldCapturedFilesUnderMaximalEviction)
+{
+    // The maximal-eviction run above on inputs the scheduler captures and
+    // pins (`.ptrc` files read without streaming): every group's capture
+    // evicts the other's, and each cell still matches an unbounded run.
+    std::vector<std::string> paths = {
+        capturedTraceFile("evict_a.ptrc"),
+        capturedTraceFile("evict_b.ptrc", "matrix300")};
+    std::vector<SweepJob> jobs =
+        gridJobs(paths, {core::AnalysisConfig::windowed(16),
+                         core::AnalysisConfig::windowed(64)});
+
+    TraceRepository unbounded(smallScale());
+    SweepResult reference = SweepEngine().runJobs(unbounded, jobs);
+
+    TraceRepository::Options opt = smallScale();
+    opt.memoryBudget = 1;
+    TraceRepository repo(opt);
+    SweepScheduler::Options schedOpt;
+    schedOpt.jobs = 2;
+    schedOpt.groupSize = 2;
+    SweepScheduler scheduler(repo, schedOpt);
+    auto batch = scheduler.submit(jobs);
+    batch->wait();
+    EXPECT_LE(repo.cachedInputs(), 1u);
+
+    SweepJsonOptions json;
+    json.timing = false;
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        SCOPED_TRACE(jobs[i].input + " / " + jobs[i].configLabel);
+        EXPECT_EQ(batch->cells()[i].status, SweepCell::Status::Ok);
+        EXPECT_EQ(cellToJson(batch->cells()[i], json),
+                  cellToJson(reference.cells[i], json));
+    }
+    for (const std::string &path : paths)
+        std::filesystem::remove(path);
+}
+
 TEST(TraceRepository, TraceCrcIsRememberedPastEviction)
 {
+    // A `.ptrc` read without streaming is captured to be checksummed.
+    std::string path = capturedTraceFile("crc_past_eviction.ptrc");
     TraceRepository repo(smallScale());
-    uint32_t crc = repo.traceCrc("xlisp");
+    uint32_t crc = repo.traceCrc(path);
     EXPECT_EQ(repo.cachedInputs(), 1u);
 
-    repo.release("xlisp");
+    repo.release(path);
     EXPECT_EQ(repo.cachedInputs(), 0u);
     // The content identity is remembered per spec: no re-capture needed.
-    EXPECT_EQ(repo.traceCrc("xlisp"), crc);
+    EXPECT_EQ(repo.traceCrc(path), crc);
     EXPECT_EQ(repo.cachedInputs(), 0u);
 
     // And a genuine re-capture lands on the same identity.
-    repo.get("xlisp");
-    EXPECT_EQ(repo.traceCrc("xlisp"), crc);
+    repo.get(path);
+    EXPECT_EQ(repo.traceCrc(path), crc);
+    std::filesystem::remove(path);
 }

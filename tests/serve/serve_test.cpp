@@ -733,6 +733,36 @@ TEST(ServeDaemon, RejectsAScaleMismatch)
     EXPECT_NE(resp.error.find("small"), std::string::npos);
 }
 
+TEST(ServeDaemon, HoldsNoTraceForSimulatedInputs)
+{
+    // Analogs are simulated per pass and keyed by a streaming checksum:
+    // serving them leaves no capture resident, and a re-ask is all hits.
+    std::string store = tempPath("simulated.store");
+    fs::remove(store);
+    ServeServer::Options opt;
+    opt.small = true;
+    opt.storePath = store;
+    Daemon daemon("simulated", opt);
+    ServeRequest req = sweepRequest({"xlisp", "cc1"}, {16, 64});
+    req.small = true;
+    ServeResponse first = ask(daemon, req);
+    ASSERT_TRUE(first.ok()) << first.error;
+    EXPECT_EQ(first.cellsComputed, 4u);
+
+    ServeRequest stats;
+    stats.op = ServeRequest::Op::Stats;
+    ServeResponse resp = ask(daemon, stats);
+    ASSERT_TRUE(resp.ok()) << resp.error;
+    EXPECT_EQ(resp.traceCachedInputs, 0u);
+    EXPECT_EQ(resp.traceCachedBytes, 0u);
+
+    ServeResponse again = ask(daemon, req);
+    ASSERT_TRUE(again.ok()) << again.error;
+    EXPECT_EQ(again.cellsCached, 4u);
+    EXPECT_EQ(again.document, first.document);
+    fs::remove(store);
+}
+
 TEST(ServeDaemon, CachedCellsRebindGridCoordinates)
 {
     // A store entry is shared by content address across *different* grids,

@@ -17,7 +17,8 @@
 //     --retries=N            extra attempts for ordinarily-failed cells
 //     --deadline=SECONDS     per-attempt cell deadline
 //     --small                serve workload inputs at reduced scale
-//     --trace-budget=BYTES   LRU byte budget for cached trace captures
+//     --trace-budget=BYTES   LRU byte budget for cached trace-file captures
+//                            and decode pools (simulated inputs hold none)
 //     --store-budget=BYTES   byte budget for hot result text (the on-disk
 //                            store itself is unbounded; cold entries are
 //                            re-read on demand)

@@ -2,9 +2,11 @@
 //
 // Executes the cross product of the input axis and every config axis as one
 // batch on engine::SweepScheduler's worker pool (engine::SweepEngine), the
-// runner paragraph-serve uses too. Each input is captured once
-// into a shared immutable trace buffer (engine::TraceRepository); each grid
-// cell is one independent core::Paragraph analysis. Results stream to
+// runner paragraph-serve uses too. A simulated input (workload, .s, .mc)
+// is simulated inside each fused pass; a trace file is captured once into
+// a shared immutable trace buffer, or streamed per pass with --stream
+// (engine::TraceRepository). Each grid cell is one independent
+// core::Paragraph analysis. Results stream to
 // stdout (or --out=FILE) as one JSON object per cell, in grid order, so the
 // document is identical for any --jobs value (modulo the "timing" fields,
 // which --no-timing omits).
@@ -45,9 +47,10 @@
 //                          every config (firewall cuts under
 //                          --syscalls=stall + perfect prediction,
 //                          validate-or-replay split-and-patch otherwise;
-//                          .ptrz cells run solo)
+//                          simulated and .ptrz cells run solo)
 //   --max=N                analyze at most N instructions per cell
-//                          (also caps the shared trace capture)
+//                          (also caps each pass's simulation or stream
+//                          and a trace file's capture)
 //   --out=FILE             write the JSON document to FILE
 //   --stats                add decode/analyze wall-time split and shard
 //                          segment/splice/replay counts to the "timing"
