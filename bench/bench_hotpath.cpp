@@ -8,6 +8,11 @@
 // record-at-a-time streaming (`analyze(TraceSource&)`) and bulk buffer
 // iteration (`analyze(const TraceBuffer&)`).
 //
+// The `fetch` config is the first layer of that cost on its own: it walks
+// the capture reading each record's kind bytes and ids, as the placement
+// loop does, and places nothing; its ns/record beside a placement config's
+// is the share of the hot path spent reading records of `record_bytes`.
+//
 // Results are written as `BENCH_hotpath.json` — a stable, timestamped schema
 // (`paragraph-bench-hotpath-v1`) meant to be re-run and diffed across
 // revisions so the perf trajectory of the hot path is tracked in-repo.
@@ -21,6 +26,7 @@
 //     --json           print the JSON document to stdout (suppresses table)
 //     --out=FILE       also write the JSON to FILE
 //                      (default: BENCH_hotpath.json; --out= disables)
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -111,7 +117,11 @@ struct BenchConfig
     std::string label;
     core::AnalysisConfig cfg;
     bool needsLastUse = false; ///< analyze the last-use-annotated capture
+    bool fetchOnly = false;    ///< read the records, place nothing
 };
+
+/** Label of the record-fetch row (excluded from the placement geomeans). */
+const char *const kFetchLabel = "fetch";
 
 std::vector<BenchConfig>
 makeConfigs(uint64_t max_instructions)
@@ -122,6 +132,8 @@ makeConfigs(uint64_t max_instructions)
         cfg.maxInstructions = max_instructions;
         configs.push_back(BenchConfig{label, cfg, last_use});
     };
+    // Record fetch alone: the operand bytes every placement reads first.
+    configs.push_back(BenchConfig{kFetchLabel, {}, false, true});
     // The paper's default analysis: all renaming, unlimited window, perfect
     // prediction — the single-config analyze path.
     add("dataflow", core::AnalysisConfig::dataflowConservative());
@@ -162,6 +174,51 @@ struct Row
     double minstrPerSec = 0.0;
 };
 
+/** Where each record-fetch walk leaves its sum, so it cannot be elided. */
+volatile uint64_t fetchSink = 0;
+
+/** Read @p n records' flags, kind bytes and ids the way the placement
+ *  loop does, folding them into a value the compiler must compute. */
+uint64_t
+fetchRecords(const trace::TraceRecord *records, size_t n)
+{
+    uint64_t sum = 0;
+    for (size_t i = 0; i < n; ++i) {
+        const trace::TraceRecord &rec = records[i];
+        sum += rec.flags;
+        for (int s = 0; s < rec.numSrcs; ++s)
+            sum += trace::locationKey(rec.operandKinds[s], rec.operandIds[s]);
+        if (rec.hasDest()) {
+            sum += trace::locationKey(
+                rec.operandKinds[trace::TraceRecord::destSlot],
+                rec.operandIds[trace::TraceRecord::destSlot]);
+        }
+    }
+    return sum;
+}
+
+/** One record-fetch walk over @p buffer: in place for the bulk path,
+ *  through 256-record batches (as Paragraph::analyze streams) otherwise.
+ *  @return the seconds it took. */
+double
+timeFetch(const std::string &path, const trace::TraceBuffer &buffer)
+{
+    auto start = std::chrono::steady_clock::now();
+    uint64_t sum = 0;
+    if (path == "bulk") {
+        sum = fetchRecords(buffer.records().data(), buffer.size());
+    } else {
+        trace::BufferSource src(buffer);
+        trace::TraceRecord batch[256];
+        while (size_t n = src.nextBatch(batch, 256))
+            sum += fetchRecords(batch, n);
+    }
+    fetchSink = sum;
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
+}
+
 Row
 measure(const std::string &input, const BenchConfig &bc,
         const std::string &path, const trace::TraceBuffer &buffer,
@@ -173,6 +230,11 @@ measure(const std::string &input, const BenchConfig &bc,
     row.path = path;
     row.seconds = std::numeric_limits<double>::infinity();
     for (unsigned r = 0; r < repeats; ++r) {
+        if (bc.fetchOnly) {
+            row.instructions = buffer.size();
+            row.seconds = std::min(row.seconds, timeFetch(path, buffer));
+            continue;
+        }
         core::Paragraph analyzer(bc.cfg);
         core::AnalysisResult res;
         if (path == "bulk") {
@@ -209,7 +271,8 @@ geomean(const std::vector<Row> &rows, const std::string &path)
     double logSum = 0.0;
     size_t n = 0;
     for (const Row &row : rows) {
-        if (row.path == path && row.minstrPerSec > 0.0) {
+        if (row.path == path && row.config != kFetchLabel &&
+            row.minstrPerSec > 0.0) {
             logSum += std::log(row.minstrPerSec);
             ++n;
         }
@@ -226,6 +289,7 @@ writeJson(std::ostream &os, const Options &opt, const std::vector<Row> &rows)
        << "  \"timestamp\": " << engine::jsonString(utcTimestamp()) << ",\n"
        << "  \"max_instructions\": " << opt.maxInstructions << ",\n"
        << "  \"repeats\": " << opt.repeats << ",\n"
+       << "  \"record_bytes\": " << sizeof(trace::TraceRecord) << ",\n"
        << "  \"results\": [\n";
     for (size_t i = 0; i < rows.size(); ++i) {
         const Row &row = rows[i];
@@ -309,6 +373,7 @@ main(int argc, char **argv)
         table.addColumn("Path", AsciiTable::Align::Left);
         table.addColumn("Instructions");
         table.addColumn("Minstr/s");
+        table.addColumn("ns/record");
         for (const Row &row : rows) {
             table.beginRow();
             table.cell(row.input);
@@ -316,11 +381,14 @@ main(int argc, char **argv)
             table.cell(row.path);
             table.cell(AsciiTable::withCommas(row.instructions));
             table.cell(row.minstrPerSec, 2);
+            table.cell(row.minstrPerSec > 0.0 ? 1e3 / row.minstrPerSec : 0.0,
+                       2);
         }
         table.print(std::cout);
         std::printf("\nstream geomean: %.2f Minstr/s   bulk geomean: "
-                    "%.2f Minstr/s\n",
-                    geomean(rows, "stream"), geomean(rows, "bulk"));
+                    "%.2f Minstr/s (placement configs; %zu-byte records)\n",
+                    geomean(rows, "stream"), geomean(rows, "bulk"),
+                    sizeof(trace::TraceRecord));
     }
 
     if (!opt.outPath.empty()) {

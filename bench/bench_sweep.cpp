@@ -3,7 +3,7 @@
 // A (trace × config) sweep's cost model changed three times: fused
 // grouping made a group of N configs pay one pass over the shared trace
 // instead of N, the shared decode pool changed what a streamed trace
-// costs — `.ptrc` files are mmapped and each 64K block is decoded once
+// costs — `.ptrc` files are mmapped and each 64K block is checked once
 // across every consumer — and split-and-patch sharding lets a single
 // (trace, config) cell split at arbitrary boundaries across threads and
 // patch the exact solo result for EVERY config. This harness measures all

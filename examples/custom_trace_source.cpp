@@ -44,24 +44,24 @@ class TriadSource : public trace::TraceSource
         uint64_t a_addr = 0x300000 + element * 8;
 
         rec = trace::TraceRecord{};
-        rec.createsValue = true;
+        rec.setCreatesValue(true);
         rec.pc = phase;
         switch (phase) {
           case 0: // f1 <- b[i]
             rec.cls = isa::OpClass::Load;
             rec.addSrc(Operand::mem(b_addr, Segment::Data));
-            rec.dest = Operand::fpReg(1);
+            rec.setDest(Operand::fpReg(1));
             break;
           case 1: // f2 <- c[i]
             rec.cls = isa::OpClass::Load;
             rec.addSrc(Operand::mem(c_addr, Segment::Data));
-            rec.dest = Operand::fpReg(2);
+            rec.setDest(Operand::fpReg(2));
             break;
           case 2: // f3 <- s * f2
             rec.cls = isa::OpClass::FpMul;
             rec.addSrc(Operand::fpReg(0)); // the scalar s (pre-existing)
             rec.addSrc(Operand::fpReg(2));
-            rec.dest = Operand::fpReg(3);
+            rec.setDest(Operand::fpReg(3));
             break;
           case 3: // f4 <- f1 + f3   (with a recurrence every stride_)
             rec.cls = isa::OpClass::FpAddSub;
@@ -72,12 +72,12 @@ class TriadSource : public trace::TraceSource
                 rec.addSrc(Operand::mem(
                     0x300000 + (element - stride_) * 8, Segment::Data));
             }
-            rec.dest = Operand::fpReg(4);
+            rec.setDest(Operand::fpReg(4));
             break;
           default: // a[i] <- f4
             rec.cls = isa::OpClass::Store;
             rec.addSrc(Operand::fpReg(4));
-            rec.dest = Operand::mem(a_addr, Segment::Data);
+            rec.setDest(Operand::mem(a_addr, Segment::Data));
             break;
         }
         return true;

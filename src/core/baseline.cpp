@@ -47,12 +47,12 @@ CriticalPathAnalyzer::process(const TraceRecord &rec)
     if (cfg_.maxInstructions && result_.instructions >= cfg_.maxInstructions)
         done_ = true;
 
-    if (rec.isCondBranch &&
+    if (rec.isCondBranch() &&
         predictor_.kind() != PredictorKind::Perfect &&
-        !predictor_.predictAndUpdate(rec.pc, rec.branchTaken)) {
+        !predictor_.predictAndUpdate(rec.pc, rec.branchTaken())) {
         int64_t resolve = highestLevel_;
         for (int s = 0; s < rec.numSrcs; ++s) {
-            uint64_t key = locationKey(rec.srcs[s]);
+            uint64_t key = locationKey(rec.src(s));
             Slot *slot = levels_.find(key);
             if (!slot) {
                 slot = &levels_.insertOrAssign(
@@ -65,14 +65,14 @@ CriticalPathAnalyzer::process(const TraceRecord &rec)
             highestLevel_ = resolve;
     }
 
-    bool place = rec.createsValue;
-    if (rec.isSysCall && !cfg_.sysCallsStall)
+    bool place = rec.createsValue();
+    if (rec.isSysCall() && !cfg_.sysCallsStall)
         place = false;
 
     if (place) {
         int64_t issue = highestLevel_;
         for (int s = 0; s < rec.numSrcs; ++s) {
-            uint64_t key = locationKey(rec.srcs[s]);
+            uint64_t key = locationKey(rec.src(s));
             Slot *slot = levels_.find(key);
             if (!slot) {
                 slot = &levels_.insertOrAssign(
@@ -82,9 +82,10 @@ CriticalPathAnalyzer::process(const TraceRecord &rec)
                 issue = slot->level + 1;
         }
 
-        const bool has_dest = rec.dest.valid();
-        const uint64_t dkey = has_dest ? locationKey(rec.dest) : 0;
-        if (has_dest && !destRenamed(rec.dest)) {
+        const Operand dest = rec.dest();
+        const bool has_dest = dest.valid();
+        const uint64_t dkey = has_dest ? locationKey(dest) : 0;
+        if (has_dest && !destRenamed(dest)) {
             if (Slot *prev = levels_.find(dkey)) {
                 if (prev->deepestAccess + 1 > issue)
                     issue = prev->deepestAccess + 1;
@@ -95,7 +96,7 @@ CriticalPathAnalyzer::process(const TraceRecord &rec)
         const int64_t ldest = issue + static_cast<int64_t>(top) - 1;
 
         for (int s = 0; s < rec.numSrcs; ++s) {
-            if (Slot *slot = levels_.find(locationKey(rec.srcs[s]))) {
+            if (Slot *slot = levels_.find(locationKey(rec.src(s)))) {
                 if (ldest > slot->deepestAccess)
                     slot->deepestAccess = ldest;
             }
@@ -108,7 +109,8 @@ CriticalPathAnalyzer::process(const TraceRecord &rec)
             deepestLevel_ = ldest;
     }
 
-    if (rec.isSysCall && cfg_.sysCallsStall && deepestLevel_ + 1 > highestLevel_)
+    if (rec.isSysCall() && cfg_.sysCallsStall &&
+        deepestLevel_ + 1 > highestLevel_)
         highestLevel_ = deepestLevel_ + 1;
 }
 

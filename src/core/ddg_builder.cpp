@@ -153,13 +153,13 @@ buildDdg(const trace::TraceBuffer &buffer, const AnalysisConfig &cfg)
             }
         }
 
-        if (rec.isCondBranch &&
+        if (rec.isCondBranch() &&
             predictor.kind() != PredictorKind::Perfect &&
-            !predictor.predictAndUpdate(rec.pc, rec.branchTaken)) {
+            !predictor.predictAndUpdate(rec.pc, rec.branchTaken())) {
             int64_t resolve = highest_level;
             for (int s = 0; s < rec.numSrcs; ++s) {
                 bool fresh = false;
-                BuilderSlot &slot = slot_for(locationKey(rec.srcs[s]), fresh);
+                BuilderSlot &slot = slot_for(locationKey(rec.src(s)), fresh);
                 if (fresh) {
                     slot.level = highest_level - 1;
                     slot.deepestAccess = highest_level - 1;
@@ -174,8 +174,8 @@ buildDdg(const trace::TraceBuffer &buffer, const AnalysisConfig &cfg)
             }
         }
 
-        bool place = rec.createsValue;
-        if (rec.isSysCall && !cfg.sysCallsStall)
+        bool place = rec.createsValue();
+        if (rec.isSysCall() && !cfg.sysCallsStall)
             place = false;
 
         int64_t placed_level = SlidingWindow::notPlaced;
@@ -190,7 +190,7 @@ buildDdg(const trace::TraceBuffer &buffer, const AnalysisConfig &cfg)
             bool floor_binding = true;
             for (int s = 0; s < rec.numSrcs; ++s) {
                 bool fresh = false;
-                uint32_t si = slot_id_for(locationKey(rec.srcs[s]), fresh);
+                uint32_t si = slot_id_for(locationKey(rec.src(s)), fresh);
                 src_slot[s] = si;
                 BuilderSlot &slot = slots[si];
                 if (fresh) {
@@ -205,17 +205,18 @@ buildDdg(const trace::TraceBuffer &buffer, const AnalysisConfig &cfg)
             }
 
             // Storage dependency on the destination.
-            const bool has_dest = rec.dest.valid();
-            const uint64_t dkey = has_dest ? locationKey(rec.dest) : 0;
+            const Operand dest = rec.dest();
+            const bool has_dest = dest.valid();
+            const uint64_t dkey = has_dest ? locationKey(dest) : 0;
             bool renamed = true;
             if (has_dest) {
-                switch (rec.dest.kind) {
+                switch (dest.kind) {
                   case Operand::Kind::IntReg:
                   case Operand::Kind::FpReg:
                     renamed = cfg.renameRegisters;
                     break;
                   case Operand::Kind::Mem:
-                    renamed = rec.dest.seg == Segment::Stack
+                    renamed = dest.seg == Segment::Stack
                                   ? cfg.renameStack
                                   : cfg.renameData;
                     break;
@@ -313,7 +314,7 @@ buildDdg(const trace::TraceBuffer &buffer, const AnalysisConfig &cfg)
             if (ldest > deepest_level)
                 deepest_level = ldest;
 
-            if (rec.isSysCall && cfg.sysCallsStall) {
+            if (rec.isSysCall() && cfg.sysCallsStall) {
                 if (deepest_level + 1 > highest_level) {
                     highest_level = deepest_level + 1;
                     firewall_node = static_cast<int32_t>(node_id);

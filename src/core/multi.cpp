@@ -128,7 +128,7 @@ runFusedSource(trace::TraceSource &src,
     if (configs.empty())
         return {};
 
-    // Pipelined decode: the producer thread unpacks the next block
+    // Pipelined decode: the producer thread decodes the next block
     // while the engines consume the current one. When every config has
     // an instruction cap, the (shared) source is not drained past the
     // largest.

@@ -21,6 +21,14 @@ constexpr size_t prefetchDistance = 8;
 /// Records between CancelToken polls in the bulk loop (keeps the clock
 /// read off the per-record path).
 constexpr size_t cancelCheckInterval = 32768;
+
+/** Live-well key of operand slot @p s of @p rec, read from its raw kind
+ *  byte and id. */
+inline uint64_t
+slotKey(const TraceRecord &rec, int s)
+{
+    return trace::locationKey(rec.operandKinds[s], rec.operandIds[s]);
+}
 } // namespace
 
 Paragraph::Paragraph(AnalysisConfig cfg)
@@ -37,15 +45,20 @@ Paragraph::Paragraph(AnalysisConfig cfg)
 void
 Paragraph::begin()
 {
-    for (size_t seg = 0; seg < numSegments; ++seg) {
-        renamedByKind_[static_cast<size_t>(Operand::Kind::None)][seg] = true;
-        renamedByKind_[static_cast<size_t>(Operand::Kind::IntReg)][seg] =
-            cfg_.renameRegisters;
-        renamedByKind_[static_cast<size_t>(Operand::Kind::FpReg)][seg] =
-            cfg_.renameRegisters;
-        renamedByKind_[static_cast<size_t>(Operand::Kind::Mem)][seg] =
-            seg == static_cast<size_t>(Segment::Stack) ? cfg_.renameStack
-                                                       : cfg_.renameData;
+    renamedByKindByte_ = 0;
+    for (uint8_t seg = 0; seg <= static_cast<uint8_t>(Segment::Stack);
+         ++seg) {
+        auto set = [&](Operand::Kind kind, bool renamed) {
+            const Operand op{kind, static_cast<Segment>(seg), 0};
+            if (renamed)
+                renamedByKindByte_ |= 1ULL << trace::kindByte(op);
+        };
+        set(Operand::Kind::None, true);
+        set(Operand::Kind::IntReg, cfg_.renameRegisters);
+        set(Operand::Kind::FpReg, cfg_.renameRegisters);
+        set(Operand::Kind::Mem, seg == static_cast<uint8_t>(Segment::Stack)
+                                    ? cfg_.renameStack
+                                    : cfg_.renameData);
     }
     liveWell_.clear();
     throttle_.reset();
@@ -169,13 +182,12 @@ Paragraph::closeImport(uint64_t key, const LiveValue &lv, int64_t close_issue)
 }
 
 bool
-Paragraph::destRenamed(const Operand &op) const
+Paragraph::destRenamed(uint8_t kind_seg) const
 {
     // Table lookup: destination kinds alternate between registers and
     // memory, so a switch here mispredicts on the placement hot path. The
     // table is filled from the renaming switches in begin().
-    return renamedByKind_[static_cast<size_t>(op.kind)]
-                         [static_cast<size_t>(op.seg)];
+    return (renamedByKindByte_ >> (kind_seg & 63)) & 1;
 }
 
 void
@@ -218,13 +230,13 @@ Paragraph::processBody(const TraceRecord &rec)
             raiseFloor(displaced + 1);
     }
 
-    if (rec.isSysCall)
+    if (rec.isSysCall())
         ++result_.sysCalls;
-    if (rec.isCondBranch)
+    if (rec.isCondBranch())
         handleCondBranch(rec);
 
-    bool place = rec.createsValue;
-    if (rec.isSysCall && !cfg_.sysCallsStall) {
+    bool place = rec.createsValue();
+    if (rec.isSysCall() && !cfg_.sysCallsStall) {
         // Optimistic assumption: the syscall modifies nothing and is
         // ignored entirely.
         place = false;
@@ -238,7 +250,7 @@ Paragraph::processBody(const TraceRecord &rec)
     // Conservative assumption: the syscall modified every live value. A
     // firewall goes immediately after the deepest computation so far; no
     // later operation may be placed above it.
-    if (rec.isSysCall && cfg_.sysCallsStall) {
+    if (rec.isSysCall() && cfg_.sysCallsStall) {
         if (segLog_ && segLog_->firstStallDeepest == SegmentLog::noStall)
             segLog_->firstStallDeepest = deepestLevel_;
         raiseFloor(deepestLevel_ + 1);
@@ -267,7 +279,7 @@ Paragraph::handleCondBranch(const TraceRecord &rec)
         correct = !((misBits_[misCursor_ >> 6] >> (misCursor_ & 63)) & 1);
         ++misCursor_;
     } else {
-        correct = predictor_.predictAndUpdate(rec.pc, rec.branchTaken);
+        correct = predictor_.predictAndUpdate(rec.pc, rec.branchTaken());
     }
     if (correct)
         return;
@@ -277,7 +289,7 @@ Paragraph::handleCondBranch(const TraceRecord &rec)
     // the live well are pre-existing values, entered with a single probe.
     int64_t resolve = highestLevel_;
     for (int s = 0; s < rec.numSrcs; ++s) {
-        const uint64_t key = locationKey(rec.srcs[s]);
+        const uint64_t key = slotKey(rec, s);
         auto [lv, fresh] =
             liveWell_.findOrCreatePreExisting(key, highestLevel_);
         if (fresh) {
@@ -312,7 +324,7 @@ Paragraph::placeRecord(const TraceRecord &rec)
     const uint64_t epoch0 = liveWell_.memEpoch();
     int64_t issue = highestLevel_;
     for (int s = 0; s < nsrcs; ++s) {
-        const uint64_t key = locationKey(rec.srcs[s]);
+        const uint64_t key = slotKey(rec, s);
         auto [lv, fresh] =
             liveWell_.findOrCreatePreExisting(key, highestLevel_);
         if (fresh) {
@@ -345,10 +357,11 @@ Paragraph::placeRecord(const TraceRecord &rec)
     // occupant both bounds the issue level (storage dependency, when the
     // storage class is not renamed) and dies in phase 6. No inserts happen
     // between here and the phase-5 evictions, so the handle stays valid.
-    const bool has_dest = rec.dest.valid();
-    const uint64_t dkey = has_dest ? locationKey(rec.dest) : 0;
+    const uint8_t dkind = rec.operandKinds[TraceRecord::destSlot];
+    const bool has_dest = rec.hasDest();
+    const uint64_t dkey = has_dest ? slotKey(rec, TraceRecord::destSlot) : 0;
     LiveValue *destPrev = has_dest ? liveWell_.find(dkey) : nullptr;
-    if (destPrev && !destRenamed(rec.dest) &&
+    if (destPrev && !destRenamed(dkind) &&
         destPrev->deepestAccess + 1 > issue) {
         issue = destPrev->deepestAccess + 1;
         ++result_.storageDelayedOps;
@@ -404,7 +417,7 @@ Paragraph::placeRecord(const TraceRecord &rec)
     // change, so the map structure is untouched) unless a phase-5 eviction
     // moved or removed it.
     if (has_dest) {
-        const int64_t overwriteIssue = destRenamed(rec.dest)
+        const int64_t overwriteIssue = destRenamed(dkind)
                                            ? SegmentImport::unconstrained
                                            : dataIssue;
         LiveValue *prev = killedAny ? liveWell_.find(dkey) : destPrev;
@@ -495,12 +508,11 @@ Paragraph::finish()
 void
 Paragraph::prefetchRecord(const TraceRecord &rec) const
 {
-    for (int s = 0; s < rec.numSrcs; ++s) {
-        if (rec.srcs[s].isMem())
-            liveWell_.prefetch(locationKey(rec.srcs[s]));
+    for (int s = 0; s <= TraceRecord::destSlot; ++s) {
+        // Unused source slots hold zero bytes, never a memory kind.
+        if (trace::isMemKind(rec.operandKinds[s]))
+            liveWell_.prefetch(slotKey(rec, s));
     }
-    if (rec.dest.isMem())
-        liveWell_.prefetch(locationKey(rec.dest));
 }
 
 void

@@ -200,10 +200,9 @@ class Paragraph
     /** Ordinal of the next conditional branch within misBits_. */
     uint64_t misCursor_ = 0;
 
-    static constexpr size_t numKinds = 4;    ///< trace::Operand::Kind values
-    static constexpr size_t numSegments = 4; ///< trace::Segment values
-    /** destRenamed() precomputed per (operand kind, segment); see begin(). */
-    bool renamedByKind_[numKinds][numSegments] = {};
+    /** destRenamed() precomputed per kind byte (kind | segment << 4, at
+     *  most 0x33 in a valid record): bit b answers byte b; see begin(). */
+    uint64_t renamedByKindByte_ = 0;
 
     /** Place a value-creating record; returns its Ldest. */
     int64_t placeRecord(const trace::TraceRecord &rec);
@@ -218,8 +217,9 @@ class Paragraph
      *  miss. */
     void handleCondBranch(const trace::TraceRecord &rec);
 
-    /** True when @p op's storage class has renaming enabled. */
-    bool destRenamed(const trace::Operand &op) const;
+    /** True when the storage class of a destination with kind byte
+     *  @p kind_seg has renaming enabled. */
+    bool destRenamed(uint8_t kind_seg) const;
 
     /** Record lifetime/sharing statistics for a dying value. Inline: runs
      *  once per overwritten or evicted value on the placement hot path. */

@@ -29,11 +29,11 @@ void
 PredictorPrepass::feed(const trace::TraceRecord *records, size_t n)
 {
     for (size_t i = 0; i < n; ++i) {
-        if (!records[i].isCondBranch)
+        if (!records[i].isCondBranch())
             continue;
         bool correct =
             predictor_.predictAndUpdate(records[i].pc,
-                                        records[i].branchTaken);
+                                        records[i].branchTaken());
         bits.push(!correct);
         if (!correct)
             mispredictCuts.push_back(offset_ + i + 1);
@@ -143,7 +143,7 @@ planPatchPlan(const AnalysisConfig &cfg, const TraceBlocks &trace,
             }
             if (scanStalls) {
                 for (size_t i = 0; i < use && pos + i + 1 < n; ++i) {
-                    if (span.records[i].isSysCall)
+                    if (span.records[i].isSysCall())
                         candidates.push_back(static_cast<size_t>(pos + i + 1));
                 }
             }
@@ -189,7 +189,7 @@ planPatchPlan(const AnalysisConfig &cfg, const TraceBlocks &trace,
             TraceBlocks::Span span = trace.block(b);
             uint64_t base = blockBranches[b];
             for (size_t i = 0; i < off; ++i)
-                base += span.records[i].isCondBranch;
+                base += span.records[i].isCondBranch();
             plan.branchBase[s + 1] = base;
         }
         plan.bits = std::move(pre.bits);

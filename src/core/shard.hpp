@@ -44,7 +44,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -92,9 +91,9 @@ struct MispredictBits
  * Sequential predictor pre-pass: run the modeled predictor once over the
  * branch-record stream (no live well, no placement — cheap) to make
  * predictor state cut-invariant. Feed records in trace order, possibly in
- * chunks (e.g. decoded blocks); collects the mispredict bitvector and the
- * record positions immediately after mispredicted branches, which are
- * natural cut candidates (the firewall raise at a mispredict tends to
+ * chunks (e.g. a mapped trace's blocks); collects the mispredict bitvector
+ * and the record positions immediately after mispredicted branches, which
+ * are natural cut candidates (the firewall raise at a mispredict tends to
  * clear the live well the same way a syscall stall does).
  */
 class PredictorPrepass
@@ -119,18 +118,17 @@ class PredictorPrepass
 /**
  * Block-granular random access to one trace: how the planner and the
  * segments read records, whether they sit in one contiguous capture or in
- * a shared decode pool's block cache. Block b covers records
+ * a mapped trace file's checked blocks. Block b covers records
  * [b * blockRecords, b * blockRecords + Span::n); every block but the last
  * is full. Only the first `count` records are read.
  */
 struct TraceBlocks
 {
-    /** One block; @c hold keeps its storage alive while it is read. */
+    /** One block's records. */
     struct Span
     {
         const trace::TraceRecord *records = nullptr;
         size_t n = 0;
-        std::shared_ptr<const void> hold;
     };
 
     uint64_t count = 0;          ///< records to read (a cap may clip)

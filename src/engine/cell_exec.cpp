@@ -68,9 +68,9 @@ constexpr size_t kSimBlockRecords = 4096;
  * One guarded fused pass over @p input under @p cfgs — the pass every
  * group and every unsharded solo attempt runs. A simulated input runs its
  * simulator on this thread, one reused block at a time, up to the largest
- * cap in the pass; a pooled `.ptrc` stream pulls whole decoded blocks off
- * the shared pool (each block decoded once across every pass on the
- * input); other streams (`.ptrz`) decode on a pipelined private thread;
+ * cap in the pass; a pooled `.ptrc` stream walks the shared pool's blocks
+ * in place in the mapping (each block checked once across every pass on
+ * the input); other streams (`.ptrz`) decode on a pipelined private thread;
  * captures are walked in place. Input errors throw; engine errors stay in
  * their outcome slots.
  */
@@ -113,7 +113,7 @@ timedBlocks(const core::TraceBlocks &trace, int64_t &waitNs)
 
 /**
  * Split-and-patch analysis of @p cell over its input's record blocks (a
- * pooled `.ptrc` stream's decoded blocks, or a capture's 64K-record
+ * pooled `.ptrc` stream's mapped blocks, or a capture's 64K-record
  * slices): one plan walk, the segments in parallel, then the patch — the
  * firewall fast path when every cut is a total firewall. Returns false
  * when the input has no random access (a simulation or a `.ptrz`) or is
@@ -137,9 +137,8 @@ analyzeSharded(TraceRepository &repo, const core::AnalysisConfig &cfg,
         trace.count = pool->recordCount();
         trace.blockRecords = pool->blockRecords();
         trace.block = [pool](size_t b) {
-            std::shared_ptr<const trace::DecodedBlock> blk = pool->block(b);
-            return core::TraceBlocks::Span{blk->records.data(),
-                                           blk->records.size(), blk};
+            std::span<const trace::TraceRecord> blk = pool->block(b);
+            return core::TraceBlocks::Span{blk.data(), blk.size()};
         };
     } else {
         buffer = repo.get(input);
@@ -153,10 +152,10 @@ analyzeSharded(TraceRepository &repo, const core::AnalysisConfig &cfg,
     const bool modeled =
         cfg.branchPredictor != core::PredictorKind::Perfect;
 
-    // Block waits on a pooled stream — decode, or contention with other
-    // consumers of the pool — are the cell's decode share. Only the waits
-    // on its wall-clock path count: the plan walk, the slowest segment and
-    // the patch replays. A capture never waits.
+    // Block waits on a pooled stream — a first-touch block check, or a
+    // wait on another consumer's — are the cell's decode share. Only the
+    // waits on its wall-clock path count: the plan walk, the slowest
+    // segment and the patch replays. A capture never waits.
     auto waiting = [&](int64_t &waitNs) {
         return pooled ? timedBlocks(trace, waitNs) : trace;
     };

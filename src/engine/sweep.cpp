@@ -109,14 +109,14 @@ SweepEngine::runJobs(TraceRepository &repo, std::vector<SweepJob> jobs) const
 
     // Warm the repository for every pending input up front, serially:
     // a simulated input's compile, a captured file's read-back and a
-    // streamed `.ptrc`'s decode pool (its map and payload checksum) are
-    // the parts that cannot be split across cells, and doing them here
-    // (rather than lazily from a worker) keeps them in captureSeconds.
-    // Simulation and other streams' decode run per pass, by design, and
-    // count as each cell's decodeSeconds. Failures are deliberately
-    // swallowed — a bad input surfaces as a per-cell error below, where
-    // it can be attributed (and retried) per cell instead of aborting the
-    // whole grid.
+    // streamed `.ptrc`'s decode pool (its map, payload checksum and block
+    // checks) are the parts that cannot be split across cells, and doing
+    // them here (rather than lazily from a worker) keeps them in
+    // captureSeconds. Simulation and other streams' decode run per pass,
+    // by design, and count as each cell's decodeSeconds. Failures are
+    // deliberately swallowed — a bad input surfaces as a per-cell error
+    // below, where it can be attributed (and retried) per cell instead of
+    // aborting the whole grid.
     std::set<std::string> warmed;
     for (size_t i : pending) {
         const std::string &input = jobs[i].input;

@@ -94,9 +94,11 @@ struct SweepCell
 
     /** Of which, seconds spent waiting for trace records: on the
      *  simulator (a simulated input's pass runs it inline), on the
-     *  pipelined private decoder, or on the shared decode pool
-     *  (cumulative across shard threads). 0 for captured inputs — their
-     *  capture is paid once, up front, in SweepResult::captureSeconds. */
+     *  pipelined private decoder, or on the shared decode pool's block
+     *  checks (cumulative across shard threads; near zero when the pool
+     *  checked every block in its payload checksum pass). 0 for captured
+     *  inputs — their capture is paid once, up front, in
+     *  SweepResult::captureSeconds. */
     double decodeSeconds = 0.0;
 
     /** Split-and-patch shard segments this cell ran as (0 = unsharded). */

@@ -92,17 +92,6 @@ TraceRepository::enforceBudget()
 {
     if (opt_.memoryBudget == 0)
         return;
-    // Decoded-block pools share the budget: when captures alone would not
-    // fit, drop every pool block no analysis currently references before
-    // evicting captures. In-flight readers keep their blocks alive via
-    // shared_ptr, exactly like evicted captures.
-    size_t poolBytes = 0;
-    for (auto &kv : pools_)
-        poolBytes += kv.second->cachedBytes();
-    if (cachedBytes_ + poolBytes > opt_.memoryBudget && poolBytes > 0) {
-        for (auto &kv : pools_)
-            kv.second->trim();
-    }
     while (cachedBytes_ > opt_.memoryBudget) {
         // Drop the least-recently-used unpinned capture. In-flight
         // analyses are unaffected: they co-own the buffer via shared_ptr.
@@ -280,8 +269,6 @@ void
 TraceRepository::clear()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (auto &kv : pools_)
-        kv.second->trim();
     for (auto it = cache_.begin(); it != cache_.end();) {
         if (it->second.pins > 0) {
             ++it;

@@ -12,8 +12,8 @@
  *    deterministic, so every pass sees the identical records. One pass
  *    over 1M records costs less than one config's analysis, which a fused
  *    pass pays once for all its configs.
- *  - A *streamed* trace file (Options::streamFiles) is re-read per pass,
- *    `.ptrc` through a shared decode pool.
+ *  - A *streamed* trace file (Options::streamFiles) is re-read per pass:
+ *    a `.ptrc` in place from its mapping, through a shared decode pool.
  *  - Any other trace file, and any input get() is asked for directly, is
  *    *captured* once into an immutable, shared in-memory
  *    trace::TraceBuffer. Workers replay a capture through
@@ -121,8 +121,10 @@ class TraceRepository
          *  still captures any input if asked directly. */
         bool streamFiles = false;
 
-        /** Byte budget for cached captures and decode-pool blocks; 0 =
-         *  unlimited (the one-shot sweep CLI default). When a new capture
+        /** Byte budget for cached captures (48 B per record); 0 =
+         *  unlimited (the one-shot sweep CLI default). Decode pools hold
+         *  no bytes (their records stay in the mapped file), so streamed
+         *  inputs never count. When a new capture
          *  would exceed it, the least-recently-used unpinned captures are
          *  dropped first. A single capture larger than the budget, or a
          *  budget fully occupied by pins, is allowed to overshoot —
@@ -188,11 +190,11 @@ class TraceRepository
     /**
      * The shared decode pool for a streamed `.ptrc` input: every consumer
      * (fused group, solo cell, shard segment, serve client) of the same
-     * input shares one mmap and decodes each block exactly once between
-     * them. Returns nullptr when @p spec is not a streamed `.ptrc` (or
-     * cannot be mapped) — callers then fall back to makeSource().
-     * Thread-safe; the pool is cached for the repository's lifetime and
-     * its block cache counts toward the byte budget via trim().
+     * input reads its records in place from one mapping, and each block
+     * is checked once between them. Returns nullptr when @p spec is not a
+     * streamed `.ptrc` (or cannot be mapped) — callers then fall back to
+     * makeSource(). Thread-safe; the pool is cached for the repository's
+     * lifetime.
      */
     std::shared_ptr<trace::SharedDecodePool>
     decodePool(const std::string &spec);

@@ -361,15 +361,15 @@ InvariantOracle::check(const TraceBuffer &trace) const
     uint64_t condBranches = 0;
     uint64_t maxPlacedLatency = 0;
     for (const TraceRecord &rec : trace.records()) {
-        if (rec.createsValue) {
+        if (rec.createsValue()) {
             ++creators;
-            if (rec.isSysCall)
+            if (rec.isSysCall())
                 ++syscallCreators;
             uint32_t lat = isa::opLatency(rec.cls);
             if (lat > maxPlacedLatency)
                 maxPlacedLatency = lat;
         }
-        if (rec.isCondBranch)
+        if (rec.isCondBranch())
             ++condBranches;
     }
 

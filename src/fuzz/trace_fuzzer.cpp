@@ -117,15 +117,15 @@ TraceFuzzer::generate()
 
         if (opt_.syscalls && roll < opt_.syscallPct) {
             rec.cls = isa::OpClass::SysCall;
-            rec.createsValue = true;
-            rec.isSysCall = true;
+            rec.setCreatesValue(true);
+            rec.setSysCall(true);
             rec.addSrc(Operand::intReg(2));
-            rec.dest = Operand::intReg(2);
+            rec.setDest(Operand::intReg(2));
         } else if (roll < branchEnd) {
             rec.cls = isa::OpClass::Control;
-            rec.createsValue = false;
-            rec.isCondBranch = prng_.nextBelow(4) != 0;
-            rec.branchTaken = prng_.nextBelow(2) != 0;
+            rec.setCreatesValue(false);
+            rec.setCondBranch(prng_.nextBelow(4) != 0);
+            rec.setBranchTaken(prng_.nextBelow(2) != 0);
             rec.addSrc(Operand::intReg(static_cast<uint8_t>(
                 1 + prng_.nextBelow(opt_.intRegs ? opt_.intRegs : 1))));
         } else if (roll < memEnd) {
@@ -134,25 +134,25 @@ TraceFuzzer::generate()
             lastMemAddr = mem.id;
             if (prng_.nextBelow(2) == 0) {
                 rec.cls = isa::OpClass::Load;
-                rec.createsValue = true;
+                rec.setCreatesValue(true);
                 if (prng_.nextBelow(2) == 0) {
                     rec.addSrc(Operand::intReg(static_cast<uint8_t>(
                         1 +
                         prng_.nextBelow(opt_.intRegs ? opt_.intRegs : 1))));
                 }
                 rec.addSrc(mem);
-                rec.dest = Operand::intReg(static_cast<uint8_t>(
-                    1 + prng_.nextBelow(opt_.intRegs ? opt_.intRegs : 1)));
+                rec.setDest(Operand::intReg(static_cast<uint8_t>(
+                    1 + prng_.nextBelow(opt_.intRegs ? opt_.intRegs : 1))));
             } else {
                 rec.cls = isa::OpClass::Store;
-                rec.createsValue = true;
+                rec.setCreatesValue(true);
                 Operand src =
                     (lastDest.valid() &&
                      prng_.nextBelow(100) < opt_.chainPct)
                         ? lastDest
                         : randomOperand(prng_, lastMemAddr);
                 rec.addSrc(src);
-                rec.dest = mem;
+                rec.setDest(mem);
             }
         } else {
             if (roll < fpEnd) {
@@ -162,7 +162,7 @@ TraceFuzzer::generate()
             } else {
                 rec.cls = kIntClasses[prng_.nextBelow(3)];
             }
-            rec.createsValue = true;
+            rec.setCreatesValue(true);
             const int nsrcs = 1 + static_cast<int>(prng_.nextBelow(2));
             for (int s = 0; s < nsrcs; ++s) {
                 // Dependence chains: reuse the previous destination so deep
@@ -177,12 +177,12 @@ TraceFuzzer::generate()
                     rec.addSrc(op);
                 }
             }
-            rec.dest = randomOperand(prng_, lastMemAddr);
-            if (rec.dest.isMem())
-                lastMemAddr = rec.dest.id;
+            rec.setDest(randomOperand(prng_, lastMemAddr));
+            if (rec.dest().isMem())
+                lastMemAddr = rec.dest().id;
         }
-        if (rec.createsValue)
-            lastDest = rec.dest;
+        if (rec.createsValue())
+            lastDest = rec.dest();
         buf.push(rec);
     }
     return buf;
@@ -238,12 +238,12 @@ TraceFuzzer::mutate(const TraceBuffer &base, uint64_t seed,
         size_t edits = 1 + static_cast<size_t>(prng.nextBelow(16));
         for (size_t e = 0; e < edits; ++e) {
             TraceRecord &rec = out[static_cast<size_t>(prng.nextBelow(n))];
-            if (!rec.createsValue || !rec.dest.valid())
+            if (!rec.createsValue() || !rec.dest().valid())
                 continue;
             if (rec.numSrcs == 0)
-                rec.addSrc(rec.dest);
+                rec.addSrc(rec.dest());
             else
-                rec.srcs[prng.nextBelow(rec.numSrcs)] = rec.dest;
+                rec.setSrc(prng.nextBelow(rec.numSrcs), rec.dest());
         }
         return out;
       }
@@ -258,14 +258,15 @@ TraceFuzzer::mutate(const TraceBuffer &base, uint64_t seed,
         for (size_t i = at; i < at + len; ++i) {
             TraceRecord &rec = out[i];
             rec.cls = isa::OpClass::IntAlu;
-            rec.createsValue = true;
-            rec.isSysCall = false;
-            rec.isCondBranch = false;
+            rec.setCreatesValue(true);
+            rec.setSysCall(false);
+            rec.setCondBranch(false);
             rec.numSrcs = 0;
             rec.lastUseMask = 0;
-            rec.srcs[0] = rec.srcs[1] = rec.srcs[2] = Operand{};
+            for (int k = 0; k < trace::maxSrcs; ++k)
+                rec.setSrc(k, Operand{});
             rec.addSrc(Operand::intReg(reg));
-            rec.dest = Operand::intReg(reg);
+            rec.setDest(Operand::intReg(reg));
         }
         return out;
       }
@@ -274,10 +275,10 @@ TraceFuzzer::mutate(const TraceBuffer &base, uint64_t seed,
         size_t at = static_cast<size_t>(prng.nextBelow(n + 1));
         TraceRecord sys;
         sys.cls = isa::OpClass::SysCall;
-        sys.createsValue = true;
-        sys.isSysCall = true;
+        sys.setCreatesValue(true);
+        sys.setSysCall(true);
         sys.addSrc(Operand::intReg(2));
-        sys.dest = Operand::intReg(2);
+        sys.setDest(Operand::intReg(2));
         std::vector<TraceRecord> recs = base.records();
         recs.insert(recs.begin() + static_cast<ptrdiff_t>(at), burst, sys);
         return TraceBuffer(std::move(recs));
@@ -291,14 +292,14 @@ TraceFuzzer::mutate(const TraceBuffer &base, uint64_t seed,
         for (size_t i = at; i < at + len; ++i) {
             TraceRecord &rec = out[i];
             rec.cls = isa::OpClass::Store;
-            rec.createsValue = true;
-            rec.isSysCall = false;
-            rec.isCondBranch = false;
+            rec.setCreatesValue(true);
+            rec.setSysCall(false);
+            rec.setCondBranch(false);
             rec.numSrcs = 0;
             rec.lastUseMask = 0;
-            rec.srcs[0] = rec.srcs[1] = rec.srcs[2] = Operand{};
-            rec.dest =
-                Operand::mem(0x90000000ULL + 8 * i, Segment::Data);
+            for (int k = 0; k < trace::maxSrcs; ++k)
+                rec.setSrc(k, Operand{});
+            rec.setDest(Operand::mem(0x90000000ULL + 8 * i, Segment::Data));
         }
         return out;
       }
@@ -307,14 +308,15 @@ TraceFuzzer::mutate(const TraceBuffer &base, uint64_t seed,
         // (the rename-stack/rename-data switches see traffic migrate).
         Segment perm[3] = {Segment::Data, Segment::Heap, Segment::Stack};
         std::swap(perm[prng.nextBelow(3)], perm[prng.nextBelow(3)]);
-        auto remap = [&perm](Operand &op) {
+        auto remap = [&perm](Operand op) {
             if (op.isMem())
                 op.seg = perm[static_cast<size_t>(op.seg) - 1];
+            return op;
         };
         for (size_t i = 0; i < n; ++i) {
             for (int s = 0; s < out[i].numSrcs; ++s)
-                remap(out[i].srcs[s]);
-            remap(out[i].dest);
+                out[i].setSrc(s, remap(out[i].src(s)));
+            out[i].setDest(remap(out[i].dest()));
         }
         return out;
       }
@@ -327,7 +329,7 @@ TraceFuzzer::mutate(const TraceBuffer &base, uint64_t seed,
             TraceRecord &rec = out[static_cast<size_t>(prng.nextBelow(n))];
             if (rec.numSrcs == 0)
                 continue;
-            Operand dup = rec.srcs[prng.nextBelow(rec.numSrcs)];
+            Operand dup = rec.src(prng.nextBelow(rec.numSrcs));
             while (rec.numSrcs < trace::maxSrcs)
                 rec.addSrc(dup);
         }
@@ -380,18 +382,18 @@ TraceFuzzer::validRecord(const TraceRecord &rec, std::string *why)
         }
     };
     for (int s = 0; s < rec.numSrcs; ++s) {
-        if (!rec.srcs[s].valid())
+        if (!rec.src(s).valid())
             return bad(strFormat("source %d missing below numSrcs", s));
-        if (!validOperand(rec.srcs[s], "source"))
+        if (!validOperand(rec.src(s), "source"))
             return false;
     }
     for (int s = rec.numSrcs; s < trace::maxSrcs; ++s) {
-        if (rec.srcs[s].valid())
+        if (rec.src(s).valid())
             return bad(strFormat("source %d present above numSrcs", s));
     }
-    if (!validOperand(rec.dest, "destination"))
+    if (!validOperand(rec.dest(), "destination"))
         return false;
-    if (rec.createsValue && !rec.dest.valid())
+    if (rec.createsValue() && !rec.dest().valid())
         return bad("value-creating record without a destination");
     return true;
 }
@@ -426,13 +428,13 @@ writeTraceWithFieldEdit(const TraceBuffer &buf, const std::string &path,
     const size_t target = static_cast<size_t>(prng.nextBelow(buf.size()));
     const long recordOffset = static_cast<long>(
         sizeof(trace::TraceFileHeader) +
-        target * sizeof(trace::PackedRecord));
+        target * sizeof(TraceRecord));
 
     std::FILE *f = std::fopen(path.c_str(), "r+b");
     if (!f)
         PARA_FATAL("cannot reopen %s for the field edit", path.c_str());
 
-    trace::PackedRecord packed;
+    TraceRecord packed;
     if (std::fseek(f, recordOffset, SEEK_SET) != 0 ||
         std::fread(&packed, sizeof(packed), 1, f) != 1) {
         std::fclose(f);
@@ -444,8 +446,9 @@ writeTraceWithFieldEdit(const TraceBuffer &buf, const std::string &path,
     // between this and silent corruption.
     switch (prng.nextBelow(4)) {
       case 0:
-        packed.cls = static_cast<uint8_t>(
-            (packed.cls + 1 + prng.nextBelow(isa::numOpClasses - 1)) %
+        packed.cls = static_cast<isa::OpClass>(
+            (static_cast<unsigned>(packed.cls) + 1 +
+             prng.nextBelow(isa::numOpClasses - 1)) %
             isa::numOpClasses);
         break;
       case 1:
@@ -472,7 +475,7 @@ writeTraceWithFieldEdit(const TraceBuffer &buf, const std::string &path,
         std::fclose(f);
         PARA_FATAL("seek failed in %s", path.c_str());
     }
-    trace::PackedRecord scan;
+    TraceRecord scan;
     for (size_t i = 0; i < buf.size(); ++i) {
         if (std::fread(&scan, sizeof(scan), 1, f) != 1) {
             std::fclose(f);
@@ -498,7 +501,7 @@ writeTraceWithFieldEdit(const TraceBuffer &buf, const std::string &path,
     // The expected decode: the same edit applied in memory. Any divergence
     // between this and what the reader returns is a found bug.
     TraceBuffer expected = buf;
-    expected[target] = trace::unpackRecord(packed);
+    expected[target] = packed;
     return expected;
 }
 

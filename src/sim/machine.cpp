@@ -110,8 +110,8 @@ Machine::step(TraceRecord &rec)
     auto dest_int = [&](uint8_t idx, int32_t value) {
         if (idx != 0) {
             intRegs_[idx] = static_cast<uint32_t>(value);
-            rec.dest = Operand::intReg(idx);
-            rec.createsValue = true;
+            rec.setDest(Operand::intReg(idx));
+            rec.setCreatesValue(true);
         }
     };
     auto src_fp = [&](uint8_t idx) {
@@ -120,8 +120,8 @@ Machine::step(TraceRecord &rec)
     };
     auto dest_fp = [&](uint8_t idx, double value) {
         fpRegs_[idx] = value;
-        rec.dest = Operand::fpReg(idx);
-        rec.createsValue = true;
+        rec.setDest(Operand::fpReg(idx));
+        rec.setCreatesValue(true);
     };
     auto mem_addr = [&](uint8_t base, int32_t offset) {
         if (base != 0)
@@ -249,8 +249,8 @@ Machine::step(TraceRecord &rec)
         int32_t value = src_int(inst.rt);
         uint64_t addr = mem_addr(inst.rs, inst.imm);
         memory_.write32(addr, static_cast<uint32_t>(value));
-        rec.dest = Operand::mem(addr, classify(addr));
-        rec.createsValue = true;
+        rec.setDest(Operand::mem(addr, classify(addr)));
+        rec.setCreatesValue(true);
         break;
       }
       case Opcode::Ld: {
@@ -263,8 +263,8 @@ Machine::step(TraceRecord &rec)
         double value = src_fp(inst.rt);
         uint64_t addr = mem_addr(inst.rs, inst.imm);
         memory_.writeDouble(addr, value);
-        rec.dest = Operand::mem(addr, classify(addr));
-        rec.createsValue = true;
+        rec.setDest(Operand::mem(addr, classify(addr)));
+        rec.setCreatesValue(true);
         break;
       }
       case Opcode::FAdd:
@@ -304,39 +304,39 @@ Machine::step(TraceRecord &rec)
         dest_int(inst.rd, src_fp(inst.rs) == src_fp(inst.rt) ? 1 : 0);
         break;
       case Opcode::Beq:
-        rec.isCondBranch = true;
-        rec.branchTaken = src_int(inst.rs) == src_int(inst.rt);
-        if (rec.branchTaken)
+        rec.setCondBranch(true);
+        rec.setBranchTaken(src_int(inst.rs) == src_int(inst.rt));
+        if (rec.branchTaken())
             next_pc = static_cast<uint64_t>(inst.imm);
         break;
       case Opcode::Bne:
-        rec.isCondBranch = true;
-        rec.branchTaken = src_int(inst.rs) != src_int(inst.rt);
-        if (rec.branchTaken)
+        rec.setCondBranch(true);
+        rec.setBranchTaken(src_int(inst.rs) != src_int(inst.rt));
+        if (rec.branchTaken())
             next_pc = static_cast<uint64_t>(inst.imm);
         break;
       case Opcode::Blez:
-        rec.isCondBranch = true;
-        rec.branchTaken = src_int(inst.rs) <= 0;
-        if (rec.branchTaken)
+        rec.setCondBranch(true);
+        rec.setBranchTaken(src_int(inst.rs) <= 0);
+        if (rec.branchTaken())
             next_pc = static_cast<uint64_t>(inst.imm);
         break;
       case Opcode::Bgtz:
-        rec.isCondBranch = true;
-        rec.branchTaken = src_int(inst.rs) > 0;
-        if (rec.branchTaken)
+        rec.setCondBranch(true);
+        rec.setBranchTaken(src_int(inst.rs) > 0);
+        if (rec.branchTaken())
             next_pc = static_cast<uint64_t>(inst.imm);
         break;
       case Opcode::Bltz:
-        rec.isCondBranch = true;
-        rec.branchTaken = src_int(inst.rs) < 0;
-        if (rec.branchTaken)
+        rec.setCondBranch(true);
+        rec.setBranchTaken(src_int(inst.rs) < 0);
+        if (rec.branchTaken())
             next_pc = static_cast<uint64_t>(inst.imm);
         break;
       case Opcode::Bgez:
-        rec.isCondBranch = true;
-        rec.branchTaken = src_int(inst.rs) >= 0;
-        if (rec.branchTaken)
+        rec.setCondBranch(true);
+        rec.setBranchTaken(src_int(inst.rs) >= 0);
+        if (rec.branchTaken())
             next_pc = static_cast<uint64_t>(inst.imm);
         break;
       case Opcode::J:
@@ -373,7 +373,7 @@ Machine::step(TraceRecord &rec)
 void
 Machine::doSysCall(TraceRecord &rec)
 {
-    rec.isSysCall = true;
+    rec.setSysCall(true);
     rec.addSrc(Operand::intReg(isa::regV0));
     auto service =
         static_cast<SysCallService>(static_cast<int32_t>(intRegs_[isa::regV0]));
@@ -391,16 +391,16 @@ Machine::doSysCall(TraceRecord &rec)
                         ? intInput_[intInputPos_++]
                         : 0;
         intRegs_[isa::regV0] = static_cast<uint32_t>(v);
-        rec.dest = Operand::intReg(isa::regV0);
-        rec.createsValue = true;
+        rec.setDest(Operand::intReg(isa::regV0));
+        rec.setCreatesValue(true);
         break;
       }
       case SysCallService::ReadDouble: {
         double v = fpInputPos_ < fpInput_.size() ? fpInput_[fpInputPos_++]
                                                  : 0.0;
         fpRegs_[0] = v;
-        rec.dest = Operand::fpReg(0);
-        rec.createsValue = true;
+        rec.setDest(Operand::fpReg(0));
+        rec.setCreatesValue(true);
         break;
       }
       case SysCallService::Exit:
@@ -417,8 +417,8 @@ Machine::doSysCall(TraceRecord &rec)
         if (brk_ >= Memory::stackFloor)
             PARA_FATAL("heap overflow: brk past stack floor");
         intRegs_[isa::regV0] = static_cast<uint32_t>(old);
-        rec.dest = Operand::intReg(isa::regV0);
-        rec.createsValue = true;
+        rec.setDest(Operand::intReg(isa::regV0));
+        rec.setCreatesValue(true);
         break;
       }
       default:

@@ -12,10 +12,6 @@ namespace {
 
 constexpr uint32_t kPoly = 0xEDB88320u;
 
-/** Bytes per chunk of a parallel CRC: large enough that a thread's start
- *  and the combine step vanish against the bytes it checksums. */
-constexpr size_t kChunkBytes = size_t{8} << 20;
-
 /** slice[k][b]: the CRC register after byte b followed by k zero bytes. */
 struct Crc32Slices
 {
@@ -129,30 +125,35 @@ crc32Combine(uint32_t crcA, uint32_t crcB, uint64_t lenB)
 }
 
 uint32_t
-crc32Parallel(const void *data, size_t len)
+crc32Parallel(const void *data, size_t len, size_t chunkBytes,
+              const Crc32ChunkFn &visit)
 {
-    return detail::crc32Chunked(data, len, kChunkBytes,
-                                std::thread::hardware_concurrency());
+    return detail::crc32Chunked(data, len, chunkBytes,
+                                std::thread::hardware_concurrency(), visit);
 }
 
 uint32_t
 detail::crc32Chunked(const void *data, size_t len, size_t chunkBytes,
-                     unsigned maxThreads)
+                     unsigned maxThreads, const Crc32ChunkFn &visit)
 {
-    // Every chunk is whole but the last, which also takes the tail; each
-    // thread gets a contiguous run of chunks.
+    // Each thread gets a contiguous run of whole chunks; the last run also
+    // takes the tail.
     const size_t chunks = len / chunkBytes;
-    const size_t parts = std::min<size_t>(maxThreads, chunks);
-    if (parts < 2)
-        return crc32Update(0, data, len);
+    const size_t parts = std::max<size_t>(
+        1, std::min<size_t>(maxThreads, chunks));
     auto begin = [&](size_t part) {
         return part == parts ? len : part * chunks / parts * chunkBytes;
     };
     const unsigned char *bytes = static_cast<const unsigned char *>(data);
-    std::vector<uint32_t> crcs(parts);
+    std::vector<uint32_t> crcs(parts, 0);
     runSegmentsParallel(parts, [&](size_t part) {
-        crcs[part] = crc32Update(0, bytes + begin(part),
-                                 begin(part + 1) - begin(part));
+        for (size_t off = begin(part); off < begin(part + 1);
+             off += chunkBytes) {
+            const size_t n = std::min(chunkBytes, begin(part + 1) - off);
+            crcs[part] = crc32Update(crcs[part], bytes + off, n);
+            if (visit)
+                visit(off, n);
+        }
     });
     uint32_t crc = crcs[0];
     for (size_t part = 1; part < parts; ++part)

@@ -17,6 +17,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 
 namespace paragraph {
 
@@ -36,22 +37,36 @@ crc32Of(const void *data, size_t len)
  */
 uint32_t crc32Combine(uint32_t crcA, uint32_t crcB, uint64_t lenB);
 
+/** Called with the (offset, length) of each piece a chunked CRC has just
+ *  checksummed, on the thread that checksummed it. */
+using Crc32ChunkFn = std::function<void(size_t, size_t)>;
+
+/** Default chunk of crc32Parallel(): large enough that a thread's start
+ *  and the combine step vanish against the bytes it checksums. */
+constexpr size_t crc32ChunkBytes = size_t{8} << 20;
+
 /**
- * crc32Of(@p data, @p len), computed in chunks of at least 8 MiB on up to
+ * crc32Of(@p data, @p len), computed in @p chunkBytes chunks on up to
  * hardware_concurrency() threads and combined; serial when there is only
- * one chunk or one thread.
+ * one chunk or one thread. @p visit, if set, gets each piece right after
+ * it is checksummed, while its bytes are in cache: every whole chunk, and
+ * the tail as a piece of its own; it runs concurrently on the
+ * checksumming threads.
  */
-uint32_t crc32Parallel(const void *data, size_t len);
+uint32_t crc32Parallel(const void *data, size_t len,
+                       size_t chunkBytes = crc32ChunkBytes,
+                       const Crc32ChunkFn &visit = {});
 
 namespace detail {
 
 /**
  * crc32Parallel() with its chunking as parameters: the buffer is cut into
- * whole @p chunkBytes chunks (> 0), the last one also taking the tail, and
- * up to @p maxThreads threads each checksum a contiguous run of them.
+ * whole @p chunkBytes chunks (> 0) and a tail, up to @p maxThreads threads
+ * each checksum a contiguous run of them, and @p visit (if set) sees each
+ * piece as crc32Parallel's does.
  */
 uint32_t crc32Chunked(const void *data, size_t len, size_t chunkBytes,
-                      unsigned maxThreads);
+                      unsigned maxThreads, const Crc32ChunkFn &visit = {});
 
 } // namespace detail
 

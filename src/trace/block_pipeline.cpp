@@ -46,16 +46,24 @@ BlockPipeline::produce()
                 want = static_cast<size_t>(remaining);
         }
         size_t n = 0;
+        std::exception_ptr error;
         if (want > 0) {
             try {
                 n = src_.nextBatch(slots_[idx].buf.data(), want);
             } catch (...) {
-                std::lock_guard<std::mutex> lock(mutex_);
-                error_ = std::current_exception();
-                eof_ = true;
-                cv_.notify_all();
-                return;
+                error = std::current_exception();
             }
+        }
+        if (error) {
+            // Published only after the handler has ended: the end of a
+            // handler touches the exception object, so doing it under
+            // the lock would race the consumer's rethrow once the lock
+            // is released.
+            std::lock_guard<std::mutex> lock(mutex_);
+            error_ = std::move(error);
+            eof_ = true;
+            cv_.notify_all();
+            return;
         }
         produced += n;
         {

@@ -4,10 +4,10 @@
  *
  * BlockPipeline's next(const TraceRecord **) protocol turned out to be the
  * natural feeding contract for block-major analysis; the shared decode pool
- * serves the same protocol from refcounted cached blocks, and SourceBlocks
- * fills one reused block from a TraceSource on the consumer's own thread.
- * This interface lets core::analyzeManyGuarded feed engines from any of
- * them without caring which is behind it.
+ * serves the same protocol from a mapped trace's blocks in place, and
+ * SourceBlocks fills one reused block from a TraceSource on the consumer's
+ * own thread. This interface lets core::analyzeManyGuarded feed engines
+ * from any of them without caring which is behind it.
  */
 
 #ifndef PARAGRAPH_TRACE_BLOCK_SOURCE_HPP

@@ -122,16 +122,17 @@ void
 CompressedTraceWriter::write(const TraceRecord &rec)
 {
     PARA_ASSERT(file_, "write after close");
+    // The head byte is the class in the low nibble and the record's four
+    // flag bits in the high one.
     uint8_t head = static_cast<uint8_t>(
-        (static_cast<uint8_t>(rec.cls) & 0x0f) |
-        (rec.createsValue ? 0x10 : 0) | (rec.isSysCall ? 0x20 : 0) |
-        (rec.isCondBranch ? 0x40 : 0) | (rec.branchTaken ? 0x80 : 0));
+        (static_cast<uint8_t>(rec.cls) & 0x0f) | (rec.flags << 4));
     bool pc_plus_one = rec.pc == lastPc_ + 1;
+    const Operand dest = rec.dest();
     uint8_t dest_kind =
-        !rec.dest.valid()                           ? 0
-        : rec.dest.kind == Operand::Kind::IntReg    ? 1
-        : rec.dest.kind == Operand::Kind::FpReg     ? 2
-                                                    : 3;
+        !dest.valid()                           ? 0
+        : dest.kind == Operand::Kind::IntReg    ? 1
+        : dest.kind == Operand::Kind::FpReg     ? 2
+                                                : 3;
     uint8_t ops = static_cast<uint8_t>(
         (rec.numSrcs & 0x03) | ((rec.lastUseMask & 0x07) << 2) |
         (dest_kind << 5) | (pc_plus_one ? 0x80 : 0));
@@ -143,11 +144,11 @@ CompressedTraceWriter::write(const TraceRecord &rec)
     }
     lastPc_ = rec.pc;
     for (int s = 0; s < rec.numSrcs; ++s)
-        putOperand(rec.srcs[s]);
+        putOperand(rec.src(s));
     if (dest_kind == 1 || dest_kind == 2) {
-        putByte(static_cast<uint8_t>(rec.dest.id));
+        putByte(static_cast<uint8_t>(dest.id));
     } else if (dest_kind == 3) {
-        putOperand(rec.dest);
+        putOperand(dest);
     }
     ++count_;
 }
@@ -309,10 +310,7 @@ CompressedTraceReader::next(TraceRecord &rec)
             static_cast<unsigned long long>(std::ftell(file_) - 1));
     }
     rec.cls = static_cast<isa::OpClass>(head & 0x0f);
-    rec.createsValue = (head & 0x10) != 0;
-    rec.isSysCall = (head & 0x20) != 0;
-    rec.isCondBranch = (head & 0x40) != 0;
-    rec.branchTaken = (head & 0x80) != 0;
+    rec.flags = head >> 4;
 
     uint8_t ops = getByte();
     uint8_t nsrcs = ops & 0x03;
@@ -330,13 +328,13 @@ CompressedTraceReader::next(TraceRecord &rec)
         rec.addSrc(getOperand());
     switch (dest_kind) {
       case 1:
-        rec.dest = Operand::intReg(getByte());
+        rec.setDest(Operand::intReg(getByte()));
         break;
       case 2:
-        rec.dest = Operand::fpReg(getByte());
+        rec.setDest(Operand::fpReg(getByte()));
         break;
       case 3:
-        rec.dest = getOperand();
+        rec.setDest(getOperand());
         break;
       default:
         break;
@@ -372,8 +370,8 @@ openTraceFile(const std::string &path)
     if (magic == compressedTraceMagic)
         return std::make_unique<CompressedTraceReader>(path);
     if (magic == traceFileMagic) {
-        // Prefer the mapped reader (zero read syscalls, bulk SIMD unpack,
-        // page-cache sharing across consumers); validation failures throw
+        // Prefer the mapped reader (zero read syscalls, records copied
+        // straight from the page cache); validation failures throw
         // the same errors either way. Fall back to stdio only when the
         // platform refuses the mapping.
         if (auto mapped = MmapTraceFile::tryOpen(path))

@@ -1,113 +1,19 @@
 #include "trace/file_io.hpp"
 
 #include <cstddef>
-#include <cstring>
-#include <vector>
 
 #include "support/crc32.hpp"
 #include "support/failpoint.hpp"
 #include "support/panic.hpp"
+#include "trace/validate.hpp"
 
 namespace paragraph {
 namespace trace {
-
-namespace {
-
-Operand
-unpackOperand(uint8_t kind_seg, uint64_t id)
-{
-    Operand op;
-    op.kind = static_cast<Operand::Kind>(kind_seg & 0x0f);
-    op.seg = static_cast<Segment>(kind_seg >> 4);
-    op.id = id;
-    return op;
-}
-
-uint8_t
-packOperandKind(const Operand &op)
-{
-    return static_cast<uint8_t>(static_cast<uint8_t>(op.kind) |
-                                (static_cast<uint8_t>(op.seg) << 4));
-}
-
-void
-validateOperandByte(uint8_t kind_seg, const char *which)
-{
-    uint8_t kind = kind_seg & 0x0f;
-    uint8_t seg = kind_seg >> 4;
-    if (kind > static_cast<uint8_t>(Operand::Kind::Mem))
-        PARA_FATAL("bad %s operand kind %u", which, kind);
-    if (seg > static_cast<uint8_t>(Segment::Stack))
-        PARA_FATAL("bad %s operand segment %u", which, seg);
-}
-
-/** Byte offset of record @p index in a trace file. */
-uint64_t
-recordOffset(uint64_t index)
-{
-    return sizeof(TraceFileHeader) + index * sizeof(PackedRecord);
-}
-
-} // namespace
 
 uint32_t
 traceHeaderCrc(const TraceFileHeader &hdr)
 {
     return crc32Of(&hdr, offsetof(TraceFileHeader, headerCrc));
-}
-
-PackedRecord
-packRecord(const TraceRecord &rec)
-{
-    PackedRecord p = {};
-    p.cls = static_cast<uint8_t>(rec.cls);
-    p.flags = static_cast<uint8_t>((rec.createsValue ? 1 : 0) |
-                                   (rec.isSysCall ? 2 : 0) |
-                                   (rec.isCondBranch ? 4 : 0) |
-                                   (rec.branchTaken ? 8 : 0));
-    p.numSrcs = rec.numSrcs;
-    p.lastUseMask = rec.lastUseMask;
-    for (int i = 0; i < maxSrcs; ++i) {
-        p.operandKinds[i] = packOperandKind(rec.srcs[i]);
-        p.operandIds[i] = rec.srcs[i].id;
-    }
-    p.operandKinds[3] = packOperandKind(rec.dest);
-    p.operandIds[3] = rec.dest.id;
-    p.pc = rec.pc;
-    return p;
-}
-
-TraceRecord
-unpackRecord(const PackedRecord &p)
-{
-    // Range-check every field that selects into an enum or array before
-    // trusting it: a flipped on-disk byte must become a diagnosed error,
-    // not an out-of-bounds latency lookup or a phantom operand class.
-    if (p.cls >= static_cast<uint8_t>(isa::OpClass::NumClasses))
-        PARA_FATAL("bad operation class %u", p.cls);
-    if (p.flags & ~0x0fu)
-        PARA_FATAL("bad flag bits 0x%02x", p.flags);
-    if (p.numSrcs > maxSrcs)
-        PARA_FATAL("bad source count %u", p.numSrcs);
-    if (p.lastUseMask & ~0x07u)
-        PARA_FATAL("bad last-use mask 0x%02x", p.lastUseMask);
-    for (int i = 0; i < maxSrcs; ++i)
-        validateOperandByte(p.operandKinds[i], "source");
-    validateOperandByte(p.operandKinds[3], "destination");
-
-    TraceRecord rec;
-    rec.cls = static_cast<isa::OpClass>(p.cls);
-    rec.createsValue = (p.flags & 1) != 0;
-    rec.isSysCall = (p.flags & 2) != 0;
-    rec.isCondBranch = (p.flags & 4) != 0;
-    rec.branchTaken = (p.flags & 8) != 0;
-    rec.numSrcs = p.numSrcs;
-    rec.lastUseMask = p.lastUseMask;
-    for (int i = 0; i < maxSrcs; ++i)
-        rec.srcs[i] = unpackOperand(p.operandKinds[i], p.operandIds[i]);
-    rec.dest = unpackOperand(p.operandKinds[3], p.operandIds[3]);
-    rec.pc = p.pc;
-    return rec;
 }
 
 TraceFileWriter::TraceFileWriter(const std::string &path) : path_(path)
@@ -138,23 +44,29 @@ TraceFileWriter::writeHeader()
 void
 TraceFileWriter::write(const TraceRecord &rec)
 {
+    write(&rec, 1);
+}
+
+void
+TraceFileWriter::write(const TraceRecord *recs, size_t n)
+{
     PARA_ASSERT(file_, "write after close");
-    PackedRecord p = packRecord(rec);
     if (PARA_FAILPOINT("trace.file.write") ||
-        std::fwrite(&p, sizeof(p), 1, file_) != 1)
+        std::fwrite(recs, sizeof(TraceRecord), n, file_) != n)
         PARA_FATAL("trace file record write failed: %s", path_.c_str());
-    payloadCrc_ = crc32Update(payloadCrc_, &p, sizeof(p));
-    ++count_;
+    payloadCrc_ = crc32Update(payloadCrc_, recs, n * sizeof(TraceRecord));
+    count_ += n;
 }
 
 uint64_t
 TraceFileWriter::writeAll(TraceSource &src)
 {
-    TraceRecord rec;
+    SourceBlocks blocks(src, 4096);
+    const TraceRecord *block = nullptr;
     uint64_t n = 0;
-    while (src.next(rec)) {
-        write(rec);
-        ++n;
+    while (size_t got = blocks.next(&block)) {
+        write(block, got);
+        n += got;
     }
     return n;
 }
@@ -248,22 +160,15 @@ TraceFileReader::next(TraceRecord &rec)
 {
     if (pos_ >= count_)
         return false;
-    PackedRecord p;
     if (PARA_FAILPOINT("trace.file.read") ||
-        std::fread(&p, sizeof(p), 1, file_) != 1) {
+        std::fread(&rec, sizeof(rec), 1, file_) != 1) {
         PARA_FATAL("trace file truncated: %s (record %llu at offset %llu)",
                    path_.c_str(), static_cast<unsigned long long>(pos_),
                    static_cast<unsigned long long>(recordOffset(pos_)));
     }
-    try {
-        rec = unpackRecord(p);
-    } catch (const FatalError &e) {
-        PARA_FATAL("%s: %s (record %llu at offset %llu)", path_.c_str(),
-                   e.what(), static_cast<unsigned long long>(pos_),
-                   static_cast<unsigned long long>(recordOffset(pos_)));
-    }
+    validateRecords(&rec, 1, path_, pos_);
     if (version_ >= 2)
-        runningCrc_ = crc32Update(runningCrc_, &p, sizeof(p));
+        runningCrc_ = crc32Update(runningCrc_, &rec, sizeof(rec));
     ++pos_;
     if (version_ >= 2 && pos_ == count_ &&
         runningCrc_ != expectedPayloadCrc_) {
@@ -289,22 +194,18 @@ TraceFileReader::reset()
 uint32_t
 traceBufferCrc(const TraceBuffer &buffer)
 {
-    BufferSource src(buffer);
-    return traceSourceCrc(src);
+    return crc32Update(0, buffer.records().data(),
+                       buffer.size() * sizeof(TraceRecord));
 }
 
 uint32_t
 traceSourceCrc(TraceSource &src)
 {
-    constexpr size_t blockRecords = 4096;
-    std::vector<TraceRecord> block(blockRecords);
-    std::vector<PackedRecord> packed(blockRecords);
+    SourceBlocks blocks(src, 4096);
+    const TraceRecord *block = nullptr;
     uint32_t crc = 0;
-    while (size_t n = src.nextBatch(block.data(), blockRecords)) {
-        for (size_t i = 0; i < n; ++i)
-            packed[i] = packRecord(block[i]);
-        crc = crc32Update(crc, packed.data(), n * sizeof(PackedRecord));
-    }
+    while (size_t n = blocks.next(&block))
+        crc = crc32Update(crc, block, n * sizeof(TraceRecord));
     return crc;
 }
 

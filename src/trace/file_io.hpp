@@ -11,10 +11,13 @@
  * carries a CRC-32 of itself plus a CRC-32 of the whole record payload
  * (verified when the stream is read to the end), and every record's
  * class/operand-kind/segment/source-count fields are range-checked as it
- * is unpacked — a flipped byte in a multi-GB capture becomes a FatalError
+ * is read — a flipped byte in a multi-GB capture becomes a FatalError
  * naming the record index and byte offset, never silent corruption. v1
  * files (checksum words zero) still read, with a warning that integrity
  * cannot be verified.
+ *
+ * A record on disk is a TraceRecord byte for byte (record.hpp pins the
+ * layout), so reading and writing copy record bytes with no conversion.
  */
 
 #ifndef PARAGRAPH_TRACE_FILE_IO_HPP
@@ -32,17 +35,8 @@
 namespace paragraph {
 namespace trace {
 
-/** On-disk encoding of one record (packed, little-endian). */
-struct PackedRecord
-{
-    uint8_t cls;
-    uint8_t flags; ///< bit0 createsValue, bit1 isSysCall
-    uint8_t numSrcs;
-    uint8_t lastUseMask;
-    uint8_t operandKinds[4]; ///< kind | (segment << 4); [3] is dest
-    uint64_t operandIds[4];  ///< [3] is dest
-    uint64_t pc;
-};
+/** The on-disk record: TraceRecord itself, 48 bytes in format v2. */
+using PackedRecord = TraceRecord;
 
 constexpr uint32_t traceFileMagic = 0x43525450; // "PTRC"
 constexpr uint32_t traceFileVersion = 2;
@@ -65,6 +59,13 @@ static_assert(sizeof(TraceFileHeader) == 24, "header layout is on disk");
 /** CRC-32 of a header's first 20 bytes (everything before headerCrc). */
 uint32_t traceHeaderCrc(const TraceFileHeader &hdr);
 
+/** Byte offset of record @p index in a trace file. */
+constexpr uint64_t
+recordOffset(uint64_t index)
+{
+    return sizeof(TraceFileHeader) + index * sizeof(TraceRecord);
+}
+
 /** Streaming trace file writer. */
 class TraceFileWriter
 {
@@ -78,6 +79,9 @@ class TraceFileWriter
 
     /** Append one record. */
     void write(const TraceRecord &rec);
+
+    /** Append @p n records. */
+    void write(const TraceRecord *recs, size_t n);
 
     /** Drain @p src into the file; returns records written. */
     uint64_t writeAll(TraceSource &src);
@@ -137,14 +141,8 @@ class TraceFileReader : public TraceSource
     uint32_t runningCrc_ = 0;
 };
 
-/** Pack / unpack between the in-memory and on-disk record forms.
- *  unpackRecord range-checks the operation class, flag bits, source count,
- *  operand kinds, and segments, throwing FatalError on any violation. */
-PackedRecord packRecord(const TraceRecord &rec);
-TraceRecord unpackRecord(const PackedRecord &packed);
-
 /**
- * CRC-32 of @p buffer's records in their packed on-disk form — the same
+ * CRC-32 of @p buffer's record bytes — the same
  * value a TraceFileWriter draining the buffer would put in the header's
  * payloadCrc field. This is the trace half of the (trace CRC-32, config
  * key) content address the paragraph-serve result cache is keyed by: it
@@ -155,8 +153,8 @@ uint32_t traceBufferCrc(const TraceBuffer &buffer);
 
 /**
  * traceBufferCrc() of the capture of @p src (drained from its current
- * point to its end) without the capture: each block of records is packed
- * and checksummed in turn, so memory stays O(block) for any trace length.
+ * point to its end) without the capture: each block of records is
+ * checksummed in turn, so memory stays O(block) for any trace length.
  */
 uint32_t traceSourceCrc(TraceSource &src);
 

@@ -22,11 +22,11 @@ annotateLastUses(TraceBuffer &buffer)
         // The write happens after this instruction's reads, so process it
         // first when moving backward: reads found earlier in the trace
         // belong to the previous value in this location.
-        if (rec.createsValue && rec.dest.valid())
-            seen.erase(locationKey(rec.dest));
+        if (rec.createsValue() && rec.hasDest())
+            seen.erase(locationKey(rec.dest()));
 
         for (int s = 0; s < rec.numSrcs; ++s) {
-            uint64_t key = locationKey(rec.srcs[s]);
+            uint64_t key = locationKey(rec.src(s));
             uint8_t *flag = seen.find(key);
             if (!flag) {
                 rec.lastUseMask |= static_cast<uint8_t>(1u << s);

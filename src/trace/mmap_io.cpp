@@ -10,18 +10,12 @@
 #include "support/crc32.hpp"
 #include "support/failpoint.hpp"
 #include "support/panic.hpp"
-#include "trace/bulk_unpack.hpp"
+#include "trace/validate.hpp"
 
 namespace paragraph {
 namespace trace {
 
 namespace {
-
-uint64_t
-recordOffset(uint64_t index)
-{
-    return sizeof(TraceFileHeader) + index * sizeof(PackedRecord);
-}
 
 [[noreturn]] void
 throwTruncated(const std::string &path, uint64_t index)
@@ -107,7 +101,7 @@ MmapTraceFile::open(const std::string &path, bool throwOnMapFailure)
     count_ = hdr.count;
     payloadCrc_ = hdr.payloadCrc;
     payload_ = static_cast<const uint8_t *>(map_) + sizeof(TraceFileHeader);
-    uint64_t backed = (size - sizeof(TraceFileHeader)) / sizeof(PackedRecord);
+    uint64_t backed = (size - sizeof(TraceFileHeader)) / sizeof(TraceRecord);
     avail_ = backed < count_ ? backed : count_;
     return true;
 }
@@ -118,12 +112,19 @@ MmapTraceFile::~MmapTraceFile()
         ::munmap(map_, mapSize_);
 }
 
-const PackedRecord *
-MmapTraceFile::packed(uint64_t index) const
+const TraceRecord *
+MmapTraceFile::records(uint64_t first) const
 {
-    PARA_ASSERT(index < avail_, "packed record index out of range");
-    return reinterpret_cast<const PackedRecord *>(
-        payload_ + index * sizeof(PackedRecord));
+    PARA_ASSERT(first <= avail_, "record index out of range");
+    return reinterpret_cast<const TraceRecord *>(payload_) + first;
+}
+
+void
+MmapTraceFile::validate(uint64_t first, size_t n) const
+{
+    if (first + n > avail_)
+        throwTruncated(path_, avail_);
+    validateRecords(records(first), n, path_, first);
 }
 
 void
@@ -131,29 +132,35 @@ MmapTraceFile::decode(uint64_t first, size_t n, TraceRecord *out) const
 {
     if (n == 0)
         return;
-    if (first + n > avail_)
-        throwTruncated(path_, avail_);
-    unpackRecords(reinterpret_cast<const PackedRecord *>(
-                      payload_ + first * sizeof(PackedRecord)),
-                  out, n, path_, first);
+    validate(first, n);
+    std::memcpy(out, records(first), n * sizeof(TraceRecord));
 }
 
 uint32_t
 MmapTraceFile::crcRange(uint64_t first, uint64_t n, uint32_t crc) const
 {
     PARA_ASSERT(first + n <= avail_, "crc range out of bounds");
-    return crc32Update(crc, payload_ + first * sizeof(PackedRecord),
-                       n * sizeof(PackedRecord));
+    return crc32Update(crc, records(first), n * sizeof(TraceRecord));
 }
 
 void
-MmapTraceFile::verifyPayload() const
+MmapTraceFile::verifyPayload(
+    size_t rangeRecords,
+    const std::function<void(uint64_t, size_t)> &visit) const
 {
     if (version_ < 2)
         return;
     if (avail_ < count_)
         throwTruncated(path_, avail_);
-    uint32_t crc = crc32Parallel(payload_, count_ * sizeof(PackedRecord));
+    PARA_ASSERT(!visit || rangeRecords > 0, "zero verify range");
+    constexpr size_t kRecord = sizeof(TraceRecord);
+    uint32_t crc = crc32Parallel(
+        payload_, count_ * kRecord,
+        visit ? rangeRecords * kRecord : crc32ChunkBytes,
+        [&](size_t offset, size_t len) {
+            if (visit)
+                visit(offset / kRecord, len / kRecord);
+        });
     if (PARA_FAILPOINT("trace.mmap.crc"))
         crc ^= 1; // simulated flipped payload bit
     if (crc != payloadCrc_) {
@@ -179,7 +186,7 @@ MmapTraceSource::nextBatch(TraceRecord *out, size_t max)
         return 0;
     uint64_t remaining = count - pos_;
     size_t n = remaining < max ? static_cast<size_t>(remaining) : max;
-    // Past-the-bytes reads throw the reader's truncation error from decode.
+    // Past-the-bytes reads throw the reader's truncation error.
     file_->decode(pos_, n, out);
     if (file_->formatVersion() >= 2)
         runningCrc_ = file_->crcRange(pos_, n, runningCrc_);

@@ -1,15 +1,16 @@
 /**
  * @file
- * Memory-mapped `.ptrc` trace access: random-access decode, zero read syscalls.
+ * Memory-mapped `.ptrc` trace access: records in place, zero read syscalls.
  *
  * TraceFileReader pulls records through buffered stdio — fine for one
  * sequential pass, but a fused sweep group or a sharded single-trace run
  * wants many readers over the same bytes. MmapTraceFile maps the file once
  * and validates the header exactly like TraceFileReader (same order, same
- * FatalError texts, same v1 warning), then serves bounds-checked random
- * access to the packed records; decode goes through the bulk SIMD unpack.
- * The kernel page cache shares the mapped bytes across every pool, cursor,
- * and process touching the trace.
+ * FatalError texts, same v1 warning). A record on disk is a TraceRecord,
+ * so the mapped payload is the record array itself: readers validate a
+ * range (validate.hpp) and then read it in place. The kernel page cache
+ * shares the mapped bytes across every pool, cursor, and process touching
+ * the trace.
  *
  * MmapTraceSource is the sequential TraceSource view used by streamed solo
  * cells: byte-for-byte the same observable behavior as TraceFileReader,
@@ -22,6 +23,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -64,16 +66,20 @@ class MmapTraceFile
     uint32_t formatVersion() const { return version_; }
     const std::string &path() const { return path_; }
 
-    /** Raw mapped record; @p index must be < availableRecords(). */
-    const PackedRecord *packed(uint64_t index) const;
+    /** The mapped records from @p first on (<= availableRecords()),
+     *  unvalidated: validate() a range before reading it. */
+    const TraceRecord *records(uint64_t first = 0) const;
 
     /**
-     * Decode records [@p first, @p first + @p n) into @p out.
-     *
-     * Throws the reader-identical truncation FatalError if the range runs
-     * past the mapped bytes, and reader-identical located errors for any
-     * corrupt record (via the bulk unpack).
+     * Check records [@p first, @p first + @p n): throws the
+     * reader-identical truncation FatalError if the range runs past the
+     * mapped bytes, and a reader-identical located error for the first
+     * corrupt record in it.
      */
+    void validate(uint64_t first, size_t n) const;
+
+    /** validate() records [@p first, @p first + @p n), then copy them
+     *  into @p out. */
     void decode(uint64_t first, size_t n, TraceRecord *out) const;
 
     /**
@@ -82,8 +88,14 @@ class MmapTraceFile
      * its payload-mismatch FatalError on disagreement; no-op for v1 files.
      * The payload is checksummed in 8 MiB chunks on up to
      * hardware_concurrency() threads (crc32Parallel), joined before return.
+     * With @p visit, the chunks are runs of @p rangeRecords records, and
+     * the checksum threads hand every run to @p visit (first record,
+     * record count) right after checksumming it, while its bytes are in
+     * cache; @p visit runs concurrently and must not throw.
      */
-    void verifyPayload() const;
+    void verifyPayload(
+        size_t rangeRecords = 0,
+        const std::function<void(uint64_t, size_t)> &visit = {}) const;
 
     /** Fold records [@p first, @p first + @p n) into a running CRC-32. */
     uint32_t crcRange(uint64_t first, uint64_t n, uint32_t crc) const;

@@ -6,6 +6,7 @@
 
 #include "support/failpoint.hpp"
 #include "support/panic.hpp"
+#include "trace/validate.hpp"
 
 namespace paragraph {
 namespace trace {
@@ -18,8 +19,23 @@ SharedDecodePool::SharedDecodePool(std::shared_ptr<const MmapTraceFile> file,
     count_ = file_->recordCount();
     if (opt_.maxRecords != 0 && opt_.maxRecords < count_)
         count_ = opt_.maxRecords;
-    if (opt_.verifyPayload)
-        file_->verifyPayload();
+    state_ = std::make_unique<std::atomic<uint8_t>[]>(blockCount());
+    if (!opt_.verifyPayload)
+        return;
+    // The checksum pass reads every byte anyway: range-check each block
+    // right after its bytes are checksummed, on the same threads, so an
+    // uncapped stream makes one pass over memory, not two. A block that
+    // fails stays unchecked, so its first touch throws the located error.
+    // A block past a cap is checked with the records past it; if those
+    // are bad it stays unchecked, and its first touch checks only its own.
+    file_->verifyPayload(opt_.blockRecords, [this](uint64_t first, size_t n) {
+        const size_t index = static_cast<size_t>(first / opt_.blockRecords);
+        if (index < blockCount() &&
+            packedRecordsValid(file_->records(first), n)) {
+            state_[index].store(kValid, std::memory_order_relaxed);
+            blocksChecked_.fetch_add(1, std::memory_order_relaxed);
+        }
+    });
 }
 
 size_t
@@ -29,130 +45,52 @@ SharedDecodePool::blockCount() const
                                opt_.blockRecords);
 }
 
-std::shared_ptr<const DecodedBlock>
+std::span<const TraceRecord>
 SharedDecodePool::block(size_t index)
 {
     PARA_ASSERT(index < blockCount(), "block index out of range");
-    std::unique_lock<std::mutex> lock(mutex_);
-    for (;;) {
-        auto it = cache_.find(index);
-        if (it != cache_.end()) {
-            it->second.lastUse = ++useCounter_;
-            return it->second.block;
+    const uint64_t first = static_cast<uint64_t>(index) * opt_.blockRecords;
+    const size_t n = static_cast<size_t>(
+        std::min<uint64_t>(opt_.blockRecords, count_ - first));
+    if (PARA_FAILPOINT("trace.decode.block"))
+        throw std::bad_alloc(); // simulated failure to serve the block
+    std::atomic<uint8_t> &state = state_[index];
+    uint8_t seen = state.load(std::memory_order_acquire);
+    while (seen != kValid) {
+        if (seen == kChecking) {
+            state.wait(kChecking, std::memory_order_acquire);
+            seen = state.load(std::memory_order_acquire);
+            continue;
         }
-        if (inProgress_.count(index) == 0)
-            break;
-        cv_.wait(lock);
-    }
-
-    // First consumer to reach this block decodes it for everyone.
-    inProgress_.insert(index);
-    lock.unlock();
-
-    auto blk = std::make_shared<DecodedBlock>();
-    blk->firstRecord = static_cast<uint64_t>(index) * opt_.blockRecords;
-    size_t n = static_cast<size_t>(
-        std::min<uint64_t>(opt_.blockRecords, count_ - blk->firstRecord));
-    blk->records.resize(n);
-    try {
-        if (PARA_FAILPOINT("trace.decode.block"))
-            throw std::bad_alloc(); // simulated decode-time ENOMEM
-        file_->decode(blk->firstRecord, n, blk->records.data());
-    } catch (...) {
-        lock.lock();
-        inProgress_.erase(index);
-        cv_.notify_all();
-        throw;
-    }
-
-    lock.lock();
-    inProgress_.erase(index);
-    CacheEntry entry;
-    entry.block = blk;
-    entry.lastUse = ++useCounter_;
-    cache_.emplace(index, std::move(entry));
-    ++blocksDecoded_;
-    evictLocked();
-    cv_.notify_all();
-    return blk;
-}
-
-void
-SharedDecodePool::evictLocked()
-{
-    while (cache_.size() > opt_.maxCachedBlocks) {
-        auto victim = cache_.end();
-        for (auto it = cache_.begin(); it != cache_.end(); ++it) {
-            // use_count 1 == only the cache holds it; consumers keep their
-            // own shared_ptr, so an in-use block is never dropped from
-            // under a reader — it just leaves the cache and dies when the
-            // last reader releases it.
-            if (it->second.block.use_count() > 1)
-                continue;
-            if (victim == cache_.end() ||
-                it->second.lastUse < victim->second.lastUse)
-                victim = it;
+        // First touch: whoever claims the block checks it for everyone.
+        if (!state.compare_exchange_weak(seen, kChecking,
+                                         std::memory_order_acquire))
+            continue;
+        try {
+            file_->validate(first, n);
+        } catch (...) {
+            state.store(kUnchecked, std::memory_order_release);
+            state.notify_all();
+            throw;
         }
-        if (victim == cache_.end())
-            return; // everything still referenced; allow the overshoot
-        cache_.erase(victim);
+        blocksChecked_.fetch_add(1, std::memory_order_relaxed);
+        state.store(kValid, std::memory_order_release);
+        state.notify_all();
+        break;
     }
-}
-
-size_t
-SharedDecodePool::cachedBlocks() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return cache_.size();
-}
-
-size_t
-SharedDecodePool::cachedBytes() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    size_t bytes = 0;
-    for (const auto &kv : cache_)
-        bytes += kv.second.block->records.size() * sizeof(TraceRecord);
-    return bytes;
-}
-
-uint64_t
-SharedDecodePool::blocksDecoded() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return blocksDecoded_;
-}
-
-void
-SharedDecodePool::trim()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (auto it = cache_.begin(); it != cache_.end();) {
-        if (it->second.block.use_count() > 1)
-            ++it;
-        else
-            it = cache_.erase(it);
-    }
+    return {file_->records(first), n};
 }
 
 size_t
 SharedDecodeCursor::next(const TraceRecord **records)
 {
-    current_.reset(); // release the previous block before taking the next
     if (nextBlock_ >= pool_->blockCount()) {
         *records = nullptr;
         return 0;
     }
-    current_ = pool_->block(nextBlock_++);
-    *records = current_->records.data();
-    return current_->records.size();
-}
-
-void
-SharedDecodeCursor::reset()
-{
-    current_.reset();
-    nextBlock_ = 0;
+    std::span<const TraceRecord> block = pool_->block(nextBlock_++);
+    *records = block.data();
+    return block.size();
 }
 
 } // namespace trace

@@ -1,39 +1,40 @@
 /**
  * @file
- * SharedDecodePool: decode each trace block once, share it with every reader.
+ * SharedDecodePool: a mapped `.ptrc` served in place as record blocks.
  *
- * BENCH_sweep.json's streamed `--jobs=8` regression had one root cause:
- * every worker analyzing the same `.ptrc` re-decoded the whole file through
- * a private BlockPipeline. The pool inverts that: one mapped file, one
- * decode of each 64K-record block (whichever consumer gets there first pays
- * it; everyone else waits on a condition variable instead of redoing the
- * work), and refcounted `shared_ptr<const DecodedBlock>` handout so a block
- * stays alive exactly as long as some engine is reading it. A small LRU
- * keeps recently decoded blocks warm for consumers running slightly apart
- * in the trace; trim() drops every unreferenced block when the trace
- * repository needs the bytes back for its budget.
- *
- * Blocks hold fully unpacked TraceRecords (the layout the placement loop
- * consumes; the mapped PackedRecords are the storage-efficient form), so a
- * handed-out span feeds Paragraph::processAll with zero further copies.
+ * A record on disk is a TraceRecord (record.hpp), so a mapped payload is
+ * already the record array the placement loop reads: there is nothing to
+ * decode and nothing to cache. The pool hands out 64K-record blocks as
+ * spans into the mapping, and checks each block once with the SIMD range
+ * scan (validate.hpp). Every fused group, solo cell and shard segment over
+ * one input shares one mapping and one set of checks; the kernel page
+ * cache holds the bytes.
  *
  * Integrity: the pool verifies the v2 payload CRC over the mapped bytes
  * once at construction — eager, unlike the sequential reader's check at
  * end-of-stream, because random-access consumers may legitimately never
- * read the final block. The error text matches TraceFileReader's.
+ * read the final block. The error text matches TraceFileReader's. That
+ * pass range-checks each block right after checksumming it, while its
+ * bytes are in cache, so an uncapped stream reads the payload from memory
+ * once for both checks.
+ *
+ * A block the pass did not find valid (or every block, in a capped pool,
+ * which skips the payload CRC) is checked on its first touch: one consumer
+ * checks it while any others touching it at that moment wait for the
+ * verdict. A corrupt block throws the located error (record index, byte
+ * offset) to its checker; it stays unchecked, so each waiter, and any
+ * later retry, checks it again and gets the same error.
  */
 
 #ifndef PARAGRAPH_TRACE_SHARED_DECODE_HPP
 #define PARAGRAPH_TRACE_SHARED_DECODE_HPP
 
-#include <condition_variable>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
-#include <unordered_set>
-#include <vector>
+#include <span>
+#include <string>
 
 #include "trace/block_source.hpp"
 #include "trace/mmap_io.hpp"
@@ -41,13 +42,6 @@
 
 namespace paragraph {
 namespace trace {
-
-/** One decoded block; immutable once published. */
-struct DecodedBlock
-{
-    uint64_t firstRecord = 0;
-    std::vector<TraceRecord> records;
-};
 
 class SharedDecodePool
 {
@@ -57,13 +51,12 @@ class SharedDecodePool
         /** Records per block (matches the fused block-major granule). */
         size_t blockRecords = 65536;
 
-        /** Unreferenced decoded blocks kept warm (LRU beyond this). */
-        size_t maxCachedBlocks = 8;
-
-        /** Serve only the first maxRecords records; 0 = whole trace. */
+        /** Serve only the first maxRecords records; 0 = whole trace.
+         *  Records past the cap are never checked. */
         uint64_t maxRecords = 0;
 
-        /** Verify the v2 payload CRC eagerly at construction. */
+        /** Verify the v2 payload CRC eagerly at construction, checking
+         *  every block in the same pass. */
         bool verifyPayload = true;
     };
 
@@ -81,53 +74,34 @@ class SharedDecodePool
     std::string name() const { return file_->path(); }
 
     /**
-     * The decoded block at @p index, decoding it (once) if needed.
-     *
-     * Concurrent callers for the same undecoded block: one decodes, the
-     * rest wait. Decode errors propagate to every waiter and are not
-     * cached, so a retry re-attempts the decode.
+     * The records of block @p index, in place in the mapping (valid as
+     * long as the pool lives), checked on the block's first touch. Throws
+     * the located FatalError of a corrupt block, or the truncation error
+     * of a block past the file's bytes, on every call that reaches it.
      */
-    std::shared_ptr<const DecodedBlock> block(size_t index);
+    std::span<const TraceRecord> block(size_t index);
 
-    /** Blocks currently cached (decoded and retained). */
-    size_t cachedBlocks() const;
-
-    /** Bytes held by cached blocks (for the repository's byte budget). */
-    size_t cachedBytes() const;
-
-    /** Total decode executions — the decode-once observability counter. */
-    uint64_t blocksDecoded() const;
-
-    /** Drop every cached block no consumer currently references. */
-    void trim();
+    /** Blocks checked and found valid, each counted once (in the payload
+     *  checksum pass or on first touch). */
+    uint64_t blocksDecoded() const
+    {
+        return blocksChecked_.load(std::memory_order_relaxed);
+    }
 
   private:
+    enum : uint8_t { kUnchecked, kChecking, kValid };
+
     std::shared_ptr<const MmapTraceFile> file_;
     Options opt_;
     uint64_t count_ = 0;
-
-    mutable std::mutex mutex_;
-    std::condition_variable cv_;
-
-    struct CacheEntry
-    {
-        std::shared_ptr<const DecodedBlock> block;
-        uint64_t lastUse = 0;
-    };
-
-    std::unordered_map<size_t, CacheEntry> cache_;
-    std::unordered_set<size_t> inProgress_;
-    uint64_t useCounter_ = 0;
-    uint64_t blocksDecoded_ = 0;
-
-    void evictLocked();
+    std::unique_ptr<std::atomic<uint8_t>[]> state_; ///< per block
+    std::atomic<uint64_t> blocksChecked_{0};
 };
 
 /**
- * BlockSource view of a pool: hands out whole decoded blocks in order,
- * holding the current block's refcount until the next call. Many cursors
- * can walk the same pool concurrently; the first one to reach a block
- * decodes it for all.
+ * BlockSource view of a pool: hands out whole blocks in order. Many
+ * cursors can walk the same pool concurrently; the first one to reach an
+ * unchecked block checks it for all.
  */
 class SharedDecodeCursor : public BlockSource
 {
@@ -139,11 +113,10 @@ class SharedDecodeCursor : public BlockSource
 
     size_t next(const TraceRecord **records) override;
 
-    void reset();
+    void reset() { nextBlock_ = 0; }
 
   private:
     std::shared_ptr<SharedDecodePool> pool_;
-    std::shared_ptr<const DecodedBlock> current_;
     size_t nextBlock_ = 0;
 };
 

@@ -46,13 +46,13 @@ toString(const TraceRecord &rec)
 {
     std::ostringstream oss;
     oss << isa::opClassName(rec.cls) << " ";
-    if (rec.dest.valid())
-        oss << operandToString(rec.dest) << " <-";
+    if (rec.hasDest())
+        oss << operandToString(rec.dest()) << " <-";
     for (int i = 0; i < rec.numSrcs; ++i)
-        oss << " " << operandToString(rec.srcs[i]);
-    if (rec.isSysCall)
+        oss << " " << operandToString(rec.src(i));
+    if (rec.isSysCall())
         oss << " [syscall]";
-    if (!rec.createsValue)
+    if (!rec.createsValue())
         oss << " [no-value]";
     return oss.str();
 }
@@ -62,11 +62,11 @@ TraceStats::add(const TraceRecord &rec)
 {
     ++totalInstructions;
     ++byClass[static_cast<size_t>(rec.cls)];
-    if (rec.createsValue)
+    if (rec.createsValue())
         ++valueCreating;
     if (rec.cls == isa::OpClass::Control)
         ++controlInstructions;
-    if (rec.isSysCall)
+    if (rec.isSysCall())
         ++sysCalls;
     if (rec.cls == isa::OpClass::Load)
         ++loads;
@@ -82,8 +82,8 @@ TraceStats::add(const TraceRecord &rec)
             ++dataAccesses;
     };
     for (int i = 0; i < rec.numSrcs; ++i)
-        count_mem(rec.srcs[i]);
-    count_mem(rec.dest);
+        count_mem(rec.src(i));
+    count_mem(rec.dest());
 }
 
 TraceStats

@@ -233,17 +233,17 @@ class ReferenceAnalyzer
             if (displaced != SlidingWindow::notPlaced)
                 raiseFloor(displaced + 1);
         }
-        if (rec.isSysCall)
+        if (rec.isSysCall())
             ++result_.sysCalls;
-        if (rec.isCondBranch) {
+        if (rec.isCondBranch()) {
             ++result_.condBranches;
             if (predictor_.kind() != PredictorKind::Perfect &&
-                !predictor_.predictAndUpdate(rec.pc, rec.branchTaken)) {
+                !predictor_.predictAndUpdate(rec.pc, rec.branchTaken())) {
                 ++result_.branchMispredictions;
                 int64_t resolve = highest_;
                 for (int s = 0; s < rec.numSrcs; ++s) {
                     LiveValue *lv =
-                        findOrCreatePre(locationKey(rec.srcs[s]));
+                        findOrCreatePre(locationKey(rec.src(s)));
                     if (lv->level + 1 > resolve)
                         resolve = lv->level + 1;
                 }
@@ -251,15 +251,15 @@ class ReferenceAnalyzer
             }
         }
 
-        bool place = rec.createsValue;
-        if (rec.isSysCall && !cfg_.sysCallsStall)
+        bool place = rec.createsValue();
+        if (rec.isSysCall() && !cfg_.sysCallsStall)
             place = false;
 
         int64_t level = SlidingWindow::notPlaced;
         if (place)
             level = placeRecord(rec);
 
-        if (rec.isSysCall && cfg_.sysCallsStall)
+        if (rec.isSysCall() && cfg_.sysCallsStall)
             raiseFloor(deepest_ + 1);
         if (window_)
             window_->entered(level);
@@ -271,14 +271,14 @@ class ReferenceAnalyzer
         // True data dependencies.
         int64_t issue = highest_;
         for (int s = 0; s < rec.numSrcs; ++s) {
-            LiveValue *lv = findOrCreatePre(locationKey(rec.srcs[s]));
+            LiveValue *lv = findOrCreatePre(locationKey(rec.src(s)));
             if (lv->level + 1 > issue)
                 issue = lv->level + 1;
         }
         // Storage dependency on the destination.
-        const bool has_dest = rec.dest.valid();
-        const uint64_t dkey = has_dest ? locationKey(rec.dest) : 0;
-        if (has_dest && !renamed(rec.dest)) {
+        const bool has_dest = rec.dest().valid();
+        const uint64_t dkey = has_dest ? locationKey(rec.dest()) : 0;
+        if (has_dest && !renamed(rec.dest())) {
             if (LiveValue *dp = well_.find(dkey)) {
                 if (dp->deepestAccess + 1 > issue) {
                     issue = dp->deepestAccess + 1;
@@ -298,7 +298,7 @@ class ReferenceAnalyzer
 
         // Read accesses (re-probed by key; no handles anywhere).
         for (int s = 0; s < rec.numSrcs; ++s) {
-            LiveValue *lv = well_.find(locationKey(rec.srcs[s]));
+            LiveValue *lv = well_.find(locationKey(rec.src(s)));
             ++lv->useCount;
             if (ldest > lv->deepestAccess)
                 lv->deepestAccess = ldest;
@@ -308,7 +308,7 @@ class ReferenceAnalyzer
             for (int s = 0; s < rec.numSrcs; ++s) {
                 if (!(rec.lastUseMask & (1u << s)))
                     continue;
-                uint64_t key = locationKey(rec.srcs[s]);
+                uint64_t key = locationKey(rec.src(s));
                 if (LiveValue *lv = well_.find(key)) {
                     retire(*lv);
                     well_.erase(key);

@@ -20,8 +20,8 @@ TraceRecord
 condBranch(uint8_t src, bool taken, uint64_t pc)
 {
     TraceRecord rec = branch({src});
-    rec.isCondBranch = true;
-    rec.branchTaken = taken;
+    rec.setCondBranch(true);
+    rec.setBranchTaken(taken);
     rec.pc = pc;
     return rec;
 }
@@ -200,8 +200,8 @@ TEST(MispredictFirewall, BaselineAndBuilderAgreeUnderPredictors)
     // randomTrace branches are not conditional; synthesize outcomes.
     for (auto &rec : buf.records()) {
         if (rec.cls == isa::OpClass::Control) {
-            rec.isCondBranch = true;
-            rec.branchTaken = (rec.pc % 3) != 0;
+            rec.setCondBranch(true);
+            rec.setBranchTaken((rec.pc % 3) != 0);
         }
     }
     AnalysisConfig cfg = AnalysisConfig::dataflowConservative();

@@ -80,8 +80,8 @@ randomTraceWithCondBranches(uint64_t seed, size_t length)
     Prng coin(seed ^ 0x9e3779b97f4a7c15ULL);
     for (trace::TraceRecord &rec : buf.records()) {
         if (rec.cls == isa::OpClass::Control) {
-            rec.isCondBranch = true;
-            rec.branchTaken = coin.nextBelow(2) == 0;
+            rec.setCondBranch(true);
+            rec.setBranchTaken(coin.nextBelow(2) == 0);
         }
     }
     return buf;

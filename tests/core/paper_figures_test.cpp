@@ -165,7 +165,7 @@ TEST(PaperFigure3, ControlDependencyViaFirewall)
     TraceBuffer buf;
     buf.push(load(0, addrA)); // load r0,A
     buf.push(syscall());      // read r1 (stand-in: writes v0/r2... use r1)
-    buf.records().back().dest = trace::Operand::intReg(1);
+    buf.records().back().setDest(trace::Operand::intReg(1));
     buf.push(branch({1}));    // cmp/ble r1 (not placed)
     buf.push(alu(2, {0, 1})); // r2 <- r0 - r1 (the taken path)
     buf.push(store(addrS, 2));

@@ -32,9 +32,9 @@ branchyTrace(uint64_t seed, size_t length, bool with_syscalls = true)
     TraceBuffer buf = randomTrace(seed, length, with_syscalls);
     Prng prng(testSeed(seed + 7919));
     for (TraceRecord &rec : buf.records()) {
-        if (rec.cls == isa::OpClass::Control && !rec.isSysCall) {
-            rec.isCondBranch = true;
-            rec.branchTaken = prng.nextBelow(3) != 0; // taken-biased
+        if (rec.cls == isa::OpClass::Control && !rec.isSysCall()) {
+            rec.setCondBranch(true);
+            rec.setBranchTaken(prng.nextBelow(3) != 0); // taken-biased
             rec.pc %= 61; // alias counters: hits and misses both occur
         }
     }
@@ -155,7 +155,7 @@ TEST(ShardPlan, CutsFollowSyscalls)
         ASSERT_GT(cut, 0u);
         ASSERT_LT(cut, n);
         EXPECT_GT(cut, prev);
-        EXPECT_TRUE(records[cut - 1].isSysCall)
+        EXPECT_TRUE(records[cut - 1].isSysCall())
             << "cut " << cut << " not after a syscall";
         prev = cut;
     }
@@ -288,7 +288,7 @@ TEST(PatchPlan, ModeledPredictorCutsAfterMispredictsWithBranchBase)
     for (size_t k = 0; k < plan.cuts.size(); ++k) {
         uint64_t count = 0;
         for (size_t i = 0; i < plan.cuts[k]; ++i) {
-            if (records[i].isCondBranch)
+            if (records[i].isCondBranch())
                 ++count;
         }
         EXPECT_EQ(plan.branchBase[k + 1], count) << "cut " << k;
@@ -296,7 +296,7 @@ TEST(PatchPlan, ModeledPredictorCutsAfterMispredictsWithBranchBase)
     // The bitvector holds one bit per conditional branch of the trace.
     uint64_t branches = 0;
     for (size_t i = 0; i < n; ++i)
-        branches += records[i].isCondBranch ? 1 : 0;
+        branches += records[i].isCondBranch() ? 1 : 0;
     EXPECT_EQ(plan.bits.count, branches);
 }
 

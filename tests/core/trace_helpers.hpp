@@ -24,10 +24,10 @@ alu(uint8_t dest, std::initializer_list<uint8_t> srcs)
 {
     TraceRecord rec;
     rec.cls = isa::OpClass::IntAlu;
-    rec.createsValue = true;
+    rec.setCreatesValue(true);
     for (uint8_t s : srcs)
         rec.addSrc(Operand::intReg(s));
-    rec.dest = Operand::intReg(dest);
+    rec.setDest(Operand::intReg(dest));
     return rec;
 }
 
@@ -38,11 +38,11 @@ load(uint8_t dest, uint64_t addr, Segment seg = Segment::Data,
 {
     TraceRecord rec;
     rec.cls = isa::OpClass::Load;
-    rec.createsValue = true;
+    rec.setCreatesValue(true);
     if (addr_reg >= 0)
         rec.addSrc(Operand::intReg(static_cast<uint8_t>(addr_reg)));
     rec.addSrc(Operand::mem(addr, seg));
-    rec.dest = Operand::intReg(dest);
+    rec.setDest(Operand::intReg(dest));
     return rec;
 }
 
@@ -52,9 +52,9 @@ store(uint64_t addr, uint8_t src, Segment seg = Segment::Data)
 {
     TraceRecord rec;
     rec.cls = isa::OpClass::Store;
-    rec.createsValue = true;
+    rec.setCreatesValue(true);
     rec.addSrc(Operand::intReg(src));
-    rec.dest = Operand::mem(addr, seg);
+    rec.setDest(Operand::mem(addr, seg));
     return rec;
 }
 
@@ -64,7 +64,7 @@ branch(std::initializer_list<uint8_t> srcs)
 {
     TraceRecord rec;
     rec.cls = isa::OpClass::Control;
-    rec.createsValue = false;
+    rec.setCreatesValue(false);
     for (uint8_t s : srcs)
         rec.addSrc(Operand::intReg(s));
     return rec;
@@ -76,10 +76,10 @@ syscall()
 {
     TraceRecord rec;
     rec.cls = isa::OpClass::SysCall;
-    rec.createsValue = true;
-    rec.isSysCall = true;
+    rec.setCreatesValue(true);
+    rec.setSysCall(true);
     rec.addSrc(Operand::intReg(2));
-    rec.dest = Operand::intReg(2);
+    rec.setDest(Operand::intReg(2));
     return rec;
 }
 
@@ -137,11 +137,11 @@ randomTrace(uint64_t seed, size_t length, bool with_syscalls = true)
         } else {
             rec.cls = value_classes[prng.nextBelow(
                 sizeof(value_classes) / sizeof(value_classes[0]))];
-            rec.createsValue = true;
+            rec.setCreatesValue(true);
             int nsrcs = static_cast<int>(prng.nextBelow(3));
             for (int s = 0; s < nsrcs; ++s)
                 rec.addSrc(rand_operand());
-            rec.dest = rand_operand();
+            rec.setDest(rand_operand());
         }
         buf.push(rec);
     }

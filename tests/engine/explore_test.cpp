@@ -119,9 +119,9 @@ syscallHeavyTrace()
     for (int i = 0; i < 40; ++i) {
         trace::TraceRecord rec;
         rec.cls = isa::OpClass::IntAlu;
-        rec.isSysCall = true;
-        rec.createsValue = true;
-        rec.dest = trace::Operand::intReg(static_cast<uint8_t>(i % 8));
+        rec.setSysCall(true);
+        rec.setCreatesValue(true);
+        rec.setDest(trace::Operand::intReg(static_cast<uint8_t>(i % 8)));
         rec.pc = static_cast<uint64_t>(i);
         buffer->push(rec);
     }

@@ -345,30 +345,30 @@ done:   syscall
 
     ASSERT_TRUE(m.step(rec)); // li
     EXPECT_EQ(rec.numSrcs, 0);
-    EXPECT_TRUE(rec.createsValue);
-    EXPECT_EQ(rec.dest, Operand::intReg(isa::regT0));
+    EXPECT_TRUE(rec.createsValue());
+    EXPECT_EQ(rec.dest(), Operand::intReg(isa::regT0));
     EXPECT_EQ(rec.cls, isa::OpClass::IntAlu);
 
     ASSERT_TRUE(m.step(rec)); // addi
     ASSERT_EQ(rec.numSrcs, 1);
-    EXPECT_EQ(rec.srcs[0], Operand::intReg(isa::regT0));
+    EXPECT_EQ(rec.src(0), Operand::intReg(isa::regT0));
 
     ASSERT_TRUE(m.step(rec)); // sw
     EXPECT_EQ(rec.cls, isa::OpClass::Store);
-    EXPECT_TRUE(rec.createsValue);
+    EXPECT_TRUE(rec.createsValue());
     ASSERT_EQ(rec.numSrcs, 2);
-    EXPECT_TRUE(rec.dest.isMem());
-    EXPECT_EQ(rec.dest.seg, Segment::Stack);
+    EXPECT_TRUE(rec.dest().isMem());
+    EXPECT_EQ(rec.dest().seg, Segment::Stack);
 
     ASSERT_TRUE(m.step(rec)); // lw
     EXPECT_EQ(rec.cls, isa::OpClass::Load);
     ASSERT_EQ(rec.numSrcs, 2);
-    bool has_mem = rec.srcs[0].isMem() || rec.srcs[1].isMem();
+    bool has_mem = rec.src(0).isMem() || rec.src(1).isMem();
     EXPECT_TRUE(has_mem);
 
     ASSERT_TRUE(m.step(rec)); // beq (taken)
     EXPECT_EQ(rec.cls, isa::OpClass::Control);
-    EXPECT_FALSE(rec.createsValue);
+    EXPECT_FALSE(rec.createsValue());
 }
 
 TEST(Machine, JalRecordCreatesRa)
@@ -380,8 +380,8 @@ f:      nop
     Machine m(prog);
     trace::TraceRecord rec;
     ASSERT_TRUE(m.step(rec));
-    EXPECT_TRUE(rec.createsValue);
-    EXPECT_EQ(rec.dest, Operand::intReg(isa::regRa));
+    EXPECT_TRUE(rec.createsValue());
+    EXPECT_EQ(rec.dest(), Operand::intReg(isa::regRa));
 }
 
 TEST(Machine, SegmentClassificationInTrace)
@@ -405,8 +405,8 @@ g:      .word 1
         buf.push(rec);
     auto seg_of_load = [&](size_t idx) {
         for (int s = 0; s < buf[idx].numSrcs; ++s) {
-            if (buf[idx].srcs[s].isMem())
-                return buf[idx].srcs[s].seg;
+            if (buf[idx].src(s).isMem())
+                return buf[idx].src(s).seg;
         }
         return Segment::None;
     };

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <mutex>
 #include <vector>
 
 #include "support/crc32.hpp"
@@ -120,4 +122,33 @@ TEST(Crc32, ChunkedEqualsSerialAroundChunkMultiples)
     }
     EXPECT_EQ(crc32Parallel(buf.data(), buf.size()),
               referenceCrc(buf.data(), buf.size()));
+}
+
+TEST(Crc32, ChunkedVisitSeesEveryPieceOnce)
+{
+    // Whole chunks, then the tail as its own piece: together they tile the
+    // buffer exactly, and the checksum is unchanged by the visits.
+    constexpr size_t kChunk = 64;
+    std::vector<unsigned char> buf = randomBytes(9 * kChunk, 7);
+    for (unsigned threads : {1u, 3u, 4u}) {
+        for (size_t len : {size_t{0}, kChunk - 1, 5 * kChunk,
+                           8 * kChunk + 13}) {
+            std::mutex mutex;
+            std::map<size_t, size_t> pieces;
+            uint32_t crc = detail::crc32Chunked(
+                buf.data(), len, kChunk, threads,
+                [&](size_t offset, size_t n) {
+                    std::lock_guard<std::mutex> lock(mutex);
+                    EXPECT_TRUE(pieces.emplace(offset, n).second);
+                });
+            EXPECT_EQ(crc, referenceCrc(buf.data(), len));
+            size_t next = 0;
+            for (const auto &[offset, n] : pieces) {
+                EXPECT_EQ(offset, next);
+                EXPECT_LE(n, kChunk);
+                next = offset + n;
+            }
+            EXPECT_EQ(next, len) << len << " bytes on " << threads;
+        }
+    }
 }

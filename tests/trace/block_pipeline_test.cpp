@@ -149,6 +149,29 @@ TEST(BlockPipeline, ProducerExceptionPropagates)
         ASSERT_EQ(got[i], buf[i]) << "record " << i;
 }
 
+TEST(BlockPipeline, ProducerExceptionPropagatesRepeatedly)
+{
+    // The producer publishes its exception after its handler has ended;
+    // published from inside the handler, the handler's end raced the
+    // consumer's what(). Many short runs give a sanitizer build the
+    // interleavings to see such a race.
+    TraceBuffer buf = testhelpers::randomTrace(16, 200);
+    for (int run = 0; run < 50; ++run) {
+        ThrowingSource src(buf, 100);
+        BlockPipeline::Options opt;
+        opt.blockRecords = 32;
+        BlockPipeline pipe(src, opt);
+        const TraceRecord *block = nullptr;
+        try {
+            while (pipe.next(&block) > 0) {
+            }
+            FAIL() << "run " << run << ": no exception";
+        } catch (const FatalError &e) {
+            EXPECT_STREQ(e.what(), "record decode failed") << "run " << run;
+        }
+    }
+}
+
 TEST(BlockPipeline, ExceptionInFirstBlock)
 {
     TraceBuffer buf = testhelpers::randomTrace(15, 100);

@@ -27,10 +27,10 @@ randomRecord(Prng &prng, uint64_t pc)
 {
     TraceRecord rec;
     rec.cls = static_cast<isa::OpClass>(prng.nextBelow(isa::numOpClasses));
-    rec.createsValue = prng.nextBelow(2) != 0;
-    rec.isSysCall = prng.nextBelow(32) == 0;
-    rec.isCondBranch = prng.nextBelow(8) == 0;
-    rec.branchTaken = rec.isCondBranch && prng.nextBelow(2) != 0;
+    rec.setCreatesValue(prng.nextBelow(2) != 0);
+    rec.setSysCall(prng.nextBelow(32) == 0);
+    rec.setCondBranch(prng.nextBelow(8) == 0);
+    rec.setBranchTaken(rec.isCondBranch() && prng.nextBelow(2) != 0);
     rec.pc = pc;
     rec.lastUseMask = static_cast<uint8_t>(prng.nextBelow(8));
     int nsrcs = static_cast<int>(prng.nextBelow(4));
@@ -51,13 +51,13 @@ randomRecord(Prng &prng, uint64_t pc)
             break;
         }
     }
-    if (rec.createsValue) {
+    if (rec.createsValue()) {
         if (prng.nextBelow(4) == 0) {
-            rec.dest = Operand::mem(0x7fff0000 - 8 * prng.nextBelow(1 << 12),
-                                    Segment::Stack);
+            rec.setDest(Operand::mem(0x7fff0000 - 8 * prng.nextBelow(1 << 12),
+                                    Segment::Stack));
         } else {
-            rec.dest =
-                Operand::intReg(static_cast<uint8_t>(prng.nextBelow(32)));
+            rec.setDest(
+                Operand::intReg(static_cast<uint8_t>(prng.nextBelow(32))));
         }
     }
     return rec;

@@ -32,8 +32,8 @@ simpleRecord(unsigned i)
 {
     TraceRecord rec;
     rec.cls = isa::OpClass::IntAlu;
-    rec.createsValue = true;
-    rec.dest = Operand::intReg(static_cast<uint8_t>(i % 32));
+    rec.setCreatesValue(true);
+    rec.setDest(Operand::intReg(static_cast<uint8_t>(i % 32)));
     rec.addSrc(Operand::intReg(static_cast<uint8_t>((i + 1) % 32)));
     rec.pc = 0x1000 + i;
     return rec;
@@ -115,7 +115,7 @@ packedRecords(unsigned n)
 {
     std::vector<PackedRecord> out;
     for (unsigned i = 0; i < n; ++i)
-        out.push_back(packRecord(simpleRecord(i)));
+        out.push_back(simpleRecord(i));
     return out;
 }
 
@@ -211,7 +211,7 @@ TEST_F(CorruptTrace, BadOperandSegmentRejectedWithLocation)
 TEST_F(CorruptTrace, BadOpClassRejectedWithLocation)
 {
     std::vector<PackedRecord> recs = packedRecords(4);
-    recs[3].cls = 0xc8;
+    recs[3].cls = static_cast<isa::OpClass>(0xc8);
     writeCraftedTrace(path_, traceFileVersion, recs);
     std::string err = readAllError(path_);
     EXPECT_NE(err.find("operation class"), std::string::npos) << err;

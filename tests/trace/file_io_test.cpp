@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "support/panic.hpp"
 #include "support/prng.hpp"
@@ -26,8 +28,8 @@ randomRecord(Prng &prng)
 {
     TraceRecord rec;
     rec.cls = static_cast<isa::OpClass>(prng.nextBelow(isa::numOpClasses));
-    rec.createsValue = prng.nextBelow(2) != 0;
-    rec.isSysCall = prng.nextBelow(16) == 0;
+    rec.setCreatesValue(prng.nextBelow(2) != 0);
+    rec.setSysCall(prng.nextBelow(16) == 0);
     rec.pc = prng.next();
     int nsrcs = static_cast<int>(prng.nextBelow(4));
     for (int i = 0; i < nsrcs; ++i) {
@@ -40,8 +42,9 @@ randomRecord(Prng &prng)
                                         1 + prng.nextBelow(3))));
         }
     }
-    if (rec.createsValue)
-        rec.dest = Operand::intReg(static_cast<uint8_t>(prng.nextBelow(32)));
+    if (rec.createsValue())
+        rec.setDest(
+            Operand::intReg(static_cast<uint8_t>(prng.nextBelow(32))));
     rec.lastUseMask = static_cast<uint8_t>(prng.nextBelow(8));
     return rec;
 }
@@ -50,12 +53,31 @@ randomRecord(Prng &prng)
 
 TEST(PackedRecord, RoundTripsEveryField)
 {
+    // A record on disk is the record in memory: written and read back,
+    // every field, and every byte, survives.
     Prng prng(11);
+    std::vector<TraceRecord> recs;
     for (int i = 0; i < 1000; ++i) {
         TraceRecord rec = randomRecord(prng);
-        TraceRecord back = unpackRecord(packRecord(rec));
-        EXPECT_EQ(rec, back);
+        rec.setCondBranch(prng.nextBelow(2) != 0);
+        rec.setBranchTaken(prng.nextBelow(2) != 0);
+        recs.push_back(rec);
     }
+    std::string path = tempPath("para_roundtrip_fields.ptrc");
+    {
+        TraceFileWriter writer(path);
+        writer.write(recs.data(), recs.size());
+        writer.close();
+    }
+    TraceFileReader reader(path);
+    TraceRecord back;
+    for (const TraceRecord &rec : recs) {
+        ASSERT_TRUE(reader.next(back));
+        EXPECT_EQ(rec, back);
+        EXPECT_EQ(std::memcmp(&rec, &back, sizeof rec), 0);
+    }
+    EXPECT_FALSE(reader.next(back));
+    std::remove(path.c_str());
 }
 
 TEST(TraceFile, WriteThenReadBack)
@@ -91,20 +113,20 @@ TEST(TraceFile, ResetReplaysFromStart)
         TraceFileWriter writer(path);
         TraceRecord rec;
         rec.cls = isa::OpClass::IntAlu;
-        rec.createsValue = true;
-        rec.dest = Operand::intReg(9);
+        rec.setCreatesValue(true);
+        rec.setDest(Operand::intReg(9));
         writer.write(rec);
-        rec.dest = Operand::intReg(10);
+        rec.setDest(Operand::intReg(10));
         writer.write(rec);
     }
     TraceFileReader reader(path);
     TraceRecord rec;
     ASSERT_TRUE(reader.next(rec));
     ASSERT_TRUE(reader.next(rec));
-    EXPECT_EQ(rec.dest.id, 10u);
+    EXPECT_EQ(rec.dest().id, 10u);
     reader.reset();
     ASSERT_TRUE(reader.next(rec));
-    EXPECT_EQ(rec.dest.id, 9u);
+    EXPECT_EQ(rec.dest().id, 9u);
     std::remove(path.c_str());
 }
 

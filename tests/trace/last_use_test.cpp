@@ -16,11 +16,11 @@ op(uint8_t dest, std::initializer_list<uint8_t> srcs)
 {
     TraceRecord rec;
     rec.cls = isa::OpClass::IntAlu;
-    rec.createsValue = dest != 0xff;
+    rec.setCreatesValue(dest != 0xff);
     for (uint8_t s : srcs)
         rec.addSrc(Operand::intReg(s));
     if (dest != 0xff)
-        rec.dest = Operand::intReg(dest);
+        rec.setDest(Operand::intReg(dest));
     return rec;
 }
 
@@ -111,14 +111,14 @@ TEST(LastUse, MemoryLocations)
     TraceBuffer buf;
     TraceRecord store;
     store.cls = isa::OpClass::Store;
-    store.createsValue = true;
+    store.setCreatesValue(true);
     store.addSrc(Operand::intReg(1));
-    store.dest = Operand::mem(0x100, Segment::Data);
+    store.setDest(Operand::mem(0x100, Segment::Data));
     TraceRecord load;
     load.cls = isa::OpClass::Load;
-    load.createsValue = true;
+    load.setCreatesValue(true);
     load.addSrc(Operand::mem(0x100, Segment::Data));
-    load.dest = Operand::intReg(2);
+    load.setDest(Operand::intReg(2));
     buf.push(op(1, {}));
     buf.push(store);
     buf.push(load);
@@ -155,20 +155,20 @@ TEST(LastUseProperty, NoReadsAfterMarkedLastUse)
         for (int s = 0; s < buf[i].numSrcs; ++s) {
             if (!(buf[i].lastUseMask & (1u << s)))
                 continue;
-            uint64_t key = locationKey(buf[i].srcs[s]);
+            uint64_t key = locationKey(buf[i].src(s));
             // If this instruction itself redefines the location, the old
             // value's lifetime ends here and later reads see the new value.
-            if (buf[i].createsValue && locationKey(buf[i].dest) == key)
+            if (buf[i].createsValue() && locationKey(buf[i].dest()) == key)
                 continue;
             // Scan forward until the next write to this location: there
             // must be no intervening read.
             for (size_t j = i + 1; j < buf.size(); ++j) {
-                if (buf[j].createsValue &&
-                    locationKey(buf[j].dest) == key) {
+                if (buf[j].createsValue() &&
+                    locationKey(buf[j].dest()) == key) {
                     break;
                 }
                 for (int t = 0; t < buf[j].numSrcs; ++t)
-                    ASSERT_NE(locationKey(buf[j].srcs[t]), key)
+                    ASSERT_NE(locationKey(buf[j].src(t)), key)
                         << "read after last use at record " << i;
             }
         }

@@ -35,8 +35,8 @@ simpleRecord(unsigned i)
 {
     TraceRecord rec;
     rec.cls = isa::OpClass::IntAlu;
-    rec.createsValue = true;
-    rec.dest = Operand::intReg(static_cast<uint8_t>(i % 32));
+    rec.setCreatesValue(true);
+    rec.setDest(Operand::intReg(static_cast<uint8_t>(i % 32)));
     rec.addSrc(Operand::intReg(static_cast<uint8_t>((i + 1) % 32)));
     rec.pc = 0x1000 + i;
     return rec;
@@ -174,9 +174,8 @@ TEST(MmapGolden, PacksIdenticallyToReaderOverGoldenTrace)
     uint64_t n = 0;
     while (reader.next(fromReader)) {
         ASSERT_TRUE(src.next(fromMmap)) << "mmap ran short at record " << n;
-        PackedRecord a = packRecord(fromReader);
-        PackedRecord b = packRecord(fromMmap);
-        ASSERT_EQ(std::memcmp(&a, &b, sizeof(a)), 0)
+        ASSERT_EQ(std::memcmp(&fromReader, &fromMmap, sizeof(fromReader)),
+                  0)
             << "record " << n << " differs";
         ++n;
     }
@@ -200,9 +199,7 @@ TEST(MmapGolden, BatchedAndSingleReadsAgree)
             break;
         for (size_t i = 0; i < got; ++i) {
             ASSERT_TRUE(one.next(rec));
-            PackedRecord a = packRecord(rec);
-            PackedRecord b = packRecord(batch[i]);
-            ASSERT_EQ(std::memcmp(&a, &b, sizeof(a)), 0)
+            ASSERT_EQ(std::memcmp(&rec, &batch[i], sizeof(rec)), 0)
                 << "record " << (n + i) << " differs";
         }
         n += got;
@@ -286,7 +283,7 @@ TEST_F(MmapTrace, CorruptFieldLocatedLikeReader)
 {
     std::vector<PackedRecord> recs;
     for (unsigned i = 0; i < 4; ++i)
-        recs.push_back(packRecord(simpleRecord(i)));
+        recs.push_back(simpleRecord(i));
     recs[2].numSrcs = 7; // > maxSrcs, smuggled under a valid CRC
     writeCraftedTrace(path_, traceFileVersion, recs);
     std::string err = mmapError(path_);
@@ -299,7 +296,7 @@ TEST_F(MmapTrace, V1FilesStillReadWithoutChecksums)
 {
     std::vector<PackedRecord> recs;
     for (unsigned i = 0; i < 4; ++i)
-        recs.push_back(packRecord(simpleRecord(i)));
+        recs.push_back(simpleRecord(i));
     writeCraftedTrace(path_, 1, recs);
 
     auto file = std::make_shared<MmapTraceFile>(path_);
@@ -336,7 +333,7 @@ TEST_F(MmapTrace, TryOpenValidatesLikeTheConstructor)
     auto ok = MmapTraceFile::tryOpen(path_);
     ASSERT_NE(ok, nullptr);
     EXPECT_EQ(ok->recordCount(), 4u);
-    EXPECT_NE(ok->packed(0), nullptr);
+    EXPECT_NE(ok->records(0), nullptr);
 
     flipByte(path_, 0);
     EXPECT_THROW(MmapTraceFile::tryOpen(path_), FatalError);
@@ -383,7 +380,7 @@ TEST_F(MmapTrace, VerifyIsANoOpOnV1Files)
 {
     std::vector<PackedRecord> recs;
     for (unsigned i = 0; i < 4; ++i)
-        recs.push_back(packRecord(simpleRecord(i)));
+        recs.push_back(simpleRecord(i));
     writeCraftedTrace(path_, 1, recs);
     flipByte(path_, inRangeByte(2)); // v1 has no checksum to catch it
     EXPECT_EQ(verifyError(path_), "");

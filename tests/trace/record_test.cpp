@@ -1,9 +1,11 @@
 // Tests for TraceRecord, Operand, location keys, TraceBuffer, TraceStats.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 
 #include "trace/buffer.hpp"
+#include "trace/file_io.hpp"
 #include "trace/record.hpp"
 #include "trace/stats.hpp"
 
@@ -69,12 +71,70 @@ TEST(TraceRecord, ToStringMentionsParts)
     TraceRecord rec;
     rec.cls = isa::OpClass::Load;
     rec.addSrc(Operand::mem(0x2000, Segment::Heap));
-    rec.dest = Operand::intReg(8);
-    rec.createsValue = true;
+    rec.setDest(Operand::intReg(8));
+    rec.setCreatesValue(true);
     std::string s = toString(rec);
     EXPECT_NE(s.find("t0"), std::string::npos);
     EXPECT_NE(s.find("heap"), std::string::npos);
     EXPECT_NE(s.find("Load"), std::string::npos);
+}
+
+TEST(TraceRecord, FieldsSitAtTheirFormatV2Bytes)
+{
+    // The record is the trace file's record: pin where every accessor
+    // writes, byte for byte (the layout itself is static_asserted).
+    static_assert(sizeof(TraceRecord) == 48);
+    static_assert(sizeof(PackedRecord) == sizeof(TraceRecord));
+    TraceRecord rec;
+    rec.cls = isa::OpClass::Load;
+    rec.setCreatesValue(true);
+    rec.setSysCall(true);
+    rec.setCondBranch(true);
+    rec.setBranchTaken(true);
+    rec.setSysCall(false);
+    rec.addSrc(Operand::mem(0x1122334455667788ULL, Segment::Stack));
+    rec.addSrc(Operand::fpReg(7));
+    rec.setDest(Operand::intReg(9));
+    rec.lastUseMask = 2;
+    rec.pc = 0xa0b0c0d0e0f00010ULL;
+
+    unsigned char bytes[48];
+    std::memcpy(bytes, &rec, sizeof bytes);
+    EXPECT_EQ(bytes[0], static_cast<unsigned char>(isa::OpClass::Load));
+    EXPECT_EQ(bytes[1], 0x01 | 0x04 | 0x08); // value, cond branch, taken
+    EXPECT_EQ(bytes[2], 2);                  // numSrcs
+    EXPECT_EQ(bytes[3], 2);                  // lastUseMask
+    EXPECT_EQ(bytes[4], 0x33); // Mem | Stack << 4
+    EXPECT_EQ(bytes[5], 0x02); // FpReg
+    EXPECT_EQ(bytes[6], 0x00); // unused source slot
+    EXPECT_EQ(bytes[7], 0x01); // IntReg destination
+    const unsigned char id0[8] = {0x88, 0x77, 0x66, 0x55,
+                                  0x44, 0x33, 0x22, 0x11};
+    EXPECT_EQ(std::memcmp(bytes + 8, id0, 8), 0); // little-endian id
+    EXPECT_EQ(bytes[16], 7);
+    EXPECT_EQ(bytes[32], 9);
+    EXPECT_EQ(bytes[40], 0x10);
+    EXPECT_EQ(bytes[47], 0xa0);
+
+    EXPECT_TRUE(rec.createsValue());
+    EXPECT_FALSE(rec.isSysCall());
+    EXPECT_TRUE(rec.isCondBranch());
+    EXPECT_TRUE(rec.branchTaken());
+    EXPECT_EQ(rec.src(0), Operand::mem(0x1122334455667788ULL, Segment::Stack));
+    EXPECT_EQ(rec.src(1), Operand::fpReg(7));
+    EXPECT_FALSE(rec.src(2).valid());
+    EXPECT_EQ(rec.dest(), Operand::intReg(9));
+    EXPECT_TRUE(rec.hasDest());
+}
+
+TEST(Operand, LocationKeyOfKindByteMatchesTheOperand)
+{
+    for (Operand op : {Operand{}, Operand::intReg(3), Operand::fpReg(31),
+                       Operand::mem(0xfff0, Segment::Data),
+                       Operand::mem(~0ULL, Segment::Heap)}) {
+        EXPECT_EQ(locationKey(kindByte(op), op.id), locationKey(op));
+        EXPECT_EQ(operandOf(kindByte(op), op.id), op);
+    }
 }
 
 TEST(SegmentNames, AllDistinct)
@@ -92,10 +152,10 @@ simpleAlu(uint8_t dest, uint8_t s1, uint8_t s2)
 {
     TraceRecord rec;
     rec.cls = isa::OpClass::IntAlu;
-    rec.createsValue = true;
+    rec.setCreatesValue(true);
     rec.addSrc(Operand::intReg(s1));
     rec.addSrc(Operand::intReg(s2));
-    rec.dest = Operand::intReg(dest);
+    rec.setDest(Operand::intReg(dest));
     return rec;
 }
 
@@ -111,14 +171,14 @@ TEST(BufferSource, ReplaysAndResets)
 
     TraceRecord rec;
     ASSERT_TRUE(src.next(rec));
-    EXPECT_EQ(rec.dest.id, 1u);
+    EXPECT_EQ(rec.dest().id, 1u);
     ASSERT_TRUE(src.next(rec));
-    EXPECT_EQ(rec.dest.id, 4u);
+    EXPECT_EQ(rec.dest().id, 4u);
     EXPECT_FALSE(src.next(rec));
 
     src.reset();
     ASSERT_TRUE(src.next(rec));
-    EXPECT_EQ(rec.dest.id, 1u);
+    EXPECT_EQ(rec.dest().id, 1u);
 }
 
 TEST(TraceBuffer, CaptureDrainsSource)
@@ -140,16 +200,16 @@ TEST(TraceStats, CountsClassesAndSegments)
 
     TraceRecord load;
     load.cls = isa::OpClass::Load;
-    load.createsValue = true;
+    load.setCreatesValue(true);
     load.addSrc(Operand::mem(0x100, Segment::Stack));
-    load.dest = Operand::intReg(1);
+    load.setDest(Operand::intReg(1));
     stats.add(load);
 
     TraceRecord store;
     store.cls = isa::OpClass::Store;
-    store.createsValue = true;
+    store.setCreatesValue(true);
     store.addSrc(Operand::intReg(1));
-    store.dest = Operand::mem(0x10000000, Segment::Data);
+    store.setDest(Operand::mem(0x10000000, Segment::Data));
     stats.add(store);
 
     TraceRecord branch;
@@ -159,12 +219,12 @@ TEST(TraceStats, CountsClassesAndSegments)
 
     TraceRecord sys;
     sys.cls = isa::OpClass::SysCall;
-    sys.isSysCall = true;
+    sys.setSysCall(true);
     stats.add(sys);
 
     TraceRecord fmul;
     fmul.cls = isa::OpClass::FpMul;
-    fmul.createsValue = true;
+    fmul.setCreatesValue(true);
     stats.add(fmul);
 
     EXPECT_EQ(stats.totalInstructions, 5u);

@@ -1,9 +1,12 @@
-// SharedDecodePool: each 64K block of a mapped trace is decoded exactly
-// once no matter how many cursors walk it — concurrently or in sequence —
-// with an LRU keeping unreferenced blocks warm, trim() reclaiming them,
-// and the v2 payload CRC verified eagerly at construction (random-access
-// consumers may never reach the final block where the sequential reader
-// checks it).
+// SharedDecodePool: a mapped trace served in place as record blocks. Each
+// 64K block is checked exactly once no matter how many cursors walk it —
+// concurrently or in sequence, or up front in the payload checksum pass —
+// blocks are spans into the mapping (byte for byte the file's payload), a
+// capped pool never checks past its cap,
+// a corrupt block throws the same located error to every cursor that
+// reaches it (and again on a retry), and the v2 payload CRC is verified
+// eagerly at construction (random-access consumers may never reach the
+// final block where the sequential reader checks it).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -14,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "support/failpoint.hpp"
 #include "support/panic.hpp"
 #include "trace/file_io.hpp"
 #include "trace/shared_decode.hpp"
@@ -34,20 +38,39 @@ simpleRecord(unsigned i)
 {
     TraceRecord rec;
     rec.cls = isa::OpClass::IntAlu;
-    rec.createsValue = true;
-    rec.dest = Operand::intReg(static_cast<uint8_t>(i % 32));
+    rec.setCreatesValue(true);
+    rec.setDest(Operand::intReg(static_cast<uint8_t>(i % 32)));
     rec.addSrc(Operand::intReg(static_cast<uint8_t>((i + 1) % 32)));
     rec.pc = 0x1000 + i;
     return rec;
 }
 
+/** Write @p n simple records; record @p badIndex (if below n) gets an
+ *  out-of-range source count under a valid payload CRC. */
 void
-writeTrace(const std::string &path, unsigned n)
+writeTrace(const std::string &path, unsigned n, unsigned badIndex = ~0u)
 {
     TraceFileWriter writer(path);
-    for (unsigned i = 0; i < n; ++i)
-        writer.write(simpleRecord(i));
+    for (unsigned i = 0; i < n; ++i) {
+        TraceRecord rec = simpleRecord(i);
+        if (i == badIndex)
+            rec.numSrcs = 7;
+        writer.write(rec);
+    }
     writer.close();
+}
+
+/** The error @p fn throws, or "" when it does not throw. */
+template <typename Fn>
+std::string
+errorOf(Fn &&fn)
+{
+    try {
+        fn();
+        return "";
+    } catch (const FatalError &e) {
+        return e.what();
+    }
 }
 
 void
@@ -97,9 +120,10 @@ class SharedDecode : public ::testing::Test
     void TearDown() override { std::remove(path_.c_str()); }
 
     std::shared_ptr<SharedDecodePool>
-    makePool(unsigned records, SharedDecodePool::Options opt)
+    makePool(unsigned records, SharedDecodePool::Options opt,
+             unsigned badIndex = ~0u)
     {
-        writeTrace(path_, records);
+        writeTrace(path_, records, badIndex);
         return std::make_shared<SharedDecodePool>(
             std::make_shared<MmapTraceFile>(path_), opt);
     }
@@ -111,20 +135,24 @@ TEST_F(SharedDecode, SequentialCursorsDecodeEachBlockOnce)
 {
     SharedDecodePool::Options opt;
     opt.blockRecords = 16;
-    auto pool = makePool(100, opt); // 7 blocks, cache cap 8 holds them all
+    opt.verifyPayload = false; // blocks are then checked on first touch
+    auto pool = makePool(100, opt); // 7 blocks
     EXPECT_EQ(pool->recordCount(), 100u);
     EXPECT_EQ(pool->blockCount(), 7u);
+    EXPECT_EQ(pool->blocksDecoded(), 0u);
 
     SharedDecodeCursor first(pool), second(pool);
     EXPECT_EQ(drainCursor(first), 100u);
+    EXPECT_EQ(pool->blocksDecoded(), 7u);
     EXPECT_EQ(drainCursor(second), 100u);
-    EXPECT_EQ(pool->blocksDecoded(), 7u); // the whole point
+    EXPECT_EQ(pool->blocksDecoded(), 7u); // checked once, served twice
 }
 
 TEST_F(SharedDecode, ConcurrentCursorsDecodeEachBlockOnce)
 {
     SharedDecodePool::Options opt;
     opt.blockRecords = 16;
+    opt.verifyPayload = false;
     auto pool = makePool(100, opt);
 
     std::vector<std::thread> threads;
@@ -142,41 +170,70 @@ TEST_F(SharedDecode, ConcurrentCursorsDecodeEachBlockOnce)
     EXPECT_EQ(pool->blocksDecoded(), pool->blockCount());
 }
 
+TEST_F(SharedDecode, VerifiedPoolChecksEveryBlockInItsChecksumPass)
+{
+    // The payload CRC pass reads every byte: it range-checks each block
+    // too, so cursors find every block already checked.
+    SharedDecodePool::Options opt;
+    opt.blockRecords = 16;
+    auto pool = makePool(100, opt);
+    EXPECT_EQ(pool->blocksDecoded(), 7u);
+    SharedDecodeCursor cursor(pool);
+    EXPECT_EQ(drainCursor(cursor), 100u);
+    EXPECT_EQ(pool->blocksDecoded(), 7u);
+}
+
 TEST_F(SharedDecode, BlocksCarryCorrectBoundsAndContents)
 {
     SharedDecodePool::Options opt;
     opt.blockRecords = 16;
     auto pool = makePool(50, opt);
 
-    auto blk = pool->block(2);
-    ASSERT_NE(blk, nullptr);
-    EXPECT_EQ(blk->firstRecord, 32u);
-    ASSERT_EQ(blk->records.size(), 16u);
-    for (size_t i = 0; i < blk->records.size(); ++i)
-        EXPECT_EQ(blk->records[i].pc, 0x1000 + 32 + i);
+    std::span<const TraceRecord> blk = pool->block(2);
+    ASSERT_EQ(blk.size(), 16u);
+    EXPECT_EQ(blk.data(), pool->file().records(32)); // in place
+    for (size_t i = 0; i < blk.size(); ++i)
+        EXPECT_EQ(blk[i].pc, 0x1000 + 32 + i);
 
-    auto tail = pool->block(3); // 50 = 3*16 + 2: a partial final block
-    ASSERT_NE(tail, nullptr);
-    EXPECT_EQ(tail->firstRecord, 48u);
-    EXPECT_EQ(tail->records.size(), 2u);
+    std::span<const TraceRecord> tail = pool->block(3); // 50 = 3*16 + 2
+    EXPECT_EQ(tail.data(), pool->file().records(48));
+    EXPECT_EQ(tail.size(), 2u);
 }
 
-TEST_F(SharedDecode, LruEvictsUnreferencedBlocksBeyondTheCap)
+TEST(SharedDecodeGolden, BlocksAreTheMappedPayloadByteForByte)
 {
-    SharedDecodePool::Options opt;
-    opt.blockRecords = 16;
-    opt.maxCachedBlocks = 2;
-    auto pool = makePool(160, opt); // 10 blocks through a 2-block cache
+    // The golden traces were written by the 80-byte-record code; served
+    // blocks must be exactly their payload bytes, in order.
+    for (const char *name : {"xlisp-800.ptrc", "matrix300-600.ptrc"}) {
+        SCOPED_TRACE(name);
+        const std::string golden =
+            std::string(PARAGRAPH_GOLDEN_DIR) + "/" + name;
+        std::FILE *f = std::fopen(golden.c_str(), "rb");
+        ASSERT_NE(f, nullptr);
+        std::vector<unsigned char> bytes;
+        for (int c; (c = std::fgetc(f)) != EOF;)
+            bytes.push_back(static_cast<unsigned char>(c));
+        std::fclose(f);
 
-    SharedDecodeCursor cursor(pool);
-    EXPECT_EQ(drainCursor(cursor), 160u);
-    EXPECT_EQ(pool->blocksDecoded(), 10u);
-    EXPECT_LE(pool->cachedBlocks(), 3u); // cap + the one the cursor held
-
-    // A second walk must re-decode what the LRU dropped.
-    SharedDecodeCursor again(pool);
-    EXPECT_EQ(drainCursor(again), 160u);
-    EXPECT_GT(pool->blocksDecoded(), 10u);
+        SharedDecodePool::Options opt;
+        opt.blockRecords = 64; // several blocks and a partial tail
+        auto pool = std::make_shared<SharedDecodePool>(
+            std::make_shared<MmapTraceFile>(golden), opt);
+        ASSERT_EQ(bytes.size(), sizeof(TraceFileHeader) +
+                                    pool->recordCount() * sizeof(TraceRecord));
+        SharedDecodeCursor cursor(pool);
+        const TraceRecord *records = nullptr;
+        size_t offset = sizeof(TraceFileHeader);
+        while (size_t n = cursor.next(&records)) {
+            ASSERT_EQ(std::memcmp(records, bytes.data() + offset,
+                                  n * sizeof(TraceRecord)),
+                      0)
+                << "block at byte " << offset;
+            offset += n * sizeof(TraceRecord);
+        }
+        EXPECT_EQ(offset, bytes.size());
+        EXPECT_EQ(pool->blocksDecoded(), pool->blockCount());
+    }
 }
 
 TEST_F(SharedDecode, MaxRecordsClipsTheServedTrace)
@@ -190,29 +247,95 @@ TEST_F(SharedDecode, MaxRecordsClipsTheServedTrace)
 
     SharedDecodeCursor cursor(pool);
     EXPECT_EQ(drainCursor(cursor), 40u);
-    auto tail = pool->block(2);
-    EXPECT_EQ(tail->records.size(), 8u);
+    EXPECT_EQ(pool->block(2).size(), 8u);
 }
 
-TEST_F(SharedDecode, TrimDropsUnreferencedAndKeepsHeldBlocks)
+TEST_F(SharedDecode, CappedPoolNeverChecksPastItsCap)
+{
+    // Record 45 is corrupt, past the 40-record cap: a capped stream never
+    // reads it (the sequential reader would not reach it either), so the
+    // pool serves its 40 records without an error. The CRC covers the
+    // whole payload, which a capped read skips.
+    SharedDecodePool::Options opt;
+    opt.blockRecords = 16;
+    opt.maxRecords = 40;
+    opt.verifyPayload = false;
+    auto pool = makePool(100, opt, /*badIndex=*/45);
+    SharedDecodeCursor cursor(pool);
+    EXPECT_EQ(drainCursor(cursor), 40u);
+    EXPECT_EQ(pool->blocksDecoded(), 3u);
+
+    // The same record inside the cap is an error.
+    opt.maxRecords = 46;
+    auto wider = std::make_shared<SharedDecodePool>(
+        std::make_shared<MmapTraceFile>(path_), opt);
+    SharedDecodeCursor widerCursor(wider);
+    EXPECT_NE(errorOf([&] { drainCursor(widerCursor); }).find("record 45"),
+              std::string::npos);
+}
+
+TEST_F(SharedDecode, CorruptBlockThrowsTheLocatedErrorToEveryCursor)
+{
+    // Record 37 (block 2 of 16-record blocks) has a bad source count under
+    // a valid payload CRC, so only the block check can catch it — on
+    // first touch, or in the checksum pass, which leaves it unchecked.
+    writeTrace(path_, 100, /*badIndex=*/37);
+    std::string readerError = errorOf([&] {
+        TraceFileReader reader(path_);
+        TraceRecord rec;
+        while (reader.next(rec)) {
+        }
+    });
+    ASSERT_NE(readerError.find("bad source count 7 (record 37 at offset " +
+                               std::to_string(recordOffset(37)) + ")"),
+              std::string::npos)
+        << readerError;
+
+    for (bool verify : {false, true}) {
+        SCOPED_TRACE(verify ? "verified pool" : "unverified pool");
+        SharedDecodePool::Options opt;
+        opt.blockRecords = 16;
+        opt.verifyPayload = verify;
+        auto pool = std::make_shared<SharedDecodePool>(
+            std::make_shared<MmapTraceFile>(path_), opt);
+        // Every block but 2 in the checksum pass; blocks 0 and 1 before
+        // the cursors stop at 2 otherwise.
+        const uint64_t checked = verify ? 6 : 2;
+
+        std::vector<std::string> errors(4);
+        std::vector<std::thread> threads;
+        for (size_t t = 0; t < errors.size(); ++t) {
+            threads.emplace_back([&, t] {
+                SharedDecodeCursor cursor(pool);
+                errors[t] = errorOf([&] { drainCursor(cursor); });
+            });
+        }
+        for (std::thread &th : threads)
+            th.join();
+        for (const std::string &e : errors)
+            EXPECT_EQ(e, readerError);
+        EXPECT_EQ(pool->blocksDecoded(), checked);
+
+        // The block stays unchecked: a retry checks it again, and fails
+        // again. Blocks past it are served.
+        EXPECT_EQ(errorOf([&] { pool->block(2); }), readerError);
+        EXPECT_EQ(pool->blocksDecoded(), checked);
+        EXPECT_EQ(pool->block(3).size(), 16u);
+    }
+}
+
+TEST_F(SharedDecode, BlockFailpointFailsOneFetchAndARetryIsServed)
 {
     SharedDecodePool::Options opt;
     opt.blockRecords = 16;
-    auto pool = makePool(100, opt);
-
-    std::shared_ptr<const DecodedBlock> held = pool->block(0);
-    SharedDecodeCursor cursor(pool);
-    drainCursor(cursor);
-    EXPECT_GT(pool->cachedBlocks(), 1u);
-
-    pool->trim();
-    EXPECT_EQ(pool->cachedBlocks(), 1u); // only the held block survives
-    EXPECT_EQ(held->firstRecord, 0u);    // and stays readable
-
-    held.reset();
-    pool->trim();
-    EXPECT_EQ(pool->cachedBlocks(), 0u);
-    EXPECT_EQ(pool->cachedBytes(), 0u);
+    auto pool = makePool(50, opt);
+    failpoint::reset();
+    std::string error;
+    ASSERT_TRUE(failpoint::configure("trace.decode.block=once", error))
+        << error;
+    EXPECT_THROW(pool->block(1), std::bad_alloc);
+    EXPECT_EQ(pool->block(1).size(), 16u);
+    failpoint::reset();
 }
 
 TEST_F(SharedDecode, PayloadCrcVerifiedEagerlyAtConstruction)
@@ -221,7 +344,7 @@ TEST_F(SharedDecode, PayloadCrcVerifiedEagerlyAtConstruction)
     // In-range bit flip: only the payload CRC can catch it, and the pool
     // must do so at construction, not at whatever block gets read last.
     flipByte(path_, static_cast<long>(sizeof(TraceFileHeader)) +
-                        60 * static_cast<long>(sizeof(PackedRecord)) + 8);
+                        60 * static_cast<long>(sizeof(TraceRecord)) + 8);
     try {
         SharedDecodePool pool(std::make_shared<MmapTraceFile>(path_), {});
         FAIL() << "corrupt payload was accepted";
@@ -232,12 +355,10 @@ TEST_F(SharedDecode, PayloadCrcVerifiedEagerlyAtConstruction)
     }
 
     // Opting out of the eager check serves the bytes as mapped (the flip
-    // kept every field in range, so decode itself succeeds).
+    // kept every field in range, so the block check passes).
     SharedDecodePool::Options opt;
     opt.verifyPayload = false;
     auto pool = std::make_shared<SharedDecodePool>(
         std::make_shared<MmapTraceFile>(path_), opt);
-    auto blk = pool->block(0);
-    ASSERT_NE(blk, nullptr);
-    EXPECT_EQ(blk->records.size(), pool->recordCount());
+    EXPECT_EQ(pool->block(0).size(), pool->recordCount());
 }

@@ -112,8 +112,8 @@ TEST(WorkloadSuite, HeapUsersAllocate)
         bool heap_access = false;
         while (src->next(rec)) {
             for (int s = 0; s < rec.numSrcs; ++s)
-                heap_access |= rec.srcs[s].isMem() &&
-                               rec.srcs[s].seg == trace::Segment::Heap;
+                heap_access |= rec.src(s).isMem() &&
+                               rec.src(s).seg == trace::Segment::Heap;
         }
         EXPECT_TRUE(heap_access) << name;
     }

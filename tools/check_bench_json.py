@@ -11,8 +11,9 @@ Usage:
       [--inputs=A,B] [--windows=16,64] [--max=N]
 
 Default mode runs the benchmark with --json and validates the
-paragraph-bench-hotpath-v1 document shape: schema id, timestamp, a
-non-empty results array with the per-row fields, and the geomean summary.
+paragraph-bench-hotpath-v1 document shape: schema id, timestamp, the
+record size, a non-empty results array with the per-row fields, and the
+geomean summary.
 
 --sweep mode runs paragraph-sweep and validates the paragraph-sweep-v3
 document: schema id, cell counters that agree with the cells array, an
@@ -761,9 +762,11 @@ def main():
 
     if doc.get("schema") != SCHEMA:
         fail(f"schema is {doc.get('schema')!r}, expected {SCHEMA!r}")
-    for key in ("timestamp", "max_instructions", "repeats"):
+    for key in ("timestamp", "max_instructions", "repeats", "record_bytes"):
         if key not in doc:
             fail(f"missing top-level key {key!r}")
+    if doc["record_bytes"] <= 0:
+        fail("record_bytes must be positive")
     results = doc.get("results")
     if not isinstance(results, list) or not results:
         fail("results must be a non-empty array")

@@ -18,7 +18,8 @@
 //     --deadline=SECONDS     per-attempt cell deadline
 //     --small                serve workload inputs at reduced scale
 //     --trace-budget=BYTES   LRU byte budget for cached trace-file captures
-//                            and decode pools (simulated inputs hold none)
+//                            only, at 48 B per record (simulated inputs
+//                            and mapped decode pools hold none)
 //     --store-budget=BYTES   byte budget for hot result text (the on-disk
 //                            store itself is unbounded; cold entries are
 //                            re-read on demand)

@@ -36,9 +36,9 @@
 //                          single pass (default: auto)
 //   --stream               stream *.ptrc/*.ptrz inputs per pass instead of
 //                          capturing them in memory; `.ptrc` files are then
-//                          mmapped into a shared decode pool (each block
-//                          decoded once across all workers), fused groups
-//                          pay one decode for the whole group
+//                          mapped and read in place (each block checked
+//                          once across all workers), fused groups pay one
+//                          `.ptrz` decode for the whole group
 //   --shard=N              split each solo cell (captured or pooled
 //                          .ptrc stream) into up to N trace segments
 //                          analyzed on N threads and patched into the
