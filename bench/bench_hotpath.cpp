@@ -12,6 +12,10 @@
 // the capture reading each record's kind bytes and ids, as the placement
 // loop does, and places nothing; its ns/record beside a placement config's
 // is the share of the hot path spent reading records of `record_bytes`.
+// The `ptrz` config is the layer before it for a compressed trace: it
+// decodes the capture's `.ptrz` encoding into 4K-record blocks, as a fused
+// pass over a streamed `.ptrz` does (a `stream` row only). Neither row
+// counts in the placement geomeans.
 //
 // Results are written as `BENCH_hotpath.json` — a stable, timestamped schema
 // (`paragraph-bench-hotpath-v1`) meant to be re-run and diffed across
@@ -31,6 +35,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <ctime>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -41,9 +46,13 @@
 #include "engine/sweep_json.hpp"
 #include "support/ascii_table.hpp"
 #include "support/string_utils.hpp"
+#include "trace/block_source.hpp"
 #include "trace/buffer.hpp"
+#include "trace/compressed_io.hpp"
 #include "trace/last_use.hpp"
 #include "workloads/workload.hpp"
+
+#include <unistd.h>
 
 using namespace paragraph;
 
@@ -118,10 +127,13 @@ struct BenchConfig
     core::AnalysisConfig cfg;
     bool needsLastUse = false; ///< analyze the last-use-annotated capture
     bool fetchOnly = false;    ///< read the records, place nothing
+    bool ptrzDecode = false;   ///< decode the capture's `.ptrz` encoding
 };
 
-/** Label of the record-fetch row (excluded from the placement geomeans). */
+/** Labels of the record-fetch and `.ptrz` decode rows (excluded from the
+ *  placement geomeans). */
 const char *const kFetchLabel = "fetch";
+const char *const kPtrzLabel = "ptrz";
 
 std::vector<BenchConfig>
 makeConfigs(uint64_t max_instructions)
@@ -134,6 +146,8 @@ makeConfigs(uint64_t max_instructions)
     };
     // Record fetch alone: the operand bytes every placement reads first.
     configs.push_back(BenchConfig{kFetchLabel, {}, false, true});
+    // `.ptrz` decode alone: what a streamed compressed pass pays per block.
+    configs.push_back(BenchConfig{kPtrzLabel, {}, false, false, true});
     // The paper's default analysis: all renaming, unlimited window, perfect
     // prediction — the single-config analyze path.
     add("dataflow", core::AnalysisConfig::dataflowConservative());
@@ -219,10 +233,27 @@ timeFetch(const std::string &path, const trace::TraceBuffer &buffer)
         .count();
 }
 
+/** Decode the `.ptrz` at @p file into 4K-record blocks, as a fused pass
+ *  does. @return the seconds it took; @p records receives the count. */
+double
+timePtrzDecode(const std::string &file, uint64_t &records)
+{
+    trace::CompressedTraceReader reader(file);
+    trace::SourceBlocks blocks(reader, trace::kSourceBlockRecords);
+    const trace::TraceRecord *block = nullptr;
+    records = 0;
+    auto start = std::chrono::steady_clock::now();
+    while (size_t n = blocks.next(&block))
+        records += n;
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
+}
+
 Row
 measure(const std::string &input, const BenchConfig &bc,
         const std::string &path, const trace::TraceBuffer &buffer,
-        unsigned repeats)
+        unsigned repeats, const std::string &ptrzFile)
 {
     Row row;
     row.input = input;
@@ -233,6 +264,11 @@ measure(const std::string &input, const BenchConfig &bc,
         if (bc.fetchOnly) {
             row.instructions = buffer.size();
             row.seconds = std::min(row.seconds, timeFetch(path, buffer));
+            continue;
+        }
+        if (bc.ptrzDecode) {
+            row.seconds = std::min(
+                row.seconds, timePtrzDecode(ptrzFile, row.instructions));
             continue;
         }
         core::Paragraph analyzer(bc.cfg);
@@ -272,7 +308,7 @@ geomean(const std::vector<Row> &rows, const std::string &path)
     size_t n = 0;
     for (const Row &row : rows) {
         if (row.path == path && row.config != kFetchLabel &&
-            row.minstrPerSec > 0.0) {
+            row.config != kPtrzLabel && row.minstrPerSec > 0.0) {
             logSum += std::log(row.minstrPerSec);
             ++n;
         }
@@ -337,6 +373,13 @@ main(int argc, char **argv)
         configs = std::move(picked);
     }
     auto &suite = workloads::WorkloadSuite::instance();
+    bool wantPtrz = false;
+    for (const BenchConfig &bc : configs)
+        wantPtrz = wantPtrz || bc.ptrzDecode;
+    const std::string ptrzFile =
+        (std::filesystem::temp_directory_path() /
+         ("bench_hotpath_" + std::to_string(::getpid()) + ".ptrz"))
+            .string();
 
     std::vector<Row> rows;
     for (const std::string &input : opt.inputs) {
@@ -349,11 +392,22 @@ main(int argc, char **argv)
         trace::TraceBuffer annotated(buffer.records());
         trace::annotateLastUses(annotated);
 
+        // The capture's `.ptrz` encoding, for the decode row.
+        if (wantPtrz) {
+            trace::CompressedTraceWriter writer(ptrzFile);
+            for (const trace::TraceRecord &rec : buffer.records())
+                writer.write(rec);
+            writer.close();
+        }
+
         for (const BenchConfig &bc : configs) {
             const trace::TraceBuffer &buf =
                 bc.needsLastUse ? annotated : buffer;
             for (const char *path : {"stream", "bulk"}) {
-                rows.push_back(measure(input, bc, path, buf, opt.repeats));
+                if (bc.ptrzDecode && std::string(path) == "bulk")
+                    continue; // a decode is a stream by nature
+                rows.push_back(
+                    measure(input, bc, path, buf, opt.repeats, ptrzFile));
                 if (!opt.jsonToStdout) {
                     const Row &row = rows.back();
                     std::fprintf(stderr, "  %-10s %-12s %-7s %7.2f Minstr/s\n",
@@ -363,6 +417,8 @@ main(int argc, char **argv)
             }
         }
     }
+    if (wantPtrz)
+        std::remove(ptrzFile.c_str());
 
     if (opt.jsonToStdout) {
         writeJson(std::cout, opt, rows);

@@ -10,8 +10,8 @@
 // of it on one trace: the same 8-config window × renaming grid is run
 // solo (--group=1), mid-fused (--group=2), and fully fused (--group=0,
 // auto) over three sources — a captured in-memory trace, a streamed
-// `.ptrz` (private decoder per pass, the decoder-cap scheduler's
-// territory), and a streamed pooled `.ptrc` — at 1 and 8 worker threads;
+// `.ptrz` (decoded inline by each pass on its own worker), and a streamed
+// pooled `.ptrc` — at 1 and 8 worker threads;
 // then a single-config cell is run at --shard={1,2,4,8} over both the
 // captured source (buffer split-and-patch) and the pooled stream (block
 // split-and-patch). Every run's JSON document (timing off) is compared

@@ -5,16 +5,14 @@
 #include <memory>
 #include <utility>
 
-#include "trace/block_pipeline.hpp"
-
 namespace paragraph {
 namespace core {
 
 namespace {
 
-/// Records per shared block. Big enough that each engine's bulk loop
-/// amortizes its live-well re-warm across tens of thousands of records;
-/// small enough (a few MB) that the block itself stays in cache while
+/// Records per in-place slice of a capture. Big enough that each engine's
+/// bulk loop amortizes its live-well re-warm across tens of thousands of
+/// records; small enough (a few MB) that the slice stays in cache while
 /// several engines walk it.
 constexpr size_t fusedBlockRecords = 65536;
 
@@ -128,15 +126,12 @@ runFusedSource(trace::TraceSource &src,
     if (configs.empty())
         return {};
 
-    // Pipelined decode: the producer thread decodes the next block
-    // while the engines consume the current one. When every config has
-    // an instruction cap, the (shared) source is not drained past the
-    // largest.
-    trace::BlockPipeline::Options popt;
-    popt.blockRecords = fusedBlockRecords;
-    popt.maxRecords = passRecordLimit(configs);
-    trace::BlockPipeline pipe(src, popt);
-    return runFusedBlocks(pipe, configs, stop_on_engine_error);
+    // Inline: the source fills one reused block on this thread, then every
+    // live engine walks it. When every config has an instruction cap, the
+    // (shared) source is not drained past the largest.
+    trace::SourceBlocks blocks(src, trace::kSourceBlockRecords,
+                               passRecordLimit(configs));
+    return runFusedBlocks(blocks, configs, stop_on_engine_error);
 }
 
 } // namespace

@@ -10,13 +10,13 @@
  * generation (simulation, file decompression) is paid once instead of once
  * per configuration.
  *
- * Execution is block-major: large shared blocks (tens of thousands of
- * records) are fetched once, then each engine's bulk inner loop runs over
- * the whole block — engine-major within a block, so every live well stays
- * cache-hot instead of being re-warmed per record. Engines that hit their
- * own maxInstructions leave a compact live-engine list and stop costing
- * anything. For streaming sources the next block is decoded on a background
- * thread (trace::BlockPipeline) while the engines consume the current one.
+ * Execution is block-major: each shared block is fetched once, then each
+ * engine's bulk inner loop runs over the whole block — engine-major within
+ * a block, so every live well stays cache-hot instead of being re-warmed
+ * per record. Engines that hit their own maxInstructions leave a compact
+ * live-engine list and stop costing anything. A streaming source fills one
+ * reused block at a time on the calling thread (trace::SourceBlocks);
+ * nothing decodes or simulates on a helper thread.
  *
  * Cancellation is honored: each engine's AnalysisConfig::cancel is polled
  * from its bulk loop at the same cadence as Paragraph::processAll, and
@@ -74,12 +74,13 @@ struct MultiOutcome
     std::exception_ptr error;
 
     /** Seconds spent inside this engine's bulk loop and finish() — the
-     *  per-config share of the fused pass (block decode overlaps and is
+     *  per-config share of the fused pass (block fetches are shared and
      *  not attributed). */
     double engineSeconds = 0.0;
 
-    /** Seconds the fused pass spent waiting on block decode — shared
-     *  across the whole pass, so every outcome carries the same value. */
+    /** Seconds the fused pass spent fetching blocks (a streamed source's
+     *  inline decode or simulation) — shared across the whole pass, so
+     *  every outcome carries the same value. */
     double decodeSeconds = 0.0;
 };
 
@@ -88,6 +89,8 @@ struct MultiOutcome
  * MultiOutcome slot: the failing engine is dropped from the pass and every
  * sibling configuration still completes. Source errors (a corrupt trace
  * file, for instance) affect all engines equally and are still thrown.
+ * The source fills one reused 4K-record block at a time on the calling
+ * thread, up to passRecordLimit(@p configs) records.
  */
 std::vector<MultiOutcome>
 analyzeManyGuarded(trace::TraceSource &src,

@@ -11,7 +11,6 @@
 #include "core/multi.hpp"
 #include "core/shard.hpp"
 #include "support/parallel.hpp"
-#include "trace/block_source.hpp"
 #include "trace/shared_decode.hpp"
 
 namespace paragraph {
@@ -56,34 +55,20 @@ attemptConfig(const core::AnalysisConfig &cfg, double deadlineSeconds,
     return out;
 }
 
-/** Records per block a simulated pass steps the machine into (320 KB).
- *  The one block is rewritten for each step of the pass, so it stays in
- *  cache while every engine walks it. On a 4-vCPU Xeon VM, 40 sweep-sim
- *  shaped ops each (8 configs, 1M records, --jobs=4) took medians of 179,
- *  184 and 196 ms with 4K-, 16K- and 64K-record blocks, at peak RSS of
- *  20.9, 24.4 and 40.0 MB. */
-constexpr size_t kSimBlockRecords = 4096;
-
 /**
  * One guarded fused pass over @p input under @p cfgs — the pass every
- * group and every unsharded solo attempt runs. A simulated input runs its
- * simulator on this thread, one reused block at a time, up to the largest
- * cap in the pass; a pooled `.ptrc` stream walks the shared pool's blocks
- * in place in the mapping (each block checked once across every pass on
- * the input); other streams (`.ptrz`) decode on a pipelined private thread;
- * captures are walked in place. Input errors throw; engine errors stay in
+ * group and every unsharded solo attempt runs. Captures are walked in
+ * place; a pooled `.ptrc` stream walks the shared pool's blocks in place
+ * in the mapping (each block checked once across every pass on the
+ * input); any other input — a simulation, a `.ptrz`, a `.ptrc` that could
+ * not be mapped — fills one reused block at a time on this thread, up to
+ * the largest cap in the pass. Input errors throw; engine errors stay in
  * their outcome slots.
  */
 std::vector<core::MultiOutcome>
 fusedPass(TraceRepository &repo, const std::string &input,
           const std::vector<core::AnalysisConfig> &cfgs)
 {
-    if (repo.simulatedInput(input)) {
-        std::unique_ptr<trace::TraceSource> sim = repo.makeSource(input);
-        trace::SourceBlocks blocks(*sim, kSimBlockRecords,
-                                   core::passRecordLimit(cfgs));
-        return core::analyzeManyGuarded(blocks, cfgs);
-    }
     if (repo.capturedInput(input))
         return core::analyzeManyGuarded(*repo.get(input), cfgs);
     if (std::shared_ptr<trace::SharedDecodePool> pool =

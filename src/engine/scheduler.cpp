@@ -13,11 +13,6 @@ namespace engine {
 
 namespace {
 
-/** Concurrent passes allowed over one decode-gated input. Eight private
- *  decoders on one compressed trace thrash each other's cache and the
- *  disk: streamed `.ptrz` at --jobs=8 ran slower than at --jobs=1. */
-constexpr unsigned kMaxDecodersPerInput = 2;
-
 /** Rough live-state bytes one engine with this config keeps resident:
  *  base live well + ordering window + profile/lifetime buckets. Used to
  *  clamp fused-group size against a memory budget. */
@@ -100,31 +95,10 @@ SweepScheduler::submit(std::vector<SweepJob> jobs, IndexedCellFn onCell)
     for (size_t i = 0; i < jobs.size(); ++i)
         batch->cells_[i].job = std::move(jobs[i]);
 
-    // Per-input cell counts and decode gating, resolved here on the
-    // submitting thread: decodePool() maps and checksums a file outside
-    // the repository lock, so workers asking first would each pay it.
-    // (SweepEngine has already built its pools in its timed warm-up.)
-    std::map<std::string, std::pair<size_t, bool>> inputs;
-    for (const SweepCell &cell : batch->cells_) {
-        auto [it, fresh] = inputs.try_emplace(cell.job.input, 0, false);
-        ++it->second.first;
-        if (fresh && repo_.streamingInput(cell.job.input)) {
-            try {
-                it->second.second = !repo_.decodePool(cell.job.input);
-            } catch (const std::exception &) {
-                // A corrupt file fails pool construction here; the
-                // per-cell attempt re-raises it where it can be attributed.
-                it->second.second = true;
-            }
-        }
-    }
-    // Auto target: one pass per worker's share of the batch — except on a
-    // decode-gated input, where at most kMaxDecodersPerInput passes run at
-    // once however many workers exist. Near-solo passes would queue behind
-    // that cap, each paying a full decode for a sliver of analysis
-    // (streamed --jobs=8 --group=0 ran at 0.74x of --group=2).
-    const size_t autoTarget = ceilDiv(batch->cells_.size(), workers_);
-    const size_t gatedShare = std::min<size_t>(workers_, kMaxDecodersPerInput);
+    // Auto target: one pass per worker's share of the batch.
+    const size_t target = opt_.groupSize
+                              ? opt_.groupSize
+                              : ceilDiv(batch->cells_.size(), workers_);
 
     bool rejected;
     {
@@ -133,15 +107,10 @@ SweepScheduler::submit(std::vector<SweepJob> jobs, IndexedCellFn onCell)
         if (!rejected) {
             for (size_t i = 0; i < batch->cells_.size(); ++i) {
                 const std::string &input = batch->cells_[i].job.input;
-                const auto &[count, gated] = inputs.at(input);
-                size_t target = opt_.groupSize;
-                if (target == 0)
-                    target = gated ? ceilDiv(count, gatedShare) : autoTarget;
                 auto [it, fresh] = pendingByInput_.try_emplace(input);
                 if (fresh)
                     inputOrder_.push_back(input);
-                it->second.gated = gated;
-                it->second.items.push_back(Item{batch, i, target});
+                it->second.push_back(Item{batch, i, target});
             }
         }
     }
@@ -165,7 +134,7 @@ SweepScheduler::stop()
             return;
         stopping_ = true;
         for (auto &bucket : pendingByInput_) {
-            for (Item &item : bucket.second.items)
+            for (Item &item : bucket.second)
                 orphans.push_back(std::move(item));
         }
         pendingByInput_.clear();
@@ -185,7 +154,7 @@ SweepScheduler::pendingCells() const
     std::lock_guard<std::mutex> lock(mutex_);
     size_t pending = 0;
     for (const auto &bucket : pendingByInput_)
-        pending += bucket.second.items.size();
+        pending += bucket.second.size();
     return pending;
 }
 
@@ -224,43 +193,29 @@ SweepScheduler::workerLoop()
     for (;;) {
         std::vector<Item> group;
         std::string input;
-        bool gated;
         {
-            // The first bucket this worker may take: any input not already
-            // running its quota of decode-gated passes.
             std::unique_lock<std::mutex> lock(mutex_);
-            auto pick = inputOrder_.end();
-            cv_.wait(lock, [&] {
-                pick = std::find_if(
-                    inputOrder_.begin(), inputOrder_.end(),
-                    [&](const std::string &in) {
-                        auto active = activeDecoders_.find(in);
-                        return !pendingByInput_.at(in).gated ||
-                               active == activeDecoders_.end() ||
-                               active->second < kMaxDecodersPerInput;
-                    });
-                return pick != inputOrder_.end() ||
-                       (stopping_ && inputOrder_.empty());
-            });
-            if (pick == inputOrder_.end())
+            cv_.wait(lock,
+                     [&] { return !inputOrder_.empty() || stopping_; });
+            if (inputOrder_.empty())
                 return; // stopping, queue drained
 
-            // Peel one fused group off that bucket: same input, at most
-            // the head cell's group target, cut early by the memory budget.
-            input = *pick;
+            // Peel one fused group off the first bucket: same input, at
+            // most the head cell's group target, cut early by the memory
+            // budget.
+            input = inputOrder_.front();
             Bucket &bucket = pendingByInput_.at(input);
-            gated = bucket.gated;
-            const size_t target = bucket.items.front().groupTarget;
+            const size_t target = bucket.front().groupTarget;
             size_t bytes = 0;
-            while (!bucket.items.empty() && group.size() < target) {
-                const Item &item = bucket.items.front();
+            while (!bucket.empty() && group.size() < target) {
+                const Item &item = bucket.front();
                 size_t need = configFootprint(
                     item.batch->cells_[item.index].job.config);
                 if (!group.empty() && bytes + need > opt_.groupMemoryBudget)
                     break;
                 bytes += need;
-                group.push_back(std::move(bucket.items.front()));
-                bucket.items.pop_front();
+                group.push_back(std::move(bucket.front()));
+                bucket.pop_front();
             }
             // A batch's cells of one input were queued together, so they
             // sit contiguously in the group: count each batch once.
@@ -268,11 +223,9 @@ SweepScheduler::workerLoop()
                 if (k == 0 || group[k].batch != group[k - 1].batch)
                     ++group[k].batch->fusedGroups_;
             }
-            if (gated)
-                ++activeDecoders_[input];
-            if (bucket.items.empty()) {
+            if (bucket.empty()) {
                 pendingByInput_.erase(input);
-                inputOrder_.erase(pick);
+                inputOrder_.pop_front();
             } else {
                 // Group cut early: the bucket still holds cells, and the
                 // submit-time notification has already been consumed.
@@ -307,15 +260,6 @@ SweepScheduler::workerLoop()
                 cells.push_back(&item.batch->cells_[item.index]);
             runFusedCells(repo_, cells, opt_,
                           [&](size_t k) { deliver(group[k]); });
-        }
-
-        if (gated) {
-            // A decode slot on this input is free again: wake the workers
-            // parked behind the cap.
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (--activeDecoders_[input] == 0)
-                activeDecoders_.erase(input);
-            cv_.notify_all();
         }
     }
 }

@@ -7,12 +7,12 @@
  * client's store misses as they arrive. Workers of a standing pool peel
  * fused groups off a pending queue bucketed by input spec, so cells from
  * *different* submissions fuse into one block-major pass whenever they
- * share a trace. Streamed inputs without a shared decode pool (`.ptrz`:
- * one private decoder per pass) are decode-gated: at most two passes over
- * one run at once, and surplus workers take other inputs' groups or park.
- * A group of one is a solo cell. Execution itself is engine/cell_exec.hpp,
- * whose shared semantics let the serve layer cache a scheduler-produced
- * cell and replay it byte-identically against a paragraph-sweep run.
+ * share a trace. Every input is grouped alike: auto grouping gives each
+ * worker's share of an input one pass, and a pass over a streamed `.ptrz`
+ * decodes it inline on its own worker. A group of one is a solo cell.
+ * Execution itself is engine/cell_exec.hpp, whose shared semantics let the
+ * serve layer cache a scheduler-produced cell and replay it
+ * byte-identically against a paragraph-sweep run.
  *
  * While a group over a captured input runs, its trace is held through
  * TraceRepository::pin(), so a budget-bounded repository can never drop
@@ -136,11 +136,7 @@ class SweepScheduler
     };
 
     /** The pending cells of one input, in submission order. */
-    struct Bucket
-    {
-        std::deque<Item> items;
-        bool gated = false; ///< decode-gated stream (see file comment)
-    };
+    using Bucket = std::deque<Item>;
 
     void workerLoop();
     void deliver(const Item &item) const;
@@ -160,9 +156,6 @@ class SweepScheduler
      *  dispatch order over the non-empty buckets. */
     std::map<std::string, Bucket> pendingByInput_;
     std::deque<std::string> inputOrder_;
-
-    /** Passes running over each decode-gated input. */
-    std::map<std::string, unsigned> activeDecoders_;
 
     std::vector<std::thread> pool_;
 };

@@ -112,11 +112,11 @@ SweepEngine::runJobs(TraceRepository &repo, std::vector<SweepJob> jobs) const
     // streamed `.ptrc`'s decode pool (its map, payload checksum and block
     // checks) are the parts that cannot be split across cells, and doing
     // them here (rather than lazily from a worker) keeps them in
-    // captureSeconds. Simulation and other streams' decode run per pass,
-    // by design, and count as each cell's decodeSeconds. Failures are
-    // deliberately swallowed — a bad input surfaces as a per-cell error
-    // below, where it can be attributed (and retried) per cell instead of
-    // aborting the whole grid.
+    // captureSeconds. Simulation and a `.ptrz`'s decode run inline in
+    // each pass, by design, and count as each cell's decodeSeconds.
+    // Failures are deliberately swallowed — a bad input surfaces as a
+    // per-cell error below, where it can be attributed (and retried) per
+    // cell instead of aborting the whole grid.
     std::set<std::string> warmed;
     for (size_t i : pending) {
         const std::string &input = jobs[i].input;
@@ -172,8 +172,8 @@ SweepEngine::runJobs(TraceRepository &repo, std::vector<SweepJob> jobs) const
     };
 
     // The pending cells run as one batch on a scheduler of their own: it
-    // forms the fused groups (auto-sized for --group=0), caps concurrent
-    // decoders per gated input, and shards solo cells.
+    // forms the fused groups (auto-sized for --group=0) and shards solo
+    // cells.
     if (!pending.empty()) {
         SweepScheduler::Options so = opt_;
         so.jobs =

@@ -17,7 +17,8 @@
  * Options::groupMemoryBudget — and runs each group as a single block-major
  * pass over the trace (core::analyzeManyGuarded), so the trace is produced
  * or walked once per group instead of once per cell: a simulated input is
- * simulated by each pass, a streamed trace file decoded per pass. Every
+ * simulated, and a streamed `.ptrz` decoded, inline on each pass's own
+ * worker; a streamed `.ptrc` is walked in place in its mapping. Every
  * core::Paragraph is thread-private, so workers share no mutable analysis
  * state. Results are stored by grid position, making sweep output
  * independent of worker count, grouping, and completion order (a tested
@@ -70,8 +71,8 @@ struct SweepCell
      * Ok: analysis ran to completion and `result` is valid.
      * Failed: every attempt threw; `errorMessage` holds the last error and
      *         `result` is empty.
-     * Skipped: satisfied from a resume journal without re-running;
-     *          `journalText` holds the journaled cell JSON.
+     * Skipped: satisfied from a resume journal or a result store without
+     *          re-running; `journalText` holds the stored cell JSON.
      */
     enum class Status { Ok, Failed, Skipped };
 
@@ -86,15 +87,16 @@ struct SweepCell
     /** Analysis attempts consumed (1 unless retries were needed). */
     unsigned attempts = 1;
 
-    /** Pre-rendered cell JSON from the journal (status == Skipped only). */
+    /** Pre-rendered cell JSON from the journal or a result store (status
+     *  == Skipped only); its head is rendered again from `job`. */
     std::string journalText;
 
     /** Wall-clock seconds for this cell's analysis alone. */
     double wallSeconds = 0.0;
 
     /** Of which, seconds spent waiting for trace records: on the
-     *  simulator (a simulated input's pass runs it inline), on the
-     *  pipelined private decoder, or on the shared decode pool's block
+     *  simulator or the `.ptrz` decode (a pass runs either inline, on its
+     *  own worker), or on the shared decode pool's block
      *  checks (cumulative across shard threads; near zero when the pool
      *  checked every block in its payload checksum pass). 0 for captured
      *  inputs — their capture is paid once, up front, in
@@ -182,11 +184,9 @@ struct SchedulerOptions
     /** Most cells fused into one pass over a shared trace (always clamped
      *  by groupMemoryBudget); 1 = every cell is its own pass. 0 = auto,
      *  per submission: ceil(batch cells / workers), so each worker's share
-     *  of a grid becomes one pass — except on decode-gated streams, where
-     *  an input's cells are divided among the min(workers, 2) decoders
-     *  that may run at once. The default keeps a pass wide enough to
-     *  amortize the trace walk without letting one client's burst
-     *  monopolize a worker. */
+     *  of a grid becomes one pass, whatever the input. The default keeps a
+     *  pass wide enough to amortize the trace walk without letting one
+     *  client's burst monopolize a worker. */
     unsigned groupSize = 8;
 
     /** Cap on the estimated live analysis state (windows, profiles, live

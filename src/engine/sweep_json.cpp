@@ -168,25 +168,44 @@ writeProfile(JsonOut &os, const BucketedProfile &profile, const char *ind)
     os << "]";
 }
 
+/** A cell's grid-dependent head: its input, its grid coordinates and its
+ *  config block, up to the line its "status" field starts. */
+void
+writeCellHead(JsonOut &os, const SweepJob &job)
+{
+    os << "    {\n";
+    os << "      \"input\": " << quoted(job.input) << ",\n";
+    os << "      \"input_index\": " << job.inputIndex << ",\n";
+    os << "      \"config_index\": " << job.configIndex << ",\n";
+    writeConfig(os, job, "      ");
+    os << ",\n";
+}
+
 void
 writeCell(JsonOut &os, const SweepCell &cell, const SweepJsonOptions &opt)
 {
-    // Cells satisfied from a resume journal carry their original rendering;
-    // splicing it verbatim is what makes a resumed document byte-identical
-    // to an uninterrupted run's.
+    // Cells satisfied from a resume journal or a result store carry their
+    // rendering from the grid that computed them. Its head is rendered
+    // again from this grid's job — a store entry is shared by content
+    // across grids that name the input, place the cell or label the
+    // config differently — and the rest is spliced from its "status" line
+    // on, so the document is byte-identical to a fresh run's.
     if (cell.status == SweepCell::Status::Skipped &&
         !cell.journalText.empty()) {
-        os << cell.journalText;
+        constexpr std::string_view statusLine = "\n      \"status\": ";
+        const std::string_view text = cell.journalText;
+        const size_t body = text.find(statusLine);
+        if (body == std::string_view::npos) {
+            os << text;
+            return;
+        }
+        writeCellHead(os, cell.job);
+        os << text.substr(body + 1);
         return;
     }
 
     const core::AnalysisResult &r = cell.result;
-    os << "    {\n";
-    os << "      \"input\": " << quoted(cell.job.input) << ",\n";
-    os << "      \"input_index\": " << cell.job.inputIndex << ",\n";
-    os << "      \"config_index\": " << cell.job.configIndex << ",\n";
-    writeConfig(os, cell.job, "      ");
-    os << ",\n";
+    writeCellHead(os, cell.job);
     if (cell.status == SweepCell::Status::Failed) {
         os << "      \"status\": \"failed\",\n";
         os << "      \"error\": " << quoted(cell.errorMessage) << ",\n";

@@ -127,8 +127,10 @@ quoted(std::string_view s)
 
 /**
  * Append one cell exactly as it appears inside the "cells" array. The
- * checkpoint journal stores this text so a resumed sweep can splice it
- * back verbatim (byte-identical to an uninterrupted run).
+ * checkpoint journal and the serve result store keep this text, and a
+ * resumed sweep or a store hit splices it back: the head (input, grid
+ * indices, config block) rendered from the cell's own job, the rest
+ * verbatim from the "status" line on (byte-identical to a fresh run).
  */
 void appendCellJson(std::string &out, const SweepCell &cell,
                     const SweepJsonOptions &opt);

@@ -199,7 +199,7 @@ std::shared_ptr<trace::SharedDecodePool>
 TraceRepository::decodePool(const std::string &spec)
 {
     // Only uncompressed `.ptrc` files support random block access; `.ptrz`
-    // decode is stateful (delta-coded) and stays on the pipeline path.
+    // decode is stateful (delta-coded), so each pass decodes it inline.
     if (!streamingInput(spec) || !hasSuffix(spec, ".ptrc"))
         return nullptr;
     {

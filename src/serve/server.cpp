@@ -92,30 +92,6 @@ syncPolicyName(SyncPolicy policy)
     return "none";
 }
 
-/**
- * Rewrite the "input_index"/"config_index" fields of a stored cell
- * fragment to this grid's coordinates. The newline-anchored patterns are
- * unambiguous: JSON strings never contain a raw newline, so the anchors
- * can only match the fields writeCell itself rendered.
- */
-void
-rebindSpliceIndices(std::string &cellJson, size_t inputIndex,
-                    size_t configIndex)
-{
-    auto rewrite = [&cellJson](const char *anchor, size_t value) {
-        size_t at = cellJson.find(anchor);
-        if (at == std::string::npos)
-            return;
-        size_t start = at + std::strlen(anchor);
-        size_t end = cellJson.find_first_not_of("0123456789", start);
-        if (end == std::string::npos)
-            return;
-        cellJson.replace(start, end - start, std::to_string(value));
-    };
-    rewrite("\n      \"input_index\": ", inputIndex);
-    rewrite("\n      \"config_index\": ", configIndex);
-}
-
 /** Response buffers smaller than this are not kept as spares: below
  *  glibc's default mmap threshold, allocating one is a cheap heap carve. */
 constexpr size_t kSpareMinBytes = size_t{128} << 10;
@@ -523,13 +499,9 @@ ServeServer::resolveCells(std::vector<engine::SweepJob> &jobs, bool profiles,
                             profiles};
             std::string cellJson;
             if (store_ && store_->lookup(key, cellJson)) {
-                // The fragment is shared across grids by content address,
-                // but its index fields belong to whichever grid computed it
-                // first: rebind them to this job's coordinates so the
-                // spliced document stays byte-identical to a fresh
-                // computation.
-                rebindSpliceIndices(cellJson, job.inputIndex,
-                                    job.configIndex);
+                // The fragment is shared across grids by content address;
+                // its head (input, indices, config label) is rendered from
+                // this job when the document is written.
                 cells[k].job = std::move(job);
                 cells[k].status = engine::SweepCell::Status::Skipped;
                 cells[k].journalText = std::move(cellJson);

@@ -2,12 +2,12 @@
  * @file
  * BlockSource: the block-granular pull interface fused consumers share.
  *
- * BlockPipeline's next(const TraceRecord **) protocol turned out to be the
- * natural feeding contract for block-major analysis; the shared decode pool
- * serves the same protocol from a mapped trace's blocks in place, and
- * SourceBlocks fills one reused block from a TraceSource on the consumer's
- * own thread. This interface lets core::analyzeManyGuarded feed engines
- * from any of them without caring which is behind it.
+ * next(const TraceRecord **) is the feeding contract of block-major
+ * analysis: the shared decode pool serves it from a mapped trace's blocks
+ * in place, and SourceBlocks fills one reused block from a TraceSource (a
+ * simulator, a `.ptrz` reader) on the consumer's own thread. This
+ * interface lets core::analyzeManyGuarded feed engines from either
+ * without caring which is behind it.
  */
 
 #ifndef PARAGRAPH_TRACE_BLOCK_SOURCE_HPP
@@ -23,6 +23,17 @@
 
 namespace paragraph {
 namespace trace {
+
+/**
+ * Records per block a TraceSource fills on its consumer's thread (192 KB):
+ * a fused pass over a simulation, a `.ptrz` or a stdio `.ptrc`, a capture,
+ * a streaming checksum. The one block is rewritten for each step, so it
+ * stays in cache while every engine walks it. On a 4-vCPU Xeon VM, 40
+ * sweep-sim shaped ops each (8 configs, 1M records, --jobs=4) took
+ * medians of 179, 184 and 196 ms with 4K-, 16K- and 64K-record blocks, at
+ * peak RSS of 20.9, 24.4 and 40.0 MB.
+ */
+constexpr size_t kSourceBlockRecords = 4096;
 
 class BlockSource
 {

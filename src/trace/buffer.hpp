@@ -58,7 +58,7 @@ class TraceBuffer
         if (max_records != 0 && records_.size() >= max_records)
             return;
         // One nextBatch() call per block, not one next() per record.
-        SourceBlocks blocks(src, 4096,
+        SourceBlocks blocks(src, kSourceBlockRecords,
                             max_records ? max_records - records_.size() : 0);
         const TraceRecord *block = nullptr;
         while (size_t n = blocks.next(&block))

@@ -1,5 +1,6 @@
 #include "trace/compressed_io.hpp"
 
+#include <cstring>
 #include <memory>
 
 #include "support/panic.hpp"
@@ -108,8 +109,8 @@ CompressedTraceWriter::putOperand(const Operand &op)
                       : op.seg == Segment::Stack ? tagMemStack
                                                  : tagMemData;
         putByte(tag);
-        putSignedVarint(static_cast<int64_t>(op.id) -
-                        static_cast<int64_t>(lastMemAddr_));
+        // The wrapped difference: far-apart addresses must not overflow.
+        putSignedVarint(static_cast<int64_t>(op.id - lastMemAddr_));
         lastMemAddr_ = op.id;
         return;
       }
@@ -139,8 +140,7 @@ CompressedTraceWriter::write(const TraceRecord &rec)
     putByte(head);
     putByte(ops);
     if (!pc_plus_one) {
-        putSignedVarint(static_cast<int64_t>(rec.pc) -
-                        static_cast<int64_t>(lastPc_));
+        putSignedVarint(static_cast<int64_t>(rec.pc - lastPc_));
     }
     lastPc_ = rec.pc;
     for (int s = 0; s < rec.numSrcs; ++s)
@@ -199,6 +199,117 @@ CompressedTraceWriter::closeFile(bool throwOnError)
 
 // --- Reader ----------------------------------------------------------------
 
+namespace {
+
+/** Longest encoding of one record: the head and operand bytes, a 10-byte
+ *  pc delta, and three memory sources and a memory destination of a tag
+ *  and a 10-byte address delta each. */
+constexpr size_t kMaxRecordBytes = 2 + 10 + 4 * 11;
+
+/** Record kind byte (kind | segment << 4) of each operand tag. */
+constexpr uint8_t kTagKinds[] = {
+    static_cast<uint8_t>(Operand::Kind::IntReg),
+    static_cast<uint8_t>(Operand::Kind::FpReg),
+    static_cast<uint8_t>(static_cast<uint8_t>(Operand::Kind::Mem) |
+                         static_cast<uint8_t>(Segment::Data) << 4),
+    static_cast<uint8_t>(static_cast<uint8_t>(Operand::Kind::Mem) |
+                         static_cast<uint8_t>(Segment::Heap) << 4),
+    static_cast<uint8_t>(static_cast<uint8_t>(Operand::Kind::Mem) |
+                         static_cast<uint8_t>(Segment::Stack) << 4),
+};
+
+/** Decode a varint at @p p, unchecked against the buffer's end. False
+ *  when it runs past 10 bytes (malformed). */
+inline bool
+fastVarint(const uint8_t *&p, uint64_t &out)
+{
+    uint64_t v = 0;
+    for (int shift = 0; shift <= 63; shift += 7) {
+        uint8_t b = *p++;
+        v |= static_cast<uint64_t>(b & 0x7f) << shift;
+        if (!(b & 0x80)) {
+            out = v;
+            return true;
+        }
+    }
+    return false;
+}
+
+/** Decode one tagged operand into a record slot. False on a bad tag or
+ *  a malformed address delta. */
+inline bool
+fastOperand(const uint8_t *&p, uint64_t &mem, uint8_t &kind, uint64_t &id)
+{
+    const uint8_t tag = *p++;
+    if (tag > tagMemStack)
+        return false;
+    kind = kTagKinds[tag];
+    if (tag <= tagFpReg) {
+        id = *p++;
+        return true;
+    }
+    uint64_t delta;
+    if (!fastVarint(p, delta))
+        return false;
+    mem += static_cast<uint64_t>(unzigzag(delta));
+    id = mem;
+    return true;
+}
+
+/**
+ * Decode the record at @p p into @p rec with no bounds checks: the caller
+ * has kMaxRecordBytes buffered. On success @p p, @p pc and @p mem move
+ * past the record; false (a malformed byte) leaves the record to the
+ * checked path, which reports it.
+ */
+inline bool
+fastRecord(const uint8_t *&p, uint64_t &pc, uint64_t &mem, TraceRecord &rec)
+{
+    const uint8_t head = p[0];
+    const uint8_t ops = p[1];
+    if ((head & 0x0f) >= static_cast<uint8_t>(isa::OpClass::NumClasses))
+        return false;
+    const uint8_t *q = p + 2;
+    uint64_t nextPc = pc + 1;
+    if (!(ops & 0x80)) {
+        uint64_t delta;
+        if (!fastVarint(q, delta))
+            return false;
+        nextPc = pc + static_cast<uint64_t>(unzigzag(delta));
+    }
+    uint64_t nextMem = mem;
+    rec = TraceRecord{};
+    rec.cls = static_cast<isa::OpClass>(head & 0x0f);
+    rec.flags = head >> 4;
+    rec.numSrcs = ops & 0x03;
+    rec.lastUseMask = (ops >> 2) & 0x07;
+    for (uint8_t s = 0; s < rec.numSrcs; ++s) {
+        if (!fastOperand(q, nextMem, rec.operandKinds[s], rec.operandIds[s]))
+            return false;
+    }
+    constexpr int d = TraceRecord::destSlot;
+    switch ((ops >> 5) & 0x03) {
+      case 1:
+      case 2:
+        rec.operandKinds[d] = kTagKinds[((ops >> 5) & 0x03) - 1];
+        rec.operandIds[d] = *q++;
+        break;
+      case 3:
+        if (!fastOperand(q, nextMem, rec.operandKinds[d], rec.operandIds[d]))
+            return false;
+        break;
+      default:
+        break;
+    }
+    rec.pc = nextPc;
+    p = q;
+    pc = nextPc;
+    mem = nextMem;
+    return true;
+}
+
+} // namespace
+
 CompressedTraceReader::CompressedTraceReader(const std::string &path)
     : path_(path)
 {
@@ -223,6 +334,8 @@ CompressedTraceReader::CompressedTraceReader(const std::string &path)
                    hdr.version, path.c_str());
     }
     count_ = hdr.count;
+    buf_ = std::make_unique_for_overwrite<uint8_t[]>(kReadBufferBytes);
+    bufOffset_ = sizeof(FileHeader);
 }
 
 CompressedTraceReader::~CompressedTraceReader()
@@ -231,16 +344,29 @@ CompressedTraceReader::~CompressedTraceReader()
         std::fclose(file_);
 }
 
+bool
+CompressedTraceReader::refill()
+{
+    const size_t keep = end_ - head_;
+    std::memmove(buf_.get(), buf_.get() + head_, keep);
+    bufOffset_ += head_;
+    head_ = 0;
+    const size_t want = kReadBufferBytes - keep;
+    const size_t got = std::fread(buf_.get() + keep, 1, want, file_);
+    end_ = keep + got;
+    eof_ = got < want;
+    return got > 0;
+}
+
 uint8_t
 CompressedTraceReader::getByte()
 {
-    int c = std::fgetc(file_);
-    if (c == EOF) {
+    if (head_ == end_ && !refill()) {
         PARA_FATAL("trace file truncated: %s (record %llu at offset %llu)",
                    path_.c_str(), static_cast<unsigned long long>(pos_),
-                   static_cast<unsigned long long>(std::ftell(file_)));
+                   static_cast<unsigned long long>(offset()));
     }
-    return static_cast<uint8_t>(c);
+    return buf_[head_++];
 }
 
 uint64_t
@@ -257,7 +383,7 @@ CompressedTraceReader::getVarint()
         if (shift > 63) {
             PARA_FATAL("malformed varint in %s (record %llu at offset %llu)",
                        path_.c_str(), static_cast<unsigned long long>(pos_),
-                       static_cast<unsigned long long>(std::ftell(file_)));
+                       static_cast<unsigned long long>(offset()));
         }
     }
 }
@@ -280,8 +406,9 @@ CompressedTraceReader::getOperand()
       case tagMemData:
       case tagMemHeap:
       case tagMemStack: {
-        uint64_t addr = static_cast<uint64_t>(
-            static_cast<int64_t>(lastMemAddr_) + getSignedVarint());
+        // Unsigned, so a corrupt delta wraps instead of overflowing.
+        uint64_t addr =
+            lastMemAddr_ + static_cast<uint64_t>(getSignedVarint());
         lastMemAddr_ = addr;
         Segment seg = tag == tagMemHeap    ? Segment::Heap
                       : tag == tagMemStack ? Segment::Stack
@@ -291,15 +418,13 @@ CompressedTraceReader::getOperand()
       default:
         PARA_FATAL("bad operand tag %u in %s (record %llu at offset %llu)",
                    tag, path_.c_str(), static_cast<unsigned long long>(pos_),
-                   static_cast<unsigned long long>(std::ftell(file_) - 1));
+                   static_cast<unsigned long long>(offset() - 1));
     }
 }
 
-bool
-CompressedTraceReader::next(TraceRecord &rec)
+void
+CompressedTraceReader::decodeChecked(TraceRecord &rec)
 {
-    if (pos_ >= count_)
-        return false;
     rec = TraceRecord{};
     uint8_t head = getByte();
     if ((head & 0x0f) >= static_cast<uint8_t>(isa::OpClass::NumClasses)) {
@@ -307,7 +432,7 @@ CompressedTraceReader::next(TraceRecord &rec)
             "bad operation class %u in %s (record %llu at offset %llu)",
             head & 0x0f, path_.c_str(),
             static_cast<unsigned long long>(pos_),
-            static_cast<unsigned long long>(std::ftell(file_) - 1));
+            static_cast<unsigned long long>(offset() - 1));
     }
     rec.cls = static_cast<isa::OpClass>(head & 0x0f);
     rec.flags = head >> 4;
@@ -316,12 +441,10 @@ CompressedTraceReader::next(TraceRecord &rec)
     uint8_t nsrcs = ops & 0x03;
     rec.lastUseMask = (ops >> 2) & 0x07;
     uint8_t dest_kind = (ops >> 5) & 0x03;
-    if (ops & 0x80) {
+    if (ops & 0x80)
         rec.pc = lastPc_ + 1;
-    } else {
-        rec.pc = static_cast<uint64_t>(static_cast<int64_t>(lastPc_) +
-                                       getSignedVarint());
-    }
+    else
+        rec.pc = lastPc_ + static_cast<uint64_t>(getSignedVarint());
     lastPc_ = rec.pc;
 
     for (uint8_t s = 0; s < nsrcs; ++s)
@@ -339,8 +462,56 @@ CompressedTraceReader::next(TraceRecord &rec)
       default:
         break;
     }
-    ++pos_;
-    return true;
+}
+
+size_t
+CompressedTraceReader::decodeRun(TraceRecord *out, size_t max)
+{
+    // The cursor and delta state live in locals: the record stores are
+    // byte stores, which the compiler must otherwise assume alias them.
+    const uint8_t *const base = buf_.get();
+    const uint8_t *p = base + head_;
+    const uint8_t *const end = base + end_;
+    uint64_t pc = lastPc_;
+    uint64_t mem = lastMemAddr_;
+    size_t n = 0;
+    while (n < max && static_cast<size_t>(end - p) >= kMaxRecordBytes &&
+           fastRecord(p, pc, mem, out[n]))
+        ++n;
+    head_ = static_cast<size_t>(p - base);
+    lastPc_ = pc;
+    lastMemAddr_ = mem;
+    return n;
+}
+
+size_t
+CompressedTraceReader::nextBatch(TraceRecord *out, size_t max)
+{
+    if (max > count_ - pos_)
+        max = static_cast<size_t>(count_ - pos_);
+    size_t n = 0;
+    while (n < max) {
+        if (end_ - head_ < kMaxRecordBytes && !eof_)
+            refill();
+        const size_t got = decodeRun(out + n, max - n);
+        n += got;
+        pos_ += got;
+        // The fast path stopped short of a refill: the file's last few
+        // bytes, or a record it found malformed. Decode that record byte
+        // by byte, which raises the located error if there is one.
+        if (n < max && (eof_ || end_ - head_ >= kMaxRecordBytes)) {
+            decodeChecked(out[n]);
+            ++n;
+            ++pos_;
+        }
+    }
+    return n;
+}
+
+bool
+CompressedTraceReader::next(TraceRecord &rec)
+{
+    return nextBatch(&rec, 1) == 1;
 }
 
 void
@@ -352,6 +523,10 @@ CompressedTraceReader::reset()
     pos_ = 0;
     lastPc_ = 0;
     lastMemAddr_ = 0;
+    head_ = 0;
+    end_ = 0;
+    bufOffset_ = sizeof(FileHeader);
+    eof_ = false;
 }
 
 // --- Format dispatch ---------------------------------------------------------

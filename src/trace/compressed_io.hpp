@@ -79,10 +79,21 @@ class CompressedTraceWriter
  * Replayable compressed trace reader. Decode errors (truncation, malformed
  * varints, bad tags, out-of-range operation classes) throw FatalError
  * naming the record index and byte offset where decoding stopped.
+ *
+ * The file is read kReadBufferBytes at a time into one owned buffer (not
+ * mapped, so a file truncated under a reader stays a "truncated" error).
+ * While the longest record encoding is buffered, nextBatch() decodes a
+ * whole record with no per-byte bounds check; the file's last few bytes,
+ * and any record the fast path finds malformed, are decoded again from
+ * the record's first byte by the checked path, which raises the located
+ * error.
  */
 class CompressedTraceReader : public TraceSource
 {
   public:
+    /** Bytes read from the file per refill. */
+    static constexpr size_t kReadBufferBytes = size_t{256} << 10;
+
     explicit CompressedTraceReader(const std::string &path);
     ~CompressedTraceReader() override;
 
@@ -90,6 +101,7 @@ class CompressedTraceReader : public TraceSource
     CompressedTraceReader &operator=(const CompressedTraceReader &) = delete;
 
     bool next(TraceRecord &rec) override;
+    size_t nextBatch(TraceRecord *out, size_t max) override;
     void reset() override;
     std::string name() const override { return path_; }
 
@@ -102,6 +114,26 @@ class CompressedTraceReader : public TraceSource
     uint64_t pos_ = 0;
     uint64_t lastPc_ = 0;
     uint64_t lastMemAddr_ = 0;
+
+    std::unique_ptr<uint8_t[]> buf_;
+    size_t head_ = 0;        ///< next unread byte of buf_
+    size_t end_ = 0;         ///< end of the bytes read into buf_
+    uint64_t bufOffset_ = 0; ///< file offset of buf_[0]
+    bool eof_ = false;       ///< the last refill reached the end of file
+
+    /** Move the unread bytes to the front of buf_ and read after them.
+     *  @return false when no byte was added. */
+    bool refill();
+
+    /** Fast-path decode of records while a whole encoding is buffered;
+     *  stops early at a record it finds malformed. */
+    size_t decodeRun(TraceRecord *out, size_t max);
+
+    /** Byte-at-a-time decode of one record; throws the located error. */
+    void decodeChecked(TraceRecord &rec);
+
+    /** File offset of the next unread byte. */
+    uint64_t offset() const { return bufOffset_ + head_; }
 
     uint8_t getByte();
     uint64_t getVarint();

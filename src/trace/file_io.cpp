@@ -61,7 +61,7 @@ TraceFileWriter::write(const TraceRecord *recs, size_t n)
 uint64_t
 TraceFileWriter::writeAll(TraceSource &src)
 {
-    SourceBlocks blocks(src, 4096);
+    SourceBlocks blocks(src, kSourceBlockRecords);
     const TraceRecord *block = nullptr;
     uint64_t n = 0;
     while (size_t got = blocks.next(&block)) {
@@ -201,7 +201,7 @@ traceBufferCrc(const TraceBuffer &buffer)
 uint32_t
 traceSourceCrc(TraceSource &src)
 {
-    SourceBlocks blocks(src, 4096);
+    SourceBlocks blocks(src, kSourceBlockRecords);
     const TraceRecord *block = nullptr;
     uint32_t crc = 0;
     while (size_t n = blocks.next(&block))

@@ -121,8 +121,9 @@ TEST(SweepScheduler, CellsAreByteIdenticalToSweepEngine)
         EXPECT_EQ(cellToJson(got, json), serialCellJson(jobs[i], solo));
     }
 
-    // A streamed `.ptrz` input under auto grouping: decode-gated, so its
-    // cells split among two fused passes, each cell still equal to its
+    // A streamed `.ptrz` input under auto grouping: each pass decodes it
+    // inline, so its four cells split into one pass per worker's share
+    // (ceil(4 / 3) = 2 configs, two passes), each cell still equal to its
     // serial reference.
     std::string path = (std::filesystem::temp_directory_path() /
                         "scheduler_identity.ptrz")

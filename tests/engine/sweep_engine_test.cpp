@@ -220,13 +220,12 @@ TEST(SweepEngine, StreamingSweepJsonMatchesCapturedSweep)
     fs::remove(path);
 }
 
-TEST(SweepEngine, AutoGroupRespectsDecoderCapOnGatedStreams)
+TEST(SweepEngine, AutoGroupGivesStreamedPtrzOnePassPerWorker)
 {
-    // Auto grouping (--group=0) over a decode-gated stream (`.ptrz`: one
-    // private decoder per pass, at most two concurrent) must divide the
-    // bucket among the decoders that can run, not among all workers:
-    // ceil(pending / jobs) at --jobs=8 gave eight near-solo passes that
-    // serialized two-at-a-time, each paying a full decode.
+    // A streamed `.ptrz` decodes inline on each pass's own worker, so auto
+    // grouping (--group=0) treats it like any other input: one pass per
+    // worker's share of the batch, with the same document however many
+    // passes decode it.
     namespace fs = std::filesystem;
     std::string path =
         (fs::temp_directory_path() / "sweep_autogroup.ptrz").string();
@@ -256,22 +255,23 @@ TEST(SweepEngine, AutoGroupRespectsDecoderCapOnGatedStreams)
 
     TraceRepository::Options streamOpt = capOpt;
     streamOpt.streamFiles = true;
-    TraceRepository streamRepo(streamOpt);
-    SweepEngine::Options opt;
-    opt.jobs = 8;
-    opt.groupSize = 0; // auto
-    SweepResult sweep = SweepEngine(opt).run(streamRepo, {path}, configs);
-    // Two decoders' shares of eight configs: two fused passes of four —
-    // not eight near-solo passes (the old ceil(8 / jobs) target).
-    EXPECT_EQ(sweep.fusedGroups, 2u);
-    EXPECT_EQ(sweepToJson(sweep, json), captured);
+    for (unsigned jobs : {8u, 4u}) {
+        SCOPED_TRACE(jobs);
+        TraceRepository streamRepo(streamOpt);
+        SweepEngine::Options opt;
+        opt.jobs = jobs;
+        opt.groupSize = 0; // auto: ceil(8 / jobs) configs per pass
+        SweepResult sweep = SweepEngine(opt).run(streamRepo, {path}, configs);
+        EXPECT_EQ(sweep.fusedGroups, jobs);
+        EXPECT_EQ(sweepToJson(sweep, json), captured);
+    }
     fs::remove(path);
 }
 
 TEST(SweepEngine, AutoGroupKeepsWorkerSharesOnCapturedInputs)
 {
-    // Captured inputs share the repository cache and are never
-    // decode-gated: the auto target stays one pass per worker's share.
+    // Captured inputs share the repository cache: the auto target is one
+    // pass per worker's share.
     std::vector<core::AnalysisConfig> configs;
     for (uint64_t w : {16u, 32u, 64u, 128u, 256u, 512u, 1024u, 0u}) {
         configs.push_back(w ? core::AnalysisConfig::windowed(w)

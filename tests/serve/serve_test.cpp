@@ -22,12 +22,14 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "engine/trace_repository.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "serve/result_store.hpp"
 #include "serve/server.hpp"
 #include "support/failpoint.hpp"
 #include "support/panic.hpp"
+#include "trace/file_io.hpp"
 
 using namespace paragraph;
 using namespace paragraph::serve;
@@ -796,6 +798,57 @@ TEST(ServeDaemon, CachedCellsRebindGridCoordinates)
     EXPECT_EQ(got.document, want.document)
         << "cache hits must rebind input_index/config_index to the "
            "requesting grid";
+
+    // The same records under another input name: the xlisp analog and a
+    // `.ptrc` of its small run share a content key, so the file's cells
+    // hit the analog's entries and must still name the file.
+    std::string smallStore = tempPath("rebind_small.store");
+    fs::remove(smallStore);
+    ServeServer::Options smallOpt;
+    smallOpt.small = true;
+    Daemon smallFresh("rebind.small.fresh", smallOpt);
+    smallOpt.storePath = smallStore;
+    Daemon smallDaemon("rebind.small", smallOpt);
+    std::string xlispFile = tempPath("rebind_xlisp") + ".ptrc";
+    {
+        engine::TraceRepository::Options ro;
+        ro.scale = workloads::Scale::Small;
+        engine::TraceRepository repo(ro);
+        trace::TraceFileWriter writer(xlispFile);
+        for (const trace::TraceRecord &rec : repo.get("xlisp")->records())
+            writer.write(rec);
+        writer.close();
+    }
+    ServeRequest named = sweepRequest({"xlisp", xlisp, xlispFile}, {16, 64});
+    named.small = true;
+    ASSERT_TRUE(ask(smallDaemon, named).ok());
+    ServeResponse namedWant = ask(smallFresh, named);
+    ASSERT_TRUE(namedWant.ok()) << namedWant.error;
+    ServeResponse namedGot = ask(smallDaemon, named);
+    ASSERT_TRUE(namedGot.ok()) << namedGot.error;
+    EXPECT_EQ(namedGot.cellsCached, 6u);
+    EXPECT_EQ(namedGot.cellsFailed, 0u);
+    EXPECT_EQ(namedGot.document, namedWant.document)
+        << "cache hits must name the requesting grid's input";
+
+    // The same config under another label: with one syscalls value the
+    // axis drops out of the label, though the config (and its key) is the
+    // one the two-valued grid stored first.
+    ServeRequest labelled = sweepRequest({"xlisp"}, {32});
+    labelled.small = true;
+    labelled.syscalls = {"stall", "ignore"};
+    ASSERT_TRUE(ask(smallDaemon, labelled).ok());
+    labelled.syscalls.clear();
+    ServeResponse labelWant = ask(smallFresh, labelled);
+    ASSERT_TRUE(labelWant.ok()) << labelWant.error;
+    ServeResponse labelGot = ask(smallDaemon, labelled);
+    ASSERT_TRUE(labelGot.ok()) << labelGot.error;
+    EXPECT_EQ(labelGot.cellsCached, 1u);
+    EXPECT_EQ(labelGot.document, labelWant.document)
+        << "cache hits must carry the requesting grid's config label";
+    smallDaemon.stop();
+    fs::remove(xlispFile);
+    fs::remove(smallStore);
     fs::remove(store);
 }
 
