@@ -211,14 +211,33 @@ exploreCost(const core::AnalysisConfig &cfg)
     return windowCost + fuCost + renameCost + predictorCost;
 }
 
+namespace {
+
+/** Where a store-served cell's stored text holds @p field (a document
+ *  form anchor such as `"status": `) or, for a wire text, its escaped
+ *  twin @p wireField; nullptr when it has neither. */
+const char *
+storedField(const SweepCell &cell, std::string_view field,
+            std::string_view wireField)
+{
+    const std::string &text =
+        cell.wireText ? *cell.wireText : cell.journalText;
+    const std::string_view anchor = cell.wireText ? wireField : field;
+    const size_t at = text.find(anchor);
+    return at == std::string::npos ? nullptr
+                                   : text.c_str() + at + anchor.size();
+}
+
+} // namespace
+
 bool
 exploreCellOk(const SweepCell &cell)
 {
     if (cell.status == SweepCell::Status::Ok)
         return true;
     if (cell.status == SweepCell::Status::Skipped)
-        return cell.journalText.find("\"status\": \"ok\"") !=
-               std::string::npos;
+        return storedField(cell, "\"status\": \"ok\"",
+                           "\\\"status\\\": \\\"ok\\\"") != nullptr;
     return false;
 }
 
@@ -230,13 +249,12 @@ exploreCellParallelism(const SweepCell &cell)
     if (cell.status == SweepCell::Status::Skipped) {
         // Store-served cells carry their rendered JSON; jsonDouble emits
         // the shortest round-trip form, so strtod recovers the exact
-        // double a fresh analysis would report.
-        static const char *anchor = "\"available_parallelism\": ";
-        size_t at = cell.journalText.find(anchor);
-        if (at != std::string::npos)
-            return std::strtod(
-                cell.journalText.c_str() + at + std::strlen(anchor),
-                nullptr);
+        // double a fresh analysis would report. A number holds no byte
+        // that escaping changes, so a wire text reads the same.
+        if (const char *value =
+                storedField(cell, "\"available_parallelism\": ",
+                            "\\\"available_parallelism\\\": "))
+            return std::strtod(value, nullptr);
     }
     return 0.0;
 }
@@ -859,13 +877,14 @@ verifyExploreAgainstGrid(const ExploreResult &result, const SweepResult &grid,
 
 namespace {
 
-/** Render @p result into @p os, calling @p flush (which returns false to
- *  stop) after each executed cell and at the end. */
+/** Render @p result into @p doc, settling it and calling @p flush (which
+ *  returns false to stop) after each executed cell and at the end. */
 template <class Flush>
 bool
-writeExplore(JsonOut &os, const ExploreResult &result,
+writeExplore(JsonDocOut &doc, const ExploreResult &result,
              const SweepJsonOptions &opt, Flush &&flush)
 {
+    JsonOut &os = doc.text();
     // Executed cells must stay byte-identical to their full-grid twins,
     // so cell fragments are rendered through the exact writer the sweep
     // document and the daemon's result store use — timing excluded, which
@@ -906,7 +925,7 @@ writeExplore(JsonOut &os, const ExploreResult &result,
         bool first = true;
         for (const SweepCell &cell : trace.cells) {
             os << (first ? "" : ",") << "\n";
-            appendCellJson(os.buffer(), cell, cellOpt);
+            appendCellJson(doc, cell, cellOpt);
             first = false;
             if (!flush())
                 return false;
@@ -965,6 +984,7 @@ writeExplore(JsonOut &os, const ExploreResult &result,
         os << "\n  ";
     os << "]\n";
     os << "}\n";
+    doc.settle();
     return flush();
 }
 
@@ -975,20 +995,27 @@ streamExploreJson(const ExploreResult &result, const SweepJsonOptions &opt,
                   const JsonSink &sink)
 {
     std::string buf;
-    JsonOut os(buf);
-    return writeExplore(os, result, opt, [&] {
+    JsonDocOut doc(buf, JsonForm::Document);
+    return writeExplore(doc, result, opt, [&] {
         bool more = sink(buf);
         buf.clear();
         return more;
     });
 }
 
+void
+appendExploreJson(std::string &out, const ExploreResult &result,
+                  const SweepJsonOptions &opt, JsonForm form)
+{
+    JsonDocOut doc(out, form);
+    writeExplore(doc, result, opt, [] { return true; });
+}
+
 std::string
 exploreToJson(const ExploreResult &result, const SweepJsonOptions &opt)
 {
     std::string out;
-    JsonOut os(out);
-    writeExplore(os, result, opt, [] { return true; });
+    appendExploreJson(out, result, opt, JsonForm::Document);
     return out;
 }
 

@@ -251,7 +251,7 @@ class Explorer
 };
 
 /** Measured-ok test for an executed cell (Ok, or store-served Skipped
- *  text whose status is "ok"). */
+ *  text, in either form, whose status is "ok"). */
 bool exploreCellOk(const SweepCell &cell);
 
 /** Available parallelism of a measured cell; store-served Skipped cells
@@ -304,6 +304,11 @@ std::string exploreToJson(const ExploreResult &result,
  *  time, as streamSweepJson does. @return false as soon as @p sink does. */
 bool streamExploreJson(const ExploreResult &result,
                        const SweepJsonOptions &opt, const JsonSink &sink);
+
+/** Append exploreToJson's document to @p out in @p form, as
+ *  appendSweepJson does. */
+void appendExploreJson(std::string &out, const ExploreResult &result,
+                       const SweepJsonOptions &opt, JsonForm form);
 
 } // namespace engine
 } // namespace paragraph

@@ -43,6 +43,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -72,7 +73,9 @@ struct SweepCell
      * Failed: every attempt threw; `errorMessage` holds the last error and
      *         `result` is empty.
      * Skipped: satisfied from a resume journal or a result store without
-     *          re-running; `journalText` holds the stored cell JSON.
+     *          re-running; `journalText` (a journal entry) or `wireText`
+     *          (a store hit) holds the stored cell JSON, and `result` is
+     *          empty.
      */
     enum class Status { Ok, Failed, Skipped };
 
@@ -87,9 +90,16 @@ struct SweepCell
     /** Analysis attempts consumed (1 unless retries were needed). */
     unsigned attempts = 1;
 
-    /** Pre-rendered cell JSON from the journal or a result store (status
-     *  == Skipped only); its head is rendered again from `job`. */
+    /** Pre-rendered cell JSON from the journal, as the document holds it
+     *  (status == Skipped only); its head is rendered again from `job`. */
     std::string journalText;
+
+    /** Pre-rendered cell JSON from a result store in wire form: escaped
+     *  as the inside of a JSON string literal, exactly as the store line
+     *  and a daemon response hold it, and shared with the store, which
+     *  may evict its own reference meanwhile (status == Skipped only;
+     *  takes precedence over `journalText`). */
+    std::shared_ptr<const std::string> wireText;
 
     /** Wall-clock seconds for this cell's analysis alone. */
     double wallSeconds = 0.0;

@@ -5,6 +5,9 @@
 #include <cmath>
 #include <cstring>
 
+#include "support/json_line.hpp"
+#include "support/panic.hpp"
+
 namespace paragraph {
 namespace engine {
 
@@ -182,14 +185,30 @@ writeCellHead(JsonOut &os, const SweepJob &job)
 }
 
 void
-writeCell(JsonOut &os, const SweepCell &cell, const SweepJsonOptions &opt)
+writeCell(JsonDocOut &doc, const SweepCell &cell, const SweepJsonOptions &opt)
 {
     // Cells satisfied from a resume journal or a result store carry their
     // rendering from the grid that computed them. Its head is rendered
     // again from this grid's job — a store entry is shared by content
     // across grids that name the input, place the cell or label the
     // config differently — and the rest is spliced from its "status" line
-    // on, so the document is byte-identical to a fresh run's.
+    // on, so the document is byte-identical to a fresh run's. The line
+    // starts after the newline that ends the config block; no string
+    // value holds a raw newline, so the first match is the field, and
+    // escaping is a per-byte code, so the same holds for the wire form.
+    JsonOut &os = doc.text();
+    if (cell.status == SweepCell::Status::Skipped && cell.wireText) {
+        constexpr std::string_view statusLine = "\\n      \\\"status\\\": ";
+        const std::string_view wire = *cell.wireText;
+        const size_t body = wire.find(statusLine);
+        if (body == std::string_view::npos) {
+            doc.splice(wire);
+            return;
+        }
+        writeCellHead(os, cell.job);
+        doc.splice(wire.substr(body + 2)); // past the escaped newline
+        return;
+    }
     if (cell.status == SweepCell::Status::Skipped &&
         !cell.journalText.empty()) {
         constexpr std::string_view statusLine = "\n      \"status\": ";
@@ -256,13 +275,14 @@ writeCell(JsonOut &os, const SweepCell &cell, const SweepJsonOptions &opt)
     os << "\n    }";
 }
 
-/** Render @p sweep into @p os, calling @p flush (which returns false to
- *  stop) after each cell and at the end. */
+/** Render @p sweep into @p doc, settling it and calling @p flush (which
+ *  returns false to stop) after each cell and at the end. */
 template <class Flush>
 bool
-writeSweep(JsonOut &os, const SweepResult &sweep, const SweepJsonOptions &opt,
-           Flush &&flush)
+writeSweep(JsonDocOut &doc, const SweepResult &sweep,
+           const SweepJsonOptions &opt, Flush &&flush)
 {
+    JsonOut &os = doc.text();
     size_t failed = 0;
     for (const SweepCell &cell : sweep.cells) {
         if (cell.status == SweepCell::Status::Failed)
@@ -291,7 +311,7 @@ writeSweep(JsonOut &os, const SweepResult &sweep, const SweepJsonOptions &opt,
     bool first = true;
     for (const SweepCell &cell : sweep.cells) {
         os << (first ? "" : ",") << "\n";
-        writeCell(os, cell, opt);
+        appendCellJson(doc, cell, opt);
         first = false;
         if (!flush())
             return false;
@@ -300,17 +320,49 @@ writeSweep(JsonOut &os, const SweepResult &sweep, const SweepJsonOptions &opt,
         os << "\n  ";
     os << "]\n";
     os << "}\n";
+    doc.settle();
     return flush();
 }
 
 } // namespace
 
 void
-appendCellJson(std::string &out, const SweepCell &cell,
+JsonDocOut::splice(std::string_view wire)
+{
+    if (form_ == JsonForm::StringBody) {
+        settle();
+        out_.append(wire);
+        return;
+    }
+    const size_t end = appendJsonUnescaped(out_, wire);
+    PARA_ASSERT(end == wire.size(), "wire text is not a JSON string body");
+}
+
+void
+JsonDocOut::settle()
+{
+    if (form_ == JsonForm::Document || fresh_.empty())
+        return;
+    appendJsonEscaped(out_, fresh_);
+    fresh_.clear();
+}
+
+void
+appendCellJson(JsonDocOut &doc, const SweepCell &cell,
                const SweepJsonOptions &opt)
 {
-    JsonOut os(out);
-    writeCell(os, cell, opt);
+    writeCell(doc, cell, opt);
+    doc.settle();
+}
+
+size_t
+splicedBytes(const std::vector<SweepCell> &cells)
+{
+    size_t bytes = 0;
+    for (const SweepCell &cell : cells)
+        bytes += cell.wireText ? cell.wireText->size()
+                               : cell.journalText.size();
+    return bytes;
 }
 
 bool
@@ -318,19 +370,28 @@ streamSweepJson(const SweepResult &sweep, const SweepJsonOptions &opt,
                 const JsonSink &sink)
 {
     std::string buf;
-    JsonOut os(buf);
-    return writeSweep(os, sweep, opt, [&] {
+    JsonDocOut doc(buf, JsonForm::Document);
+    return writeSweep(doc, sweep, opt, [&] {
         bool more = sink(buf);
         buf.clear();
         return more;
     });
 }
 
+void
+appendSweepJson(std::string &out, const SweepResult &sweep,
+                const SweepJsonOptions &opt, JsonForm form)
+{
+    JsonDocOut doc(out, form);
+    writeSweep(doc, sweep, opt, [] { return true; });
+}
+
 std::string
 cellToJson(const SweepCell &cell, const SweepJsonOptions &opt)
 {
     std::string out;
-    appendCellJson(out, cell, opt);
+    JsonDocOut doc(out, JsonForm::Document);
+    appendCellJson(doc, cell, opt);
     return out;
 }
 
@@ -339,13 +400,9 @@ sweepToJson(const SweepResult &sweep, const SweepJsonOptions &opt)
 {
     // Spliced cell texts are nearly all of a store hit's document; one
     // reservation for them spares the doubling copies of a growing buffer.
-    size_t spliced = 0;
-    for (const SweepCell &cell : sweep.cells)
-        spliced += cell.journalText.size();
     std::string out;
-    out.reserve(spliced + 4096);
-    JsonOut os(out);
-    writeSweep(os, sweep, opt, [] { return true; });
+    out.reserve(splicedBytes(sweep.cells) + 4096);
+    appendSweepJson(out, sweep, opt, JsonForm::Document);
     return out;
 }
 

@@ -11,9 +11,11 @@
  * `BENCH_*.json` trajectories that diff runs.
  *
  * Everything renders by appending to a caller's std::string (JsonOut
- * below). A whole document renders into a string (sweepToJson) or streams
- * to a sink a cell at a time (streamSweepJson), so a file or a daemon
- * response line takes it without the document ever being held whole.
+ * below). A whole document renders into a string (sweepToJson), streams
+ * to a sink a cell at a time (streamSweepJson), so a file takes it without
+ * the document ever being held whole, or renders escaped, as the body of
+ * a JSON string, straight into a daemon response (JsonForm::StringBody),
+ * where a store hit's cells are spliced in their stored escaped form.
  */
 
 #ifndef PARAGRAPH_ENGINE_SWEEP_JSON_HPP
@@ -24,6 +26,7 @@
 #include <functional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "engine/sweep.hpp"
 
@@ -125,6 +128,53 @@ quoted(std::string_view s)
     return {s};
 }
 
+/** The two forms a document renders in. */
+enum class JsonForm
+{
+    Document,   ///< the JSON text itself: files, sweepToJson()
+    StringBody, ///< escaped as the inside of a JSON string literal: the
+                ///< "document" field of a daemon response
+};
+
+/**
+ * A document being rendered into a string in either JsonForm. Freshly
+ * rendered text goes through text(); a store-served cell's wire text
+ * (SweepCell::wireText, already escaped) through splice(). In Document
+ * form text() appends to the output and splice() unescapes into it. In
+ * StringBody form text() collects in a scratch buffer that settle()
+ * escapes into the output, and splice() settles, then appends the wire
+ * bytes verbatim: a store hit's response copies each cell's stored bytes
+ * once. The writers settle after every cell and at the end.
+ */
+class JsonDocOut
+{
+  public:
+    JsonDocOut(std::string &out, JsonForm form)
+        : out_(out), form_(form),
+          os_(form == JsonForm::Document ? out : fresh_)
+    {
+    }
+
+    JsonDocOut(const JsonDocOut &) = delete;
+    JsonDocOut &operator=(const JsonDocOut &) = delete;
+
+    /** Fresh text, in document form. */
+    JsonOut &text() { return os_; }
+
+    /** Append @p wire, text escaped as by appendJsonEscaped. */
+    void splice(std::string_view wire);
+
+    /** StringBody form: escape the fresh text collected so far into the
+     *  output. Document form: nothing to do. */
+    void settle();
+
+  private:
+    std::string &out_;
+    JsonForm form_;
+    std::string fresh_; ///< StringBody form: fresh text not yet escaped
+    JsonOut os_;
+};
+
 /**
  * Append one cell exactly as it appears inside the "cells" array. The
  * checkpoint journal and the serve result store keep this text, and a
@@ -132,8 +182,12 @@ quoted(std::string_view s)
  * indices, config block) rendered from the cell's own job, the rest
  * verbatim from the "status" line on (byte-identical to a fresh run).
  */
-void appendCellJson(std::string &out, const SweepCell &cell,
+void appendCellJson(JsonDocOut &doc, const SweepCell &cell,
                     const SweepJsonOptions &opt);
+
+/** Bytes of stored text (journal or wire) @p cells splice into their
+ *  document, heads included: nearly all of a store hit's document. */
+size_t splicedBytes(const std::vector<SweepCell> &cells);
 
 /** Takes a document piece by piece; returns false to stop the render. */
 using JsonSink = std::function<bool(std::string_view piece)>;
@@ -148,7 +202,11 @@ using JsonSink = std::function<bool(std::string_view piece)>;
 bool streamSweepJson(const SweepResult &sweep, const SweepJsonOptions &opt,
                      const JsonSink &sink);
 
-/** appendCellJson into a fresh string. */
+/** Append @p sweep's document to @p out in @p form. */
+void appendSweepJson(std::string &out, const SweepResult &sweep,
+                     const SweepJsonOptions &opt, JsonForm form);
+
+/** One cell, as appendCellJson renders it, in document form. */
 std::string cellToJson(const SweepCell &cell, const SweepJsonOptions &opt);
 
 /** @p sweep as a JSON document. */

@@ -67,17 +67,13 @@ appendNumList(std::string &s, const char *key,
     s += ']';
 }
 
-/** Close the response header @p os has begun: the escaped document from
- *  @p render as the "document" string, then the closing brace. */
+/** Close the response header @p os has begun: the document @p render
+ *  appends as the "document" string, then the closing brace. */
 void
 appendDocument(engine::JsonOut &os, const DocumentRender &render)
 {
-    std::string &out = os.buffer();
     os << ", \"document\": \"";
-    render([&out](std::string_view piece) {
-        engine::appendJsonEscaped(out, piece);
-        return true;
-    });
+    render(os.buffer());
     os << "\"}";
 }
 
@@ -253,6 +249,8 @@ parseServeResponse(const std::string &line, ServeResponse &out,
     p.num("store_appends", out.storeAppends);
     p.num("store_syncs", out.storeSyncs);
     p.num("store_compactions", out.storeCompactions);
+    p.num("store_cold_reads", out.storeColdReads);
+    p.num("store_rejected_entries", out.storeRejectedEntries);
     p.num("failpoints_active", out.failpointsActive);
     p.num("failpoint_fires", out.failpointFires);
     if (const std::string *sync = p.str("store_sync"))
@@ -281,8 +279,8 @@ renderSweepResponse(uint64_t cellsTotal, uint64_t cellsFailed,
 {
     std::string out;
     appendSweepResponse(out, cellsTotal, cellsFailed, cellsCached,
-                        cellsComputed, [&](const engine::JsonSink &sink) {
-                            return sink(document);
+                        cellsComputed, [&](std::string &body) {
+                            engine::appendJsonEscaped(body, document);
                         });
     return out;
 }
@@ -313,8 +311,8 @@ renderExploreResponse(uint64_t cellsTotal, uint64_t cellsExecuted,
     std::string out;
     appendExploreResponse(out, cellsTotal, cellsExecuted, cellsPruned,
                           cellsFailed, cellsCached, cellsComputed,
-                          [&](const engine::JsonSink &sink) {
-                              return sink(document);
+                          [&](std::string &body) {
+                              engine::appendJsonEscaped(body, document);
                           });
     return out;
 }
@@ -359,6 +357,10 @@ renderHealthResponse(const ServeResponse &health)
            ", \"store_syncs\": " + std::to_string(health.storeSyncs) +
            ", \"store_compactions\": " +
            std::to_string(health.storeCompactions) +
+           ", \"store_cold_reads\": " +
+           std::to_string(health.storeColdReads) +
+           ", \"store_rejected_entries\": " +
+           std::to_string(health.storeRejectedEntries) +
            ", \"store_sync\": " + engine::jsonString(health.storeSync) +
            ", \"failpoints_active\": " +
            std::to_string(health.failpointsActive) +

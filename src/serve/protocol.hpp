@@ -121,6 +121,8 @@ struct ServeResponse
     uint64_t storeAppends = 0;
     uint64_t storeSyncs = 0;
     uint64_t storeCompactions = 0;
+    uint64_t storeColdReads = 0;         ///< entries re-read from disk
+    uint64_t storeRejectedEntries = 0;   ///< lines failing parse or CRC
     uint64_t failpointsActive = 0;
     uint64_t failpointFires = 0;
     std::string storeSync; ///< daemon's fsync policy name
@@ -133,19 +135,21 @@ struct ServeResponse
 bool parseServeResponse(const std::string &line, ServeResponse &out,
                         std::string &error);
 
-/** Renders a response's document into the sink it is given, piece by
- *  piece (engine::streamSweepJson, engine::streamExploreJson). */
-using DocumentRender = std::function<bool(const engine::JsonSink &sink)>;
+/** Appends a response's document to the string it is given, escaped as
+ *  the body of a JSON string literal (engine::appendSweepJson,
+ *  engine::appendExploreJson in engine::JsonForm::StringBody). */
+using DocumentRender = std::function<void(std::string &body)>;
 
-/** Append a sweep response line (no trailing newline) to @p out. Each
- *  piece @p render produces is escaped straight into @p out, so the
- *  document itself is never held whole. */
+/** Append a sweep response line (no trailing newline) to @p out. The
+ *  document is rendered by @p render straight into @p out, so it is never
+ *  held whole, and a store hit's cells are copied in their stored escaped
+ *  form. */
 void appendSweepResponse(std::string &out, uint64_t cellsTotal,
                          uint64_t cellsFailed, uint64_t cellsCached,
                          uint64_t cellsComputed,
                          const DocumentRender &render);
 
-/** appendSweepResponse into a fresh string. */
+/** appendSweepResponse of @p document into a fresh string. */
 std::string renderSweepResponse(uint64_t cellsTotal, uint64_t cellsFailed,
                                 uint64_t cellsCached, uint64_t cellsComputed,
                                 const std::string &document);
@@ -158,7 +162,7 @@ void appendExploreResponse(std::string &out, uint64_t cellsTotal,
                            uint64_t cellsComputed,
                            const DocumentRender &render);
 
-/** appendExploreResponse into a fresh string. */
+/** appendExploreResponse of @p document into a fresh string. */
 std::string renderExploreResponse(uint64_t cellsTotal, uint64_t cellsExecuted,
                                   uint64_t cellsPruned, uint64_t cellsFailed,
                                   uint64_t cellsCached,

@@ -1,6 +1,7 @@
 #include "serve/result_store.hpp"
 
 #include <cstdio>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -8,6 +9,7 @@
 #include <unistd.h>
 
 #include "engine/sweep_json.hpp"
+#include "support/crc32.hpp"
 #include "support/failpoint.hpp"
 #include "support/json_line.hpp"
 #include "support/panic.hpp"
@@ -19,38 +21,79 @@ namespace {
 
 constexpr const char *storeSchema = "paragraph-serve-store-v1";
 
+/** Bytes the constructor reads the store in. */
+constexpr size_t kLoadBlock = size_t{1} << 20;
+
+/** What follows an entry's wire text on its line. */
+constexpr std::string_view kEntryTail = "\"}\n";
+
+/** An entry line up to its wire text: the key, the checksum of @p wire,
+ *  and the opening quote of "cell". */
 std::string
-renderEntry(const ResultKey &key, const std::string &cellJson)
+entryHead(const ResultKey &key, std::string_view wire)
 {
-    std::string line;
-    engine::JsonOut os(line);
+    std::string head;
+    engine::JsonOut os(head);
     os << "{\"trace_crc\": " << key.traceCrc
        << ", \"config_key\": " << key.configKey
        << ", \"profiles\": " << (key.profiles ? "true" : "false")
-       << ", \"cell\": " << engine::quoted(cellJson) << "}\n";
-    return line;
+       << ", \"cell_crc\": " << crc32Of(wire.data(), wire.size())
+       << ", \"cell\": \"";
+    return head;
 }
 
-/** Parse one entry line; false if it is not a complete, well-formed entry. */
+/** Write @p key's entry line around @p wire to @p f, setting @p length to
+ *  its bytes before the newline. @return false on a short write. */
 bool
-parseEntry(const std::string &line, ResultKey &key, std::string &cellJson)
+writeEntry(std::FILE *f, const ResultKey &key, std::string_view wire,
+           size_t &length)
+{
+    const std::string head = entryHead(key, wire);
+    length = head.size() + wire.size() + kEntryTail.size() - 1;
+    return std::fwrite(head.data(), 1, head.size(), f) == head.size() &&
+           std::fwrite(wire.data(), 1, wire.size(), f) == wire.size() &&
+           std::fwrite(kEntryTail.data(), 1, kEntryTail.size(), f) ==
+               kEntryTail.size();
+}
+
+/**
+ * Parse one entry line into its key and its cell's wire text. The cell is
+ * re-escaped from its parsed value rather than copied from the line, so a
+ * hand-edited escape (`\/`, `\u0041`) serves the bytes a fresh render
+ * would. A line with "cell_crc" must match it; lines written before the
+ * field existed carry none and load unchecked.
+ * @return nullptr, or why the line cannot be served.
+ */
+const char *
+parseEntry(std::string_view line, ResultKey &key, std::string &wire)
 {
     JsonLineParser p(line);
     if (!p.parse())
-        return false;
+        return "is malformed";
     uint64_t traceCrc = 0;
     uint64_t configKey = 0;
+    uint64_t cellCrc = 0;
     bool profiles = false;
     const std::string *cell = p.str("cell");
     if (!p.num("trace_crc", traceCrc) || !p.num("config_key", configKey) ||
         !p.boolean("profiles", profiles) || !cell ||
         traceCrc > UINT32_MAX || configKey > UINT32_MAX)
-        return false;
+        return "is malformed";
     key.traceCrc = static_cast<uint32_t>(traceCrc);
     key.configKey = static_cast<uint32_t>(configKey);
     key.profiles = profiles;
-    cellJson = *cell;
-    return true;
+    wire.clear();
+    engine::appendJsonEscaped(wire, *cell);
+    if (p.num("cell_crc", cellCrc) &&
+        cellCrc != crc32Of(wire.data(), wire.size()))
+        return "fails its cell checksum";
+    return nullptr;
+}
+
+bool
+sameKey(const ResultKey &a, const ResultKey &b)
+{
+    return !(a < b) && !(b < a);
 }
 
 } // namespace
@@ -76,36 +119,50 @@ ResultStore::ResultStore(std::string path, Options opt)
         PARA_FATAL("cannot open result store for reading: %s", path_.c_str());
     }
 
-    // Index every line. Offsets are tracked manually so damaged lines cost
-    // nothing but a warning.
-    std::string line;
-    long offset = 0;
+    // Index every line, reading the file a block at a time. Offsets are
+    // tracked manually so damaged lines cost nothing but a warning.
+    std::string buf;  // unconsumed bytes, from file offset `base`
+    long base = 0;
+    size_t start = 0; // first byte of the next line in buf
+    size_t scan = 0;  // bytes of buf already searched for a newline
+    bool eof = false;
     size_t lineNo = 0;
     bool sawHeader = false;
-    int c;
+    std::string wire;
     for (;;) {
-        line.clear();
-        long lineStart = offset;
-        while ((c = std::fgetc(read_)) != EOF && c != '\n')
-            line += static_cast<char>(c);
-        offset = lineStart + static_cast<long>(line.size()) + (c == '\n');
-        if (line.empty() && c == EOF)
-            break;
-        ++lineNo;
-        if (c == EOF) {
-            // Torn final line (crash mid-append): drop it from the index
-            // and terminate it on disk, so the next insert starts a clean
-            // line instead of concatenating onto the fragment. The sealed
-            // fragment is then just another malformed line future loads
-            // warn about and skip.
-            PARA_WARN("result store %s line %zu is truncated; dropped",
-                      path_.c_str(), lineNo);
-            if (std::fputc('\n', append_) == EOF ||
-                std::fflush(append_) != 0)
-                PARA_WARN("result store %s: cannot seal truncated line",
-                          path_.c_str());
-            break;
+        size_t nl = buf.find('\n', scan);
+        if (nl == std::string::npos) {
+            if (eof) {
+                if (start == buf.size())
+                    break;
+                // Torn final line (crash mid-append): drop it from the
+                // index and terminate it on disk, so the next insert
+                // starts a clean line instead of concatenating onto the
+                // fragment. The sealed fragment is then just another
+                // malformed line future loads warn about and skip.
+                PARA_WARN("result store %s line %zu is truncated; dropped",
+                          path_.c_str(), lineNo + 1);
+                if (std::fputc('\n', append_) == EOF ||
+                    std::fflush(append_) != 0)
+                    PARA_WARN("result store %s: cannot seal truncated line",
+                              path_.c_str());
+                break;
+            }
+            buf.erase(0, start);
+            base += static_cast<long>(start);
+            start = 0;
+            scan = buf.size();
+            buf.resize(scan + kLoadBlock);
+            const size_t got =
+                std::fread(buf.data() + scan, 1, kLoadBlock, read_);
+            buf.resize(scan + got);
+            eof = got == 0;
+            continue;
         }
+        const std::string_view line(buf.data() + start, nl - start);
+        const long lineStart = base + static_cast<long>(start);
+        start = scan = nl + 1;
+        ++lineNo;
         if (line.empty())
             continue;
         if (!sawHeader) {
@@ -120,20 +177,19 @@ ResultStore::ResultStore(std::string path, Options opt)
             continue;
         }
         ResultKey key;
-        std::string cellJson;
-        if (!parseEntry(line, key, cellJson)) {
-            PARA_WARN("result store %s line %zu is malformed; skipped",
-                      path_.c_str(), lineNo);
+        if (const char *why = parseEntry(line, key, wire)) {
+            PARA_WARN("result store %s line %zu %s; skipped", path_.c_str(),
+                      lineNo, why);
+            ++rejected_;
             continue;
         }
         Entry &entry = index_[key]; // duplicate keys: newest position wins
-        if (entry.hot)
-            hotBytes_ -= entry.hotText.size();
+        cool(entry);
         entry.offset = lineStart;
         entry.length = line.size();
-        entry.hot = false;
-        entry.hotText.clear();
-        touch(entry, std::move(cellJson));
+        makeHot(entry,
+                std::make_shared<const std::string>(std::move(wire)));
+        wire = std::string();
     }
 
     if (!sawHeader) {
@@ -183,15 +239,22 @@ ResultStore::syncLocked()
 }
 
 void
-ResultStore::touch(Entry &entry, std::string text)
+ResultStore::makeHot(Entry &entry, WireText text)
 {
-    entry.lastUse = ++useCounter_;
-    if (!entry.hot) {
-        hotBytes_ += text.size();
-        entry.hotText = std::move(text);
-        entry.hot = true;
-    }
+    hotBytes_ += text->size();
+    entry.hot = std::move(text);
+    entry.lru = lru_.insert(lru_.end(), &entry);
     enforceBudget();
+}
+
+void
+ResultStore::cool(Entry &entry)
+{
+    if (!entry.hot)
+        return;
+    lru_.erase(entry.lru);
+    hotBytes_ -= entry.hot->size();
+    entry.hot.reset(); // a response in flight keeps its own reference
 }
 
 void
@@ -199,68 +262,85 @@ ResultStore::enforceBudget()
 {
     if (opt_.memoryBudget == 0)
         return;
-    while (hotBytes_ > opt_.memoryBudget) {
-        Entry *victim = nullptr;
-        for (auto &kv : index_) {
-            if (!kv.second.hot)
-                continue;
-            if (!victim || kv.second.lastUse < victim->lastUse)
-                victim = &kv.second;
-        }
-        if (!victim)
-            return;
-        hotBytes_ -= victim->hotText.size();
-        victim->hotText.clear();
-        victim->hotText.shrink_to_fit();
-        victim->hot = false;
+    while (hotBytes_ > opt_.memoryBudget && !lru_.empty())
+        cool(*lru_.front());
+}
+
+bool
+ResultStore::readCold(const ResultKey &key, const Entry &entry,
+                      std::string &wire)
+{
+    ++coldReads_;
+    std::string line(entry.length, '\0');
+    ResultKey diskKey;
+    const char *why = nullptr;
+    if (!read_ || std::fseek(read_, entry.offset, SEEK_SET) != 0 ||
+        std::fread(line.data(), 1, line.size(), read_) != line.size())
+        why = "cannot be re-read";
+    else if (!(why = parseEntry(line, diskKey, wire)) &&
+             !sameKey(diskKey, key))
+        why = "holds another key";
+    if (!why)
+        return true;
+    PARA_WARN("result store %s: entry at offset %ld %s; dropped",
+              path_.c_str(), entry.offset, why);
+    ++rejected_;
+    return false;
+}
+
+ResultStore::Index::iterator
+ResultStore::drop(Index::iterator it)
+{
+    cool(it->second);
+    return index_.erase(it);
+}
+
+ResultStore::WireText
+ResultStore::lookupWire(const ResultKey &key)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = index_.find(key);
+    if (it == index_.end())
+        return nullptr;
+    Entry &entry = it->second;
+    if (entry.hot) {
+        lru_.splice(lru_.end(), lru_, entry.lru); // now the newest use
+        return entry.hot;
     }
+    // Cold entry: re-read its line from disk and re-validate it. A line
+    // that no longer holds its cell (external damage) is a miss, and the
+    // entry goes, so the recomputed cell is appended again.
+    std::string wire;
+    if (!readCold(key, entry, wire)) {
+        drop(it);
+        return nullptr;
+    }
+    WireText text = std::make_shared<const std::string>(std::move(wire));
+    makeHot(entry, text); // may evict it again under a tiny budget
+    return text;
 }
 
 bool
 ResultStore::lookup(const ResultKey &key, std::string &cellJson)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = index_.find(key);
-    if (it == index_.end())
+    WireText wire = lookupWire(key);
+    if (!wire)
         return false;
-    Entry &entry = it->second;
-    if (entry.hot) {
-        cellJson = entry.hotText;
-        entry.lastUse = ++useCounter_;
-        return true;
-    }
-    // Cold entry: re-read its line from disk and re-validate. A line that
-    // no longer parses (external damage) degrades to a miss.
-    std::string line(entry.length, '\0');
-    if (std::fseek(read_, entry.offset, SEEK_SET) != 0 ||
-        std::fread(line.data(), 1, line.size(), read_) != line.size()) {
-        PARA_WARN("result store %s: cannot re-read entry at offset %ld",
-                  path_.c_str(), entry.offset);
-        return false;
-    }
-    ResultKey diskKey;
-    bool parsed = parseEntry(line, diskKey, cellJson);
-    bool sameKey = parsed && !(diskKey < key) && !(key < diskKey);
-    if (!parsed || !sameKey) {
-        PARA_WARN("result store %s: entry at offset %ld no longer parses; "
-                  "treated as a miss",
-                  path_.c_str(), entry.offset);
-        cellJson.clear();
-        return false;
-    }
-    touch(entry, cellJson);
+    cellJson.clear();
+    appendJsonUnescaped(cellJson, *wire);
     return true;
 }
 
 void
 ResultStore::insert(const ResultKey &key, const std::string &cellJson)
 {
+    auto wire = std::make_shared<std::string>();
+    engine::appendJsonEscaped(*wire, cellJson);
     std::lock_guard<std::mutex> lock(mutex_);
     if (index_.count(key))
         return;
     if (!append_ || writeFailed_)
         return;
-    std::string entryLine = renderEntry(key, cellJson);
     if (std::fseek(append_, 0, SEEK_END) != 0) {
         writeFailed_ = true;
         PARA_WARN("result store %s: seek failed; caching disabled",
@@ -269,11 +349,13 @@ ResultStore::insert(const ResultKey &key, const std::string &cellJson)
     }
     long offset = std::ftell(append_);
     if (PARA_FAILPOINT("store.append.torn")) {
-        // Simulated crash mid-append: half the line reaches the file with
-        // no terminating newline, exactly what a power cut during fwrite
-        // leaves behind. The fragment is never indexed; the next open
-        // seals and skips it.
-        std::fwrite(entryLine.data(), 1, entryLine.size() / 2, append_);
+        // Simulated crash mid-append: part of the line reaches the file
+        // with no terminating newline, exactly what a power cut during
+        // fwrite leaves behind. The fragment is never indexed; the next
+        // open seals and skips it.
+        const std::string head = entryHead(key, *wire);
+        std::fwrite(head.data(), 1, head.size(), append_);
+        std::fwrite(wire->data(), 1, wire->size() / 2, append_);
         std::fflush(append_);
         writeFailed_ = true;
         PARA_WARN("result store %s: torn append (injected); caching "
@@ -281,9 +363,9 @@ ResultStore::insert(const ResultKey &key, const std::string &cellJson)
                   path_.c_str());
         return;
     }
+    size_t length = 0;
     if (offset < 0 || PARA_FAILPOINT("store.append.fail") ||
-        std::fwrite(entryLine.data(), 1, entryLine.size(), append_) !=
-            entryLine.size() ||
+        !writeEntry(append_, key, *wire, length) ||
         std::fflush(append_) != 0) {
         writeFailed_ = true;
         PARA_WARN("result store %s: append failed; caching disabled",
@@ -301,8 +383,8 @@ ResultStore::insert(const ResultKey &key, const std::string &cellJson)
     }
     Entry &entry = index_[key];
     entry.offset = offset;
-    entry.length = entryLine.size() - 1; // exclude the newline
-    touch(entry, cellJson);
+    entry.length = length;
+    makeHot(entry, std::move(wire));
     if (opt_.compactEveryAppends != 0 &&
         ++appendsSinceCompact_ >= opt_.compactEveryAppends) {
         std::string error;
@@ -325,63 +407,40 @@ ResultStore::compactLocked(std::string &error)
 {
     appendsSinceCompact_ = 0;
 
-    // Stage 1: collect every live entry's text. Hot entries come from
-    // memory; cold ones re-read through the old file handle. Unreadable
-    // entries are dropped — compaction is the designated place to shed
-    // damage, and lookup() already treats them as misses.
-    std::vector<std::pair<ResultKey, std::string>> live;
-    live.reserve(index_.size());
-    for (auto it = index_.begin(); it != index_.end();) {
-        Entry &entry = it->second;
-        std::string cellJson;
-        bool ok;
-        if (entry.hot) {
-            cellJson = entry.hotText;
-            ok = true;
-        } else {
-            std::string line(entry.length, '\0');
-            ResultKey diskKey;
-            ok = std::fseek(read_, entry.offset, SEEK_SET) == 0 &&
-                 std::fread(line.data(), 1, line.size(), read_) ==
-                     line.size() &&
-                 parseEntry(line, diskKey, cellJson) &&
-                 !(diskKey < it->first) && !(it->first < diskKey);
-        }
-        if (!ok) {
-            PARA_WARN("result store %s: entry at offset %ld is unreadable; "
-                      "dropped by compaction",
-                      path_.c_str(), entry.offset);
-            if (entry.hot)
-                hotBytes_ -= entry.hotText.size();
-            it = index_.erase(it);
-            continue;
-        }
-        live.emplace_back(it->first, std::move(cellJson));
-        ++it;
-    }
-
-    // Stage 2: write header + live entries to a temp file and push it to
-    // the device before it can replace anything.
+    // Stage 1: write the header and one line per live entry to a temp
+    // file, straight from each entry's wire text: hot entries from
+    // memory, cold ones re-read (and re-validated) through the old file
+    // handle, one at a time. Unreadable entries are dropped — compaction
+    // is the designated place to shed damage, and lookups already treat
+    // them as misses. The file is pushed to the device before it can
+    // replace anything.
     std::string tmpPath = path_ + ".compact.tmp";
     std::FILE *tmp = std::fopen(tmpPath.c_str(), "wb");
     if (!tmp) {
         error = "cannot create " + tmpPath;
         return false;
     }
-    std::vector<long> offsets(live.size(), 0);
     std::string header = std::string("{\"schema\": \"") + storeSchema +
                          "\"}\n";
     bool failed =
         PARA_FAILPOINT("store.compact") ||
         std::fwrite(header.data(), 1, header.size(), tmp) != header.size();
     long offset = static_cast<long>(header.size());
-    std::vector<std::string> lines(live.size());
-    for (size_t i = 0; !failed && i < live.size(); ++i) {
-        lines[i] = renderEntry(live[i].first, live[i].second);
-        offsets[i] = offset;
-        failed = std::fwrite(lines[i].data(), 1, lines[i].size(), tmp) !=
-                 lines[i].size();
-        offset += static_cast<long>(lines[i].size());
+    std::vector<std::pair<long, size_t>> placed; // per surviving entry
+    placed.reserve(index_.size());
+    std::string coldWire;
+    for (auto it = index_.begin(); !failed && it != index_.end();) {
+        Entry &entry = it->second;
+        if (!entry.hot && !readCold(it->first, entry, coldWire)) {
+            it = drop(it);
+            continue;
+        }
+        size_t length = 0;
+        failed = !writeEntry(tmp, it->first,
+                             entry.hot ? *entry.hot : coldWire, length);
+        placed.emplace_back(offset, length);
+        offset += static_cast<long>(length + 1);
+        ++it;
     }
     if (!failed)
         failed = std::fflush(tmp) != 0 || ::fsync(::fileno(tmp)) != 0;
@@ -393,7 +452,7 @@ ResultStore::compactLocked(std::string &error)
         return false;
     }
 
-    // Stage 3: atomically replace the store, then reopen both handles on
+    // Stage 2: atomically replace the store, then reopen both handles on
     // the new file (the old descriptors still reference the old inode) and
     // fsync the directory so the rename itself survives a machine crash.
     if (std::rename(tmpPath.c_str(), path_.c_str()) != 0) {
@@ -426,12 +485,12 @@ ResultStore::compactLocked(std::string &error)
         return false;
     }
 
-    // Stage 4: point the index at the rewritten lines. The rewrite also
+    // Stage 3: point the index at the rewritten lines. The rewrite also
     // repairs append failures: the new file is clean and the handle fresh.
     size_t i = 0;
     for (auto &kv : index_) {
-        kv.second.offset = offsets[i];
-        kv.second.length = lines[i].size() - 1; // exclude the newline
+        kv.second.offset = placed[i].first;
+        kv.second.length = placed[i].second;
         ++i;
     }
     writeFailed_ = false;
@@ -472,6 +531,20 @@ ResultStore::compactions() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return compactions_;
+}
+
+uint64_t
+ResultStore::coldReads() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return coldReads_;
+}
+
+uint64_t
+ResultStore::rejectedEntries() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return rejected_;
 }
 
 long

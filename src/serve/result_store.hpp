@@ -12,12 +12,21 @@
  *
  * Persistence is an append-only JSONL file in the journal's mold: a schema
  * header line, then one self-contained entry per line, flushed as written.
- * Loading tolerates torn or corrupt lines (a crash mid-append loses at most
- * the line being written; everything else re-serves), and duplicate keys
- * resolve to the newest entry. The in-memory index holds every entry's file
- * position; entry *text* is kept hot only up to Options::memoryBudget bytes
- * (LRU), older entries re-read from disk on demand — the index stays small
- * even when the store grows far past RAM.
+ * Each line carries the CRC-32 of its cell text ("cell_crc"), checked on
+ * load and on every re-read. Loading tolerates torn, corrupt or
+ * checksum-failing lines (a crash mid-append loses at most the line being
+ * written; everything else re-serves, and a damaged cell is a miss that
+ * is recomputed and re-appended), and duplicate keys resolve to the newest
+ * entry. The in-memory index holds every entry's file position; entry
+ * *text* is kept hot only up to Options::memoryBudget bytes (LRU), older
+ * entries re-read from disk on demand — the index stays small even when
+ * the store grows far past RAM.
+ *
+ * Hot text is held in wire form: the cell escaped as the inside of a JSON
+ * string literal, exactly the bytes its line holds between the quotes of
+ * "cell" and exactly what a daemon response carries, as one shared
+ * immutable string. A hit takes a reference, not a copy; eviction drops
+ * only the store's reference, so a response in flight keeps its text.
  */
 
 #ifndef PARAGRAPH_SERVE_RESULT_STORE_HPP
@@ -26,7 +35,9 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <list>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 
@@ -67,10 +78,15 @@ struct ResultKey
 class ResultStore
 {
   public:
+    /** A cell's text in wire form (see the file comment), shared. */
+    using WireText = std::shared_ptr<const std::string>;
+
     struct Options
     {
-        /** Byte budget for hot entry text; 0 = keep everything resident.
-         *  The index (a few dozen bytes per entry) is never evicted. */
+        /** Byte budget for hot entry text, counted in wire form (escapes
+         *  make it ~9% larger than the cell text); 0 = keep everything
+         *  resident. The index (a few dozen bytes per entry) is never
+         *  evicted. */
         size_t memoryBudget = 0;
 
         /** Device-durability policy for appended entries. */
@@ -86,9 +102,9 @@ class ResultStore
 
     /**
      * Open (creating if absent) the store at @p path and index every
-     * parseable entry. Throws FatalError if the file cannot be opened or
-     * carries the wrong schema header; damaged entry lines are warned
-     * about and skipped.
+     * parseable entry whose checksum holds. Throws FatalError if the file
+     * cannot be opened or carries the wrong schema header; damaged entry
+     * lines are warned about (by line number) and skipped.
      */
     explicit ResultStore(std::string path);
     ResultStore(std::string path, Options opt);
@@ -98,17 +114,25 @@ class ResultStore
     ResultStore &operator=(const ResultStore &) = delete;
 
     /**
-     * Fetch the cell text stored under @p key into @p cellJson. Serves
-     * from the hot cache or re-reads the entry's line from disk.
-     * @return false on a miss (or if the on-disk line has since been
-     *         damaged — treated as a miss, the caller recomputes).
+     * The wire text stored under @p key: a reference to the hot text
+     * (taken under the lock, no copy), or the entry's line re-read from
+     * disk and re-validated, which makes it hot.
+     * @return null on a miss. An entry whose on-disk line has since been
+     *         damaged is a miss too, and is dropped from the index, so the
+     *         caller's recomputed cell is appended again.
      */
+    WireText lookupWire(const ResultKey &key);
+
+    /** lookupWire(), with the cell text unescaped into @p cellJson.
+     *  @return false on a miss. */
     bool lookup(const ResultKey &key, std::string &cellJson);
 
     /**
      * Append @p cellJson under @p key and flush. A key already present is
      * left alone (first write wins — identical by construction, since the
      * key is the content address of everything that determines the text).
+     * The cell is escaped once; its line is written around those bytes,
+     * which stay hot as the entry's wire text.
      */
     void insert(const ResultKey &key, const std::string &cellJson);
 
@@ -127,7 +151,7 @@ class ResultStore
     /** Entries indexed. */
     size_t entries() const;
 
-    /** Bytes of entry text currently hot. */
+    /** Bytes of entry text currently hot, in wire form. */
     size_t hotBytes() const;
 
     /** Entries appended since open (survives compaction). */
@@ -139,6 +163,13 @@ class ResultStore
     /** Completed compactions. */
     uint64_t compactions() const;
 
+    /** Entry lines re-read from disk, by lookups and compactions. */
+    uint64_t coldReads() const;
+
+    /** Entry lines that failed to parse or to match their checksum (or
+     *  their key, or could not be read), at load or on a re-read. */
+    uint64_t rejectedEntries() const;
+
     /** Current size of the store file in bytes, or -1 if unknown. */
     long diskBytes() const;
 
@@ -147,13 +178,17 @@ class ResultStore
     {
         long offset = 0;   ///< byte offset of this entry's line
         size_t length = 0; ///< line length excluding the newline
-        std::string hotText;
-        bool hot = false;
-        uint64_t lastUse = 0;
+        WireText hot;      ///< the wire text while hot; null when cold
+        std::list<Entry *>::iterator lru; ///< place in lru_ while hot
     };
+    using Index = std::map<ResultKey, Entry>;
 
-    void touch(Entry &entry, std::string text);
+    void makeHot(Entry &entry, WireText text);
+    void cool(Entry &entry);
     void enforceBudget();
+    bool readCold(const ResultKey &key, const Entry &entry,
+                  std::string &wire);
+    Index::iterator drop(Index::iterator it);
     void syncLocked();
     bool compactLocked(std::string &error);
 
@@ -162,13 +197,15 @@ class ResultStore
     mutable std::mutex mutex_;
     std::FILE *append_ = nullptr;
     std::FILE *read_ = nullptr;
-    std::map<ResultKey, Entry> index_;
+    Index index_;
+    std::list<Entry *> lru_; ///< hot entries, least recently used first
     size_t hotBytes_ = 0;
-    uint64_t useCounter_ = 0;
     bool writeFailed_ = false;
     uint64_t appends_ = 0;
     uint64_t syncs_ = 0;
     uint64_t compactions_ = 0;
+    uint64_t coldReads_ = 0;
+    uint64_t rejected_ = 0;
     size_t appendsSinceCompact_ = 0;
     std::chrono::steady_clock::time_point lastSync_{};
 };

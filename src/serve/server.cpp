@@ -96,27 +96,25 @@ syncPolicyName(SyncPolicy policy)
  *  glibc's default mmap threshold, allocating one is a cheap heap carve. */
 constexpr size_t kSpareMinBytes = size_t{128} << 10;
 
-/** Bytes of stored cell text @p cells splice into their document. */
+/**
+ * Response bytes @p cells take beyond the envelope when served from the
+ * store: their stored wire bytes go into the response as they are, and
+ * each cell's head, rendered again for the requesting grid, differs from
+ * its stored one only by that grid's input name, indices and label. A
+ * hit's response reserved for this renders in place, without doubling
+ * copies or twice the capacity.
+ */
 size_t
-splicedBytes(const std::vector<engine::SweepCell> &cells)
+splicedResponseBytes(const std::vector<engine::SweepCell> &cells)
 {
-    size_t bytes = 0;
+    size_t bytes = engine::splicedBytes(cells);
     for (const engine::SweepCell &cell : cells)
-        bytes += cell.journalText.size();
+        bytes += cell.job.input.size() + cell.job.configLabel.size() + 256;
     return bytes;
 }
 
-/**
- * Size @p response for @p spliced bytes of cell text once escaped (~9%
- * more, as engine::appendJsonEscaped reserves). Spliced cells are nearly
- * all of a store hit's response, which then renders in place without
- * doubling copies or twice the capacity.
- */
-void
-reserveResponse(std::string &response, size_t spliced)
-{
-    response.reserve(response.size() + spliced + spliced / 8 + 4096);
-}
+/** Envelope and document header allowance of a response. */
+constexpr size_t kEnvelopeBytes = 4096;
 
 } // namespace
 
@@ -442,7 +440,7 @@ ServeServer::handleRequestLine(const std::string &line, bool &shutdown)
                                    ? handleExplore(req)
                                    : handleSweep(req);
         // Growing a multi-MB response can fail to allocate; the site fires
-        // once the document is escaped into the response, whose partial
+        // once the document is rendered into the response, whose partial
         // line the error reply below must replace.
         if (PARA_FAILPOINT("serve.render"))
             throw std::bad_alloc();
@@ -497,14 +495,15 @@ ServeServer::resolveCells(std::vector<engine::SweepJob> &jobs, bool profiles,
             ResultKey &key = keyAt[k];
             key = ResultKey{*crc->second, engine::configKey(job.config),
                             profiles};
-            std::string cellJson;
-            if (store_ && store_->lookup(key, cellJson)) {
+            ResultStore::WireText wire;
+            if (store_ && (wire = store_->lookupWire(key))) {
                 // The fragment is shared across grids by content address;
                 // its head (input, indices, config label) is rendered from
-                // this job when the document is written.
+                // this job when the document is written, and the rest is
+                // spliced from the store's own bytes.
                 cells[k].job = std::move(job);
                 cells[k].status = engine::SweepCell::Status::Skipped;
-                cells[k].journalText = std::move(cellJson);
+                cells[k].wireText = std::move(wire);
                 ++cached;
                 continue;
             }
@@ -573,11 +572,12 @@ ServeServer::handleSweep(const ServeRequest &req)
     jsonOpt.timing = false;
     jsonOpt.profiles = req.profiles;
     std::string response = takeResponseBuffer();
-    reserveResponse(response, splicedBytes(sweep.cells));
+    response.reserve(splicedResponseBytes(sweep.cells) + kEnvelopeBytes);
     appendSweepResponse(response, sweep.cells.size(), failed, cached,
-                        computed, [&](const engine::JsonSink &sink) {
-                            return engine::streamSweepJson(sweep, jsonOpt,
-                                                           sink);
+                        computed, [&](std::string &body) {
+                            engine::appendSweepJson(
+                                body, sweep, jsonOpt,
+                                engine::JsonForm::StringBody);
                         });
     return response;
 }
@@ -633,15 +633,16 @@ ServeServer::handleExplore(const ServeRequest &req)
 
     size_t spliced = 0;
     for (const engine::ExploreTrace &trace : explored.traces)
-        spliced += splicedBytes(trace.cells);
+        spliced += splicedResponseBytes(trace.cells);
     std::string response = takeResponseBuffer();
-    reserveResponse(response, spliced);
+    response.reserve(spliced + kEnvelopeBytes);
     appendExploreResponse(response, explored.cellsTotal,
                           explored.cellsExecuted, explored.cellsPruned,
                           explored.cellsFailed, cached, computed,
-                          [&](const engine::JsonSink &sink) {
-                              return engine::streamExploreJson(
-                                  explored, jsonOpt, sink);
+                          [&](std::string &body) {
+                              engine::appendExploreJson(
+                                  body, explored, jsonOpt,
+                                  engine::JsonForm::StringBody);
                           });
     return response;
 }
@@ -674,6 +675,8 @@ ServeServer::healthLine()
     health.storeAppends = store_ ? store_->appends() : 0;
     health.storeSyncs = store_ ? store_->syncs() : 0;
     health.storeCompactions = store_ ? store_->compactions() : 0;
+    health.storeColdReads = store_ ? store_->coldReads() : 0;
+    health.storeRejectedEntries = store_ ? store_->rejectedEntries() : 0;
     health.storeSync = syncPolicyName(opt_.storeSyncPolicy);
     health.failpointsActive = failpoint::activeSites();
     health.failpointFires = failpoint::totalFires();

@@ -156,10 +156,12 @@ class ServeServer
     /**
      * Resolve @p jobs cell by cell into @p cells (job order): key each by
      * content address (trace CRC + config key + @p profiles), serve store
-     * hits as Skipped cells carrying the stored JSON (index fields rebound
-     * to the job's grid coordinates), submit only the misses to the
-     * scheduler, and store every miss the moment it finishes Ok. The jobs
-     * are moved from. @p cached counts the hits.
+     * hits as Skipped cells holding a reference to the store's wire text
+     * (no copy, and no analysis result; the head is rendered from the
+     * job's grid coordinates), submit only the misses to the scheduler,
+     * and store every miss the moment it finishes Ok. Sweeps and explore
+     * rounds both resolve here. The jobs are moved from. @p cached counts
+     * the hits.
      */
     void resolveCells(std::vector<engine::SweepJob> &jobs, bool profiles,
                       std::vector<engine::SweepCell> &cells,

@@ -4,16 +4,19 @@
 
 namespace paragraph {
 
-BucketedProfile::BucketedProfile(size_t num_bins)
+BucketedProfile::BucketedProfile(size_t num_bins) : numBins_(num_bins)
 {
     PARA_ASSERT(num_bins >= 2 && (num_bins & (num_bins - 1)) == 0,
                 "num_bins must be a power of two >= 2");
-    bins_.assign(num_bins, 0);
 }
 
 void
 BucketedProfile::fold()
 {
+    if (bins_.empty()) {
+        bins_.assign(numBins_, 0);
+        return;
+    }
     size_t n = bins_.size();
     for (size_t i = 0; i < n / 2; ++i)
         bins_[i] = bins_[2 * i] + bins_[2 * i + 1];

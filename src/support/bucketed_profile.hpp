@@ -10,7 +10,9 @@
  *
  * The profile keeps a fixed number of bins; whenever a sample exceeds the
  * representable range the bin width doubles and adjacent bins are folded
- * together, so memory stays constant over arbitrarily deep DDGs.
+ * together, so memory stays constant over arbitrarily deep DDGs. The bins
+ * are allocated by the first sample (in fold(), the out-of-range path), so
+ * a profile that is built but never filled costs no bin memory.
  */
 
 #ifndef PARAGRAPH_SUPPORT_BUCKETED_PROFILE_HPP
@@ -63,10 +65,17 @@ class BucketedProfile
     uint64_t bucketWidth() const { return 1ULL << bucketShift_; }
 
     /** Number of bins configured. */
-    size_t numBins() const { return bins_.size(); }
+    size_t numBins() const { return numBins_; }
 
-    /** Raw count in bin @p idx. */
-    uint64_t binCount(size_t idx) const { return bins_[idx]; }
+    /** Bins allocated: 0 until the first sample, numBins() after. */
+    size_t capacity() const { return bins_.size(); }
+
+    /** Raw count in bin @p idx (< numBins()). */
+    uint64_t
+    binCount(size_t idx) const
+    {
+        return idx < bins_.size() ? bins_[idx] : 0;
+    }
 
     /** True when no samples have been recorded. */
     bool empty() const { return totalOps_ == 0; }
@@ -96,12 +105,15 @@ class BucketedProfile
     void mergeShifted(const BucketedProfile &other, uint64_t offset);
 
   private:
-    std::vector<uint64_t> bins_;
-    uint32_t bucketShift_ = 0; ///< log2 of the bucket width
+    std::vector<uint64_t> bins_; ///< empty until the first sample
+    size_t numBins_;             ///< bins configured
+    uint32_t bucketShift_ = 0;   ///< log2 of the bucket width
     uint64_t totalOps_ = 0;
     uint64_t maxLevel_ = 0;
     bool any_ = false;
 
+    /** Allocate the bins if there are none yet, else double the bucket
+     *  width: the path a sample past the representable range takes. */
     void fold();
 };
 

@@ -23,8 +23,17 @@ Histogram::percentile(double fraction) const
 }
 
 void
+Histogram::countFirst(uint64_t sample)
+{
+    counts_.assign(range_, 0);
+    ++counts_[sample];
+}
+
+void
 Histogram::merge(const Histogram &other)
 {
+    if (counts_.empty() && !other.counts_.empty())
+        counts_.assign(range_, 0);
     for (size_t v = 0; v < other.counts_.size(); ++v) {
         uint64_t c = other.counts_[v];
         if (c == 0)

@@ -20,13 +20,17 @@
 
 namespace paragraph {
 
-/** Exact histogram over [0, maxValue], with an overflow bucket. */
+/**
+ * Exact histogram over [0, maxValue], with an overflow bucket. The exact
+ * bins are allocated by the first sample that lands in them, so a
+ * histogram that is built but never filled (a store-served cell's result)
+ * costs no bin memory.
+ */
 class Histogram
 {
   public:
     /** @param max_value largest sample tracked exactly. */
-    explicit Histogram(uint64_t max_value = 1024)
-        : counts_(max_value + 1, 0) {}
+    explicit Histogram(uint64_t max_value = 1024) : range_(max_value + 1) {}
 
     /** Record one sample. */
     void
@@ -34,6 +38,8 @@ class Histogram
     {
         if (sample < counts_.size())
             ++counts_[sample];
+        else if (sample < range_)
+            countFirst(sample);
         else
             ++overflow_;
         ++total_;
@@ -72,7 +78,11 @@ class Histogram
     uint64_t percentile(double fraction) const;
 
     /** Number of exact buckets. */
-    size_t exactRange() const { return counts_.size(); }
+    size_t exactRange() const { return range_; }
+
+    /** Exact buckets allocated: 0 until a sample lands in the exact range,
+     *  exactRange() after. */
+    size_t capacity() const { return counts_.size(); }
 
     /**
      * Fold @p other into this histogram, bin by bin. Exact when the exact
@@ -82,11 +92,15 @@ class Histogram
     void merge(const Histogram &other);
 
   private:
-    std::vector<uint64_t> counts_;
+    std::vector<uint64_t> counts_; ///< empty until the first exact sample
+    uint64_t range_;               ///< exact buckets configured
     uint64_t overflow_ = 0;
     uint64_t total_ = 0;
     uint64_t sum_ = 0;
     uint64_t maxSample_ = 0;
+
+    /** Allocate the exact bins and count @p sample, the first in range. */
+    void countFirst(uint64_t sample);
 };
 
 /** Histogram with power-of-two buckets: [0], [1], [2,3], [4,7], ... */

@@ -4,16 +4,19 @@
 
 namespace paragraph {
 
-IntervalProfile::IntervalProfile(size_t num_bins)
+IntervalProfile::IntervalProfile(size_t num_bins) : numBins_(num_bins)
 {
     PARA_ASSERT(num_bins >= 2 && (num_bins & (num_bins - 1)) == 0,
                 "num_bins must be a power of two >= 2");
-    bins_.assign(num_bins, Bin{});
 }
 
 void
 IntervalProfile::fold()
 {
+    if (bins_.empty()) {
+        bins_.assign(numBins_, Bin{});
+        return;
+    }
     size_t n = bins_.size();
     for (size_t i = 0; i < n / 2; ++i) {
         bins_[i].starts = bins_[2 * i].starts + bins_[2 * i + 1].starts;

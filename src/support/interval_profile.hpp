@@ -12,8 +12,10 @@
  * Every value contributes the interval [creation level, last-access level].
  * Like BucketedProfile, the structure keeps a fixed number of bins and
  * doubles the bin width when a level exceeds the representable range, so
- * memory stays constant over arbitrarily deep DDGs. Per-bucket live counts
- * are exact at bucket boundaries and interpolated within buckets.
+ * memory stays constant over arbitrarily deep DDGs; the bins are allocated
+ * by the first interval (in fold()), so a profile that is built but never
+ * filled costs no bin memory. Per-bucket live counts are exact at bucket
+ * boundaries and interpolated within buckets.
  */
 
 #ifndef PARAGRAPH_SUPPORT_INTERVAL_PROFILE_HPP
@@ -88,6 +90,9 @@ class IntervalProfile
 
     bool empty() const { return intervals_ == 0; }
 
+    /** Bins allocated: 0 until the first interval, then as configured. */
+    size_t capacity() const { return bins_.size(); }
+
     /** Live-count series over [0, maxLevel()]. */
     std::vector<Point> series() const;
 
@@ -122,13 +127,16 @@ class IntervalProfile
         uint64_t edgeMass = 0; ///< in-bucket levels of edge overlaps
     };
 
-    std::vector<Bin> bins_;
+    std::vector<Bin> bins_;          ///< empty until the first interval
+    size_t numBins_;                 ///< bins configured
     uint64_t totalLiveLevels_ = 0;   ///< exact sum of interval lengths
     uint32_t bucketShift_ = 0;       ///< log2 of the bucket width
     uint64_t intervals_ = 0;
     uint64_t maxLevel_ = 0;
     bool any_ = false;
 
+    /** Allocate the bins if there are none yet, else double the bucket
+     *  width: the path a level past the representable range takes. */
     void fold();
 };
 

@@ -1,9 +1,83 @@
 #include "support/json_line.hpp"
 
 #include <cctype>
-#include <cstdlib>
+#include <charconv>
 
 namespace paragraph {
+
+namespace {
+
+/** Decode the escape whose letter is at @p s[p] (past its backslash) into
+ *  @p c, advancing @p p past it; false if it is malformed. */
+bool
+decodeEscape(std::string_view s, size_t &p, char &c)
+{
+    if (p == s.size())
+        return false;
+    switch (s[p++]) {
+      case '"':  c = '"'; return true;
+      case '\\': c = '\\'; return true;
+      case '/':  c = '/'; return true;
+      case 'n':  c = '\n'; return true;
+      case 't':  c = '\t'; return true;
+      case 'r':  c = '\r'; return true;
+      case 'u': {
+        if (p + 4 > s.size())
+            return false;
+        unsigned v = 0;
+        for (int i = 0; i < 4; ++i) {
+            char h = s[p++];
+            v <<= 4;
+            if (h >= '0' && h <= '9')
+                v |= static_cast<unsigned>(h - '0');
+            else if (h >= 'a' && h <= 'f')
+                v |= static_cast<unsigned>(h - 'a' + 10);
+            else if (h >= 'A' && h <= 'F')
+                v |= static_cast<unsigned>(h - 'A' + 10);
+            else
+                return false;
+        }
+        if (v > 0xff) // the writers only escape control bytes
+            return false;
+        c = static_cast<char>(v);
+        return true;
+      }
+      default:
+        return false;
+    }
+}
+
+} // namespace
+
+size_t
+appendJsonUnescaped(std::string &out, std::string_view s)
+{
+    // Decoded into a stack block and appended a block at a time: escapes
+    // come every few dozen bytes in a sweep document, and an append per
+    // run between them cost more than the decoding.
+    char block[4096];
+    size_t n = 0;
+    size_t p = 0;
+    size_t stop = s.size();
+    while (p < s.size()) {
+        if (n == sizeof(block)) {
+            out.append(block, n);
+            n = 0;
+        }
+        char c = s[p++];
+        if (c == '"') {
+            stop = p - 1;
+            break;
+        }
+        if (c == '\\' && !decodeEscape(s, p, c)) {
+            stop = std::string_view::npos;
+            break;
+        }
+        block[n++] = c;
+    }
+    out.append(block, n);
+    return stop;
+}
 
 bool
 JsonLineParser::parse()
@@ -101,50 +175,11 @@ JsonLineParser::parseString(std::string &out)
     if (!eat('"'))
         return false;
     out.clear();
-    while (p_ < s_.size()) {
-        char c = s_[p_++];
-        if (c == '"')
-            return true;
-        if (c != '\\') {
-            out += c;
-            continue;
-        }
-        if (p_ >= s_.size())
-            return false;
-        char e = s_[p_++];
-        switch (e) {
-          case '"':  out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/':  out += '/'; break;
-          case 'n':  out += '\n'; break;
-          case 't':  out += '\t'; break;
-          case 'r':  out += '\r'; break;
-          case 'u': {
-            if (p_ + 4 > s_.size())
-                return false;
-            unsigned v = 0;
-            for (int i = 0; i < 4; ++i) {
-                char h = s_[p_++];
-                v <<= 4;
-                if (h >= '0' && h <= '9')
-                    v |= static_cast<unsigned>(h - '0');
-                else if (h >= 'a' && h <= 'f')
-                    v |= static_cast<unsigned>(h - 'a' + 10);
-                else if (h >= 'A' && h <= 'F')
-                    v |= static_cast<unsigned>(h - 'A' + 10);
-                else
-                    return false;
-            }
-            if (v > 0xff) // the writers only escape control bytes
-                return false;
-            out += static_cast<char>(v);
-            break;
-          }
-          default:
-            return false;
-        }
-    }
-    return false; // unterminated
+    const size_t close = appendJsonUnescaped(out, s_.substr(p_));
+    if (close == std::string_view::npos || p_ + close == s_.size())
+        return false; // bad escape, or unterminated
+    p_ += close + 1;
+    return true;
 }
 
 bool
@@ -155,7 +190,9 @@ JsonLineParser::parseNumber(uint64_t &out)
         ++p_;
     if (p_ == start)
         return false;
-    out = std::strtoull(s_.substr(start, p_ - start).c_str(), nullptr, 10);
+    if (std::from_chars(s_.data() + start, s_.data() + p_, out).ec !=
+        std::errc())
+        out = UINT64_MAX; // saturates, as strtoull does
     return true;
 }
 

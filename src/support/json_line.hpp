@@ -17,14 +17,25 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace paragraph {
 
+/**
+ * Append the JSON string body @p s (the bytes after an opening quote) to
+ * @p out with its escapes decoded, up to its closing quote or the end of
+ * @p s.
+ * @return the offset of the closing quote in @p s (s.size() when it has
+ *         none), or std::string_view::npos on a malformed escape.
+ */
+size_t appendJsonUnescaped(std::string &out, std::string_view s);
+
 class JsonLineParser
 {
   public:
-    explicit JsonLineParser(const std::string &line) : s_(line) {}
+    /** Parse @p line, which must outlive the parser. */
+    explicit JsonLineParser(std::string_view line) : s_(line) {}
 
     /** Scan the whole line; false on any syntax violation or trailing
      *  bytes. Field values are available through the accessors after a
@@ -47,7 +58,7 @@ class JsonLineParser
     const std::vector<uint64_t> *numList(const char *key) const;
 
   private:
-    const std::string &s_;
+    std::string_view s_;
     size_t p_ = 0;
     std::map<std::string, std::string> strs_;
     std::map<std::string, uint64_t> nums_;

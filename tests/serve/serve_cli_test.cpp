@@ -7,6 +7,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -188,6 +189,42 @@ TEST(ServeCli, SigtermShutsDownCleanlyAndRestartServesFromTheStore)
     fs::remove(store);
     fs::remove(cold);
     fs::remove(warm);
+}
+
+TEST(ServeCli, ClientDocumentsEqualTheSweepCliDocument)
+{
+    // Cold (computed) and warm (spliced from the store) documents written
+    // by the real client, with profiles, against paragraph-sweep's.
+    std::string store = tempPath("cmp.store");
+    fs::remove(store);
+    std::string cold = tempPath("cmp_cold.json");
+    std::string warm = tempPath("cmp_warm.json");
+    std::string cli = tempPath("cmp_cli.json");
+    std::string grid = " --inputs=" + goldenTrace("xlisp-800.ptrc") + "," +
+                       goldenTrace("matrix300-600.ptrc") +
+                       " --windows=16,64,0 --rename=none,data";
+
+    DaemonProcess daemon("cmp", store);
+    EXPECT_EQ(runServe(daemon.clientArgs() + grid + " --out=" + cold).status,
+              0);
+    EXPECT_EQ(runServe(daemon.clientArgs() + grid + " --out=" + warm).status,
+              0);
+    std::string sweep = std::string(PARAGRAPH_SWEEP_CLI_PATH) + grid +
+                        " --no-timing --quiet --out=" + cli + " 2>/dev/null";
+    EXPECT_EQ(std::system(sweep.c_str()), 0);
+
+    const std::string want = readFile(cli);
+    ASSERT_NE(want.find("\"profile\": ["), std::string::npos);
+    EXPECT_EQ(readFile(cold), want);
+    EXPECT_EQ(readFile(warm), want);
+    CliResult stats = runServe(daemon.clientArgs() + " --stats");
+    EXPECT_NE(stats.output.find("\"total_cells_cached\": 12"),
+              std::string::npos)
+        << stats.output;
+    fs::remove(store);
+    fs::remove(cold);
+    fs::remove(warm);
+    fs::remove(cli);
 }
 
 TEST(ServeCli, ShutdownOpStopsTheDaemonWithExitZero)

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -137,6 +138,89 @@ key(uint32_t traceCrc, uint32_t configKey, bool profiles = true)
     return k;
 }
 
+std::string
+readFile(const std::string &path)
+{
+    std::string bytes;
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    if (!f)
+        return bytes;
+    char buf[65536];
+    size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
+        bytes.append(buf, n);
+    std::fclose(f);
+    return bytes;
+}
+
+void
+writeFile(const std::string &path, const std::string &bytes)
+{
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+    std::fclose(f);
+}
+
+/** @p text with every @p from replaced by @p to. */
+std::string
+replaceAll(std::string text, const std::string &from, const std::string &to)
+{
+    for (size_t at = text.find(from); at != std::string::npos;
+         at = text.find(from, at + to.size()))
+        text.replace(at, from.size(), to);
+    return text;
+}
+
+/** Run paragraph-sweep with @p args (shell-quoted by the caller) and
+ *  return the document it prints. */
+std::string
+sweepCliDocument(const std::string &args)
+{
+    std::string cmd = std::string(PARAGRAPH_SWEEP_CLI_PATH) + " " + args +
+                      " --no-timing --quiet 2>/dev/null";
+    std::FILE *pipe = popen(cmd.c_str(), "r");
+    EXPECT_NE(pipe, nullptr);
+    std::string out;
+    char buf[65536];
+    size_t n;
+    while (pipe && (n = std::fread(buf, 1, sizeof(buf), pipe)) > 0)
+        out.append(buf, n);
+    EXPECT_EQ(pipe ? pclose(pipe) : -1, 0) << cmd;
+    return out;
+}
+
+/** Send @p req on a fresh connection and return the raw response line. */
+std::string
+askRaw(const Daemon &daemon, const ServeRequest &req)
+{
+    ServeClient client(daemon.socketPath);
+    std::string error;
+    std::string line;
+    EXPECT_TRUE(client.connect(error)) << error;
+    EXPECT_TRUE(client.roundTrip(renderServeRequest(req), line, error))
+        << error;
+    return line;
+}
+
+/** Overwrite the one occurrence of @p from in the file at @p path with
+ *  @p to, of the same length, in place (damage a stored digit). */
+void
+patchInPlace(const std::string &path, const std::string &from,
+             const std::string &to)
+{
+    ASSERT_EQ(from.size(), to.size());
+    const std::string bytes = readFile(path);
+    const size_t at = bytes.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    ASSERT_EQ(bytes.find(from, at + 1), std::string::npos) << from;
+    std::FILE *f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, static_cast<long>(at), SEEK_SET), 0);
+    ASSERT_EQ(std::fwrite(to.data(), 1, to.size(), f), to.size());
+    std::fclose(f);
+}
+
 } // namespace
 
 // --------------------------------------------------------------------------
@@ -230,6 +314,164 @@ TEST(ResultStore, DamagedLinesAreSkippedNotFatal)
     EXPECT_EQ(text, "first");
     ASSERT_TRUE(reopened.lookup(key(3, 3), text));
     EXPECT_EQ(text, "after damage");
+    fs::remove(path);
+}
+
+TEST(ResultStore, DamagedCellTextIsAMissNotAHit)
+{
+    // One flipped digit inside a stored cell still parses, so only the
+    // line's cell checksum can tell: loaded hot or re-read cold, the
+    // damaged text must be a miss, and the recomputed cell re-appended.
+    std::string path = tempPath("store_crc.jsonl");
+    fs::remove(path);
+    const std::string cell = "    {\n      \"critical_path\": 4042827\n    }";
+    const std::string other = "    {\n      \"critical_path\": 17\n    }";
+    {
+        ResultStore store(path);
+        store.insert(key(1, 1), cell);
+    }
+    patchInPlace(path, "4042827", "4042829");
+    {
+        ResultStore store(path); // the load path: warns, skips the line
+        EXPECT_EQ(store.entries(), 0u);
+        EXPECT_EQ(store.rejectedEntries(), 1u);
+        std::string text;
+        EXPECT_FALSE(store.lookup(key(1, 1), text));
+        store.insert(key(1, 1), cell); // recomputed, appended again
+        EXPECT_EQ(store.appends(), 1u);
+    }
+    {
+        ResultStore store(path); // the newest line wins
+        std::string text;
+        ASSERT_TRUE(store.lookup(key(1, 1), text));
+        EXPECT_EQ(text, cell);
+        EXPECT_EQ(store.rejectedEntries(), 1u) << "the old line still fails";
+    }
+    fs::remove(path);
+
+    // The cold path: damage lands after the entry was evicted to disk.
+    ResultStore::Options opt;
+    opt.memoryBudget = 1; // nothing stays hot
+    {
+        ResultStore store(path, opt);
+        store.insert(key(1, 1), cell);
+        store.insert(key(2, 2), other);
+        EXPECT_EQ(store.hotBytes(), 0u);
+        patchInPlace(path, "4042827", "4042829");
+        std::string text;
+        EXPECT_FALSE(store.lookup(key(1, 1), text));
+        EXPECT_EQ(store.coldReads(), 1u);
+        EXPECT_EQ(store.rejectedEntries(), 1u);
+        EXPECT_EQ(store.entries(), 1u) << "the damaged entry is dropped";
+        ASSERT_TRUE(store.lookup(key(2, 2), text));
+        EXPECT_EQ(text, other);
+
+        store.insert(key(1, 1), cell);
+        EXPECT_EQ(store.appends(), 3u);
+        ASSERT_TRUE(store.lookup(key(1, 1), text));
+        EXPECT_EQ(text, cell);
+    }
+
+    // A line written before lines carried "cell_crc" still loads.
+    appendRaw(path, "{\"trace_crc\": 5, \"config_key\": 6, \"profiles\": "
+                    "true, \"cell\": \"legacy \\\"cell\\\"\"}\n");
+    ResultStore reopened(path, opt);
+    EXPECT_EQ(reopened.entries(), 3u);
+    EXPECT_EQ(reopened.rejectedEntries(), 1u);
+    std::string text;
+    ASSERT_TRUE(reopened.lookup(key(5, 6), text));
+    EXPECT_EQ(text, "legacy \"cell\"");
+    ASSERT_TRUE(reopened.lookup(key(1, 1), text));
+    EXPECT_EQ(text, cell);
+    fs::remove(path);
+}
+
+TEST(ResultStore, BudgetKeepsTheMostRecentlyUsedHot)
+{
+    // Three equal entries under a budget of two: the one looked up last
+    // stays hot, so the least recently used goes cold. Damaging both
+    // lines on disk proves which is which: the hot text still serves, the
+    // cold one is re-read, fails its checksum and misses.
+    std::string path = tempPath("store_mru.jsonl");
+    fs::remove(path);
+    const std::string a = "cell alpha 1111";
+    const std::string b = "cell bravo 2222";
+    const std::string c = "cell charl 3333";
+    ResultStore::Options opt;
+    opt.memoryBudget = 2 * a.size();
+    ResultStore store(path, opt);
+    store.insert(key(1, 1), a);
+    store.insert(key(2, 2), b);
+    std::string text;
+    ASSERT_TRUE(store.lookup(key(1, 1), text)); // a is now the newest use
+    store.insert(key(3, 3), c);                 // evicts b, not a
+    EXPECT_EQ(store.hotBytes(), 2 * a.size());
+    EXPECT_EQ(store.coldReads(), 0u);
+
+    patchInPlace(path, "1111", "1112");
+    patchInPlace(path, "2222", "2223");
+    ASSERT_TRUE(store.lookup(key(1, 1), text));
+    EXPECT_EQ(text, a) << "a hot entry serves from memory";
+    EXPECT_EQ(store.coldReads(), 0u);
+    EXPECT_FALSE(store.lookup(key(2, 2), text))
+        << "the evicted entry is re-read and rejected";
+    EXPECT_EQ(store.coldReads(), 1u);
+    EXPECT_EQ(store.rejectedEntries(), 1u);
+    ASSERT_TRUE(store.lookup(key(3, 3), text));
+    EXPECT_EQ(text, c);
+    fs::remove(path);
+}
+
+TEST(ResultStore, NonCanonicalEscapesServeCanonicalBytes)
+{
+    // A hand-written line may escape what the writer leaves alone; the
+    // store serves the bytes a fresh render would, checksummed as such.
+    std::string path = tempPath("store_escapes.jsonl");
+    fs::remove(path);
+    { ResultStore store(path); }
+    appendRaw(path, "{\"trace_crc\": 1, \"config_key\": 2, \"profiles\": "
+                    "true, \"cell\": \"a\\/b \\u0041\\u0009\\\"\"}\n");
+    ResultStore store(path);
+    ResultStore::WireText wire = store.lookupWire(key(1, 2));
+    ASSERT_TRUE(wire);
+    EXPECT_EQ(*wire, "a/b A\\t\\\"");
+    std::string text;
+    ASSERT_TRUE(store.lookup(key(1, 2), text));
+    EXPECT_EQ(text, "a/b A\t\"");
+
+    // Compaction writes the canonical bytes, with their checksum.
+    std::string error;
+    ASSERT_TRUE(store.compact(error)) << error;
+    EXPECT_NE(readFile(path).find("\"cell_crc\": "), std::string::npos);
+    ResultStore reopened(path);
+    EXPECT_EQ(reopened.rejectedEntries(), 0u);
+    wire = reopened.lookupWire(key(1, 2));
+    ASSERT_TRUE(wire);
+    EXPECT_EQ(*wire, "a/b A\\t\\\"");
+    fs::remove(path);
+}
+
+TEST(ResultStore, LookupsShareTheHotTextAndEvictionLeavesItToHolders)
+{
+    std::string path = tempPath("store_share.jsonl");
+    fs::remove(path);
+    ResultStore::Options opt;
+    opt.memoryBudget = 40;
+    ResultStore store(path, opt);
+    const std::string first(30, 'x');
+    store.insert(key(1, 1), first);
+    ResultStore::WireText held = store.lookupWire(key(1, 1));
+    ResultStore::WireText again = store.lookupWire(key(1, 1));
+    ASSERT_TRUE(held);
+    EXPECT_EQ(held.get(), again.get()) << "a hit copies nothing";
+
+    store.insert(key(2, 2), std::string(30, 'y')); // evicts the first
+    EXPECT_EQ(store.hotBytes(), 30u);
+    EXPECT_EQ(*held, first) << "a holder keeps an evicted text";
+    ResultStore::WireText reread = store.lookupWire(key(1, 1));
+    ASSERT_TRUE(reread);
+    EXPECT_NE(reread.get(), held.get());
+    EXPECT_EQ(*reread, first);
     fs::remove(path);
 }
 
@@ -852,6 +1094,170 @@ TEST(ServeDaemon, CachedCellsRebindGridCoordinates)
     fs::remove(store);
 }
 
+TEST(ServeDaemon, WireSpliceKeepsOddInputNamesByteIdentical)
+{
+    // An input path holding a quote, a backslash and a tab is escaped once
+    // in the document and again in the response: the cold response (fresh
+    // cells escaped), the warm one (heads escaped, stored tails spliced
+    // verbatim) and the CLI's document escaped whole must all agree.
+    std::string odd =
+        (fs::temp_directory_path() /
+         ("ps_odd \"q\\uote\ttab_" + std::to_string(::getpid()) + ".ptrc"))
+            .string();
+    fs::copy_file(goldenTrace("xlisp-800.ptrc"), odd,
+                  fs::copy_options::overwrite_existing);
+    std::string store = tempPath("odd.store");
+    fs::remove(store);
+    ServeServer::Options opt;
+    opt.storePath = store;
+    Daemon daemon("odd", opt);
+
+    ServeRequest req = sweepRequest({odd}, {16, 64});
+    const std::string cliDoc =
+        sweepCliDocument("'--inputs=" + odd + "' --windows=16,64");
+    ASSERT_NE(cliDoc.find("\\\"q\\\\uote\\ttab"), std::string::npos)
+        << cliDoc;
+    EXPECT_EQ(askRaw(daemon, req), renderSweepResponse(2, 0, 0, 2, cliDoc));
+    EXPECT_EQ(askRaw(daemon, req), renderSweepResponse(2, 0, 2, 0, cliDoc));
+    fs::remove(odd);
+    fs::remove(store);
+}
+
+TEST(ServeDaemon, ExploreReServedFromTheStoreEqualsAStorelessDaemon)
+{
+    std::string store = tempPath("explore.store");
+    fs::remove(store);
+    ServeServer::Options opt;
+    opt.storePath = store;
+    Daemon daemon("explore", opt);
+    Daemon fresh("explore.fresh");
+
+    ServeRequest req = sweepRequest(
+        {goldenTrace("xlisp-800.ptrc"), goldenTrace("matrix300-600.ptrc")},
+        {4, 16, 64, 0});
+    req.op = ServeRequest::Op::Explore;
+    req.renames = {"none", "data"};
+    ServeResponse want = ask(fresh, req);
+    ASSERT_TRUE(want.ok()) << want.error;
+    ServeResponse cold = ask(daemon, req);
+    ASSERT_TRUE(cold.ok()) << cold.error;
+    ServeResponse warm = ask(daemon, req);
+    ASSERT_TRUE(warm.ok()) << warm.error;
+    EXPECT_GT(warm.cellsExecuted, 0u);
+    EXPECT_EQ(warm.cellsCached, warm.cellsExecuted)
+        << "every measured cell re-serves from the store";
+    EXPECT_EQ(warm.cellsComputed, 0u);
+    EXPECT_EQ(cold.document, want.document);
+    EXPECT_EQ(warm.document, want.document);
+    fs::remove(store);
+}
+
+TEST(ServeDaemon, HandEditedStoreEscapesServeCanonicalBytes)
+{
+    std::string store = tempPath("escapes.store");
+    fs::remove(store);
+    ServeRequest req = sweepRequest({goldenTrace("xlisp-800.ptrc")}, {16, 64});
+    std::string coldDocument;
+    {
+        ServeServer::Options opt;
+        opt.storePath = store;
+        Daemon daemon("escapes1", opt);
+        ServeResponse cold = ask(daemon, req);
+        ASSERT_TRUE(cold.ok()) << cold.error;
+        coldDocument = cold.document;
+    }
+    // Escape what the writer leaves alone, as a hand edit might: every
+    // '/' of the input path and one letter of each status field.
+    std::string text = readFile(store);
+    std::string edited = replaceAll(replaceAll(text, "/", "\\/"),
+                                    "\\\"status\\\"",
+                                    "\\\"st\\u0061tus\\\"");
+    ASSERT_NE(edited, text);
+    writeFile(store, edited);
+
+    // Compared raw: a parsed response would decode a verbatim `\/` too.
+    ServeServer::Options opt;
+    opt.storePath = store;
+    Daemon daemon("escapes2", opt);
+    EXPECT_EQ(askRaw(daemon, req),
+              renderSweepResponse(2, 0, 2, 0, coldDocument));
+    ServeRequest probe;
+    probe.op = ServeRequest::Op::Health;
+    EXPECT_EQ(ask(daemon, probe).storeRejectedEntries, 0u);
+    fs::remove(store);
+}
+
+TEST(ServeDaemon, EvictionUnderAlternatingClientsKeepsResponsesByteIdentical)
+{
+    // A store budget of about one entry: while one client's response
+    // still holds stored texts, the other client's lookups evict them
+    // from the store and re-read others. Every response must still equal
+    // a storeless daemon's.
+    std::string xlisp = goldenTrace("xlisp-800.ptrc");
+    std::string matrix = goldenTrace("matrix300-600.ptrc");
+    ServeRequest gridA = sweepRequest({xlisp, matrix}, {16, 64});
+    ServeRequest gridB = sweepRequest({matrix}, {4, 256, 0});
+    gridB.renames = {"none", "data"};
+    std::string docA, docB;
+    {
+        Daemon fresh("evict.fresh");
+        docA = ask(fresh, gridA).document;
+        docB = ask(fresh, gridB).document;
+    }
+    ASSERT_FALSE(docA.empty());
+    ASSERT_FALSE(docB.empty());
+
+    std::string store = tempPath("evict.store");
+    fs::remove(store);
+    uint64_t entryBytes = 0;
+    {
+        ServeServer::Options opt;
+        opt.storePath = store;
+        Daemon warmup("evict.warmup", opt);
+        ASSERT_TRUE(ask(warmup, gridA).ok());
+        ASSERT_TRUE(ask(warmup, gridB).ok());
+        ServeRequest stats;
+        stats.op = ServeRequest::Op::Stats;
+        ServeResponse resp = ask(warmup, stats);
+        ASSERT_EQ(resp.storeEntries, 10u);
+        entryBytes = resp.storeHotBytes / resp.storeEntries;
+    }
+
+    ServeServer::Options opt;
+    opt.storePath = store;
+    opt.storeMemoryBudget = entryBytes;
+    Daemon daemon("evict", opt);
+    const std::string lineA = renderSweepResponse(4, 0, 4, 0, docA);
+    const std::string lineB = renderSweepResponse(6, 0, 6, 0, docB);
+    constexpr int kRounds = 6;
+    std::vector<std::string> mismatches;
+    std::mutex mismatchMutex;
+    auto client = [&](int first) {
+        for (int round = 0; round < kRounds; ++round) {
+            const bool a = (round + first) % 2 == 0;
+            const std::string line = askRaw(daemon, a ? gridA : gridB);
+            if (line != (a ? lineA : lineB)) {
+                std::lock_guard<std::mutex> lock(mismatchMutex);
+                mismatches.push_back(std::string(a ? "A" : "B") +
+                                     " round " + std::to_string(round) +
+                                     ": " + line.substr(0, 200));
+            }
+        }
+    };
+    std::thread one(client, 0);
+    std::thread two(client, 1);
+    one.join();
+    two.join();
+    EXPECT_TRUE(mismatches.empty()) << mismatches.front();
+
+    ServeRequest probe;
+    probe.op = ServeRequest::Op::Health;
+    ServeResponse health = ask(daemon, probe);
+    EXPECT_GT(health.storeColdReads, 0u) << "the budget forced re-reads";
+    EXPECT_EQ(health.storeRejectedEntries, 0u);
+    fs::remove(store);
+}
+
 namespace {
 void
 onAlarmTick(int)
@@ -919,6 +1325,8 @@ TEST(ServeDaemon, HealthReportsDurabilityAndLoadCounters)
     EXPECT_EQ(health.storeSyncs, 1u) << "Cell policy fsyncs per append";
     EXPECT_GT(health.storeDiskBytes, 0u);
     EXPECT_EQ(health.storeSync, "cell");
+    EXPECT_EQ(health.storeColdReads, 0u) << "an unbudgeted store stays hot";
+    EXPECT_EQ(health.storeRejectedEntries, 0u);
     fs::remove(store);
 }
 

@@ -52,7 +52,8 @@ paragraph-serve-v1 response envelope both times: cell accounting must add
 up, the embedded document must itself be a valid paragraph-sweep-v3
 document, the warm run must serve every cell from the cache, and its
 document must be byte-identical to the cold one. It then validates the
-health envelope (durability and load counters, fsync policy) and — by
+health envelope (durability, load and store counters, fsync policy; a
+clean run rejects no store entry) and — by
 holding a connection against --max-clients=1 — the busy envelope with
 its retry_after_ms hint.
 Exit status is non-zero on any mismatch, so all modes double as CTests.
@@ -90,7 +91,8 @@ SERVE_SWEEP_KEYS = {"cells_total", "cells_failed", "cells_cached",
                     "cells_computed", "document"}
 SERVE_HEALTH_KEYS = {"pending_cells", "active_sweeps", "workers",
                      "store_entries", "store_disk_bytes", "store_appends",
-                     "store_syncs", "store_compactions", "store_sync",
+                     "store_syncs", "store_compactions", "store_cold_reads",
+                     "store_rejected_entries", "store_sync",
                      "failpoints_active", "failpoint_fires"}
 SERVE_BUSY_KEYS = {"error", "retry_after_ms"}
 
@@ -421,6 +423,10 @@ def validate_serve_health_response(resp, expected_entries, expected_sync):
              f"expected {expected_sync!r}")
     if resp["workers"] == 0:
         fail("health reports zero workers")
+    # A clean run writes and reads back only whole, checksummed entries.
+    if resp["store_rejected_entries"] != 0:
+        fail(f"health reports {resp['store_rejected_entries']} rejected "
+             "store entries on a clean run")
 
 
 def raw_unix_round_trip(socket_path, line, hold=None):

@@ -20,9 +20,12 @@
 //     --trace-budget=BYTES   LRU byte budget for cached trace-file captures
 //                            only, at 48 B per record (simulated inputs
 //                            and mapped decode pools hold none)
-//     --store-budget=BYTES   byte budget for hot result text (the on-disk
-//                            store itself is unbounded; cold entries are
-//                            re-read on demand)
+//     --store-budget=BYTES   byte budget for hot result text, counted as
+//                            stored: escaped, ~9% more than the cell text
+//                            (the on-disk store itself is unbounded; cold
+//                            entries are re-read on demand, and each line's
+//                            "cell_crc" is checked on every load and
+//                            re-read)
 //     --store-sync=POLICY    none (default) | interval | cell: when store
 //                            appends are fsynced to the device (every
 //                            policy still flushes per entry, so a daemon
