@@ -73,6 +73,14 @@ SweepScheduler::SweepScheduler(TraceRepository &repo, Options opt)
 
 SweepScheduler::~SweepScheduler() { stop(); }
 
+size_t
+SweepScheduler::groupTarget(size_t cap, size_t share, size_t queuedCells,
+                            unsigned workers)
+{
+    const size_t spread = ceilDiv(queuedCells, std::max(workers, 1u));
+    return std::min(cap ? cap : share, std::max(share, spread));
+}
+
 std::shared_ptr<SweepScheduler::Batch>
 SweepScheduler::submit(std::vector<SweepJob> jobs,
                        std::function<void(SweepCell &)> onCell)
@@ -92,13 +100,9 @@ SweepScheduler::submit(std::vector<SweepJob> jobs, IndexedCellFn onCell)
     batch->cells_.resize(jobs.size());
     batch->onCell_ = std::move(onCell);
     batch->remaining_ = jobs.size();
+    batch->share_ = ceilDiv(jobs.size(), workers_);
     for (size_t i = 0; i < jobs.size(); ++i)
         batch->cells_[i].job = std::move(jobs[i]);
-
-    // Auto target: one pass per worker's share of the batch.
-    const size_t target = opt_.groupSize
-                              ? opt_.groupSize
-                              : ceilDiv(batch->cells_.size(), workers_);
 
     bool rejected;
     {
@@ -110,8 +114,9 @@ SweepScheduler::submit(std::vector<SweepJob> jobs, IndexedCellFn onCell)
                 auto [it, fresh] = pendingByInput_.try_emplace(input);
                 if (fresh)
                     inputOrder_.push_back(input);
-                it->second.push_back(Item{batch, i, target});
+                it->second.push_back(Item{batch, i});
             }
+            queuedCells_ += batch->cells_.size();
         }
     }
     if (rejected) {
@@ -139,6 +144,7 @@ SweepScheduler::stop()
         }
         pendingByInput_.clear();
         inputOrder_.clear();
+        queuedCells_ = 0;
     }
     cv_.notify_all();
     for (const Item &item : orphans)
@@ -152,10 +158,14 @@ size_t
 SweepScheduler::pendingCells() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    size_t pending = 0;
-    for (const auto &bucket : pendingByInput_)
-        pending += bucket.second.size();
-    return pending;
+    return queuedCells_;
+}
+
+size_t
+SweepScheduler::fusedGroups() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return fusedGroups_;
 }
 
 void
@@ -201,11 +211,12 @@ SweepScheduler::workerLoop()
                 return; // stopping, queue drained
 
             // Peel one fused group off the first bucket: same input, at
-            // most the head cell's group target, cut early by the memory
-            // budget.
+            // most groupTarget() cells, cut early by the memory budget.
             input = inputOrder_.front();
             Bucket &bucket = pendingByInput_.at(input);
-            const size_t target = bucket.front().groupTarget;
+            const size_t target =
+                groupTarget(opt_.groupSize, bucket.front().batch->share_,
+                            queuedCells_, workers_);
             size_t bytes = 0;
             while (!bucket.empty() && group.size() < target) {
                 const Item &item = bucket.front();
@@ -217,12 +228,8 @@ SweepScheduler::workerLoop()
                 group.push_back(std::move(bucket.front()));
                 bucket.pop_front();
             }
-            // A batch's cells of one input were queued together, so they
-            // sit contiguously in the group: count each batch once.
-            for (size_t k = 0; k < group.size(); ++k) {
-                if (k == 0 || group[k].batch != group[k - 1].batch)
-                    ++group[k].batch->fusedGroups_;
-            }
+            queuedCells_ -= group.size();
+            ++fusedGroups_;
             if (bucket.empty()) {
                 pendingByInput_.erase(input);
                 inputOrder_.pop_front();

@@ -7,9 +7,20 @@
  * client's store misses as they arrive. Workers of a standing pool peel
  * fused groups off a pending queue bucketed by input spec, so cells from
  * *different* submissions fuse into one block-major pass whenever they
- * share a trace. Every input is grouped alike: auto grouping gives each
- * worker's share of an input one pass, and a pass over a streamed `.ptrz`
- * decodes it inline on its own worker. A group of one is a solo cell.
+ * share a trace. Every input is grouped alike, and a pass over a streamed
+ * `.ptrz` decodes it inline on its own worker. A group of one is a solo
+ * cell.
+ *
+ * A group is sized when a worker peels it (groupTarget()): each worker's
+ * share of the head cell's batch, or of everything queued if that is
+ * more, and never more than Options::groupSize. So a one-shot grid runs
+ * one pass per worker's share, a deep daemon queue still fuses up to
+ * groupSize cells across clients, and a request smaller than
+ * workers × groupSize spreads over idle workers instead of queueing its
+ * cells behind one pass. The price of a split is that each pass re-reads
+ * its input: a simulated input is simulated, and a streamed `.ptrz`
+ * decoded, once per pass.
+ *
  * Execution itself is engine/cell_exec.hpp, whose shared semantics let the
  * serve layer cache a scheduler-produced cell and replay it
  * byte-identically against a paragraph-sweep run.
@@ -69,11 +80,6 @@ class SweepScheduler
         /** Cells in submission order. Fully final only after wait(). */
         std::vector<SweepCell> &cells() { return cells_; }
 
-        /** Fused groups (passes) this batch's cells were scheduled as,
-         *  before any mid-group fault demotes a cell to solo; a group that
-         *  mixes batches counts for each. Final after wait(). */
-        size_t fusedGroups() const { return fusedGroups_; }
-
       private:
         friend class SweepScheduler;
 
@@ -82,8 +88,22 @@ class SweepScheduler
         std::mutex mutex_;
         std::condition_variable cv_;
         size_t remaining_ = 0;
-        size_t fusedGroups_ = 0; ///< guarded by the scheduler's mutex
+        size_t share_ = 1; ///< ceil(cells / workers), set at submit
     };
+
+    /**
+     * Most cells the next group peeled off a bucket may hold:
+     * min(cap, max(share, ceil(queuedCells / workers))), before
+     * Options::groupMemoryBudget cuts it. @p share (at least 1) is
+     * ceil(cells / workers) of the head cell's batch; @p cap is
+     * Options::groupSize, with 0 (auto) meaning @p share itself;
+     * @p queuedCells counts every cell queued and not yet peeled, the
+     * head one included. A one-shot batch never queues more than
+     * workers × share cells, so its groups depend only on its own size
+     * and the cap, never on timing.
+     */
+    static size_t groupTarget(size_t cap, size_t share, size_t queuedCells,
+                              unsigned workers);
 
     explicit SweepScheduler(TraceRepository &repo);
     SweepScheduler(TraceRepository &repo, Options opt);
@@ -122,17 +142,21 @@ class SweepScheduler
     /** Worker threads in the pool. */
     unsigned workers() const { return workers_; }
 
-    /** Cells queued but not yet picked up by a worker (health probe). */
+    /** Cells queued but not yet picked up by a worker (health probe and
+     *  admission control); O(1). */
     size_t pendingCells() const;
 
+    /** Fused groups (passes) peeled since construction, solo cells
+     *  included, before any mid-group fault demotes a cell to solo; a
+     *  group counts once, however many batches it mixes. */
+    size_t fusedGroups() const;
+
   private:
-    /** One queued cell: which batch, which slot, and the most cells the
-     *  group it heads may hold. */
+    /** One queued cell: which batch, which slot. */
     struct Item
     {
         std::shared_ptr<Batch> batch;
         size_t index = 0;
-        size_t groupTarget = 1;
     };
 
     /** The pending cells of one input, in submission order. */
@@ -156,6 +180,8 @@ class SweepScheduler
      *  dispatch order over the non-empty buckets. */
     std::map<std::string, Bucket> pendingByInput_;
     std::deque<std::string> inputOrder_;
+    size_t queuedCells_ = 0; ///< cells across every bucket
+    size_t fusedGroups_ = 0; ///< groups peeled so far
 
     std::vector<std::thread> pool_;
 };

@@ -189,7 +189,7 @@ SweepEngine::runJobs(TraceRepository &repo, std::vector<SweepJob> jobs) const
                 finishCell(pending[k], cell);
             });
         batch->wait();
-        sweep.fusedGroups = batch->fusedGroups();
+        sweep.fusedGroups = scheduler.fusedGroups();
         for (size_t k = 0; k < pending.size(); ++k)
             sweep.cells[pending[k]] = std::move(batch->cells()[k]);
     }

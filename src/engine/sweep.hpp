@@ -12,17 +12,17 @@
  * compiled, a trace file captured into a shared immutable buffer or its
  * decode pool opened; TraceRepository), then submits the pending cells as
  * one batch to a SweepScheduler built from its options and waits. The
- * scheduler cuts the batch trace-major into fused groups — at most
- * Options::groupSize configs per group (0 = auto), clamped by
- * Options::groupMemoryBudget — and runs each group as a single block-major
- * pass over the trace (core::analyzeManyGuarded), so the trace is produced
- * or walked once per group instead of once per cell: a simulated input is
- * simulated, and a streamed `.ptrz` decoded, inline on each pass's own
- * worker; a streamed `.ptrc` is walked in place in its mapping. Every
- * core::Paragraph is thread-private, so workers share no mutable analysis
- * state. Results are stored by grid position, making sweep output
- * independent of worker count, grouping, and completion order (a tested
- * invariant).
+ * scheduler cuts the batch trace-major into fused groups — each worker's
+ * share of the batch, capped by Options::groupSize (0 = the share
+ * itself) and by Options::groupMemoryBudget — and runs each group as a
+ * single block-major pass over the trace (core::analyzeManyGuarded), so
+ * the trace is produced or walked once per group instead of once per
+ * cell: a simulated input is simulated, and a streamed `.ptrz` decoded,
+ * inline on each pass's own worker; a streamed `.ptrc` is walked in place
+ * in its mapping. Every core::Paragraph is thread-private, so workers
+ * share no mutable analysis state. Results are stored by grid position,
+ * making sweep output independent of worker count, grouping, and
+ * completion order (a tested invariant).
  *
  * Cells are fault-isolated: a cell whose input or analysis throws is
  * recorded as SweepCell::Status::Failed with its error text, and the rest
@@ -192,11 +192,15 @@ struct SchedulerOptions
     unsigned jobs = 0;
 
     /** Most cells fused into one pass over a shared trace (always clamped
-     *  by groupMemoryBudget); 1 = every cell is its own pass. 0 = auto,
-     *  per submission: ceil(batch cells / workers), so each worker's share
-     *  of a grid becomes one pass, whatever the input. The default keeps a
-     *  pass wide enough to amortize the trace walk without letting one
-     *  client's burst monopolize a worker. */
+     *  by groupMemoryBudget); 1 = every cell is its own pass; 0 = auto,
+     *  one pass per worker's share of a submission, ceil(batch cells /
+     *  workers). A cap, not a fill: each group is sized when a worker
+     *  peels it, to that share or to a worker's share of everything
+     *  queued if that is more, and never past this cap
+     *  (SweepScheduler::groupTarget), so a submission smaller than
+     *  workers × groupSize spreads over the idle workers. The default
+     *  keeps a pass wide enough to amortize the trace walk without
+     *  letting one client's burst monopolize a worker. */
     unsigned groupSize = 8;
 
     /** Cap on the estimated live analysis state (windows, profiles, live

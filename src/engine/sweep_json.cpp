@@ -303,7 +303,8 @@ writeSweep(JsonDocOut &doc, const SweepResult &sweep,
             double decode = 0.0;
             for (const SweepCell &cell : sweep.cells)
                 decode += cell.decodeSeconds;
-            os << ",\n    \"decode_seconds\": " << decode;
+            os << ",\n    \"decode_seconds\": " << decode
+               << ", \"fused_groups\": " << sweep.fusedGroups;
         }
         os << "},\n";
     }

@@ -41,9 +41,10 @@ struct SweepJsonOptions
     /** Include the per-cell parallelism-profile bucket series. */
     bool profiles = true;
 
-    /** Break each cell's wall time into decode vs analyze shares and
-     *  report shard-segment counts (inside "timing", so `timing = false`
-     *  documents stay deterministic and journal splicing is unaffected). */
+    /** Break each cell's wall time into decode vs analyze shares, report
+     *  shard-segment counts, and the sweep's fused groups (passes)
+     *  (inside "timing", so `timing = false` documents stay deterministic
+     *  and journal splicing is unaffected). */
     bool stats = false;
 };
 

@@ -241,6 +241,7 @@ parseServeResponse(const std::string &line, ServeResponse &out,
     p.num("trace_cached_bytes", out.traceCachedBytes);
     p.num("total_cells_cached", out.totalCellsCached);
     p.num("total_cells_computed", out.totalCellsComputed);
+    p.num("fused_groups", out.fusedGroups);
     p.num("retry_after_ms", out.retryAfterMs);
     p.num("pending_cells", out.pendingCells);
     p.num("active_sweeps", out.activeSweeps);
@@ -339,7 +340,8 @@ renderStatsResponse(const ServeResponse &stats)
            ", \"total_cells_cached\": " +
            std::to_string(stats.totalCellsCached) +
            ", \"total_cells_computed\": " +
-           std::to_string(stats.totalCellsComputed) + '}';
+           std::to_string(stats.totalCellsComputed) +
+           ", \"fused_groups\": " + std::to_string(stats.fusedGroups) + '}';
 }
 
 std::string

@@ -112,6 +112,7 @@ struct ServeResponse
     uint64_t traceCachedBytes = 0;
     uint64_t totalCellsCached = 0;
     uint64_t totalCellsComputed = 0;
+    uint64_t fusedGroups = 0; ///< passes the scheduler has run, cumulative
 
     /** Health probe (op == "health" only). */
     uint64_t pendingCells = 0;

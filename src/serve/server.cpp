@@ -659,6 +659,7 @@ ServeServer::statsLine()
     stats.totalCellsCached = cellsCached_.load(std::memory_order_relaxed);
     stats.totalCellsComputed =
         cellsComputed_.load(std::memory_order_relaxed);
+    stats.fusedGroups = scheduler_->fusedGroups();
     return renderStatsResponse(stats);
 }
 

@@ -72,8 +72,9 @@ engineRunner(TraceRepository &repo, const SweepEngine &sweeper)
 }
 
 /** Full grid + explore over the same repo/engine; assert the explorer is
- *  sound against the grid and actually pruned something. */
-void
+ *  sound against the grid and actually pruned something. Returns the
+ *  exploration. */
+ExploreResult
 expectSoundAgainstGrid(TraceRepository &repo, const SweepEngine &sweeper,
                        const std::vector<std::string> &inputs,
                        const Grid &grid, bool expectPruning = true)
@@ -103,6 +104,7 @@ expectSoundAgainstGrid(TraceRepository &repo, const SweepEngine &sweeper,
     std::string diag;
     EXPECT_TRUE(verifyExploreAgainstGrid(explored, full, jsonOpt, diag))
         << diag;
+    return explored;
 }
 
 /**
@@ -273,6 +275,28 @@ TEST(ExploreSoundness, ShardedEngine)
     Grid grid = makeGrid({4, 16, 64, 0}, {"none", "data"}, {}, {}, {2, 0});
     expectSoundAgainstGrid(repo, sweeper, {path}, grid);
     fs::remove(path);
+}
+
+TEST(ExploreSoundness, PlateauGridExecutesAtMostHalf)
+{
+    // A plateau-heavy window axis over a 20000-record trace: every window
+    // at or past the cap equals the unlimited one, the regime knee
+    // bisection and dominance pruning are built for. The explorer must
+    // reproduce the grid's frontier while executing at most half of it.
+    TraceRepository::Options opt = smallScale();
+    opt.maxRecords = 20000;
+    TraceRepository repo(opt);
+    SweepEngine::Options engineOpt;
+    engineOpt.jobs = 2;
+    SweepEngine sweeper(engineOpt);
+    Grid grid = makeGrid({1, 16, 256, 1024, 4096, 16384, 65536, 262144,
+                          1u << 20, 1u << 21, 1u << 22, 1u << 23, 1u << 24,
+                          1u << 25, 1u << 26, 0},
+                         {"none", "data"});
+    ExploreResult explored =
+        expectSoundAgainstGrid(repo, sweeper, {"xlisp"}, grid);
+    EXPECT_EQ(explored.cellsTotal, 32u);
+    EXPECT_LE(explored.cellsExecuted * 2, explored.cellsTotal);
 }
 
 TEST(ExploreSoundness, PredictorAndSyscallAxes)

@@ -192,14 +192,17 @@ TEST(SweepFaults, FusedGroupDeadlineTimesOutEachCellIndependently)
     // All four cells share one fused pass (--group semantics); every cell
     // carries its own deadline token, so a group-wide timeout reports four
     // individual final timeouts — exactly like the ungrouped sweep — and
-    // cancellation is never demoted to a solo re-run.
+    // cancellation is never demoted to a solo re-run. One worker, so its
+    // share is the whole batch and the pass fuses on any core count.
     TraceRepository repo(smallScale());
     SweepEngine::Options opt;
+    opt.jobs = 1;
     opt.groupSize = 4;
     opt.cellDeadlineSeconds = 1e-9; // expires before the first checkpoint
     SweepResult sweep = SweepEngine(opt).run(repo, {"xlisp"}, fourConfigs(),
                                              fourLabels());
     ASSERT_EQ(sweep.cells.size(), 4u);
+    EXPECT_EQ(sweep.fusedGroups, 1u);
     EXPECT_EQ(sweep.cellsFailed, 4u);
     for (const SweepCell &cell : sweep.cells) {
         EXPECT_EQ(cell.status, SweepCell::Status::Failed);
@@ -216,11 +219,13 @@ TEST(SweepFaults, FusedGroupBadInputBurnsRetriesLikeSolo)
     // the attempt counters must match an ungrouped sweep exactly.
     TraceRepository repo(smallScale());
     SweepEngine::Options opt;
+    opt.jobs = 1;
     opt.groupSize = 4;
     opt.maxRetries = 2;
     SweepResult sweep = SweepEngine(opt).run(repo, {badInput},
                                              fourConfigs(), fourLabels());
     ASSERT_EQ(sweep.cells.size(), 4u);
+    EXPECT_EQ(sweep.fusedGroups, 1u); // one pass, then four solo demotions
     for (const SweepCell &cell : sweep.cells) {
         EXPECT_EQ(cell.status, SweepCell::Status::Failed);
         EXPECT_EQ(cell.attempts, 3u); // 1 + maxRetries, all consumed
@@ -241,16 +246,25 @@ TEST(SweepFaults, FusedSweepJsonMatchesUngroupedSweep)
     SweepResult soloRun = SweepEngine(solo).run(repoSolo, inputs,
                                                 fourConfigs(), fourLabels());
 
-    for (unsigned group : {0u, 2u, 4u}) { // 0 = auto
+    // One worker, whose share is the whole 12-cell batch: every --group
+    // fuses on any core count. Auto makes one pass per input.
+    const struct
+    {
+        unsigned group;
+        size_t passes;
+    } runs[] = {{0, 3}, {2, 6}, {4, 3}};
+    for (const auto &run : runs) {
         TraceRepository repoFused(smallScale());
         SweepEngine::Options fused;
-        fused.groupSize = group;
+        fused.jobs = 1;
+        fused.groupSize = run.group;
         fused.maxRetries = 1;
         SweepResult fusedRun = SweepEngine(fused).run(
             repoFused, inputs, fourConfigs(), fourLabels());
+        EXPECT_EQ(fusedRun.fusedGroups, run.passes) << "group=" << run.group;
         EXPECT_EQ(sweepToJson(fusedRun, noTiming()),
                   sweepToJson(soloRun, noTiming()))
-            << "group=" << group;
+            << "group=" << run.group;
     }
 }
 
@@ -270,22 +284,28 @@ TEST(SweepJournalTest, FusedSweepJournalResumeMatchesSoloDocument)
     SweepResult soloRun = SweepEngine(solo).run(repoSolo, inputs,
                                                 fourConfigs(), fourLabels());
 
+    // One worker in both fused runs, so each input's four cells are one
+    // pass on any core count.
     TraceRepository repo1(smallScale());
     SweepEngine::Options first;
+    first.jobs = 1;
     first.groupSize = 4;
     first.journalPath = journalPath;
     SweepResult run1 = SweepEngine(first).run(repo1, inputs, fourConfigs(),
                                               fourLabels());
+    EXPECT_EQ(run1.fusedGroups, 3u);
     EXPECT_EQ(sweepToJson(run1, noTiming()), sweepToJson(soloRun, noTiming()));
 
     JournalData journal = loadJournal(journalPath);
     EXPECT_EQ(journal.entries.size(), 12u);
     TraceRepository repo2(smallScale());
     SweepEngine::Options second;
+    second.jobs = 1;
     second.groupSize = 4;
     second.resume = &journal;
     SweepResult run2 = SweepEngine(second).run(repo2, inputs, fourConfigs(),
                                                fourLabels());
+    EXPECT_EQ(run2.fusedGroups, 1u); // the bad input's four cells re-run
     EXPECT_EQ(run2.cellsSkipped, 8u);
     EXPECT_EQ(run2.cellsFailed, 4u);
     EXPECT_EQ(sweepToJson(run2, noTiming()), sweepToJson(soloRun, noTiming()));

@@ -128,13 +128,14 @@ expectCellsFailWith(const std::string &path, const std::string &want)
     ro.streamFiles = true;
     TraceRepository repo(ro);
     SweepEngine::Options opt;
-    opt.jobs = 2;
-    opt.groupSize = 2; // one fused pass, then each cell demoted to solo
+    opt.jobs = 1;      // one worker's share is both cells, so ...
+    opt.groupSize = 2; // ... one fused pass, then each cell demoted to solo
     SweepResult sweep = SweepEngine(opt).run(
         repo, {path},
         {core::AnalysisConfig::windowed(16),
          core::AnalysisConfig::dataflowConservative()});
     ASSERT_EQ(sweep.cells.size(), 2u);
+    EXPECT_EQ(sweep.fusedGroups, 1u);
     for (const SweepCell &cell : sweep.cells) {
         EXPECT_EQ(cell.status, SweepCell::Status::Failed);
         EXPECT_EQ(cell.errorMessage, want);

@@ -52,6 +52,16 @@ gridJobs(const std::vector<std::string> &inputs,
     return jobs;
 }
 
+/** Two windows, no renaming and the conservative dataflow limit. */
+std::vector<core::AnalysisConfig>
+fourConfigs()
+{
+    return {core::AnalysisConfig::windowed(16),
+            core::AnalysisConfig::windowed(64),
+            core::AnalysisConfig::noRenaming(),
+            core::AnalysisConfig::dataflowConservative()};
+}
+
 /** @p analog's small trace written to a temporary `.ptrc` named @p name:
  *  an input the repository captures when it is not streaming files. */
 std::string
@@ -141,15 +151,10 @@ TEST(SweepScheduler, CellsAreByteIdenticalToSweepEngine)
     autoOpt.jobs = 3;
     autoOpt.groupSize = 0;
     SweepScheduler streamed(streamRepo, autoOpt);
-    std::vector<SweepJob> ptrzJobs = gridJobs(
-        {path},
-        {core::AnalysisConfig::windowed(16),
-         core::AnalysisConfig::windowed(64),
-         core::AnalysisConfig::noRenaming(),
-         core::AnalysisConfig::dataflowConservative()});
+    std::vector<SweepJob> ptrzJobs = gridJobs({path}, fourConfigs());
     auto ptrzBatch = streamed.submit(ptrzJobs);
     ptrzBatch->wait();
-    EXPECT_EQ(ptrzBatch->fusedGroups(), 2u);
+    EXPECT_EQ(streamed.fusedGroups(), 2u);
     for (size_t i = 0; i < ptrzJobs.size(); ++i) {
         SCOPED_TRACE(ptrzJobs[i].configLabel);
         const SweepCell &got = ptrzBatch->cells()[i];
@@ -158,6 +163,81 @@ TEST(SweepScheduler, CellsAreByteIdenticalToSweepEngine)
         EXPECT_EQ(cellToJson(got, json), serialCellJson(ptrzJobs[i], *src));
     }
     std::filesystem::remove(path);
+}
+
+TEST(SweepScheduler, GroupTargetCapsAWorkersShareOfTheQueue)
+{
+    // min(cap, max(share, ceil(queued / workers))): share is the head
+    // batch's ceil(cells / workers), cap is --group=N (0 = the share).
+    const struct
+    {
+        const char *why;
+        size_t cap, share, queued;
+        unsigned workers;
+        size_t want;
+    } rows[] = {
+        {"auto, 8 cells on 4 workers", 0, 2, 8, 4, 2},
+        {"auto keeps its share as the queue drains", 0, 2, 1, 4, 2},
+        {"auto ignores a deep queue", 0, 1, 40, 4, 1},
+        {"one 4-cell batch at cap 4", 4, 1, 4, 4, 1},
+        {"two queued 4-cell batches at cap 4", 4, 1, 8, 4, 2},
+        {"a 32-cell batch at cap 4", 4, 8, 32, 4, 4},
+        {"40 queued cells from 10 batches at cap 8", 8, 1, 40, 4, 8},
+        {"8 configs at cap 8 on 4 workers", 8, 2, 8, 4, 2},
+        {"cap 1", 1, 8, 32, 4, 1},
+        {"one worker takes the whole share", 4, 12, 12, 1, 4},
+    };
+    for (const auto &row : rows) {
+        EXPECT_EQ(SweepScheduler::groupTarget(row.cap, row.share, row.queued,
+                                              row.workers),
+                  row.want)
+            << row.why;
+    }
+}
+
+TEST(SweepScheduler, MemoryBudgetStillCutsAGroupEarly)
+{
+    // One worker at --group=4 would fuse all four cells; a budget that
+    // holds two engines' estimated state cuts them into two passes.
+    TraceRepository repo(smallScale());
+    SweepScheduler::Options opt;
+    opt.jobs = 1;
+    opt.groupSize = 4;
+    opt.groupMemoryBudget = size_t(20) << 20; // two 8 MiB live wells fit
+    SweepScheduler scheduler(repo, opt);
+    auto batch = scheduler.submit(gridJobs({"xlisp"}, fourConfigs()));
+    batch->wait();
+    EXPECT_EQ(scheduler.fusedGroups(), 2u);
+    EXPECT_EQ(scheduler.pendingCells(), 0u);
+    for (const SweepCell &cell : batch->cells())
+        EXPECT_EQ(cell.status, SweepCell::Status::Ok) << cell.errorMessage;
+}
+
+TEST(SweepScheduler, SmallBatchSpreadsOverIdleWorkers)
+{
+    // --group caps a pass, it does not fill one: a 4-cell batch on four
+    // idle workers at --group=4 runs as four solo passes, not one 4-engine
+    // pass, and each cell still matches its serial reference.
+    std::vector<SweepJob> jobs = gridJobs({"xlisp"}, fourConfigs());
+    TraceRepository repo(smallScale());
+    SweepScheduler::Options opt;
+    opt.jobs = 4;
+    opt.groupSize = 4;
+    SweepScheduler scheduler(repo, opt);
+    ASSERT_EQ(scheduler.workers(), 4u);
+    auto batch = scheduler.submit(jobs);
+    batch->wait();
+    EXPECT_EQ(scheduler.fusedGroups(), 4u);
+
+    SweepJsonOptions json;
+    json.timing = false;
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        SCOPED_TRACE(jobs[i].configLabel);
+        const SweepCell &got = batch->cells()[i];
+        EXPECT_EQ(got.status, SweepCell::Status::Ok) << got.errorMessage;
+        trace::SharedBufferSource solo(repo.get(jobs[i].input));
+        EXPECT_EQ(cellToJson(got, json), serialCellJson(jobs[i], solo));
+    }
 }
 
 TEST(SweepScheduler, IndependentBatchesShareOneCapture)

@@ -147,7 +147,7 @@ TEST(SimulatedInput, ConcurrentFirstTouchCompilesOnce)
         auto batch = scheduler.submit(jobs);
         batch->wait();
 
-        EXPECT_EQ(batch->fusedGroups(), jobs.size());
+        EXPECT_EQ(scheduler.fusedGroups(), jobs.size());
         EXPECT_EQ(repo.programsBuilt(), 1u);
         EXPECT_EQ(repo.cachedInputs(), 0u);
         for (size_t i = 0; i < jobs.size(); ++i) {

@@ -79,6 +79,38 @@ TEST(SweepCli, JobCountDoesNotChangeTheDocument)
               std::string::npos);
 }
 
+TEST(SweepCli, StatsCountTheFusedGroupsAGroupCapAllows)
+{
+    // --group=N caps each worker's share of the grid instead of filling a
+    // pass: 8 configs at --group=8 run as 4 passes of 2 on four workers
+    // and as one pass on one. --stats reports the passes as fused_groups,
+    // the same on every run, and the analysis never changes.
+    const std::string grid = "--inputs=xlisp --small --max=2000 "
+                             "--windows=0,16,64,256 --rename=none,data "
+                             "--group=8 --quiet";
+    const struct
+    {
+        const char *jobs;
+        const char *passes;
+    } runs[] = {{"--jobs=4", "\"fused_groups\": 4}"},
+                {"--jobs=1", "\"fused_groups\": 1}"}};
+    for (const auto &run : runs) {
+        SCOPED_TRACE(run.jobs);
+        for (int repeat = 0; repeat < 2; ++repeat) {
+            CliResult r =
+                runSweep(grid + " --stats --no-profiles " + run.jobs);
+            EXPECT_EQ(r.status, 0);
+            EXPECT_NE(r.output.find(run.passes), std::string::npos)
+                << r.output.substr(0, 400);
+        }
+    }
+    CliResult capped = runSweep(grid + " --jobs=4 --no-timing");
+    CliResult solo = runSweep(grid + " --jobs=1 --group=1 --no-timing");
+    EXPECT_EQ(capped.status, 0);
+    EXPECT_EQ(capped.output, solo.output);
+    EXPECT_EQ(capped.output.find("fused_groups"), std::string::npos);
+}
+
 TEST(SweepCli, CrossesEveryAxis)
 {
     CliResult r = runSweep("--inputs=xlisp --small --windows=16,0 "

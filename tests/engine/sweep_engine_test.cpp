@@ -13,6 +13,7 @@
 #include "engine/trace_repository.hpp"
 #include "support/panic.hpp"
 #include "trace/compressed_io.hpp"
+#include "trace/file_io.hpp"
 
 using namespace paragraph;
 using namespace paragraph::engine;
@@ -283,6 +284,79 @@ TEST(SweepEngine, AutoGroupKeepsWorkerSharesOnCapturedInputs)
     opt.groupSize = 0; // auto: ceil(8 / 8) = 1 config per pass
     SweepResult sweep = SweepEngine(opt).run(repo, {"xlisp"}, configs);
     EXPECT_EQ(sweep.fusedGroups, configs.size());
+}
+
+TEST(SweepEngine, EverySourceJobsAndGroupRenderOneDocument)
+{
+    // One 8-config grid over a `.ptrc` and a `.ptrz` of the same records,
+    // each captured and streamed (the `.ptrc` in place from its mapping,
+    // the `.ptrz` decoded inline by each pass), at 1 and 4 workers and
+    // --group=1, 2, 0 (auto) and 8, renders its file's captured solo
+    // document every time. The passes depend on the batch and the cap
+    // only: --group=8 above a 4-worker share of 2 runs 4 passes of 2.
+    namespace fs = std::filesystem;
+    const std::string ptrc =
+        (fs::temp_directory_path() / "sweep_every_source.ptrc").string();
+    const std::string ptrz =
+        (fs::temp_directory_path() / "sweep_every_source.ptrz").string();
+    {
+        TraceRepository seed(smallScale());
+        trace::SharedBufferSource src(seed.get("xlisp"), "xlisp");
+        trace::TraceFileWriter writer(ptrc);
+        writer.writeAll(src);
+        writer.close();
+        trace::SharedBufferSource again(seed.get("xlisp"), "xlisp");
+        trace::CompressedTraceWriter zwriter(ptrz);
+        zwriter.writeAll(again);
+        zwriter.close();
+    }
+
+    std::vector<core::AnalysisConfig> configs;
+    for (uint64_t w : {16u, 64u, 256u, 0u}) {
+        core::AnalysisConfig renamed = core::AnalysisConfig::windowed(w);
+        core::AnalysisConfig plain = core::AnalysisConfig::noRenaming();
+        plain.windowSize = w;
+        configs.push_back(renamed);
+        configs.push_back(plain);
+    }
+    SweepJsonOptions json;
+    json.timing = false;
+    TraceRepository::Options capOpt = smallScale();
+    capOpt.maxRecords = 1500;
+
+    const struct
+    {
+        unsigned jobs;
+        unsigned group;
+        size_t passes;
+    } runs[] = {{1, 1, 8}, {1, 2, 4}, {1, 0, 1}, {1, 8, 1},
+                {4, 1, 8}, {4, 2, 4}, {4, 0, 4}, {4, 8, 4}};
+    for (const std::string &path : {ptrc, ptrz}) {
+        TraceRepository refRepo(capOpt);
+        SweepEngine::Options soloOpt;
+        soloOpt.jobs = 1;
+        const std::string reference = sweepToJson(
+            SweepEngine(soloOpt).run(refRepo, {path}, configs), json);
+        for (bool stream : {false, true}) {
+            for (const auto &run : runs) {
+                SCOPED_TRACE(path + (stream ? " streamed" : " captured") +
+                             " jobs=" + std::to_string(run.jobs) +
+                             " group=" + std::to_string(run.group));
+                TraceRepository::Options ro = capOpt;
+                ro.streamFiles = stream;
+                TraceRepository repo(ro);
+                SweepEngine::Options opt;
+                opt.jobs = run.jobs;
+                opt.groupSize = run.group;
+                SweepResult sweep =
+                    SweepEngine(opt).run(repo, {path}, configs);
+                EXPECT_EQ(sweep.fusedGroups, run.passes);
+                EXPECT_EQ(sweepToJson(sweep, json), reference);
+            }
+        }
+    }
+    fs::remove(ptrc);
+    fs::remove(ptrz);
 }
 
 TEST(SweepEngine, CellsMatchSoloAnalyzeRunsByteForByte)

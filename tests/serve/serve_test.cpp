@@ -873,6 +873,48 @@ TEST(ServeDaemon, ServesConcurrentClientsOverOneScheduler)
     fs::remove(store);
 }
 
+TEST(ServeDaemon, SmallConcurrentRequestsSpreadOverIdleWorkers)
+{
+    // Two clients each ask a --jobs=4 --group=4 daemon for 4 unseen cells
+    // of one input. --group caps a pass instead of filling it: with at
+    // most 8 cells queued, no pass takes more than ceil(8 / 4) = 2, so the
+    // cells spread over at least 4 passes where a filling scheduler ran
+    // two 4-engine passes on 2 of the 4 workers. Each document still
+    // equals paragraph-sweep's.
+    std::string store = tempPath("spread.store");
+    fs::remove(store);
+    ServeServer::Options opt;
+    opt.storePath = store;
+    opt.jobs = 4;
+    opt.groupSize = 4;
+    Daemon daemon("spread", opt);
+
+    const std::string input = goldenTrace("xlisp-800.ptrc");
+    ServeResponse a, b;
+    std::thread ta(
+        [&] { a = ask(daemon, sweepRequest({input}, {16, 64, 256, 0})); });
+    std::thread tb([&] {
+        b = ask(daemon, sweepRequest({input}, {32, 128, 512, 1024}));
+    });
+    ta.join();
+    tb.join();
+    ASSERT_TRUE(a.ok()) << a.error;
+    ASSERT_TRUE(b.ok()) << b.error;
+    EXPECT_EQ(a.cellsComputed, 4u);
+    EXPECT_EQ(b.cellsComputed, 4u);
+    EXPECT_EQ(a.document, sweepCliDocument("--inputs=" + input +
+                                           " --windows=16,64,256,0"));
+    EXPECT_EQ(b.document, sweepCliDocument("--inputs=" + input +
+                                           " --windows=32,128,512,1024"));
+
+    ServeRequest stats;
+    stats.op = ServeRequest::Op::Stats;
+    ServeResponse resp = ask(daemon, stats);
+    ASSERT_TRUE(resp.ok()) << resp.error;
+    EXPECT_GE(resp.fusedGroups, 4u);
+    fs::remove(store);
+}
+
 TEST(ServeDaemon, SurvivesClientDisconnectMidJobAndKeepsTheCells)
 {
     std::string store = tempPath("disconnect.store");

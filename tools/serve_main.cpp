@@ -13,7 +13,11 @@
 //     --store=FILE           persistent result store (strongly recommended;
 //                            omitting it caches nothing across requests)
 //     --jobs=N               analysis worker threads (default: hardware)
-//     --group=N              configs fused per pass (default: 8)
+//     --group=N              most configs fused into one pass (default:
+//                            8); each pass takes a worker's share of the
+//                            queued cells, so a small request spreads
+//                            over idle workers and a deep queue from many
+//                            clients still fuses up to N
 //     --retries=N            extra attempts for ordinarily-failed cells
 //     --deadline=SECONDS     per-attempt cell deadline
 //     --small                serve workload inputs at reduced scale
@@ -66,8 +70,9 @@
 //     --out=FILE             write the sweep JSON document to FILE
 //                            (default: stdout)
 //     --ping | --stats | --health | --shutdown
-//                            liveness / counters / queue+store+failpoint
-//                            probe / graceful stop
+//                            liveness / counters (cells cached and
+//                            computed, fused_groups: passes run) /
+//                            queue+store+failpoint probe / graceful stop
 //     --failpoint=SPEC       arm "site=policy;..." failpoints in the
 //                            daemon (empty SPEC resets); needs a daemon
 //                            started with --allow-failpoints
@@ -133,7 +138,8 @@ usage()
         stderr,
         "usage: paragraph-serve --socket=PATH [daemon options]\n"
         "       paragraph-serve --client --socket=PATH [request options]\n"
-        "  daemon: --store=FILE  --jobs=N  --group=N  --retries=N\n"
+        "  daemon: --store=FILE  --jobs=N  --group=N (most per pass)\n"
+        "          --retries=N\n"
         "          --deadline=SECONDS  --small  --trace-budget=BYTES\n"
         "          --store-budget=BYTES  --store-sync=none|interval|cell\n"
         "          --store-sync-interval=SECONDS  --store-compact-every=N\n"

@@ -30,10 +30,13 @@
 //
 // Execution and output:
 //   --jobs=N               worker threads (default: hardware concurrency)
-//   --group=N              configs fused into one pass over a shared trace
-//                          (trace-major scheduling); 1 = no fusion, 0 =
-//                          auto, each worker's share of the grid becomes a
-//                          single pass (default: auto)
+//   --group=N              most configs fused into one pass over a shared
+//                          trace (trace-major scheduling); 1 = no fusion,
+//                          0 = auto, each worker's share of the grid
+//                          becomes a single pass (default: auto). N caps
+//                          that share and never fills past it:
+//                          --group=8 --jobs=4 over 8 configs runs 4 passes
+//                          of 2, so lower --jobs to fuse wider
 //   --stream               stream *.ptrc/*.ptrz inputs per pass instead of
 //                          capturing them in memory; `.ptrc` files are then
 //                          mapped and read in place (each block checked
@@ -54,7 +57,8 @@
 //   --out=FILE             write the JSON document to FILE
 //   --stats                add decode/analyze wall-time split and shard
 //                          segment/splice/replay counts to the "timing"
-//                          fields
+//                          fields, and the sweep's fused_groups (passes)
+//                          to the top-level one
 //   --no-timing            omit wall-clock fields (deterministic output)
 //   --no-profiles          omit per-cell parallelism-profile buckets
 //   --quiet                suppress the stderr progress line
@@ -151,7 +155,8 @@ usage()
         "          --syscalls=stall,ignore\n"
         "          --predictors=perfect,bimodal,taken,nottaken,wrong\n"
         "          --fus=0,2,8\n"
-        "  run:    --jobs=N  --group=N (0=auto)  --shard=N  --max=N\n"
+        "  run:    --jobs=N  --group=N (most per pass, 0=auto)\n"
+        "          --shard=N  --max=N\n"
         "          --small  --stream  --out=FILE\n"
         "          --stats  --no-timing  --no-profiles  --quiet  --list\n"
         "  explore: --explore  --knee-tol=T (0 = exact frontier)\n"
