@@ -14,8 +14,17 @@
 // is the share of the hot path spent reading records of `record_bytes`.
 // The `ptrz` config is the layer before it for a compressed trace: it
 // decodes the capture's `.ptrz` encoding into 4K-record blocks, as a fused
-// pass over a streamed `.ptrz` does (a `stream` row only). Neither row
-// counts in the placement geomeans.
+// pass over a streamed `.ptrz` does (a `stream` row only).
+//
+// The `fused2` and `fused8` configs measure the shape a sweep runs: the
+// 8-config perfbench grid (windows 0/16/64/256 x rename none/data) through
+// analyzeManyGuarded, in passes of 2 configs (grid order, as a 4-worker
+// sweep groups those 8 cells) and in one pass of all 8. The `stream` row
+// feeds each pass 4K-record blocks, as a simulated or streamed input does;
+// the `bulk` row walks the capture in place. Their `instructions` count
+// cell-records (records x configs), so the ns/record column reads ns per
+// cell-record. None of the fetch, ptrz and fused rows counts in the
+// placement geomeans.
 //
 // Results are written as `BENCH_hotpath.json` — a stable, timestamped schema
 // (`paragraph-bench-hotpath-v1`) meant to be re-run and diffed across
@@ -35,6 +44,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <ctime>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -42,6 +52,7 @@
 #include <string>
 #include <vector>
 
+#include "core/multi.hpp"
 #include "core/paragraph.hpp"
 #include "engine/sweep_json.hpp"
 #include "support/ascii_table.hpp"
@@ -128,12 +139,43 @@ struct BenchConfig
     bool needsLastUse = false; ///< analyze the last-use-annotated capture
     bool fetchOnly = false;    ///< read the records, place nothing
     bool ptrzDecode = false;   ///< decode the capture's `.ptrz` encoding
+    /** Non-empty: a fused row over these configs, passWidth per pass. */
+    std::vector<core::AnalysisConfig> fused;
+    size_t passWidth = 0;
 };
 
-/** Labels of the record-fetch and `.ptrz` decode rows (excluded from the
- *  placement geomeans). */
+/** Labels of the rows excluded from the placement geomeans: the record
+ *  fetch, the `.ptrz` decode and the fused sweep passes. */
 const char *const kFetchLabel = "fetch";
 const char *const kPtrzLabel = "ptrz";
+const char *const kFused2Label = "fused2";
+const char *const kFused8Label = "fused8";
+
+bool
+isPlacementConfig(const std::string &label)
+{
+    return label != kFetchLabel && label != kPtrzLabel &&
+           label != kFused2Label && label != kFused8Label;
+}
+
+/** The perfbench sweep grid, in grid order (window outer): windows
+ *  0/16/64/256 x rename none/data. */
+std::vector<core::AnalysisConfig>
+sweepGrid(uint64_t max_instructions)
+{
+    std::vector<core::AnalysisConfig> grid;
+    for (uint64_t window : {0, 16, 64, 256}) {
+        for (bool renamed : {false, true}) {
+            core::AnalysisConfig cfg =
+                renamed ? core::AnalysisConfig::regsMemRenamed()
+                        : core::AnalysisConfig::noRenaming();
+            cfg.windowSize = window;
+            cfg.maxInstructions = max_instructions;
+            grid.push_back(cfg);
+        }
+    }
+    return grid;
+}
 
 std::vector<BenchConfig>
 makeConfigs(uint64_t max_instructions)
@@ -141,13 +183,19 @@ makeConfigs(uint64_t max_instructions)
     std::vector<BenchConfig> configs;
     auto add = [&](const std::string &label, core::AnalysisConfig cfg,
                    bool last_use = false) {
-        cfg.maxInstructions = max_instructions;
-        configs.push_back(BenchConfig{label, cfg, last_use});
+        BenchConfig bc;
+        bc.label = label;
+        bc.cfg = cfg;
+        bc.cfg.maxInstructions = max_instructions;
+        bc.needsLastUse = last_use;
+        configs.push_back(bc);
     };
     // Record fetch alone: the operand bytes every placement reads first.
-    configs.push_back(BenchConfig{kFetchLabel, {}, false, true});
+    configs.emplace_back().label = kFetchLabel;
+    configs.back().fetchOnly = true;
     // `.ptrz` decode alone: what a streamed compressed pass pays per block.
-    configs.push_back(BenchConfig{kPtrzLabel, {}, false, false, true});
+    configs.emplace_back().label = kPtrzLabel;
+    configs.back().ptrzDecode = true;
     // The paper's default analysis: all renaming, unlimited window, perfect
     // prediction — the single-config analyze path.
     add("dataflow", core::AnalysisConfig::dataflowConservative());
@@ -173,6 +221,14 @@ makeConfigs(uint64_t max_instructions)
         core::AnalysisConfig cfg = core::AnalysisConfig::dataflowConservative();
         cfg.useLastUseEviction = true;
         add("lastuse", cfg, true);
+    }
+    // The sweep's shape: the perfbench grid in fused passes of 2 and of 8.
+    for (size_t width : {size_t{2}, size_t{8}}) {
+        BenchConfig bc;
+        bc.label = width == 2 ? kFused2Label : kFused8Label;
+        bc.fused = sweepGrid(max_instructions);
+        bc.passWidth = width;
+        configs.push_back(bc);
     }
     return configs;
 }
@@ -250,6 +306,38 @@ timePtrzDecode(const std::string &file, uint64_t &records)
         .count();
 }
 
+/** Run @p bc's fused grid over @p buffer, pass by pass: from 4K-record
+ *  blocks on the stream path, in place on the bulk path.
+ *  @return the seconds it took. */
+double
+timeFused(const std::string &path, const trace::TraceBuffer &buffer,
+          const BenchConfig &bc)
+{
+    std::vector<std::vector<core::AnalysisConfig>> passes;
+    for (size_t first = 0; first < bc.fused.size(); first += bc.passWidth) {
+        const size_t last = std::min(first + bc.passWidth, bc.fused.size());
+        passes.emplace_back(bc.fused.begin() + static_cast<ptrdiff_t>(first),
+                            bc.fused.begin() + static_cast<ptrdiff_t>(last));
+    }
+    auto start = std::chrono::steady_clock::now();
+    for (const std::vector<core::AnalysisConfig> &pass : passes) {
+        std::vector<core::MultiOutcome> outcomes;
+        if (path == "bulk") {
+            outcomes = core::analyzeManyGuarded(buffer, pass);
+        } else {
+            trace::BufferSource src(buffer);
+            outcomes = core::analyzeManyGuarded(src, pass);
+        }
+        for (const core::MultiOutcome &o : outcomes) {
+            if (o.error)
+                std::rethrow_exception(o.error);
+        }
+    }
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
+}
+
 Row
 measure(const std::string &input, const BenchConfig &bc,
         const std::string &path, const trace::TraceBuffer &buffer,
@@ -269,6 +357,11 @@ measure(const std::string &input, const BenchConfig &bc,
         if (bc.ptrzDecode) {
             row.seconds = std::min(
                 row.seconds, timePtrzDecode(ptrzFile, row.instructions));
+            continue;
+        }
+        if (!bc.fused.empty()) {
+            row.instructions = buffer.size() * bc.fused.size();
+            row.seconds = std::min(row.seconds, timeFused(path, buffer, bc));
             continue;
         }
         core::Paragraph analyzer(bc.cfg);
@@ -307,8 +400,8 @@ geomean(const std::vector<Row> &rows, const std::string &path)
     double logSum = 0.0;
     size_t n = 0;
     for (const Row &row : rows) {
-        if (row.path == path && row.config != kFetchLabel &&
-            row.config != kPtrzLabel && row.minstrPerSec > 0.0) {
+        if (row.path == path && isPlacementConfig(row.config) &&
+            row.minstrPerSec > 0.0) {
             logSum += std::log(row.minstrPerSec);
             ++n;
         }

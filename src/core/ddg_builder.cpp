@@ -123,7 +123,7 @@ buildDdg(const trace::TraceBuffer &buffer, const AnalysisConfig &cfg)
     int64_t deepest_level = -1;
     int32_t firewall_node = -1; // node that caused the current floor
 
-    // Single-probe find-or-create (same scheme as Paragraph::placeRecord):
+    // Single-probe find-or-create (same scheme as Paragraph::step):
     // findOrInsert resolves the location in one hash walk instead of a
     // find() miss followed by a second full probe in insertOrAssign().
     auto slot_id_for = [&](uint64_t key, bool &fresh) -> uint32_t {

@@ -1,7 +1,9 @@
 #include "core/paragraph.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
+#include <utility>
 
 #include "core/cancel_token.hpp"
 #include "support/panic.hpp"
@@ -22,12 +24,19 @@ constexpr size_t prefetchDistance = 8;
 /// read off the per-record path).
 constexpr size_t cancelCheckInterval = 32768;
 
-/** Live-well key of operand slot @p s of @p rec, read from its raw kind
- *  byte and id. */
+/** Tagged live-well key of operand slot @p s of @p rec: the segment log's
+ *  location name (the placement itself resolves operands by locate()). */
 inline uint64_t
 slotKey(const TraceRecord &rec, int s)
 {
     return trace::locationKey(rec.operandKinds[s], rec.operandIds[s]);
+}
+
+/** The live-well location of operand slot @p s of @p rec. */
+inline LiveWell::Loc
+slotLoc(const TraceRecord &rec, int s)
+{
+    return LiveWell::locate(rec.operandKinds[s], rec.operandIds[s]);
 }
 } // namespace
 
@@ -78,6 +87,30 @@ Paragraph::begin()
     segSeen_ = 0;
     misBits_ = nullptr;
     misCursor_ = 0;
+    pickSpan();
+}
+
+void
+Paragraph::pickSpan()
+{
+    static constexpr auto spans =
+        []<unsigned... S>(std::integer_sequence<unsigned, S...>) {
+            return std::array<SpanFn, sizeof...(S)>{
+                &Paragraph::spanLoop<S>...};
+        }(std::make_integer_sequence<unsigned, shapeCount>{});
+    unsigned shape = 0;
+    if (segLog_)
+        shape |= shapeSegment;
+    if (window_)
+        shape |= shapeWindow;
+    if (throttle_.enabled())
+        shape |= shapeFu;
+    if (cfg_.useLastUseEviction)
+        shape |= shapeLastUse;
+    if (cfg_.collectLifetimes && cfg_.collectSharing &&
+        cfg_.collectStorageProfile)
+        shape |= shapeMetrics;
+    span_ = spans[shape];
 }
 
 void
@@ -128,6 +161,7 @@ Paragraph::beginSegment(SegmentLog *log)
     begin();
     log->clear();
     segLog_ = log;
+    pickSpan();
 }
 
 void
@@ -207,61 +241,7 @@ Paragraph::process(const TraceRecord &rec)
     ++result_.instructions;
     if (cfg_.maxInstructions && result_.instructions >= cfg_.maxInstructions)
         done_ = true;
-    processBody(rec);
-}
-
-void
-Paragraph::processBody(const TraceRecord &rec)
-{
-    // Segment mode, finite window: while the fresh window is still
-    // filling, the solo run displaces pre-cut entries this run cannot see.
-    // Log the floor before each head record (and its level below) so the
-    // patch can verify those displacement raises are no-ops.
-    const bool logHead =
-        segLog_ && window_ && segSeen_ < window_->capacity();
-    if (logHead)
-        segLog_->headFloors.push_back(highestLevel_);
-
-    // The incoming record displaces the oldest window entry before it is
-    // placed; the displaced operation's level becomes a firewall.
-    if (window_) {
-        int64_t displaced = window_->willEnter();
-        if (displaced != SlidingWindow::notPlaced)
-            raiseFloor(displaced + 1);
-    }
-
-    if (rec.isSysCall())
-        ++result_.sysCalls;
-    if (rec.isCondBranch())
-        handleCondBranch(rec);
-
-    bool place = rec.createsValue();
-    if (rec.isSysCall() && !cfg_.sysCallsStall) {
-        // Optimistic assumption: the syscall modifies nothing and is
-        // ignored entirely.
-        place = false;
-    }
-
-    int64_t level = SlidingWindow::notPlaced;
-    if (place)
-        level = placeRecord(rec);
-    lastPlacedLevel_ = place ? level : -1;
-
-    // Conservative assumption: the syscall modified every live value. A
-    // firewall goes immediately after the deepest computation so far; no
-    // later operation may be placed above it.
-    if (rec.isSysCall() && cfg_.sysCallsStall) {
-        if (segLog_ && segLog_->firstStallDeepest == SegmentLog::noStall)
-            segLog_->firstStallDeepest = deepestLevel_;
-        raiseFloor(deepestLevel_ + 1);
-    }
-
-    if (window_)
-        window_->entered(level);
-    if (logHead)
-        segLog_->headLevels.push_back(level);
-    if (segLog_)
-        ++segSeen_;
+    (this->*span_)(&rec, 1);
 }
 
 void
@@ -289,13 +269,12 @@ Paragraph::handleCondBranch(const TraceRecord &rec)
     // the live well are pre-existing values, entered with a single probe.
     int64_t resolve = highestLevel_;
     for (int s = 0; s < rec.numSrcs; ++s) {
-        const uint64_t key = slotKey(rec, s);
         auto [lv, fresh] =
-            liveWell_.findOrCreatePreExisting(key, highestLevel_);
+            liveWell_.findOrCreatePreExisting(slotLoc(rec, s), highestLevel_);
         if (fresh) {
             ++result_.preExistingValues;
             if (segLog_) {
-                noteWellInsert(key, /*via_read=*/true,
+                noteWellInsert(slotKey(rec, s), /*via_read=*/true,
                                SegmentImport::unconstrained);
             }
         }
@@ -305,148 +284,231 @@ Paragraph::handleCondBranch(const TraceRecord &rec)
     raiseFloor(resolve);
 }
 
-int64_t
-Paragraph::placeRecord(const TraceRecord &rec)
+template <unsigned ShapeBits>
+[[gnu::always_inline]] inline void
+Paragraph::step(const TraceRecord &rec)
 {
-    // Phase 1: true data dependencies — and the only resolution of each
-    // source. Sources missing from the live well are pre-existing values
-    // (registers or DATA words untouched so far); they enter at
-    // highestLevel - 1 so they never delay computation, with a single
-    // find-or-create probe. The handle (pointer + key) is kept for the
-    // read-access bookkeeping below.
-    struct SrcRef
-    {
-        LiveValue *lv;
-        uint64_t key;
-    };
-    SrcRef srcs[trace::maxSrcs];
-    const int nsrcs = rec.numSrcs;
-    const uint64_t epoch0 = liveWell_.memEpoch();
-    int64_t issue = highestLevel_;
-    for (int s = 0; s < nsrcs; ++s) {
-        const uint64_t key = slotKey(rec, s);
-        auto [lv, fresh] =
-            liveWell_.findOrCreatePreExisting(key, highestLevel_);
-        if (fresh) {
-            ++result_.preExistingValues;
-            if (segLog_) {
-                noteWellInsert(key, /*via_read=*/true,
-                               SegmentImport::unconstrained);
+    constexpr bool segment = ShapeBits & shapeSegment;
+    constexpr bool windowed = ShapeBits & shapeWindow;
+    constexpr bool fuLimited = ShapeBits & shapeFu;
+    constexpr bool lastUse = ShapeBits & shapeLastUse;
+    constexpr bool allMetrics = ShapeBits & shapeMetrics;
+
+    // Segment mode, finite window: while the fresh window is still
+    // filling, the solo run displaces pre-cut entries this run cannot see.
+    // Log the floor before each head record (and its level below) so the
+    // patch can verify those displacement raises are no-ops.
+    bool logHead = false;
+    if constexpr (segment && windowed) {
+        logHead = segSeen_ < window_->capacity();
+        if (logHead)
+            segLog_->headFloors.push_back(highestLevel_);
+    }
+
+    // The incoming record displaces the oldest window entry before it is
+    // placed; the displaced operation's level becomes a firewall.
+    if constexpr (windowed) {
+        int64_t displaced = window_->willEnter();
+        if (displaced != SlidingWindow::notPlaced)
+            raiseFloor(displaced + 1);
+    }
+
+    const bool sysCall = rec.isSysCall();
+    if (sysCall)
+        ++result_.sysCalls;
+    if (rec.isCondBranch())
+        handleCondBranch(rec);
+
+    // Optimistic syscall assumption: the syscall modifies nothing and is
+    // ignored entirely.
+    const bool place =
+        rec.createsValue() && !(sysCall && !cfg_.sysCallsStall);
+    int64_t level = SlidingWindow::notPlaced;
+    if (place) {
+        // Phase 1: true data dependencies — and the only resolution of
+        // each source. Sources missing from the live well are
+        // pre-existing values (registers or DATA words untouched so far);
+        // they enter at highestLevel - 1 so they never delay computation,
+        // with a single find-or-create probe. The handle (pointer +
+        // location) is kept for the read-access bookkeeping below.
+        struct SrcRef
+        {
+            LiveValue *lv;
+            LiveWell::Loc loc;
+        };
+        SrcRef srcs[trace::maxSrcs];
+        const int nsrcs = rec.numSrcs;
+        const uint64_t epoch0 = liveWell_.memEpoch();
+        int64_t issue = highestLevel_;
+        for (int s = 0; s < nsrcs; ++s) {
+            const LiveWell::Loc loc = slotLoc(rec, s);
+            auto [lv, fresh] =
+                liveWell_.findOrCreatePreExisting(loc, highestLevel_);
+            if (fresh) {
+                ++result_.preExistingValues;
+                if constexpr (segment) {
+                    noteWellInsert(slotKey(rec, s), /*via_read=*/true,
+                                   SegmentImport::unconstrained);
+                }
+            }
+            if (lv->level + 1 > issue)
+                issue = lv->level + 1;
+            srcs[s] = SrcRef{lv, loc};
+        }
+        // A later source's insertion can move earlier handles that point
+        // into the memory map (rehash or robin-hood displacement);
+        // register-file handles are immune. Rare: re-resolve only when the
+        // epoch moved.
+        if (liveWell_.memEpoch() != epoch0) {
+            for (int s = 0; s < nsrcs; ++s) {
+                if (!srcs[s].loc.direct())
+                    srcs[s].lv = liveWell_.find(srcs[s].loc);
             }
         }
-        if (lv->level + 1 > issue)
-            issue = lv->level + 1;
-        srcs[s] = SrcRef{lv, key};
-    }
-    // A later source's insertion can move earlier handles that point into
-    // the memory map (rehash or robin-hood displacement); register-file
-    // handles are immune. Rare: re-resolve only when the epoch moved.
-    if (liveWell_.memEpoch() != epoch0) {
-        for (int s = 0; s < nsrcs; ++s) {
-            if (!LiveWell::isDirect(srcs[s].key))
-                srcs[s].lv = liveWell_.find(srcs[s].key);
+
+        // The post-data-dependency issue level: if a first-touch value is
+        // overwritten by this op, the carried value's storage dependency
+        // applies against exactly this level solo-side (segment mode).
+        const int64_t dataIssue = issue;
+
+        // Phase 2: the destination is resolved once, here — its previous
+        // occupant both bounds the issue level (storage dependency, when
+        // the storage class is not renamed) and dies in phase 6. No
+        // inserts happen between here and the phase-5 evictions, so the
+        // handle stays valid.
+        const uint8_t dkind = rec.operandKinds[TraceRecord::destSlot];
+        const bool has_dest = rec.hasDest();
+        const LiveWell::Loc dloc = slotLoc(rec, TraceRecord::destSlot);
+        LiveValue *destPrev = has_dest ? liveWell_.find(dloc) : nullptr;
+        const bool renamed = destRenamed(dkind);
+        if (destPrev && !renamed && destPrev->deepestAccess + 1 > issue) {
+            issue = destPrev->deepestAccess + 1;
+            ++result_.storageDelayedOps;
         }
-    }
 
-    // The post-data-dependency issue level: if a first-touch value is
-    // overwritten by this op, the carried value's storage dependency
-    // applies against exactly this level solo-side (segment mode).
-    const int64_t dataIssue = issue;
+        // Phase 3: resource dependencies.
+        const uint32_t top = cfg_.latency[static_cast<size_t>(rec.cls)];
+        if constexpr (fuLimited) {
+            int64_t adjusted = throttle_.place(rec.cls, issue, top);
+            if (adjusted > issue)
+                ++result_.fuDelayedOps;
+            issue = adjusted;
+        }
 
-    // Phase 2: the destination is resolved once, here — its previous
-    // occupant both bounds the issue level (storage dependency, when the
-    // storage class is not renamed) and dies in phase 6. No inserts happen
-    // between here and the phase-5 evictions, so the handle stays valid.
-    const uint8_t dkind = rec.operandKinds[TraceRecord::destSlot];
-    const bool has_dest = rec.hasDest();
-    const uint64_t dkey = has_dest ? slotKey(rec, TraceRecord::destSlot) : 0;
-    LiveValue *destPrev = has_dest ? liveWell_.find(dkey) : nullptr;
-    if (destPrev && !destRenamed(dkind) &&
-        destPrev->deepestAccess + 1 > issue) {
-        issue = destPrev->deepestAccess + 1;
-        ++result_.storageDelayedOps;
-    }
+        const int64_t ldest = issue + static_cast<int64_t>(top) - 1;
 
-    // Phase 3: resource dependencies.
-    const uint32_t top = cfg_.latency[static_cast<size_t>(rec.cls)];
-    if (throttle_.enabled()) {
-        int64_t adjusted = throttle_.place(rec.cls, issue, top);
-        if (adjusted > issue)
-            ++result_.fuDelayedOps;
-        issue = adjusted;
-    }
-
-    const int64_t ldest = issue + static_cast<int64_t>(top) - 1;
-
-    // Phase 4: the operation reads its sources; record the access depth
-    // (for future storage dependencies) and the degree of sharing — through
-    // the handles resolved in phase 1, no further probes.
-    for (int s = 0; s < nsrcs; ++s) {
-        LiveValue *lv = srcs[s].lv;
-        ++lv->useCount;
-        if (ldest > lv->deepestAccess)
-            lv->deepestAccess = ldest;
-    }
-
-    // Phase 5: two-pass deadness — evict values whose last use this is.
-    // The first eviction can shift memory-map entries (and a duplicate
-    // last-use source may already be gone), so handles are re-resolved by
-    // key once anything was killed.
-    bool killedAny = false;
-    if (cfg_.useLastUseEviction && rec.lastUseMask) {
+        // Phase 4: the operation reads its sources; record the access
+        // depth (for future storage dependencies) and the degree of
+        // sharing — through the handles resolved in phase 1, no further
+        // probes.
         for (int s = 0; s < nsrcs; ++s) {
-            if (!(rec.lastUseMask & (1u << s)))
-                continue;
-            LiveValue *lv =
-                killedAny ? liveWell_.find(srcs[s].key) : srcs[s].lv;
-            if (!lv)
-                continue; // duplicate source already evicted
-            retire(*lv);
-            if (segLog_ && lv->preExisting) {
-                closeImport(srcs[s].key, *lv,
-                            SegmentImport::unconstrained);
+            LiveValue *lv = srcs[s].lv;
+            ++lv->useCount;
+            if (ldest > lv->deepestAccess)
+                lv->deepestAccess = ldest;
+        }
+
+        // Phase 5: two-pass deadness — evict values whose last use this
+        // is. The first eviction can shift memory-map entries (and a
+        // duplicate last-use source may already be gone), so handles are
+        // re-resolved once anything was killed.
+        bool killedAny = false;
+        if (lastUse && rec.lastUseMask) {
+            for (int s = 0; s < nsrcs; ++s) {
+                if (!(rec.lastUseMask & (1u << s)))
+                    continue;
+                LiveValue *lv =
+                    killedAny ? liveWell_.find(srcs[s].loc) : srcs[s].lv;
+                if (!lv)
+                    continue; // duplicate source already evicted
+                retire<allMetrics>(*lv);
+                if constexpr (segment) {
+                    if (lv->preExisting) {
+                        closeImport(slotKey(rec, s), *lv,
+                                    SegmentImport::unconstrained);
+                    }
+                }
+                liveWell_.kill(srcs[s].loc);
+                killedAny = true;
             }
-            liveWell_.kill(srcs[s].key);
-            killedAny = true;
         }
+
+        // Phase 6: the created value enters the live well; the previous
+        // occupant of the location dies (one-pass deadness). The occupant
+        // was already resolved in phase 2 — overwrite it in place (the
+        // location does not change, so the map structure is untouched)
+        // unless a phase-5 eviction moved or removed it.
+        if (has_dest) {
+            [[maybe_unused]] const int64_t overwriteIssue =
+                renamed ? SegmentImport::unconstrained : dataIssue;
+            LiveValue *prev = killedAny ? liveWell_.find(dloc) : destPrev;
+            if (prev) {
+                retire<allMetrics>(*prev);
+                if constexpr (segment) {
+                    if (prev->preExisting) {
+                        closeImport(slotKey(rec, TraceRecord::destSlot),
+                                    *prev, overwriteIssue);
+                    }
+                }
+                *prev = LiveValue{ldest, ldest, 0, false};
+            } else {
+                liveWell_.define(dloc, ldest);
+                if constexpr (segment) {
+                    noteWellInsert(slotKey(rec, TraceRecord::destSlot),
+                                   /*via_read=*/false, overwriteIssue);
+                }
+            }
+        }
+
+        ++result_.placedOps;
+        result_.profile.add(static_cast<uint64_t>(ldest));
+        if constexpr (segment) {
+            // Exact per-level counts for the stitch: the profile above
+            // folds its buckets once levels outgrow the bin count, which
+            // would make the stitched profile approximate (see
+            // SegmentLog::levelOps).
+            const size_t lvl = static_cast<size_t>(ldest);
+            if (lvl >= segLog_->levelOps.size())
+                segLog_->levelOps.resize(lvl + 1, 0);
+            ++segLog_->levelOps[lvl];
+        }
+        if (ldest > deepestLevel_)
+            deepestLevel_ = ldest;
+        level = ldest;
+    }
+    lastPlacedLevel_ = place ? level : -1;
+
+    // Conservative assumption: the syscall modified every live value. A
+    // firewall goes immediately after the deepest computation so far; no
+    // later operation may be placed above it.
+    if (sysCall && cfg_.sysCallsStall) {
+        if constexpr (segment) {
+            if (segLog_->firstStallDeepest == SegmentLog::noStall)
+                segLog_->firstStallDeepest = deepestLevel_;
+        }
+        raiseFloor(deepestLevel_ + 1);
     }
 
-    // Phase 6: the created value enters the live well; the previous
-    // occupant of the location dies (one-pass deadness). The occupant was
-    // already resolved in phase 2 — overwrite it in place (the key does not
-    // change, so the map structure is untouched) unless a phase-5 eviction
-    // moved or removed it.
-    if (has_dest) {
-        const int64_t overwriteIssue = destRenamed(dkind)
-                                           ? SegmentImport::unconstrained
-                                           : dataIssue;
-        LiveValue *prev = killedAny ? liveWell_.find(dkey) : destPrev;
-        if (prev) {
-            retire(*prev);
-            if (segLog_ && prev->preExisting)
-                closeImport(dkey, *prev, overwriteIssue);
-            *prev = LiveValue{ldest, ldest, 0, false};
-        } else {
-            liveWell_.define(dkey, ldest);
-            if (segLog_)
-                noteWellInsert(dkey, /*via_read=*/false, overwriteIssue);
-        }
+    if constexpr (windowed)
+        window_->entered(level);
+    if constexpr (segment) {
+        if (logHead)
+            segLog_->headLevels.push_back(level);
+        ++segSeen_;
     }
+}
 
-    ++result_.placedOps;
-    result_.profile.add(static_cast<uint64_t>(ldest));
-    if (segLog_) {
-        // Exact per-level counts for the stitch: the profile above folds
-        // its buckets once levels outgrow the bin count, which would make
-        // the stitched profile approximate (see SegmentLog::levelOps).
-        const size_t lvl = static_cast<size_t>(ldest);
-        if (lvl >= segLog_->levelOps.size())
-            segLog_->levelOps.resize(lvl + 1, 0);
-        ++segLog_->levelOps[lvl];
+template <unsigned ShapeBits>
+void
+Paragraph::spanLoop(const TraceRecord *records, size_t n)
+{
+    for (size_t i = 0; i < n; ++i) {
+        // Memory operands probe a large randomly-indexed table; start the
+        // loads for a record a few iterations before it is processed.
+        if (i + prefetchDistance < n)
+            prefetchRecord(records[i + prefetchDistance]);
+        step<ShapeBits>(records[i]);
     }
-    if (ldest > deepestLevel_)
-        deepestLevel_ = ldest;
-    return ldest;
 }
 
 AnalysisResult
@@ -485,8 +547,9 @@ Paragraph::finish()
                 highestLevel_, deepestLevel_ - highestLevel_ + 1);
         }
     } else {
-        liveWell_.forEach(
-            [this](uint64_t, const LiveValue &lv) { retire(lv); });
+        liveWell_.forEach([this](uint64_t, const LiveValue &lv) {
+            retire<false>(lv);
+        });
     }
 
     result_.liveWellFinal = liveWell_.size();
@@ -511,7 +574,7 @@ Paragraph::prefetchRecord(const TraceRecord &rec) const
     for (int s = 0; s <= TraceRecord::destSlot; ++s) {
         // Unused source slots hold zero bytes, never a memory kind.
         if (trace::isMemKind(rec.operandKinds[s]))
-            liveWell_.prefetch(slotKey(rec, s));
+            liveWell_.prefetchMem(slotKey(rec, s));
     }
 }
 
@@ -533,23 +596,15 @@ Paragraph::processAll(const TraceRecord *records, size_t n)
         if (remaining < n)
             n = static_cast<size_t>(remaining);
     }
-    size_t i = 0;
-    while (i < n) {
+    if (cfg_.cancel) {
         // Cooperative cancellation: poll the token between chunks so a
         // runaway cell becomes a diagnosed CancelledError, not a hang.
-        size_t chunkEnd = n;
-        if (cfg_.cancel) {
+        for (size_t i = 0; i < n; i += cancelCheckInterval) {
             cfg_.cancel->checkpoint();
-            chunkEnd = std::min(n, i + cancelCheckInterval);
+            (this->*span_)(records + i, std::min(cancelCheckInterval, n - i));
         }
-        for (; i < chunkEnd; ++i) {
-            // Memory operands probe a large randomly-indexed table; start
-            // the loads for a record a few iterations before it is
-            // processed.
-            if (i + prefetchDistance < n)
-                prefetchRecord(records[i + prefetchDistance]);
-            processBody(records[i]);
-        }
+    } else {
+        (this->*span_)(records, n);
     }
     result_.instructions += n;
     if (cfg_.maxInstructions && result_.instructions >= cfg_.maxInstructions)
@@ -579,11 +634,7 @@ Paragraph::analyze(trace::TraceSource &src)
         size_t n = src.nextBatch(batch, want);
         if (n == 0)
             break;
-        for (size_t i = 0; i < n; ++i) {
-            if (i + prefetchDistance < n)
-                prefetchRecord(batch[i + prefetchDistance]);
-            processBody(batch[i]);
-        }
+        (this->*span_)(batch, n);
         result_.instructions += n;
         if (cfg_.maxInstructions &&
             result_.instructions >= cfg_.maxInstructions)

@@ -21,6 +21,13 @@
  * well are pre-existing values, entered at highestLevel - 1 so they never
  * delay computation. Functional-unit limits slide the issue level further
  * down to the first level range with free units.
+ *
+ * Every record of every grid cell runs the placement, so the record loop
+ * is compiled once per configuration shape — segment log, finite window,
+ * FU limit, last-use eviction, all three retire distributions collected —
+ * and begin()/beginSegment() pick the one this run needs. Inside it those
+ * switches are compile-time constants: a record pays only for the work
+ * its configuration does (DESIGN.md §4.1).
  */
 
 #ifndef PARAGRAPH_CORE_PARAGRAPH_HPP
@@ -175,6 +182,24 @@ class Paragraph
     std::vector<int64_t> windowRing() const;
 
   private:
+    /**
+     * The run-invariant switches the record loop is specialized on: each
+     * combination is one instantiation of spanLoop(), and pickSpan()
+     * chooses it once per run.
+     */
+    enum Shape : unsigned
+    {
+        shapeSegment = 1u << 0, ///< beginSegment(): boundary episodes logged
+        shapeWindow = 1u << 1,  ///< a finite instruction window
+        shapeFu = 1u << 2,      ///< a functional-unit limit
+        shapeLastUse = 1u << 3, ///< two-pass (last-use) eviction
+        shapeMetrics = 1u << 4, ///< lifetimes, sharing and storage profile
+        shapeCount = 1u << 5,
+    };
+
+    /** A record loop: consume @p n contiguous records, counting none. */
+    using SpanFn = void (Paragraph::*)(const trace::TraceRecord *, size_t);
+
     AnalysisConfig cfg_;
     LiveWell liveWell_;
     FuThrottle throttle_;
@@ -204,11 +229,23 @@ class Paragraph
      *  most 0x33 in a valid record): bit b answers byte b; see begin(). */
     uint64_t renamedByKindByte_ = 0;
 
-    /** Place a value-creating record; returns its Ldest. */
-    int64_t placeRecord(const trace::TraceRecord &rec);
+    /** The record loop of this run's shape (pickSpan()). */
+    SpanFn span_ = nullptr;
 
-    /** process() minus the instruction counting (bulk loops count once). */
-    void processBody(const trace::TraceRecord &rec);
+    /** Point span_ at the spanLoop() instantiation for the current
+     *  configuration and segment mode. */
+    void pickSpan();
+
+    /** The record loop of one shape: step() over @p n records, prefetching
+     *  the live-well slots a few records ahead. */
+    template <unsigned ShapeBits>
+    void spanLoop(const trace::TraceRecord *records, size_t n);
+
+    /** Consume one record (no instruction counting: callers count spans):
+     *  window, branch, placement and firewall work, with every switch in
+     *  @p ShapeBits resolved at compile time. */
+    template <unsigned ShapeBits>
+    void step(const trace::TraceRecord &rec);
 
     /** Prefetch the live-well slots @p rec's memory operands will probe. */
     void prefetchRecord(const trace::TraceRecord &rec) const;
@@ -222,19 +259,22 @@ class Paragraph
     bool destRenamed(uint8_t kind_seg) const;
 
     /** Record lifetime/sharing statistics for a dying value. Inline: runs
-     *  once per overwritten or evicted value on the placement hot path. */
+     *  once per overwritten or evicted value on the placement hot path.
+     *  @p AllMetrics: the run collects all three distributions, so none of
+     *  the collect switches is tested. */
+    template <bool AllMetrics>
     void
     retire(const LiveValue &lv)
     {
         if (lv.preExisting)
             return;
-        if (cfg_.collectLifetimes) {
+        if (AllMetrics || cfg_.collectLifetimes) {
             result_.lifetimes.add(
                 static_cast<uint64_t>(lv.deepestAccess - lv.level));
         }
-        if (cfg_.collectSharing)
+        if (AllMetrics || cfg_.collectSharing)
             result_.sharing.add(lv.useCount);
-        if (cfg_.collectStorageProfile && lv.level >= 0) {
+        if ((AllMetrics || cfg_.collectStorageProfile) && lv.level >= 0) {
             result_.storageProfile.add(
                 static_cast<uint64_t>(lv.level),
                 static_cast<uint64_t>(lv.deepestAccess));

@@ -14,11 +14,18 @@
  * new instruction enters a full window, the displaced instruction's level is
  * returned so the analyzer can raise its firewall floor above it — which
  * guarantees no DDG level ever holds more than W operations.
+ *
+ * Both calls run once per record in a windowed analysis, so neither
+ * divides nor counts: the head advances by compare-and-reset, and the ring
+ * starts filled with the notPlaced sentinel, so the slot under the head of
+ * a window that is not yet full already reads "nothing displaced".
  */
 
 #ifndef PARAGRAPH_CORE_WINDOW_HPP
 #define PARAGRAPH_CORE_WINDOW_HPP
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -46,11 +53,7 @@ class SlidingWindow
      * @return the level of the displaced instruction, or notPlaced when the
      *         window is not yet full or the displaced record had no level.
      */
-    int64_t
-    willEnter() const
-    {
-        return count_ >= ring_.size() ? ring_[head_] : notPlaced;
-    }
+    int64_t willEnter() const { return ring_[head_]; }
 
     /**
      * Record the level of the instruction that just entered (the analyzer
@@ -61,9 +64,10 @@ class SlidingWindow
     entered(int64_t level)
     {
         ring_[head_] = level;
-        head_ = (head_ + 1) % ring_.size();
-        if (count_ < ring_.size())
-            ++count_;
+        if (++head_ == ring_.size()) {
+            head_ = 0;
+            full_ = true;
+        }
     }
 
     /** Window capacity W. */
@@ -75,7 +79,7 @@ class SlidingWindow
     {
         std::fill(ring_.begin(), ring_.end(), notPlaced);
         head_ = 0;
-        count_ = 0;
+        full_ = false;
     }
 
     /**
@@ -85,12 +89,14 @@ class SlidingWindow
     std::vector<int64_t>
     snapshot() const
     {
+        // Once full, the head is the oldest entry; before that, slot 0 is.
         std::vector<int64_t> out;
-        out.reserve(count_);
-        size_t start =
-            count_ < ring_.size() ? 0 : head_; // head_ is oldest when full
-        for (size_t i = 0; i < count_; ++i)
-            out.push_back(ring_[(start + i) % ring_.size()]);
+        if (full_) {
+            out.assign(ring_.begin() + static_cast<ptrdiff_t>(head_),
+                       ring_.end());
+        }
+        out.insert(out.end(), ring_.begin(),
+                   ring_.begin() + static_cast<ptrdiff_t>(head_));
         return out;
     }
 
@@ -111,8 +117,8 @@ class SlidingWindow
 
   private:
     std::vector<int64_t> ring_;
-    size_t head_ = 0;
-    size_t count_ = 0;
+    size_t head_ = 0;   ///< slot the next entering record takes
+    bool full_ = false; ///< the head has wrapped at least once
 };
 
 } // namespace core

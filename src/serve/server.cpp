@@ -225,12 +225,7 @@ ServeServer::run()
             PARA_WARN("serve: accept failed (%s)", std::strerror(errno));
             continue;
         }
-        size_t clients;
-        {
-            std::lock_guard<std::mutex> lock(clientMutex_);
-            clients = clientFds_.size();
-        }
-        if (opt_.maxClients != 0 && clients >= opt_.maxClients) {
+        if (opt_.maxClients != 0 && connectedClients() >= opt_.maxClients) {
             // Turn the connection away at the door with a retry hint —
             // a full house must degrade to a polite "busy", never to an
             // unbounded connection backlog.
@@ -265,6 +260,28 @@ ServeServer::requestStop()
 {
     cancel_.cancelFromSignal();
     stop_.store(true, std::memory_order_release);
+}
+
+size_t
+ServeServer::connectedClients()
+{
+    std::lock_guard<std::mutex> lock(clientMutex_);
+    if (clientFds_.size() < opt_.maxClients)
+        return clientFds_.size();
+    // The set says full, but a peer that has hung up frees its slot before
+    // its handler sees the hangup and erases the fd. Count only peers that
+    // are still connected; the handlers of the others own and close their
+    // fds as usual (they erase under this mutex before closing, so every
+    // fd in the set is open here).
+    size_t connected = 0;
+    for (int fd : clientFds_) {
+        pollfd pfd{fd, POLLRDHUP, 0};
+        if (::poll(&pfd, 1, 0) == 1 &&
+            (pfd.revents & (POLLRDHUP | POLLHUP)))
+            continue;
+        ++connected;
+    }
+    return connected;
 }
 
 void
@@ -342,11 +359,13 @@ ServeServer::handleClient(int fd)
             break;
         }
     }
-    ::close(fd);
     {
+        // Erase before closing: once closed, accept() may hand the same
+        // number to a new client, whose insert this erase would undo.
         std::lock_guard<std::mutex> lock(clientMutex_);
         clientFds_.erase(fd);
     }
+    ::close(fd);
     if (shutdownRequested)
         requestStop();
 }

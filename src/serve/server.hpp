@@ -170,6 +170,9 @@ class ServeServer
     std::string healthLine();
     std::string failpointLine(const ServeRequest &req);
     uint64_t busyRetryHintMs();
+    /** Clients holding a --max-clients slot: the handled fds, less those
+     *  whose peer has hung up when the count reaches the cap. */
+    size_t connectedClients();
     void closeAllClients();
 
     Options opt_;

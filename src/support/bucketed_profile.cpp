@@ -1,5 +1,7 @@
 #include "support/bucketed_profile.hpp"
 
+#include <limits>
+
 #include "support/panic.hpp"
 
 namespace paragraph {
@@ -11,18 +13,29 @@ BucketedProfile::BucketedProfile(size_t num_bins) : numBins_(num_bins)
 }
 
 void
+BucketedProfile::foldToCover(uint64_t level)
+{
+    while ((level >> bucketShift_) >= bins_.size())
+        fold();
+}
+
+void
 BucketedProfile::fold()
 {
     if (bins_.empty()) {
         bins_.assign(numBins_, 0);
-        return;
+    } else {
+        size_t n = bins_.size();
+        for (size_t i = 0; i < n / 2; ++i)
+            bins_[i] = bins_[2 * i] + bins_[2 * i + 1];
+        for (size_t i = n / 2; i < n; ++i)
+            bins_[i] = 0;
+        ++bucketShift_;
     }
-    size_t n = bins_.size();
-    for (size_t i = 0; i < n / 2; ++i)
-        bins_[i] = bins_[2 * i] + bins_[2 * i + 1];
-    for (size_t i = n / 2; i < n; ++i)
-        bins_[i] = 0;
-    ++bucketShift_;
+    const uint64_t most = std::numeric_limits<uint64_t>::max();
+    foldLimit_ = bins_.size() > (most >> bucketShift_)
+                     ? most
+                     : uint64_t{bins_.size()} << bucketShift_;
 }
 
 std::vector<BucketedProfile::Point>
@@ -86,8 +99,7 @@ BucketedProfile::mergeShifted(const BucketedProfile &other, uint64_t offset)
     // add() saw only bin-start levels; the true deepest level is exact.
     // Keep the bin array covering it so series() stays in range.
     uint64_t deepest = other.maxLevel_ + offset;
-    while ((deepest >> bucketShift_) >= bins_.size())
-        fold();
+    foldToCover(deepest);
     if (deepest > maxLevel_)
         maxLevel_ = deepest;
 }

@@ -41,13 +41,15 @@ class BucketedProfile
     /**
      * Record @p count operations placed at DDG level @p level. Inline: this
      * runs once per placed operation on the analyzer hot path, and the
-     * power-of-two bucket width reduces the bin index to a shift.
+     * power-of-two bucket width reduces the bin index to a shift. A level
+     * below the cached fold limit needs no fold, so the common case is one
+     * compare.
      */
     void
     add(uint64_t level, uint64_t count = 1)
     {
-        while ((level >> bucketShift_) >= bins_.size())
-            fold();
+        if (level >= foldLimit_) [[unlikely]]
+            foldToCover(level);
         bins_[level >> bucketShift_] += count;
         totalOps_ += count;
         if (level > maxLevel_) // maxLevel_ starts at 0, the smallest level
@@ -108,12 +110,19 @@ class BucketedProfile
     std::vector<uint64_t> bins_; ///< empty until the first sample
     size_t numBins_;             ///< bins configured
     uint32_t bucketShift_ = 0;   ///< log2 of the bucket width
+    /** First level the bins cannot hold (bins_.size() << bucketShift_,
+     *  saturating at UINT64_MAX); 0 until the bins are allocated. */
+    uint64_t foldLimit_ = 0;
     uint64_t totalOps_ = 0;
     uint64_t maxLevel_ = 0;
     bool any_ = false;
 
+    /** Fold (allocating the bins first) until @p level is representable:
+     *  the path a sample at or past the fold limit takes. */
+    void foldToCover(uint64_t level);
+
     /** Allocate the bins if there are none yet, else double the bucket
-     *  width: the path a sample past the representable range takes. */
+     *  width. */
     void fold();
 };
 

@@ -1,5 +1,7 @@
 #include "support/interval_profile.hpp"
 
+#include <limits>
+
 #include "support/panic.hpp"
 
 namespace paragraph {
@@ -11,22 +13,33 @@ IntervalProfile::IntervalProfile(size_t num_bins) : numBins_(num_bins)
 }
 
 void
+IntervalProfile::foldToCover(uint64_t level)
+{
+    while ((level >> bucketShift_) >= bins_.size())
+        fold();
+}
+
+void
 IntervalProfile::fold()
 {
     if (bins_.empty()) {
         bins_.assign(numBins_, Bin{});
-        return;
+    } else {
+        size_t n = bins_.size();
+        for (size_t i = 0; i < n / 2; ++i) {
+            bins_[i].starts = bins_[2 * i].starts + bins_[2 * i + 1].starts;
+            bins_[i].ends = bins_[2 * i].ends + bins_[2 * i + 1].ends;
+            bins_[i].edgeMass =
+                bins_[2 * i].edgeMass + bins_[2 * i + 1].edgeMass;
+        }
+        for (size_t i = n / 2; i < n; ++i)
+            bins_[i] = Bin{};
+        ++bucketShift_;
     }
-    size_t n = bins_.size();
-    for (size_t i = 0; i < n / 2; ++i) {
-        bins_[i].starts = bins_[2 * i].starts + bins_[2 * i + 1].starts;
-        bins_[i].ends = bins_[2 * i].ends + bins_[2 * i + 1].ends;
-        bins_[i].edgeMass =
-            bins_[2 * i].edgeMass + bins_[2 * i + 1].edgeMass;
-    }
-    for (size_t i = n / 2; i < n; ++i)
-        bins_[i] = Bin{};
-    ++bucketShift_;
+    const uint64_t most = std::numeric_limits<uint64_t>::max();
+    foldLimit_ = bins_.size() > (most >> bucketShift_)
+                     ? most
+                     : uint64_t{bins_.size()} << bucketShift_;
 }
 
 std::vector<IntervalProfile::Point>
@@ -97,8 +110,7 @@ IntervalProfile::mergeShifted(const IntervalProfile &other, uint64_t offset)
     if (!other.any_)
         return;
     uint64_t deepest = other.maxLevel_ + offset;
-    while ((deepest >> bucketShift_) >= bins_.size())
-        fold();
+    foldToCover(deepest);
     size_t last_bin = static_cast<size_t>(other.maxLevel_ >>
                                           other.bucketShift_);
     for (size_t b = 0; b <= last_bin; ++b) {

@@ -43,15 +43,17 @@ class IntervalProfile
     /**
      * Record a value live from @p start_level to @p end_level inclusive.
      * Inline: this runs once per retired value on the analyzer hot path,
-     * and the power-of-two bucket width reduces bin indexing to shifts.
+     * and the power-of-two bucket width reduces bin indexing to shifts. An
+     * end below the cached fold limit needs no fold, so the common case is
+     * one compare.
      */
     void
     add(uint64_t start_level, uint64_t end_level)
     {
         if (end_level < start_level)
             end_level = start_level;
-        while ((end_level >> bucketShift_) >= bins_.size())
-            fold();
+        if (end_level >= foldLimit_) [[unlikely]]
+            foldToCover(end_level);
         size_t sb = static_cast<size_t>(start_level >> bucketShift_);
         size_t eb = static_cast<size_t>(end_level >> bucketShift_);
         // Record the edge buckets' exact overlap; buckets strictly between
@@ -131,12 +133,19 @@ class IntervalProfile
     size_t numBins_;                 ///< bins configured
     uint64_t totalLiveLevels_ = 0;   ///< exact sum of interval lengths
     uint32_t bucketShift_ = 0;       ///< log2 of the bucket width
+    /** First level the bins cannot hold (bins_.size() << bucketShift_,
+     *  saturating at UINT64_MAX); 0 until the bins are allocated. */
+    uint64_t foldLimit_ = 0;
     uint64_t intervals_ = 0;
     uint64_t maxLevel_ = 0;
     bool any_ = false;
 
+    /** Fold (allocating the bins first) until @p level is representable:
+     *  the path a level at or past the fold limit takes. */
+    void foldToCover(uint64_t level);
+
     /** Allocate the bins if there are none yet, else double the bucket
-     *  width: the path a level past the representable range takes. */
+     *  width. */
     void fold();
 };
 

@@ -2,7 +2,10 @@
 // DdgBuilder edge semantics, and report rendering.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/ddg_builder.hpp"
 #include "core/fu_throttle.hpp"
@@ -103,6 +106,94 @@ TEST(SlidingWindow, ResetEmpties)
     win.reset();
     EXPECT_EQ(win.willEnter(), SlidingWindow::notPlaced);
     EXPECT_EQ(win.capacity(), 2u);
+}
+
+/** The window against an independent model: the last W entered levels in
+ *  a deque, oldest first. Each capacity runs through at least three wraps,
+ *  with unplaced records mixed in, asking willEnter() before every
+ *  entered(); at checkpoints mid-stream (before and after the first wrap)
+ *  the run continues on a fresh window seeded from the snapshot. */
+TEST(SlidingWindow, MatchesADequeModelThroughWrapsAndReseeds)
+{
+    const int64_t notPlaced = SlidingWindow::notPlaced;
+    for (uint64_t cap : {1u, 2u, 3u, 7u, 64u, 257u}) {
+        SCOPED_TRACE("capacity " + std::to_string(cap));
+        SlidingWindow window(cap);
+        std::deque<int64_t> model;
+        const uint64_t steps = 3 * cap + cap / 2 + 2;
+        for (uint64_t i = 0; i < steps; ++i) {
+            const int64_t displaced =
+                model.size() == cap ? model.front() : notPlaced;
+            ASSERT_EQ(window.willEnter(), displaced) << "record " << i;
+            const int64_t level =
+                i % 5 == 3 ? notPlaced : static_cast<int64_t>(i * 7919 % 1000);
+            window.entered(level);
+            if (model.size() == cap)
+                model.pop_front();
+            model.push_back(level);
+
+            if (i % (cap / 2 + 2) == 1 || i == cap - 1 || i == cap) {
+                const std::vector<int64_t> snap = window.snapshot();
+                ASSERT_EQ(snap,
+                          std::vector<int64_t>(model.begin(), model.end()))
+                    << "snapshot after record " << i;
+                SlidingWindow reseeded(cap);
+                reseeded.seed(snap);
+                ASSERT_EQ(reseeded.snapshot(), snap);
+                window = reseeded;
+            }
+        }
+        EXPECT_EQ(window.capacity(), cap);
+        window.reset();
+        EXPECT_EQ(window.willEnter(), notPlaced);
+        EXPECT_TRUE(window.snapshot().empty());
+    }
+}
+
+TEST(LiveWell, LocateFromKindAndIdAgreesWithTheTaggedKey)
+{
+    // The placement loop locates operands from their record kind byte and
+    // id; key-based callers (the shard splice, introspection) locate by
+    // trace::locationKey. Both must name the same slot for every id,
+    // including ids whose high bits overlap the key's namespace tag.
+    const trace::Operand::Kind kinds[] = {trace::Operand::Kind::IntReg,
+                                          trace::Operand::Kind::FpReg,
+                                          trace::Operand::Kind::Mem};
+    const uint64_t ids[] = {0,
+                            5,
+                            63,
+                            64,
+                            1ULL << 40,
+                            (1ULL << 62) | 5,
+                            (1ULL << 63) | 5,
+                            (3ULL << 62) | 5,
+                            ~0ULL >> 2};
+    for (trace::Operand::Kind kind : kinds) {
+        for (uint64_t id : ids) {
+            const trace::Operand op{kind, trace::Segment::Data, id};
+            const uint8_t kb = trace::kindByte(
+                kind == trace::Operand::Kind::Mem
+                    ? op
+                    : trace::Operand{kind, trace::Segment::None, id});
+            const LiveWell::Loc a = LiveWell::locate(kb, id);
+            const LiveWell::Loc b =
+                LiveWell::locate(trace::locationKey(kb, id));
+            EXPECT_EQ(a.file, b.file) << int(kb) << " " << id;
+            EXPECT_EQ(a.at, b.at) << int(kb) << " " << id;
+        }
+    }
+    // Register ids inside a file index it directly; memory never does.
+    EXPECT_TRUE(LiveWell::locate(1, 63).direct());
+    EXPECT_FALSE(LiveWell::locate(1, 64).direct());
+    EXPECT_FALSE(LiveWell::locate(0x13, 5).direct());
+
+    // A value defined through one name is found through the other.
+    LiveWell well;
+    well.define(LiveWell::locate(2, 7), 11);
+    const LiveValue *lv = well.find(trace::locationKey(2, 7));
+    ASSERT_NE(lv, nullptr);
+    EXPECT_EQ(lv->level, 11);
+    EXPECT_EQ(well.size(), 1u);
 }
 
 TEST(DdgBuilder, TrueEdgesConnectProducersToConsumers)

@@ -417,9 +417,11 @@ checkAllPaths(const TraceBuffer &buffer, const AnalysisConfig &cfg,
 }
 
 /** The full switch matrix of paper Section 3.2: window x renaming x syscall
- *  assumption x predictor x FU limits x eviction policy. Trace depth stays
- *  below profileBins so profile folding never depends on the live well's
- *  end-of-trace iteration order (which is representation-specific). */
+ *  assumption x predictor x FU limits x eviction policy x collected
+ *  distributions — every record-loop shape outside segment mode. Trace
+ *  depth stays below profileBins so profile folding never depends on the
+ *  live well's end-of-trace iteration order (which is
+ *  representation-specific). */
 TEST(HotPathEquivalence, FullSwitchMatrix)
 {
     TraceBuffer buffer = testhelpers::randomTrace(2026, 1000);
@@ -447,6 +449,15 @@ TEST(HotPathEquivalence, FullSwitchMatrix)
         {"fu-total4", 4, 0, false},
         {"fu-alu2-pipelined", 3, 2, true},
     };
+    const struct
+    {
+        const char *name;
+        bool lifetimes, sharing, storage;
+    } metrics[] = {
+        {"metrics-all", true, true, true},
+        {"metrics-none", false, false, false},
+        {"metrics-lifetimes", true, false, false},
+    };
 
     for (uint64_t window : {uint64_t{0}, uint64_t{64}}) {
         for (const auto &rn : renames) {
@@ -454,6 +465,7 @@ TEST(HotPathEquivalence, FullSwitchMatrix)
                 for (PredictorKind pred :
                      {PredictorKind::Perfect, PredictorKind::Bimodal}) {
                     for (const auto &fu : fus) {
+                      for (const auto &mt : metrics) {
                         for (bool last_use : {false, true}) {
                             AnalysisConfig cfg;
                             cfg.windowSize = window;
@@ -467,6 +479,9 @@ TEST(HotPathEquivalence, FullSwitchMatrix)
                                 isa::OpClass::IntAlu)] = fu.intAlu;
                             cfg.pipelinedFus = fu.pipelined;
                             cfg.useLastUseEviction = last_use;
+                            cfg.collectLifetimes = mt.lifetimes;
+                            cfg.collectSharing = mt.sharing;
+                            cfg.collectStorageProfile = mt.storage;
                             cfg.profileBins = 65536;
                             std::string what =
                                 std::string("w") + std::to_string(window) +
@@ -475,11 +490,12 @@ TEST(HotPathEquivalence, FullSwitchMatrix)
                                 (pred == PredictorKind::Perfect
                                      ? " perfect"
                                      : " bimodal") +
-                                " " + fu.name +
+                                " " + fu.name + " " + mt.name +
                                 (last_use ? " lastuse" : " overwrite");
                             checkAllPaths(last_use ? annotated : buffer, cfg,
                                           what);
                         }
+                      }
                     }
                 }
             }
@@ -579,6 +595,120 @@ TEST(HotPathEquivalence, FusedMultiConfigMatchesSoloRuns)
         ASSERT_FALSE(guarded[i].error) << "config " << i;
         expectResultsEqual(solo[i], guarded[i].result,
                            "guarded[" + std::to_string(i) + "]");
+    }
+}
+
+void
+expectSegmentLogsEqual(const core::SegmentLog &ref,
+                       const core::SegmentLog &got, const std::string &what)
+{
+    SCOPED_TRACE(what);
+    ASSERT_EQ(ref.imports.size(), got.imports.size());
+    for (size_t i = 0; i < ref.imports.size(); ++i) {
+        const core::SegmentImport &a = ref.imports[i];
+        const core::SegmentImport &b = got.imports[i];
+        EXPECT_EQ(a.key, b.key) << "import " << i;
+        EXPECT_EQ(a.viaRead, b.viaRead) << "import " << i;
+        EXPECT_EQ(a.died, b.died) << "import " << i;
+        EXPECT_EQ(a.closed, b.closed) << "import " << i;
+        EXPECT_EQ(a.useCount, b.useCount) << "import " << i;
+        EXPECT_EQ(a.maxReadRel, b.maxReadRel) << "import " << i;
+        EXPECT_EQ(a.closeIssue, b.closeIssue) << "import " << i;
+        EXPECT_EQ(a.floorAtTouch, b.floorAtTouch) << "import " << i;
+        EXPECT_EQ(a.peakBefore, b.peakBefore) << "import " << i;
+        EXPECT_EQ(a.sizeAfter, b.sizeAfter) << "import " << i;
+    }
+    EXPECT_EQ(ref.exports.size(), got.exports.size());
+    EXPECT_EQ(ref.levelOps, got.levelOps);
+    EXPECT_EQ(ref.headFloors, got.headFloors);
+    EXPECT_EQ(ref.headLevels, got.headLevels);
+    EXPECT_EQ(ref.windowTail, got.windowTail);
+    EXPECT_EQ(ref.fuTail, got.fuTail);
+    EXPECT_EQ(ref.firstStallDeepest, got.firstStallDeepest);
+    EXPECT_EQ(ref.trailingPeak, got.trailingPeak);
+    EXPECT_EQ(ref.relHighest, got.relHighest);
+    EXPECT_EQ(ref.relDeepest, got.relDeepest);
+}
+
+/** One engine reused across run kinds — a solo run, a shard segment, a
+ *  resumed span and a solo run again — must give each run exactly what a
+ *  fresh engine gives it: every entry point re-picks the record loop for
+ *  its own shape (a segment loop left in place would log into a stale or
+ *  null segment log; a solo loop would log nothing). */
+TEST(HotPathEquivalence, ReusedEngineRepicksItsLoopOnEveryBegin)
+{
+    TraceBuffer buffer = testhelpers::randomTrace(77, 1200);
+    trace::annotateLastUses(buffer);
+    const trace::TraceRecord *records = buffer.records().data();
+    const size_t n = buffer.size();
+    const size_t cut = n / 2;
+
+    std::vector<AnalysisConfig> configs;
+    {
+        AnalysisConfig cfg;
+        cfg.windowSize = 16;
+        cfg.useLastUseEviction = true;
+        cfg.collectSharing = false;
+        cfg.collectStorageProfile = false;
+        configs.push_back(cfg);
+    }
+    {
+        AnalysisConfig cfg = AnalysisConfig::noRenaming();
+        cfg.totalFuLimit = 3;
+        configs.push_back(cfg);
+    }
+    configs.push_back(AnalysisConfig());
+    for (AnalysisConfig &cfg : configs)
+        cfg.profileBins = 65536;
+
+    for (size_t c = 0; c < configs.size(); ++c) {
+        const AnalysisConfig &cfg = configs[c];
+        const std::string what = "config " + std::to_string(c);
+        const AnalysisResult solo = Paragraph(cfg).analyze(buffer);
+        Paragraph reused(cfg);
+
+        // A solo run.
+        expectResultsEqual(solo, reused.analyze(buffer), what + " solo");
+
+        // A shard segment over the second half.
+        core::SegmentLog freshLog;
+        Paragraph fresh(cfg);
+        fresh.beginSegment(&freshLog);
+        fresh.processAll(records + cut, n - cut);
+        const AnalysisResult freshSegment = fresh.finish();
+        core::SegmentLog reusedLog;
+        reused.beginSegment(&reusedLog);
+        reused.processAll(records + cut, n - cut);
+        expectResultsEqual(freshSegment, reused.finish(), what + " segment");
+        expectSegmentLogsEqual(freshLog, reusedLog, what + " segment log");
+        // Only the segment loop logs: each placed op lands in levelOps.
+        uint64_t logged = 0;
+        for (uint64_t ops : reusedLog.levelOps)
+            logged += ops;
+        EXPECT_EQ(logged, freshSegment.placedOps) << what;
+        EXPECT_GT(logged, 0u) << what;
+
+        // A span resumed at the cut from a solo run's carried state. The
+        // FU-limited config needs the throttle rows resumeSpan() asks for
+        // below the deepest level, which suspendSpan() does not export;
+        // it skips this leg.
+        if (cfg.totalFuLimit == 0) {
+            Paragraph head(cfg);
+            head.begin();
+            head.processAll(records, cut);
+            AnalysisResult acc;
+            core::PatchCarry carry;
+            head.suspendSpan(acc, carry);
+            reused.resumeSpan(AnalysisResult(acc), core::PatchCarry(carry));
+            reused.processAll(records + cut, n - cut);
+            expectResultsEqual(solo, reused.finish(), what + " resumed");
+        }
+
+        // A solo run again, record by record.
+        reused.begin();
+        for (const TraceRecord &rec : buffer.records())
+            reused.process(rec);
+        expectResultsEqual(solo, reused.finish(), what + " solo again");
     }
 }
 

@@ -1426,15 +1426,32 @@ TEST(ServeDaemon, ShedsClientsPastTheConnectionCap)
     EXPECT_TRUE(shed.busy());
     EXPECT_GT(shed.retryAfterMs, 0u);
 
-    // Once the slot frees, service resumes.
+    // Once the holder hangs up its slot is free, whether or not its
+    // handler has seen the hangup yet: the very next request is served.
     holder.close();
-    for (int i = 0; i < 100; ++i) {
-        ServeResponse again = ask(daemon, ping);
-        if (again.ok())
-            return;
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    ServeResponse again = ask(daemon, ping);
+    EXPECT_TRUE(again.ok()) << again.error;
+    EXPECT_FALSE(again.busy());
+}
+
+TEST(ServeDaemon, BackToBackClientsAreNeverShedAtTheCap)
+{
+    // One client at a time, each connecting right behind the last one's
+    // hangup: at maxClients = 1 no request may be turned away busy, since
+    // no two clients are ever connected at once.
+    ServeServer::Options opt;
+    opt.maxClients = 1;
+    Daemon daemon("b2b", opt);
+    ServeRequest ping;
+    int busy = 0;
+    for (int i = 0; i < 250; ++i) {
+        ServeResponse resp = ask(daemon, ping);
+        if (resp.busy())
+            ++busy;
+        else
+            EXPECT_TRUE(resp.ok()) << "cycle " << i << ": " << resp.error;
     }
-    FAIL() << "daemon never recovered after the held connection closed";
+    EXPECT_EQ(busy, 0);
 }
 
 TEST(ServeDaemon, RefusesOversizedRequestLines)
