@@ -57,20 +57,17 @@ attemptConfig(const core::AnalysisConfig &cfg, double deadlineSeconds,
 
 /**
  * One guarded fused pass over @p input under @p cfgs — the pass every
- * group and every unsharded solo attempt runs. Captures are walked in
- * place; a pooled `.ptrc` stream walks the shared pool's blocks in place
- * in the mapping (each block checked once across every pass on the
- * input); any other input — a simulation, a `.ptrz`, a `.ptrc` that could
- * not be mapped — fills one reused block at a time on this thread, up to
- * the largest cap in the pass. Input errors throw; engine errors stay in
- * their outcome slots.
+ * group and every unsharded solo attempt runs. A `.ptrc` walks the shared
+ * pool's blocks in place in the mapping (each block checked once across
+ * every pass on the input); any other input — a simulation, a `.ptrz`, a
+ * `.ptrc` that could not be mapped — fills one reused block at a time on
+ * this thread, up to the largest cap in the pass. Input errors throw;
+ * engine errors stay in their outcome slots.
  */
 std::vector<core::MultiOutcome>
 fusedPass(TraceRepository &repo, const std::string &input,
           const std::vector<core::AnalysisConfig> &cfgs)
 {
-    if (repo.capturedInput(input))
-        return core::analyzeManyGuarded(*repo.get(input), cfgs);
     if (std::shared_ptr<trace::SharedDecodePool> pool =
             repo.decodePool(input)) {
         trace::SharedDecodeCursor cursor(std::move(pool));
@@ -97,10 +94,9 @@ timedBlocks(const core::TraceBlocks &trace, int64_t &waitNs)
 }
 
 /**
- * Split-and-patch analysis of @p cell over its input's record blocks (a
- * pooled `.ptrc` stream's mapped blocks, or a capture's 64K-record
- * slices): one plan walk, the segments in parallel, then the patch — the
- * firewall fast path when every cut is a total firewall. Returns false
+ * Split-and-patch analysis of @p cell over its `.ptrc` input's mapped
+ * pool blocks: one plan walk, the segments in parallel, then the patch —
+ * the firewall fast path when every cut is a total firewall. Returns false
  * when the input has no random access (a simulation or a `.ptrz`) or is
  * too short to cut. Throws what a segment throws, for the attempts loop.
  */
@@ -108,28 +104,17 @@ bool
 analyzeSharded(TraceRepository &repo, const core::AnalysisConfig &cfg,
                unsigned shards, SweepCell &cell)
 {
-    const std::string &input = cell.job.input;
-    if (repo.simulatedInput(input))
+    std::shared_ptr<trace::SharedDecodePool> pool =
+        repo.decodePool(cell.job.input);
+    if (!pool)
         return false;
-    std::shared_ptr<const trace::TraceBuffer> buffer; // outlives `trace`
     core::TraceBlocks trace;
-    const bool pooled = repo.streamingInput(input);
-    if (pooled) {
-        std::shared_ptr<trace::SharedDecodePool> pool =
-            repo.decodePool(input);
-        if (!pool)
-            return false;
-        trace.count = pool->recordCount();
-        trace.blockRecords = pool->blockRecords();
-        trace.block = [pool](size_t b) {
-            std::span<const trace::TraceRecord> blk = pool->block(b);
-            return core::TraceBlocks::Span{blk.data(), blk.size()};
-        };
-    } else {
-        buffer = repo.get(input);
-        trace = core::TraceBlocks::contiguous(buffer->records().data(),
-                                              buffer->size());
-    }
+    trace.count = pool->recordCount();
+    trace.blockRecords = pool->blockRecords();
+    trace.block = [pool](size_t b) {
+        std::span<const trace::TraceRecord> blk = pool->block(b);
+        return core::TraceBlocks::Span{blk.data(), blk.size()};
+    };
     if (cfg.maxInstructions && cfg.maxInstructions < trace.count)
         trace.count = cfg.maxInstructions;
     if (trace.count < 2)
@@ -137,16 +122,13 @@ analyzeSharded(TraceRepository &repo, const core::AnalysisConfig &cfg,
     const bool modeled =
         cfg.branchPredictor != core::PredictorKind::Perfect;
 
-    // Block waits on a pooled stream — a first-touch block check, or a
-    // wait on another consumer's — are the cell's decode share. Only the
-    // waits on its wall-clock path count: the plan walk, the slowest
-    // segment and the patch replays. A capture never waits.
-    auto waiting = [&](int64_t &waitNs) {
-        return pooled ? timedBlocks(trace, waitNs) : trace;
-    };
+    // Block waits — a first-touch block check, or a wait on another
+    // consumer's — are the cell's decode share. Only the waits on its
+    // wall-clock path count: the plan walk, the slowest segment and the
+    // patch replays.
     int64_t planWaitNs = 0;
     core::PatchPlan plan =
-        core::planPatchPlan(cfg, waiting(planWaitNs), shards);
+        core::planPatchPlan(cfg, timedBlocks(trace, planWaitNs), shards);
     if (plan.cuts.empty()) {
         cell.decodeSeconds += planWaitNs * 1e-9; // the walk still decoded
         return false;
@@ -162,8 +144,8 @@ analyzeSharded(TraceRepository &repo, const core::AnalysisConfig &cfg,
     std::vector<std::chrono::steady_clock::duration> segmentWall(nSegments);
     runSegmentsParallel(nSegments, [&](size_t s) {
         auto t0 = std::chrono::steady_clock::now();
-        core::runSegment(cfg, waiting(segmentWaitNs[s]), bounds[s],
-                         bounds[s + 1], segments[s],
+        core::runSegment(cfg, timedBlocks(trace, segmentWaitNs[s]),
+                         bounds[s], bounds[s + 1], segments[s],
                          modeled ? &plan.bits : nullptr,
                          modeled ? plan.branchBase[s] : 0);
         segmentWall[s] = std::chrono::steady_clock::now() - t0;
@@ -180,7 +162,8 @@ analyzeSharded(TraceRepository &repo, const core::AnalysisConfig &cfg,
         cell.result = core::stitchSegments(cfg, segments);
         outcome.spliced = static_cast<unsigned>(nSegments);
     } else {
-        const core::TraceBlocks replayTrace = waiting(patchWaitNs);
+        const core::TraceBlocks replayTrace =
+            timedBlocks(trace, patchWaitNs);
         auto replay = [&](core::Paragraph &engine, size_t s) {
             replayTrace.feed(engine, bounds[s], bounds[s + 1]);
         };

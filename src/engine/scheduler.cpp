@@ -202,7 +202,6 @@ SweepScheduler::workerLoop()
 {
     for (;;) {
         std::vector<Item> group;
-        std::string input;
         {
             std::unique_lock<std::mutex> lock(mutex_);
             cv_.wait(lock,
@@ -212,7 +211,7 @@ SweepScheduler::workerLoop()
 
             // Peel one fused group off the first bucket: same input, at
             // most groupTarget() cells, cut early by the memory budget.
-            input = inputOrder_.front();
+            const std::string &input = inputOrder_.front();
             Bucket &bucket = pendingByInput_.at(input);
             const size_t target =
                 groupTarget(opt_.groupSize, bucket.front().batch->share_,
@@ -239,19 +238,6 @@ SweepScheduler::workerLoop()
                 // Wake a peer to take the remainder; the bucket keeps its
                 // place so this trace drains before the queue moves on.
                 cv_.notify_one();
-            }
-        }
-
-        // Hold a captured input for the duration of the group so a bounded
-        // repository cannot evict (and later re-capture) it mid-pass; a
-        // simulated or streamed input holds nothing. A capture failure is
-        // not handled here — the per-cell attempts loop will surface it as
-        // each cell's error.
-        TracePin pin;
-        if (repo_.capturedInput(input)) {
-            try {
-                pin = repo_.pin(input);
-            } catch (const std::exception &) {
             }
         }
 

@@ -7,9 +7,8 @@
  * client's store misses as they arrive. Workers of a standing pool peel
  * fused groups off a pending queue bucketed by input spec, so cells from
  * *different* submissions fuse into one block-major pass whenever they
- * share a trace. Every input is grouped alike, and a pass over a streamed
- * `.ptrz` decodes it inline on its own worker. A group of one is a solo
- * cell.
+ * share a trace. Every input is grouped alike, and a pass over a `.ptrz`
+ * decodes it inline on its own worker. A group of one is a solo cell.
  *
  * A group is sized when a worker peels it (groupTarget()): each worker's
  * share of the head cell's batch, or of everything queued if that is
@@ -18,17 +17,12 @@
  * groupSize cells across clients, and a request smaller than
  * workers × groupSize spreads over idle workers instead of queueing its
  * cells behind one pass. The price of a split is that each pass re-reads
- * its input: a simulated input is simulated, and a streamed `.ptrz`
- * decoded, once per pass.
+ * its input: a simulated input is simulated, and a `.ptrz` decoded, once
+ * per pass.
  *
  * Execution itself is engine/cell_exec.hpp, whose shared semantics let the
  * serve layer cache a scheduler-produced cell and replay it
  * byte-identically against a paragraph-sweep run.
- *
- * While a group over a captured input runs, its trace is held through
- * TraceRepository::pin(), so a budget-bounded repository can never drop
- * (and re-capture) a trace that a fused pass is still reading. A simulated
- * input is simulated by each pass on its own worker, and needs no pin.
  */
 
 #ifndef PARAGRAPH_ENGINE_SCHEDULER_HPP

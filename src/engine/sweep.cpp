@@ -108,12 +108,12 @@ SweepEngine::runJobs(TraceRepository &repo, std::vector<SweepJob> jobs) const
     }
 
     // Warm the repository for every pending input up front, serially:
-    // a simulated input's compile, a captured file's read-back and a
-    // streamed `.ptrc`'s decode pool (its map, payload checksum and block
-    // checks) are the parts that cannot be split across cells, and doing
-    // them here (rather than lazily from a worker) keeps them in
-    // captureSeconds. Simulation and a `.ptrz`'s decode run inline in
-    // each pass, by design, and count as each cell's decodeSeconds.
+    // a simulated input's compile and a `.ptrc`'s decode pool (its map,
+    // payload checksum and block checks) are the parts that cannot be
+    // split across cells, and doing them here (rather than lazily from a
+    // worker) keeps them in captureSeconds. Simulation and a `.ptrz`'s
+    // decode run inline in each pass, by design, and count as each cell's
+    // decodeSeconds.
     // Failures are deliberately swallowed — a bad input surfaces as a
     // per-cell error below, where it can be attributed (and retried) per
     // cell instead of aborting the whole grid.
@@ -125,10 +125,8 @@ SweepEngine::runJobs(TraceRepository &repo, std::vector<SweepJob> jobs) const
         try {
             if (repo.simulatedInput(input))
                 repo.program(input);
-            else if (repo.streamingInput(input))
-                repo.decodePool(input);
             else
-                repo.get(input);
+                repo.decodePool(input);
         } catch (const std::exception &) {
         }
     }

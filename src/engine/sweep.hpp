@@ -9,17 +9,16 @@
  * run. The engine is the one-shot front end of the repo's single runner:
  * it splices cells already done from a resume journal, readies the
  * remaining inputs once (serially: a simulated input's program is
- * compiled, a trace file captured into a shared immutable buffer or its
- * decode pool opened; TraceRepository), then submits the pending cells as
+ * compiled, a `.ptrc`'s decode pool opened; TraceRepository), then
+ * submits the pending cells as
  * one batch to a SweepScheduler built from its options and waits. The
  * scheduler cuts the batch trace-major into fused groups — each worker's
  * share of the batch, capped by Options::groupSize (0 = the share
  * itself) and by Options::groupMemoryBudget — and runs each group as a
  * single block-major pass over the trace (core::analyzeManyGuarded), so
  * the trace is produced or walked once per group instead of once per
- * cell: a simulated input is simulated, and a streamed `.ptrz` decoded,
- * inline on each pass's own worker; a streamed `.ptrc` is walked in place
- * in its mapping. Every core::Paragraph is thread-private, so workers
+ * cell: a simulated input is simulated, and a `.ptrz` decoded, inline on
+ * each pass's own worker; a `.ptrc` is walked in place in its mapping. Every core::Paragraph is thread-private, so workers
  * share no mutable analysis state. Results are stored by grid position,
  * making sweep output independent of worker count, grouping, and
  * completion order (a tested invariant).
@@ -106,11 +105,10 @@ struct SweepCell
 
     /** Of which, seconds spent waiting for trace records: on the
      *  simulator or the `.ptrz` decode (a pass runs either inline, on its
-     *  own worker), or on the shared decode pool's block
-     *  checks (cumulative across shard threads; near zero when the pool
-     *  checked every block in its payload checksum pass). 0 for captured
-     *  inputs — their capture is paid once, up front, in
-     *  SweepResult::captureSeconds. */
+     *  own worker), or on a `.ptrc` decode pool's block checks
+     *  (cumulative across shard threads; near zero when the pool checked
+     *  every block in its payload checksum pass, which
+     *  SweepResult::captureSeconds times). */
     double decodeSeconds = 0.0;
 
     /** Split-and-patch shard segments this cell ran as (0 = unsharded). */
@@ -147,8 +145,8 @@ struct SweepResult
     double wallSeconds = 0.0;
 
     /** Of which, seconds spent readying the inputs (serial, paid once):
-     *  compiles of simulated inputs, captures of trace files, and decode
-     *  pools of streamed `.ptrc` files. */
+     *  compiles of simulated inputs and the decode pools of `.ptrc` files
+     *  (map, payload checksum and block checks). */
     double captureSeconds = 0.0;
 
     /** Total instructions analyzed across all cells. */
@@ -220,9 +218,9 @@ struct SchedulerOptions
     /** Split each solo cell's trace into up to this many segments analyzed
      *  on that many threads and patched into the exact solo result
      *  (core/shard.hpp split-and-patch): how ONE trace × ONE config uses
-     *  more than one core. Applies to every config, over pooled `.ptrc`
-     *  streams and captures alike; a simulated input or a `.ptrz` stream
-     *  has no random access, and its cells run unsharded; 1 = off. */
+     *  more than one core. Applies to every config over a `.ptrc`'s pool
+     *  blocks; a simulated input or a `.ptrz` has no random access, and
+     *  its cells run unsharded; 1 = off. */
     unsigned shards = 1;
 };
 

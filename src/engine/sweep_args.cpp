@@ -152,7 +152,7 @@ parseSweepArgs(const std::vector<std::string> &args, SweepArgs &opt,
         } else if (arg == "--small") {
             opt.small = true;
         } else if (arg == "--stream") {
-            opt.stream = true;
+            // Accepted for old command lines: every trace file streams.
         } else if (arg == "--stats") {
             opt.json.stats = true;
         } else if (arg == "--no-timing") {

@@ -39,7 +39,6 @@ struct SweepArgs
     unsigned retries = 0;
     double deadlineSeconds = 0.0;
     bool small = false;
-    bool stream = false;
     bool quiet = false;
     bool listRequested = false; ///< --list: print workloads and exit
     bool explore = false;       ///< adaptive exploration instead of the grid

@@ -51,116 +51,24 @@ isProgramFile(const std::string &spec)
 
 } // namespace
 
-void
-TracePin::release()
-{
-    if (repo_) {
-        repo_->unpin(spec_);
-        repo_ = nullptr;
-    }
-    buffer_.reset();
-}
-
-TraceRepository::Entry &
-TraceRepository::fetch(const std::string &spec)
-{
-    auto it = cache_.find(spec);
-    if (it == cache_.end()) {
-        auto buffer = std::make_shared<trace::TraceBuffer>();
-        buffer->capture(*produce(spec));
-        Entry entry;
-        entry.buffer = std::move(buffer);
-        entry.bytes =
-            entry.buffer->size() * sizeof(trace::TraceRecord);
-        it = cache_.emplace(spec, std::move(entry)).first;
-        cachedBytes_ += it->second.bytes;
-        it->second.lastUse = ++useCounter_;
-        // Hold the new entry through its own eviction pass: a capture
-        // larger than the whole budget overshoots instead of being evicted
-        // out from under the caller (the reference below must stay valid).
-        ++it->second.pins;
-        enforceBudget();
-        --it->second.pins;
-    } else {
-        it->second.lastUse = ++useCounter_;
-    }
-    return it->second;
-}
-
-void
-TraceRepository::enforceBudget()
-{
-    if (opt_.memoryBudget == 0)
-        return;
-    while (cachedBytes_ > opt_.memoryBudget) {
-        // Drop the least-recently-used unpinned capture. In-flight
-        // analyses are unaffected: they co-own the buffer via shared_ptr.
-        auto victim = cache_.end();
-        for (auto it = cache_.begin(); it != cache_.end(); ++it) {
-            if (it->second.pins > 0)
-                continue;
-            if (victim == cache_.end() ||
-                it->second.lastUse < victim->second.lastUse)
-                victim = it;
-        }
-        if (victim == cache_.end())
-            return; // everything left is pinned; allow the overshoot
-        cachedBytes_ -= victim->second.bytes;
-        cache_.erase(victim);
-    }
-}
-
 std::shared_ptr<const trace::TraceBuffer>
 TraceRepository::get(const std::string &spec)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return fetch(spec).buffer;
-}
-
-TracePin
-TraceRepository::pin(const std::string &spec)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    Entry &entry = fetch(spec);
-    ++entry.pins;
-    return TracePin(this, spec, entry.buffer);
-}
-
-void
-TraceRepository::unpin(const std::string &spec)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = cache_.find(spec);
-    if (it == cache_.end() || it->second.pins == 0)
-        return;
-    if (--it->second.pins == 0)
-        enforceBudget(); // pins may have been holding the budget open
-}
-
-std::unique_ptr<trace::TraceSource>
-TraceRepository::makeSource(const std::string &spec)
-{
-    if (capturedInput(spec))
-        return std::make_unique<trace::SharedBufferSource>(get(spec), spec);
-    return produce(spec);
+    auto it = captures_.find(spec);
+    if (it == captures_.end()) {
+        auto buffer = std::make_shared<trace::TraceBuffer>();
+        buffer->capture(*makeSource(spec));
+        capturedBytes_ += buffer->size() * sizeof(trace::TraceRecord);
+        it = captures_.emplace(spec, std::move(buffer)).first;
+    }
+    return it->second;
 }
 
 bool
 TraceRepository::simulatedInput(const std::string &spec) const
 {
     return !isTraceFile(spec);
-}
-
-bool
-TraceRepository::streamingInput(const std::string &spec) const
-{
-    return opt_.streamFiles && isTraceFile(spec);
-}
-
-bool
-TraceRepository::capturedInput(const std::string &spec) const
-{
-    return !opt_.streamFiles && isTraceFile(spec);
 }
 
 std::shared_ptr<const casm::Program>
@@ -200,13 +108,19 @@ TraceRepository::decodePool(const std::string &spec)
 {
     // Only uncompressed `.ptrc` files support random block access; `.ptrz`
     // decode is stateful (delta-coded), so each pass decodes it inline.
-    if (!streamingInput(spec) || !hasSuffix(spec, ".ptrc"))
+    if (!hasSuffix(spec, ".ptrc"))
         return nullptr;
+    const std::optional<trace::FileIdentity> now = fileIdentity(spec);
     {
         std::lock_guard<std::mutex> lock(mutex_);
         auto it = pools_.find(spec);
-        if (it != pools_.end())
-            return it->second;
+        if (it != pools_.end()) {
+            if (it->second->file().identity() == now)
+                return it->second;
+            // The file changed or is gone. Passes still reading the old
+            // mapping hold it until they finish.
+            pools_.erase(it);
+        }
     }
     // Map and validate outside the lock: the eager payload-CRC pass over a
     // multi-GB trace must not stall every other worker.
@@ -223,78 +137,73 @@ TraceRepository::decodePool(const std::string &spec)
         opt_.maxRecords == 0 || opt_.maxRecords >= file->recordCount();
     auto pool =
         std::make_shared<trace::SharedDecodePool>(std::move(file), popt);
+    // Two callers that mapped the same file share the first pool.
     std::lock_guard<std::mutex> lock(mutex_);
-    return pools_.emplace(spec, std::move(pool)).first->second;
+    std::shared_ptr<trace::SharedDecodePool> &slot = pools_[spec];
+    if (!slot || slot->file().identity() != pool->file().identity())
+        slot = std::move(pool);
+    return slot;
 }
 
-uint32_t
-TraceRepository::traceCrc(const std::string &spec)
+TraceRepository::TraceKey
+TraceRepository::traceKey(const std::string &spec)
 {
+    TraceKey key;
+    key.file = fileIdentity(spec);
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        auto it = crcs_.find(spec);
-        if (it != crcs_.end())
+        auto it = keys_.find(spec);
+        if (it != keys_.end() && it->second.file == key.file)
             return it->second;
     }
-    // Compute outside the lock: the CRC pass over a large input must not
-    // stall every other worker's get(). An input that is not captured is
-    // never resident, so it is checksummed as it streams by.
-    uint32_t crc = capturedInput(spec)
-                       ? trace::traceBufferCrc(*get(spec))
-                       : trace::traceSourceCrc(*produce(spec));
-    std::lock_guard<std::mutex> lock(mutex_);
-    crcs_.emplace(spec, crc);
-    return crc;
-}
-
-bool
-TraceRepository::hasTraceCrc(const std::string &spec) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return crcs_.count(spec) != 0;
-}
-
-void
-TraceRepository::release(const std::string &spec)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = cache_.find(spec);
-    if (it == cache_.end() || it->second.pins > 0)
-        return;
-    cachedBytes_ -= it->second.bytes;
-    cache_.erase(it);
-}
-
-void
-TraceRepository::clear()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (auto it = cache_.begin(); it != cache_.end();) {
-        if (it->second.pins > 0) {
-            ++it;
-        } else {
-            cachedBytes_ -= it->second.bytes;
-            it = cache_.erase(it);
-        }
+    // Compute outside the lock: a checksum pass over a large input must
+    // not stall every other worker.
+    // Opening an uncapped v2 pool verified the header's payload CRC and
+    // range-checked every block: unless a block failed, that CRC is the
+    // key.
+    std::shared_ptr<trace::SharedDecodePool> pool = decodePool(spec);
+    if (pool && pool->payloadVerified() &&
+        pool->blocksDecoded() == pool->blockCount()) {
+        key.crc = pool->file().storedPayloadCrc();
+        key.file = pool->file().identity();
+    } else {
+        // Any other input is checksummed as it streams by; a damaged
+        // record throws its located error, so it gets no key.
+        key.crc = trace::traceSourceCrc(*makeSource(spec));
+        // A trace file that could not be stat()ed has nothing to tag its
+        // key with: hand it out, but do not remember it.
+        if (!key.file && !simulatedInput(spec))
+            return key;
     }
+    std::lock_guard<std::mutex> lock(mutex_);
+    keys_[spec] = key;
+    return key;
+}
+
+std::optional<trace::FileIdentity>
+TraceRepository::fileIdentity(const std::string &spec) const
+{
+    if (simulatedInput(spec))
+        return std::nullopt;
+    return trace::fileIdentity(spec);
 }
 
 size_t
 TraceRepository::cachedInputs() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return cache_.size();
+    return captures_.size();
 }
 
 size_t
 TraceRepository::cachedBytes() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return cachedBytes_;
+    return capturedBytes_;
 }
 
 std::unique_ptr<trace::TraceSource>
-TraceRepository::produce(const std::string &spec)
+TraceRepository::makeSource(const std::string &spec)
 {
     std::unique_ptr<trace::TraceSource> src;
     if (isTraceFile(spec)) {

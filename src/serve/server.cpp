@@ -29,10 +29,9 @@ repoOptions(const ServeServer::Options &opt)
 {
     engine::TraceRepository::Options ro;
     ro.scale = opt.small ? workloads::Scale::Small : workloads::Scale::Full;
-    ro.memoryBudget = opt.traceMemoryBudget;
-    // maxRecords stays 0: the daemon keys and captures whole traces, and
-    // per-request instruction caps live in each cell's config (covered by
-    // its key); a simulated pass stops at its largest cap.
+    // maxRecords stays 0: the daemon keys whole traces, and per-request
+    // instruction caps live in each cell's config (covered by its key); a
+    // pass stops reading at its largest cap.
     return ro;
 }
 
@@ -393,16 +392,6 @@ ServeServer::returnResponseBuffer(std::string buffer)
     spareResponses_.push_back(std::move(buffer));
 }
 
-void
-ServeServer::releaseSpareResponses()
-{
-    std::vector<std::string> spares;
-    {
-        std::lock_guard<std::mutex> lock(spareMutex_);
-        spares.swap(spareResponses_);
-    }
-}
-
 std::string
 ServeServer::handleRequestLine(const std::string &line, bool &shutdown)
 {
@@ -487,33 +476,26 @@ ServeServer::resolveCells(std::vector<engine::SweepJob> &jobs, bool profiles,
     std::vector<engine::SweepJob> misses;
     std::vector<size_t> missAt;             // job position per miss
     std::map<size_t, ResultKey> keyAt;      // job position -> content address
-    std::map<std::string, std::optional<uint32_t>> traceCrcs;
+    std::map<std::string, std::optional<engine::TraceRepository::TraceKey>>
+        traceKeys;
     for (size_t k = 0; k < jobs.size(); ++k) {
         engine::SweepJob &job = jobs[k];
         job.config.cancel = &cancel_;
-        auto [crc, fresh] = traceCrcs.try_emplace(job.input);
+        auto [traceKey, fresh] = traceKeys.try_emplace(job.input);
         if (fresh) {
-            // No spares are held across a new input's first touch. The
-            // daemon's memory peaks while it captures a new trace file,
-            // which outlasts re-faulting a response buffer many times
-            // over; a simulated input is keyed in O(block) memory, but
-            // holding the spares across its first touch too measured
-            // slower hits afterwards (DESIGN.md §7).
-            if (!repo_.hasTraceCrc(job.input))
-                releaseSpareResponses();
             try {
-                crc->second = repo_.traceCrc(job.input);
+                traceKey->second = repo_.traceKey(job.input);
             } catch (const std::exception &) {
                 // Unknown/broken input: uncacheable — the scheduler's
                 // per-cell attempts loop will attribute the error per cell.
             }
         }
-        if (crc->second) {
+        if (traceKey->second) {
             // The key is the *analysis* config's fingerprint — the cancel
             // pointer is excluded from the canonical text.
             ResultKey &key = keyAt[k];
-            key = ResultKey{*crc->second, engine::configKey(job.config),
-                            profiles};
+            key = ResultKey{traceKey->second->crc,
+                            engine::configKey(job.config), profiles};
             ResultStore::WireText wire;
             if (store_ && (wire = store_->lookupWire(key))) {
                 // The fragment is shared across grids by content address;
@@ -534,14 +516,19 @@ ServeServer::resolveCells(std::vector<engine::SweepJob> &jobs, bool profiles,
     if (!misses.empty()) {
         // Store each Ok cell the moment it is final: a client that
         // disconnects (or a daemon killed later) never loses cells that
-        // completed. The callback runs on worker threads; ResultStore
-        // serializes internally.
+        // completed. A pass opens its input afresh, so a trace file changed
+        // since it was keyed may have been read instead: such a cell is
+        // answered but not stored. The callback runs on worker threads;
+        // ResultStore serializes internally.
         auto batch = scheduler_->submit(
             std::move(misses), [&](size_t m, engine::SweepCell &cell) {
                 auto key = keyAt.find(missAt[m]);
-                if (cell.status == engine::SweepCell::Status::Ok && store_ &&
-                    key != keyAt.end())
-                    store_->insert(key->second, cellToJson(cell, jsonOpt));
+                if (cell.status != engine::SweepCell::Status::Ok || !store_ ||
+                    key == keyAt.end() ||
+                    repo_.fileIdentity(cell.job.input) !=
+                        traceKeys.at(cell.job.input)->file)
+                    return;
+                store_->insert(key->second, cellToJson(cell, jsonOpt));
             });
         batch->wait();
         for (size_t m = 0; m < missAt.size(); ++m)

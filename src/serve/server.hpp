@@ -3,10 +3,11 @@
  * ServeServer: the paragraph-serve daemon core.
  *
  * One process owns three shared layers — a TraceRepository (compiled
- * programs of simulated inputs, which each pass re-simulates, and a
- * byte-budgeted cache of trace-file captures), a SweepScheduler (standing
- * worker pool with trace-major fusion across *all* clients' cells), and a
- * ResultStore (the persistent content-addressed cell cache). Clients connect over an AF_UNIX socket
+ * programs of simulated inputs, which each pass re-simulates, and the
+ * mappings and content keys of trace files, which each pass streams), a
+ * SweepScheduler (standing worker pool with trace-major fusion across
+ * *all* clients' cells), and a ResultStore (the persistent
+ * content-addressed cell cache). Clients connect over an AF_UNIX socket
  * and exchange one newline-delimited JSON request/response pair per
  * operation (serve/protocol.hpp); each connection gets a handler thread,
  * but all actual analysis flows through the one scheduler, so two clients
@@ -17,10 +18,14 @@
  * style splices, submit only the misses, store every newly-Ok cell as it
  * completes (so a client that disconnects mid-job still leaves its
  * finished cells behind for the next asker), and render the document with
- * the same writer paragraph-sweep uses. Shutdown (client op, SIGINT, or
- * SIGTERM) is graceful: in-flight analyses are cancelled at their next
- * checkpoint, queued cells fail fast, and the store's append-per-cell
- * discipline means a restart re-serves everything that ever finished.
+ * the same writer paragraph-sweep uses. A trace file's key is tagged with
+ * the file it was taken from, and a cell is stored only if its input is
+ * still that file when the cell completes: a file replaced mid-request is
+ * computed and answered, but never stored under the old file's key.
+ * Shutdown (client op, SIGINT, or SIGTERM) is graceful: in-flight analyses
+ * are cancelled at their next checkpoint, queued cells fail fast, and the
+ * store's append-per-cell discipline means a restart re-serves everything
+ * that ever finished.
  */
 
 #ifndef PARAGRAPH_SERVE_SERVER_HPP
@@ -58,10 +63,6 @@ class ServeServer
 
         /** Hot-text byte budget for the result store; 0 = unlimited. */
         size_t storeMemoryBudget = 0;
-
-        /** Capture-cache byte budget for the trace repository;
-         *  0 = unlimited. */
-        size_t traceMemoryBudget = 0;
 
         /** Analysis worker threads; 0 = hardware concurrency. */
         unsigned jobs = 0;
@@ -143,10 +144,6 @@ class ServeServer
     std::string takeResponseBuffer();
     void returnResponseBuffer(std::string buffer);
 
-    /** Free the spares; a request that first touches a new input calls
-     *  it first. */
-    void releaseSpareResponses();
-
     std::string handleRequestLine(const std::string &line, bool &shutdown);
 
     /** Render the response line into a spare buffer (no newline). */
@@ -159,9 +156,9 @@ class ServeServer
      * hits as Skipped cells holding a reference to the store's wire text
      * (no copy, and no analysis result; the head is rendered from the
      * job's grid coordinates), submit only the misses to the scheduler,
-     * and store every miss the moment it finishes Ok. Sweeps and explore
-     * rounds both resolve here. The jobs are moved from. @p cached counts
-     * the hits.
+     * and store every miss the moment it finishes Ok, if its input is
+     * still the file it was keyed on. Sweeps and explore rounds both
+     * resolve here. The jobs are moved from. @p cached counts the hits.
      */
     void resolveCells(std::vector<engine::SweepJob> &jobs, bool profiles,
                       std::vector<engine::SweepCell> &cells,
@@ -187,8 +184,7 @@ class ServeServer
     /** Multi-MB response buffers between requests (DESIGN.md §7). A store
      *  hit renders its line into one of these instead of allocating,
      *  freeing and re-faulting it; there are never more than the sweeps
-     *  once rendered at the same time, and none while a new input is
-     *  first touched. */
+     *  once rendered at the same time. */
     std::mutex spareMutex_;
     std::vector<std::string> spareResponses_;
 

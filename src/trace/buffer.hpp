@@ -2,9 +2,10 @@
  * @file
  * TraceBuffer: an in-memory trace with a replayable TraceSource view.
  *
- * Used by unit tests (hand-built traces), by the two-pass last-use
- * annotator (which requires the whole trace, paper Section 3.2 method 1),
- * and for capturing simulator output once and re-analyzing it many times.
+ * Used by unit tests (hand-built traces and serial references), by the
+ * two-pass last-use annotator (which requires the whole trace, paper
+ * Section 3.2 method 1), and by benches that analyze one capture many
+ * times.
  */
 
 #ifndef PARAGRAPH_TRACE_BUFFER_HPP
@@ -12,7 +13,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -101,55 +101,6 @@ class BufferSource : public TraceSource
 
   private:
     const TraceBuffer *buffer_;
-    std::string name_;
-    size_t pos_ = 0;
-};
-
-/**
- * Replayable TraceSource that co-owns an immutable TraceBuffer.
- *
- * This is the hand-out type of engine::TraceRepository: one capture is
- * shared read-only by any number of concurrently-replaying sources (each
- * keeps only its own cursor), and the buffer stays alive as long as any
- * source still references it.
- */
-class SharedBufferSource : public TraceSource
-{
-  public:
-    explicit SharedBufferSource(std::shared_ptr<const TraceBuffer> buffer,
-                                std::string name = "buffer")
-        : buffer_(std::move(buffer)), name_(std::move(name)) {}
-
-    bool
-    next(TraceRecord &rec) override
-    {
-        if (pos_ >= buffer_->size())
-            return false;
-        rec = (*buffer_)[pos_++];
-        return true;
-    }
-
-    size_t
-    nextBatch(TraceRecord *out, size_t max) override
-    {
-        size_t n = std::min(max, buffer_->size() - pos_);
-        std::copy_n(buffer_->records().data() + pos_, n, out);
-        pos_ += n;
-        return n;
-    }
-
-    void reset() override { pos_ = 0; }
-
-    std::string name() const override { return name_; }
-
-    /** The shared capture this source replays. */
-    const std::shared_ptr<const TraceBuffer> &buffer() const
-    {
-        return buffer_;
-    }
-
-  private:
-    std::shared_ptr<const TraceBuffer> buffer_;
     std::string name_;
     size_t pos_ = 0;
 };

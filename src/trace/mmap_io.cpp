@@ -17,6 +17,18 @@ namespace trace {
 
 namespace {
 
+FileIdentity
+identityOf(const struct stat &st)
+{
+    FileIdentity id;
+    id.device = static_cast<uint64_t>(st.st_dev);
+    id.inode = static_cast<uint64_t>(st.st_ino);
+    id.size = static_cast<uint64_t>(st.st_size);
+    id.mtimeNs = static_cast<int64_t>(st.st_mtim.tv_sec) * 1000000000 +
+                 st.st_mtim.tv_nsec;
+    return id;
+}
+
 [[noreturn]] void
 throwTruncated(const std::string &path, uint64_t index)
 {
@@ -26,6 +38,15 @@ throwTruncated(const std::string &path, uint64_t index)
 }
 
 } // namespace
+
+std::optional<FileIdentity>
+fileIdentity(const std::string &path)
+{
+    struct stat st;
+    if (::stat(path.c_str(), &st) != 0)
+        return std::nullopt;
+    return identityOf(st);
+}
 
 MmapTraceFile::MmapTraceFile(const std::string &path)
 {
@@ -56,6 +77,7 @@ MmapTraceFile::open(const std::string &path, bool throwOnMapFailure)
         ::close(fd);
         PARA_FATAL("cannot open trace file: %s", path.c_str());
     }
+    identity_ = identityOf(st);
     size_t size = static_cast<size_t>(st.st_size);
     if (size < sizeof(TraceFileHeader)) {
         ::close(fd);

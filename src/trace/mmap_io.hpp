@@ -16,6 +16,11 @@
  * cells: byte-for-byte the same observable behavior as TraceFileReader,
  * including the payload-CRC check firing only when the stream is read to
  * its end (a capped read never reaches it, exactly as before).
+ *
+ * FileIdentity names which file a path held when it was read: a mapping
+ * keeps the one it opened, so a holder that outlives the file on disk
+ * compares it with fileIdentity() of the path to notice a replacement,
+ * rewrite, truncation or deletion.
  */
 
 #ifndef PARAGRAPH_TRACE_MMAP_IO_HPP
@@ -25,6 +30,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "trace/file_io.hpp"
@@ -33,6 +39,22 @@
 
 namespace paragraph {
 namespace trace {
+
+/** (st_dev, st_ino, st_size, st_mtim) of a file: a replaced file changes
+ *  its inode, a rewritten or truncated one its size or mtime. */
+struct FileIdentity
+{
+    uint64_t device = 0;
+    uint64_t inode = 0;
+    uint64_t size = 0;
+    int64_t mtimeNs = 0;
+
+    bool operator==(const FileIdentity &) const = default;
+};
+
+/** The identity of the file at @p path now; nullopt if it cannot be
+ *  stat()ed (missing, unreadable directory). */
+std::optional<FileIdentity> fileIdentity(const std::string &path);
 
 class MmapTraceFile
 {
@@ -65,6 +87,10 @@ class MmapTraceFile
 
     uint32_t formatVersion() const { return version_; }
     const std::string &path() const { return path_; }
+
+    /** The identity of the file mapped, from the fstat() of the
+     *  descriptor the mapping was made from. */
+    const FileIdentity &identity() const { return identity_; }
 
     /** The mapped records from @p first on (<= availableRecords()),
      *  unvalidated: validate() a range before reading it. */
@@ -116,6 +142,7 @@ class MmapTraceFile
     uint64_t avail_ = 0;
     uint32_t version_ = traceFileVersion;
     uint32_t payloadCrc_ = 0;
+    FileIdentity identity_;
 };
 
 /** Sequential TraceSource over a mapped trace (reader-equivalent). */

@@ -36,6 +36,8 @@ SharedDecodePool::SharedDecodePool(std::shared_ptr<const MmapTraceFile> file,
             blocksChecked_.fetch_add(1, std::memory_order_relaxed);
         }
     });
+    payloadVerified_ =
+        file_->formatVersion() >= 2 && count_ == file_->recordCount();
 }
 
 size_t

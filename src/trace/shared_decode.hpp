@@ -81,6 +81,11 @@ class SharedDecodePool
      */
     std::span<const TraceRecord> block(size_t index);
 
+    /** True when construction verified the v2 payload CRC and the pool
+     *  serves every record it covers: the header's payload CRC is then
+     *  the CRC of exactly the records served. */
+    bool payloadVerified() const { return payloadVerified_; }
+
     /** Blocks checked and found valid, each counted once (in the payload
      *  checksum pass or on first touch). */
     uint64_t blocksDecoded() const
@@ -94,6 +99,7 @@ class SharedDecodePool
     std::shared_ptr<const MmapTraceFile> file_;
     Options opt_;
     uint64_t count_ = 0;
+    bool payloadVerified_ = false;
     std::unique_ptr<std::atomic<uint8_t>[]> state_; ///< per block
     std::atomic<uint64_t> blocksChecked_{0};
 };

@@ -61,11 +61,11 @@ class TraceSource
 /**
  * Caps an owned source at a fixed record count.
  *
- * Streaming consumers that bypass an in-memory capture still need the
- * capture-time record cap (TraceRepository::Options::maxRecords) applied,
- * or a capped and an uncapped run of the same file would disagree. The
- * wrapper ends the trace after @p maxRecords records; reset() restarts
- * both the inner source and the count.
+ * Every streamed pass needs the sweep's record cap
+ * (TraceRepository::Options::maxRecords) applied, or a capped and an
+ * uncapped run of the same file would disagree. The wrapper ends the
+ * trace after @p maxRecords records; reset() restarts both the inner
+ * source and the count.
  */
 class LimitedSource : public TraceSource
 {

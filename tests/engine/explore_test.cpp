@@ -21,6 +21,8 @@
 #include "trace/compressed_io.hpp"
 #include "trace/file_io.hpp"
 
+#include "serial_reference.hpp"
+
 using namespace paragraph;
 using namespace paragraph::engine;
 
@@ -71,8 +73,9 @@ engineRunner(TraceRepository &repo, const SweepEngine &sweeper)
     };
 }
 
-/** Full grid + explore over the same repo/engine; assert the explorer is
- *  sound against the grid and actually pruned something. Returns the
+/** Full grid + explore over the same repo/engine; assert the grid is the
+ *  serial analysis of each input's capture, and the explorer is sound
+ *  against the grid and actually pruned something. Returns the
  *  exploration. */
 ExploreResult
 expectSoundAgainstGrid(TraceRepository &repo, const SweepEngine &sweeper,
@@ -80,6 +83,11 @@ expectSoundAgainstGrid(TraceRepository &repo, const SweepEngine &sweeper,
                        const Grid &grid, bool expectPruning = true)
 {
     SweepResult full = sweeper.run(repo, inputs, grid.configs, grid.labels);
+    SweepJsonOptions jsonOpt;
+    jsonOpt.timing = false;
+    EXPECT_EQ(sweepToJson(full, jsonOpt),
+              testhelpers::serialSweepDoc(repo, inputs, grid.configs,
+                                          grid.labels));
 
     Explorer explorer;
     ExploreResult explored =
@@ -99,8 +107,6 @@ expectSoundAgainstGrid(TraceRepository &repo, const SweepEngine &sweeper,
         EXPECT_LT(explored.cellsExecuted, explored.cellsTotal);
     }
 
-    SweepJsonOptions jsonOpt;
-    jsonOpt.timing = false;
     std::string diag;
     EXPECT_TRUE(verifyExploreAgainstGrid(explored, full, jsonOpt, diag))
         << diag;
@@ -138,7 +144,7 @@ writeTraceFile(std::shared_ptr<const trace::TraceBuffer> buffer,
     namespace fs = std::filesystem;
     std::string path = (fs::temp_directory_path() / filename).string();
     trace::CompressedTraceWriter writer(path);
-    trace::SharedBufferSource src(std::move(buffer), "synthetic");
+    trace::BufferSource src(*buffer, "synthetic");
     writer.writeAll(src);
     writer.close();
     return path;
@@ -225,6 +231,8 @@ TEST(ParetoFrontier, KeepsNonDominatedAndTies)
 
 TEST(ExploreSoundness, CapturedRepository)
 {
+    // Simulated inputs, re-simulated by every pass: the grid must still be
+    // the serial analysis of their captures.
     TraceRepository repo(smallScale());
     SweepEngine::Options engineOpt;
     engineOpt.jobs = 2;
@@ -236,15 +244,13 @@ TEST(ExploreSoundness, CapturedRepository)
 
 TEST(ExploreSoundness, StreamedRepository)
 {
-    // Streamed mode: the input is a trace file re-read per pass instead of
-    // a shared capture. The explorer must stay sound and byte-identical.
+    // The input is a trace file re-read per pass. The explorer must stay
+    // sound and byte-identical.
     TraceRepository captureRepo(smallScale());
     std::string path = writeTraceFile(captureRepo.get("xlisp"),
                                       "explore_stream.ptrz");
 
-    TraceRepository::Options opt = smallScale();
-    opt.streamFiles = true;
-    TraceRepository repo(opt);
+    TraceRepository repo(smallScale());
     SweepEngine::Options engineOpt;
     engineOpt.jobs = 2;
     SweepEngine sweeper(engineOpt);
@@ -255,14 +261,14 @@ TEST(ExploreSoundness, StreamedRepository)
 
 TEST(ExploreSoundness, ShardedEngine)
 {
-    // A captured `.ptrc`: a simulated input has no random access and would
-    // run its cells unsharded.
+    // A `.ptrc`, sharded over its pool blocks: a simulated input has no
+    // random access and would run its cells unsharded.
     namespace fs = std::filesystem;
     std::string path =
         (fs::temp_directory_path() / "explore_sharded.ptrc").string();
     {
         TraceRepository captureRepo(smallScale());
-        trace::SharedBufferSource src(captureRepo.get("xlisp"), "xlisp");
+        trace::BufferSource src(*captureRepo.get("xlisp"), "xlisp");
         trace::TraceFileWriter writer(path);
         writer.writeAll(src);
         writer.close();

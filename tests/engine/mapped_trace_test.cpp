@@ -1,24 +1,31 @@
 // A `.ptrc` record is the analyzer's TraceRecord byte for byte, so a mapped
 // trace is analyzed in place. These tests pin what that must keep: the
-// content keys result stores were written under, identical cells however
-// a mapped trace is read (captured, streamed from the mapping, sharded
-// over its blocks), and the capped-read rule that records past the cap
-// are never checked.
+// content keys result stores were written under, cells identical to a
+// serial analysis of the trace's capture however a mapped trace is read
+// (streamed from the mapping, sharded over its blocks), and the
+// capped-read rule that records past the cap are never checked.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "core/config.hpp"
 #include "engine/sweep.hpp"
 #include "engine/sweep_json.hpp"
 #include "engine/trace_repository.hpp"
+#include "support/panic.hpp"
+#include "trace/compressed_io.hpp"
 #include "trace/file_io.hpp"
 
 #include "../core/trace_helpers.hpp"
+#include "serial_reference.hpp"
 
 using namespace paragraph;
 using namespace paragraph::engine;
@@ -29,6 +36,36 @@ std::string
 golden(const char *name)
 {
     return std::string(PARAGRAPH_GOLDEN_DIR) + "/" + name;
+}
+
+/** @p records written to a `.ptrc` (or, by its name, `.ptrz`) at
+ *  @p path. */
+void
+writeTrace(const std::string &path, const trace::TraceBuffer &records)
+{
+    trace::BufferSource src(records, "records");
+    if (path.ends_with(".ptrz")) {
+        trace::CompressedTraceWriter writer(path);
+        writer.writeAll(src);
+        writer.close();
+    } else {
+        trace::TraceFileWriter writer(path);
+        writer.writeAll(src);
+        writer.close();
+    }
+}
+
+/** The FatalError text of @p fn, or "" if it does not throw one. */
+template <class Fn>
+std::string
+fatalText(Fn &&fn)
+{
+    try {
+        fn();
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return {};
 }
 
 /** A small grid: windows, renaming and syscall switches. */
@@ -51,12 +88,10 @@ grid()
 /** The no-timing document of @p configs over @p input. */
 std::string
 sweepDoc(const std::string &input,
-         const std::vector<core::AnalysisConfig> &configs, bool stream,
-         unsigned shards, uint64_t maxRecords = 0,
-         SweepResult *out = nullptr)
+         const std::vector<core::AnalysisConfig> &configs, unsigned shards,
+         uint64_t maxRecords = 0, SweepResult *out = nullptr)
 {
     TraceRepository::Options ro;
-    ro.streamFiles = stream;
     ro.maxRecords = maxRecords;
     TraceRepository repo(ro);
     SweepEngine::Options opt;
@@ -89,16 +124,13 @@ TEST(MappedTrace, ContentKeysMatchThePreviousRecordLayout)
         {golden("xlisp-800.ptrc"), 0x18925f20},
         {golden("matrix300-600.ptrc"), 0x0f51a0d0},
     };
-    for (bool stream : {false, true}) {
-        TraceRepository::Options ro;
-        ro.scale = workloads::Scale::Small;
-        ro.streamFiles = stream;
-        TraceRepository repo(ro);
-        for (const Pin &pin : pins) {
-            SCOPED_TRACE(pin.spec + (stream ? " streamed" : " captured"));
-            EXPECT_EQ(repo.traceCrc(pin.spec), pin.crc);
-            EXPECT_EQ(trace::traceBufferCrc(*repo.get(pin.spec)), pin.crc);
-        }
+    TraceRepository::Options ro;
+    ro.scale = workloads::Scale::Small;
+    TraceRepository repo(ro);
+    for (const Pin &pin : pins) {
+        SCOPED_TRACE(pin.spec);
+        EXPECT_EQ(repo.traceCrc(pin.spec), pin.crc);
+        EXPECT_EQ(trace::traceBufferCrc(*repo.get(pin.spec)), pin.crc);
     }
 }
 
@@ -107,14 +139,14 @@ TEST(MappedTrace, StreamedCapturedAndShardedCellsAgree)
     for (const char *name : {"xlisp-800.ptrc", "matrix300-600.ptrc"}) {
         SCOPED_TRACE(name);
         const std::string input = golden(name);
-        const std::string captured = sweepDoc(input, grid(), false, 1);
+        TraceRepository captureRepo;
+        const std::string captured =
+            testhelpers::serialSweepDoc(captureRepo, {input}, grid());
         SweepResult streamedResult;
-        EXPECT_EQ(sweepDoc(input, grid(), true, 1, 0, &streamedResult),
-                  captured);
+        EXPECT_EQ(sweepDoc(input, grid(), 1, 0, &streamedResult), captured);
         for (const SweepCell &cell : streamedResult.cells)
             EXPECT_TRUE(cell.ok()) << cell.errorMessage;
-        EXPECT_EQ(sweepDoc(input, grid(), true, 4), captured);
-        EXPECT_EQ(sweepDoc(input, grid(), false, 4), captured);
+        EXPECT_EQ(sweepDoc(input, grid(), 4), captured);
     }
 }
 
@@ -137,21 +169,114 @@ TEST(MappedTrace, CappedStreamNeverChecksPastItsCap)
     for (core::AnalysisConfig &cfg : cfgs)
         cfg.maxInstructions = 100;
     SweepResult capped;
-    sweepDoc(path, cfgs, true, 1, 100, &capped);
+    sweepDoc(path, cfgs, 1, 100, &capped);
     for (const SweepCell &cell : capped.cells) {
         EXPECT_TRUE(cell.ok()) << cell.errorMessage;
         EXPECT_EQ(cell.result.instructions, 100u);
     }
 
+    const std::string located = "bad source count 9 (record 150 at offset " +
+                                std::to_string(trace::recordOffset(150)) +
+                                ")";
     SweepResult whole;
-    sweepDoc(path, grid(), true, 1, 0, &whole);
+    sweepDoc(path, grid(), 1, 0, &whole);
     for (const SweepCell &cell : whole.cells) {
         EXPECT_FALSE(cell.ok());
-        EXPECT_NE(cell.errorMessage.find(
-                      "bad source count 9 (record 150 at offset " +
-                      std::to_string(trace::recordOffset(150)) + ")"),
-                  std::string::npos)
+        EXPECT_NE(cell.errorMessage.find(located), std::string::npos)
             << cell.errorMessage;
     }
+    // The payload CRC holds, but a block failed its range check: the file
+    // gets no content key, so none of its cells can be stored.
+    TraceRepository repo;
+    EXPECT_NE(fatalText([&] { repo.traceKey(path); }).find(located),
+              std::string::npos);
     std::remove(path.c_str());
+}
+
+TEST(MappedTrace, ChangedFileIsKeyedAndMappedAgain)
+{
+    // A trace file's key and pool carry the identity of the file they were
+    // taken from. A file replaced by rename, rewritten in place at the same
+    // size, truncated or deleted no longer matches a key taken before (so
+    // a cell computed under that key is not stored), and the next
+    // traceKey() and decodePool() read the file on disk now.
+    namespace fs = std::filesystem;
+    const std::string path =
+        (fs::temp_directory_path() / "para_mapped_changed.ptrc").string();
+    const trace::TraceBuffer a = testhelpers::randomTrace(31, 3000);
+    const trace::TraceBuffer b = testhelpers::randomTrace(32, 3000);
+    writeTrace(path, a);
+    TraceRepository repo;
+    const TraceRepository::TraceKey keyA = repo.traceKey(path);
+    EXPECT_EQ(keyA.crc, trace::traceBufferCrc(a));
+    ASSERT_TRUE(keyA.file.has_value());
+    EXPECT_EQ(repo.fileIdentity(path), keyA.file);
+    std::shared_ptr<trace::SharedDecodePool> poolA = repo.decodePool(path);
+    EXPECT_EQ(repo.decodePool(path), poolA) << "an unchanged file is shared";
+
+    // Replaced by rename: a new key and a new mapping, while a pass still
+    // holding the old pool reads the old file to its end.
+    writeTrace(path + ".new", b);
+    fs::rename(path + ".new", path);
+    EXPECT_NE(repo.fileIdentity(path), keyA.file);
+    const TraceRepository::TraceKey keyB = repo.traceKey(path);
+    EXPECT_EQ(keyB.crc, trace::traceBufferCrc(b));
+    std::shared_ptr<trace::SharedDecodePool> poolB = repo.decodePool(path);
+    EXPECT_NE(poolB, poolA);
+    EXPECT_EQ(poolB->block(0)[0], b[0]);
+    EXPECT_EQ(poolA->block(0)[0], a[0]);
+    poolA.reset();
+    poolB.reset(); // the rewrites below change the file poolB maps
+
+    // Rewritten in place with other records of the same size, past the
+    // filesystem's timestamp granularity: only the mtime tells.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const std::string bytesA = [&] {
+        const std::string tmp = path + ".a";
+        writeTrace(tmp, a);
+        std::FILE *f = std::fopen(tmp.c_str(), "rb");
+        std::string bytes(fs::file_size(tmp), '\0');
+        EXPECT_EQ(std::fread(bytes.data(), 1, bytes.size(), f), bytes.size());
+        std::fclose(f);
+        fs::remove(tmp);
+        return bytes;
+    }();
+    ASSERT_EQ(bytesA.size(), fs::file_size(path));
+    {
+        std::FILE *f = std::fopen(path.c_str(), "r+b");
+        ASSERT_NE(f, nullptr);
+        ASSERT_EQ(std::fwrite(bytesA.data(), 1, bytesA.size(), f),
+                  bytesA.size());
+        std::fclose(f);
+    }
+    EXPECT_NE(repo.fileIdentity(path), keyB.file);
+    EXPECT_EQ(repo.traceCrc(path), trace::traceBufferCrc(a));
+    EXPECT_EQ(repo.decodePool(path)->block(0)[0], a[0]);
+
+    // Truncated in place: no key, and the located truncation error.
+    ASSERT_EQ(::truncate(path.c_str(),
+                         static_cast<off_t>(trace::recordOffset(1000))),
+              0);
+    const std::string truncated =
+        "trace file truncated: " + path + " (record 1000 at offset " +
+        std::to_string(trace::recordOffset(1000)) + ")";
+    EXPECT_EQ(fatalText([&] { repo.traceKey(path); }), truncated);
+    EXPECT_EQ(fatalText([&] { repo.decodePool(path); }), truncated);
+
+    // Deleted: no identity, no key, no pool.
+    fs::remove(path);
+    EXPECT_FALSE(repo.fileIdentity(path).has_value());
+    EXPECT_NE(fatalText([&] { repo.traceKey(path); }).find("cannot open"),
+              std::string::npos);
+    EXPECT_NE(fatalText([&] { repo.decodePool(path); }).find("cannot open"),
+              std::string::npos);
+
+    // A `.ptrz` is keyed per identity too, as it streams.
+    const std::string ptrz = path.substr(0, path.size() - 5) + ".ptrz";
+    writeTrace(ptrz, a);
+    EXPECT_EQ(repo.traceCrc(ptrz), trace::traceBufferCrc(a));
+    writeTrace(ptrz + ".new", b);
+    fs::rename(ptrz + ".new", ptrz);
+    EXPECT_EQ(repo.traceCrc(ptrz), trace::traceBufferCrc(b));
+    fs::remove(ptrz);
 }

@@ -124,9 +124,7 @@ readerError(const std::string &path)
 void
 expectCellsFailWith(const std::string &path, const std::string &want)
 {
-    TraceRepository::Options ro;
-    ro.streamFiles = true;
-    TraceRepository repo(ro);
+    TraceRepository repo;
     SweepEngine::Options opt;
     opt.jobs = 1;      // one worker's share is both cells, so ...
     opt.groupSize = 2; // ... one fused pass, then each cell demoted to solo
@@ -272,14 +270,10 @@ TEST(PtrzBlocks, ContentKeyEqualsThePtrcKey)
         writer.close();
     }
     writePtrz(ptrz, xlispRecords().size());
-    for (bool stream : {false, true}) {
-        SCOPED_TRACE(stream ? "streamed" : "captured");
-        TraceRepository::Options ro;
-        ro.streamFiles = stream;
-        TraceRepository repo(ro);
-        EXPECT_EQ(repo.traceCrc(ptrc), 0x1ca53f65u);
-        EXPECT_EQ(repo.traceCrc(ptrz), 0x1ca53f65u);
-    }
+    TraceRepository repo;
+    EXPECT_EQ(repo.traceCrc(ptrc), 0x1ca53f65u);
+    EXPECT_EQ(repo.traceCrc(ptrz), 0x1ca53f65u);
+    EXPECT_EQ(trace::traceBufferCrc(*repo.get(ptrz)), 0x1ca53f65u);
     std::remove(ptrc.c_str());
     std::remove(ptrz.c_str());
 }

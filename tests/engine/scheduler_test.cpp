@@ -1,9 +1,7 @@
-// Tests for the persistent cell-execution service (engine::SweepScheduler)
-// and the budget-bounded trace cache it leans on (TraceRepository LRU and
-// pinning). The scheduler is the daemon's execution core: its cells must be
-// byte-identical to SweepEngine's, batches from independent clients must
-// fuse over a shared trace, and a bounded repository must never drop a
-// pinned capture out from under a running group.
+// Tests for the persistent cell-execution service (engine::SweepScheduler).
+// The scheduler is the daemon's execution core: its cells must be
+// byte-identical to SweepEngine's and to a serial analysis, groups must be
+// sized to the idle pool, and every cell must reach a final status.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -17,7 +15,6 @@
 #include "engine/sweep_json.hpp"
 #include "engine/trace_repository.hpp"
 #include "trace/compressed_io.hpp"
-#include "trace/file_io.hpp"
 #include "trace/source.hpp"
 
 using namespace paragraph;
@@ -60,21 +57,6 @@ fourConfigs()
             core::AnalysisConfig::windowed(64),
             core::AnalysisConfig::noRenaming(),
             core::AnalysisConfig::dataflowConservative()};
-}
-
-/** @p analog's small trace written to a temporary `.ptrc` named @p name:
- *  an input the repository captures when it is not streaming files. */
-std::string
-capturedTraceFile(const char *name, const char *analog = "xlisp")
-{
-    std::string path =
-        (std::filesystem::temp_directory_path() / name).string();
-    TraceRepository repo(smallScale());
-    trace::SharedBufferSource src(repo.get(analog), analog);
-    trace::TraceFileWriter writer(path);
-    writer.writeAll(src);
-    writer.close();
-    return path;
 }
 
 } // namespace
@@ -127,7 +109,7 @@ TEST(SweepScheduler, CellsAreByteIdenticalToSweepEngine)
         EXPECT_EQ(got.status, SweepCell::Status::Ok);
         EXPECT_EQ(cellToJson(got, json),
                   cellToJson(viaEngine.cells[i], json));
-        trace::SharedBufferSource solo(repo.get(jobs[i].input));
+        trace::BufferSource solo(*repo.get(jobs[i].input));
         EXPECT_EQ(cellToJson(got, json), serialCellJson(jobs[i], solo));
     }
 
@@ -139,14 +121,12 @@ TEST(SweepScheduler, CellsAreByteIdenticalToSweepEngine)
                         "scheduler_identity.ptrz")
                            .string();
     {
-        trace::SharedBufferSource src(repo.get("xlisp"), "xlisp");
+        trace::BufferSource src(*repo.get("xlisp"), "xlisp");
         trace::CompressedTraceWriter writer(path);
         writer.writeAll(src);
         writer.close();
     }
-    TraceRepository::Options streamOpt = smallScale();
-    streamOpt.streamFiles = true;
-    TraceRepository streamRepo(streamOpt);
+    TraceRepository streamRepo(smallScale());
     SweepScheduler::Options autoOpt;
     autoOpt.jobs = 3;
     autoOpt.groupSize = 0;
@@ -235,46 +215,9 @@ TEST(SweepScheduler, SmallBatchSpreadsOverIdleWorkers)
         SCOPED_TRACE(jobs[i].configLabel);
         const SweepCell &got = batch->cells()[i];
         EXPECT_EQ(got.status, SweepCell::Status::Ok) << got.errorMessage;
-        trace::SharedBufferSource solo(repo.get(jobs[i].input));
+        trace::BufferSource solo(*repo.get(jobs[i].input));
         EXPECT_EQ(cellToJson(got, json), serialCellJson(jobs[i], solo));
     }
-}
-
-TEST(SweepScheduler, IndependentBatchesShareOneCapture)
-{
-    // Two clients asking about the same trace: the repository captures it
-    // once, and both batches' cells are correct against a solo analysis.
-    // The input is a `.ptrc` read without streaming, which is captured (a
-    // simulated input never is).
-    std::string path = capturedTraceFile("share_one_capture.ptrc");
-    TraceRepository repo(smallScale());
-    SweepScheduler::Options opt;
-    opt.jobs = 2;
-    SweepScheduler scheduler(repo, opt);
-
-    std::vector<SweepJob> a =
-        gridJobs({path}, {core::AnalysisConfig::windowed(16)});
-    std::vector<SweepJob> b =
-        gridJobs({path}, {core::AnalysisConfig::windowed(64)});
-    auto batchA = scheduler.submit(a);
-    auto batchB = scheduler.submit(b);
-    batchA->wait();
-    batchB->wait();
-    EXPECT_EQ(repo.cachedInputs(), 1u);
-
-    for (const SweepCell *cell :
-         {&batchA->cells()[0], &batchB->cells()[0]}) {
-        ASSERT_EQ(cell->status, SweepCell::Status::Ok);
-        trace::SharedBufferSource solo(repo.get(path));
-        core::AnalysisResult alone =
-            core::Paragraph(cell->job.config).analyze(solo);
-        EXPECT_EQ(cell->result.criticalPathLength,
-                  alone.criticalPathLength);
-        EXPECT_EQ(cell->result.availableParallelism,
-                  alone.availableParallelism);
-        EXPECT_EQ(cell->result.instructions, alone.instructions);
-    }
-    std::filesystem::remove(path);
 }
 
 TEST(SweepScheduler, OnCellFiresOncePerCellWithFinalStatus)
@@ -357,144 +300,4 @@ TEST(SweepScheduler, StopGivesEveryQueuedCellAFinalStatus)
         else
             EXPECT_EQ(cell.status, SweepCell::Status::Ok);
     }
-}
-
-TEST(TraceRepository, BudgetEvictsLeastRecentlyUsedCapture)
-{
-    // Learn the capture sizes, then bound a fresh repository so it can hold
-    // either input alone but never both.
-    TraceRepository probe(smallScale());
-    probe.get("xlisp");
-    probe.get("matrix300");
-    size_t both = probe.cachedBytes();
-    ASSERT_EQ(probe.cachedInputs(), 2u);
-
-    TraceRepository::Options opt = smallScale();
-    opt.memoryBudget = both - 1;
-    TraceRepository repo(opt);
-    repo.get("xlisp");
-    EXPECT_EQ(repo.cachedInputs(), 1u);
-    repo.get("matrix300"); // exceeds the budget: xlisp is evicted
-    EXPECT_EQ(repo.cachedInputs(), 1u);
-    EXPECT_LE(repo.cachedBytes(), opt.memoryBudget);
-
-    // Re-requesting the evicted input recaptures it and evicts the other.
-    auto back = repo.get("xlisp");
-    EXPECT_EQ(repo.cachedInputs(), 1u);
-    EXPECT_GT(back->size(), 0u);
-}
-
-TEST(TraceRepository, PinnedCapturesSurviveAnyBudgetPressure)
-{
-    // Satellite guarantee: while a fused group holds its TracePin, budget
-    // pressure from other inputs may overshoot but can never evict (and
-    // later silently re-capture) the pinned trace.
-    TraceRepository::Options opt = smallScale();
-    opt.memoryBudget = 1; // any insert beyond the first is over budget
-    TraceRepository repo(opt);
-
-    TracePin pin = repo.pin("xlisp");
-    ASSERT_TRUE(pin.buffer() != nullptr);
-    const trace::TraceBuffer *pinned = pin.buffer().get();
-
-    repo.get("matrix300"); // would evict everything unpinned
-    EXPECT_EQ(repo.get("xlisp").get(), pinned)
-        << "pinned capture was evicted and re-captured";
-
-    repo.clear(); // also refuses to touch pinned entries
-    EXPECT_EQ(repo.get("xlisp").get(), pinned);
-
-    pin.release();
-    repo.get("matrix300"); // now the unpinned xlisp entry may go
-    EXPECT_EQ(repo.cachedInputs(), 1u);
-}
-
-TEST(TraceRepository, SchedulerCompletesCorrectlyUnderMaximalEviction)
-{
-    // A one-byte budget makes every new capture evict the previous one.
-    // Group pins keep each fused pass's trace resident while it runs, so
-    // all cells still complete and match an unbounded run byte for byte.
-    std::vector<SweepJob> jobs = gridJobs(
-        {"xlisp", "matrix300"},
-        {core::AnalysisConfig::windowed(16),
-         core::AnalysisConfig::windowed(64)});
-
-    TraceRepository unbounded(smallScale());
-    SweepResult reference = SweepEngine().runJobs(unbounded, jobs);
-
-    TraceRepository::Options opt = smallScale();
-    opt.memoryBudget = 1;
-    TraceRepository repo(opt);
-    SweepScheduler::Options schedOpt;
-    schedOpt.jobs = 2;
-    schedOpt.groupSize = 2;
-    SweepScheduler scheduler(repo, schedOpt);
-    auto batch = scheduler.submit(jobs);
-    batch->wait();
-
-    SweepJsonOptions json;
-    json.timing = false;
-    for (size_t i = 0; i < jobs.size(); ++i) {
-        SCOPED_TRACE(jobs[i].input + " / " + jobs[i].configLabel);
-        EXPECT_EQ(cellToJson(batch->cells()[i], json),
-                  cellToJson(reference.cells[i], json));
-    }
-}
-
-TEST(TraceRepository, PinsHoldCapturedFilesUnderMaximalEviction)
-{
-    // The maximal-eviction run above on inputs the scheduler captures and
-    // pins (`.ptrc` files read without streaming): every group's capture
-    // evicts the other's, and each cell still matches an unbounded run.
-    std::vector<std::string> paths = {
-        capturedTraceFile("evict_a.ptrc"),
-        capturedTraceFile("evict_b.ptrc", "matrix300")};
-    std::vector<SweepJob> jobs =
-        gridJobs(paths, {core::AnalysisConfig::windowed(16),
-                         core::AnalysisConfig::windowed(64)});
-
-    TraceRepository unbounded(smallScale());
-    SweepResult reference = SweepEngine().runJobs(unbounded, jobs);
-
-    TraceRepository::Options opt = smallScale();
-    opt.memoryBudget = 1;
-    TraceRepository repo(opt);
-    SweepScheduler::Options schedOpt;
-    schedOpt.jobs = 2;
-    schedOpt.groupSize = 2;
-    SweepScheduler scheduler(repo, schedOpt);
-    auto batch = scheduler.submit(jobs);
-    batch->wait();
-    EXPECT_LE(repo.cachedInputs(), 1u);
-
-    SweepJsonOptions json;
-    json.timing = false;
-    for (size_t i = 0; i < jobs.size(); ++i) {
-        SCOPED_TRACE(jobs[i].input + " / " + jobs[i].configLabel);
-        EXPECT_EQ(batch->cells()[i].status, SweepCell::Status::Ok);
-        EXPECT_EQ(cellToJson(batch->cells()[i], json),
-                  cellToJson(reference.cells[i], json));
-    }
-    for (const std::string &path : paths)
-        std::filesystem::remove(path);
-}
-
-TEST(TraceRepository, TraceCrcIsRememberedPastEviction)
-{
-    // A `.ptrc` read without streaming is captured to be checksummed.
-    std::string path = capturedTraceFile("crc_past_eviction.ptrc");
-    TraceRepository repo(smallScale());
-    uint32_t crc = repo.traceCrc(path);
-    EXPECT_EQ(repo.cachedInputs(), 1u);
-
-    repo.release(path);
-    EXPECT_EQ(repo.cachedInputs(), 0u);
-    // The content identity is remembered per spec: no re-capture needed.
-    EXPECT_EQ(repo.traceCrc(path), crc);
-    EXPECT_EQ(repo.cachedInputs(), 0u);
-
-    // And a genuine re-capture lands on the same identity.
-    repo.get(path);
-    EXPECT_EQ(repo.traceCrc(path), crc);
-    std::filesystem::remove(path);
 }

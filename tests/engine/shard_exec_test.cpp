@@ -2,9 +2,9 @@
 // render the byte-identical JSON document of the unsharded run for EVERY
 // config — the splice/replay equivalence proved record-by-record in
 // tests/core/shard_test.cpp, here end-to-end through TraceRepository, the
-// sweep scheduler, and the JSON writer, in each input mode: a captured
-// buffer and a pooled `.ptrc` stream shard over their record blocks, and a
-// streamed `.ptrz` (no block index) runs unsharded with the same document.
+// sweep scheduler, and the JSON writer, in each input mode: a `.ptrc`
+// shards over its pool's mapped blocks, and a `.ptrz` (no block index) runs
+// unsharded, each with the document of a serial analysis of its capture.
 // Plus the CLI surface: --shard / --stats argument parsing and the --stats
 // timing fields.
 #include <gtest/gtest.h>
@@ -24,6 +24,7 @@
 #include "trace/file_io.hpp"
 
 #include "../core/trace_helpers.hpp"
+#include "serial_reference.hpp"
 
 using namespace paragraph;
 using namespace paragraph::engine;
@@ -31,17 +32,15 @@ using namespace paragraph::engine;
 namespace {
 
 /** How a sweep reads the fixture's trace. */
-enum class InputMode { Captured, PooledPtrc, StreamedPtrz };
+enum class InputMode { PooledPtrc, StreamedPtrz };
 
-const InputMode kInputModes[] = {InputMode::Captured, InputMode::PooledPtrc,
+const InputMode kInputModes[] = {InputMode::PooledPtrc,
                                  InputMode::StreamedPtrz};
 
 const char *
 modeName(InputMode mode)
 {
     switch (mode) {
-      case InputMode::Captured:
-        return "captured .ptrc";
       case InputMode::PooledPtrc:
         return "pooled .ptrc stream";
       case InputMode::StreamedPtrz:
@@ -85,6 +84,12 @@ class ShardExec : public ::testing::Test
         std::remove(ptrz_.c_str());
     }
 
+    const std::string &
+    input(InputMode mode) const
+    {
+        return mode == InputMode::StreamedPtrz ? ptrz_ : path_;
+    }
+
     /** One sweep over the file in @p mode; returns its no-timing
      *  document. */
     std::string
@@ -92,17 +97,13 @@ class ShardExec : public ::testing::Test
              const std::vector<core::AnalysisConfig> &cfgs,
              SweepResult *outResult = nullptr)
     {
-        TraceRepository::Options repoOpt;
-        repoOpt.streamFiles = mode != InputMode::Captured;
-        TraceRepository repo(repoOpt);
-
+        TraceRepository repo;
         SweepEngine::Options opt;
         opt.jobs = 1;
         opt.groupSize = 1;
         opt.shards = shards;
         SweepEngine sweeper(opt);
-        SweepResult result = sweeper.run(
-            repo, {mode == InputMode::StreamedPtrz ? ptrz_ : path_}, cfgs);
+        SweepResult result = sweeper.run(repo, {input(mode)}, cfgs);
 
         SweepJsonOptions json;
         json.timing = false;
@@ -110,6 +111,14 @@ class ShardExec : public ::testing::Test
         if (outResult)
             *outResult = std::move(result);
         return doc;
+    }
+
+    /** The serial analysis of the file's capture in @p mode. */
+    std::string
+    serialDoc(InputMode mode, const std::vector<core::AnalysisConfig> &cfgs)
+    {
+        TraceRepository repo;
+        return testhelpers::serialSweepDoc(repo, {input(mode)}, cfgs);
     }
 };
 
@@ -140,6 +149,7 @@ TEST_F(ShardExec, ShardedSweepIsByteIdenticalToSolo)
         SweepResult sharded;
         std::string solo = runSweep(mode, 1, cfgs);
         std::string split = runSweep(mode, 4, cfgs, &sharded);
+        EXPECT_EQ(solo, serialDoc(mode, cfgs));
         EXPECT_EQ(solo, split);
 
         ASSERT_EQ(sharded.cells.size(), cfgs.size());
@@ -150,7 +160,7 @@ TEST_F(ShardExec, ShardedSweepIsByteIdenticalToSolo)
         // And the sharded run really did shard: a 1%-syscall 20K trace has
         // hundreds of firewall candidates, so every cell splits — and
         // every config here stalls under perfect prediction, so every
-        // segment takes the firewall fast path, captured or pooled.
+        // segment takes the firewall fast path.
         for (const SweepCell &cell : sharded.cells) {
             EXPECT_TRUE(cell.ok()) << cell.errorMessage;
             EXPECT_GE(cell.shardSegments, 2u);
@@ -181,6 +191,7 @@ TEST_F(ShardExec, FormerlyGatedConfigsShardByteIdentically)
         SweepResult sharded;
         std::string solo = runSweep(mode, 1, cfgs);
         std::string split = runSweep(mode, 4, cfgs, &sharded);
+        EXPECT_EQ(solo, serialDoc(mode, cfgs));
         EXPECT_EQ(solo, split);
         ASSERT_EQ(sharded.cells.size(), cfgs.size());
         if (mode == InputMode::StreamedPtrz) {
@@ -210,6 +221,7 @@ TEST_F(ShardExec, MoreShardsThanSegmentsClampAndStayExact)
         SweepResult sharded;
         std::string solo = runSweep(mode, 1, cfgs);
         std::string split = runSweep(mode, 64, cfgs, &sharded);
+        EXPECT_EQ(solo, serialDoc(mode, cfgs));
         EXPECT_EQ(solo, split);
         if (mode == InputMode::StreamedPtrz) {
             expectUnsharded(sharded);
@@ -230,15 +242,12 @@ TEST_F(ShardExec, StatsEmitDecodeAnalyzeSplitAndSegments)
 
     for (InputMode mode : kInputModes) {
         SCOPED_TRACE(modeName(mode));
-        TraceRepository::Options repoOpt;
-        repoOpt.streamFiles = mode != InputMode::Captured;
-        TraceRepository repo(repoOpt);
+        TraceRepository repo;
         SweepEngine::Options opt;
         opt.jobs = 1;
         opt.shards = 2;
         SweepEngine sweeper(opt);
-        SweepResult result = sweeper.run(
-            repo, {mode == InputMode::StreamedPtrz ? ptrz_ : path_}, cfgs);
+        SweepResult result = sweeper.run(repo, {input(mode)}, cfgs);
 
         // Only waits on the cell's wall-clock path count as decode, so a
         // sharded cell never reports more decode time than wall time.

@@ -165,7 +165,8 @@ TEST(SimulatedInput, ConcurrentFirstTouchCompilesOnce)
 
 TEST(SimulatedInput, StreamingTraceCrcEqualsTheCaptureCrc)
 {
-    // Every input that is not captured is keyed by one streaming pass; the
+    // No input is captured to be keyed: an uncapped `.ptrc` takes its
+    // header's payload CRC, and any other input one streaming pass. The
     // key must equal the CRC of the capture, or a result store written by
     // a capturing daemon would stop hitting.
     const std::string mc = writeText(tempPath(".mc"), kProgram);
@@ -175,11 +176,11 @@ TEST(SimulatedInput, StreamingTraceCrcEqualsTheCaptureCrc)
     const std::string ptrz = tempPath(".ptrz");
     {
         TraceRepository writer(smallScale());
-        trace::SharedBufferSource a(writer.get("cc1"), "cc1");
+        trace::BufferSource a(*writer.get("cc1"), "cc1");
         trace::TraceFileWriter raw(ptrc);
         raw.writeAll(a);
         raw.close();
-        trace::SharedBufferSource b(writer.get("cc1"), "cc1");
+        trace::BufferSource b(*writer.get("cc1"), "cc1");
         trace::CompressedTraceWriter packed(ptrz);
         packed.writeAll(b);
         packed.close();
@@ -189,16 +190,13 @@ TEST(SimulatedInput, StreamingTraceCrcEqualsTheCaptureCrc)
     {
         std::string spec;
         uint64_t maxRecords;
-        bool streamFiles;
     };
-    for (const Case &c : {Case{"xlisp", 0, false}, Case{"xlisp", 5000, false},
-                          Case{mc, 0, false}, Case{s, 0, false},
-                          Case{ptrc, 0, true}, Case{ptrz, 0, true},
-                          Case{ptrc, 7000, true}}) {
+    for (const Case &c : {Case{"xlisp", 0}, Case{"xlisp", 5000}, Case{mc, 0},
+                          Case{s, 0}, Case{ptrc, 0}, Case{ptrz, 0},
+                          Case{ptrc, 7000}}) {
         SCOPED_TRACE(c.spec + " max=" + std::to_string(c.maxRecords));
         TraceRepository::Options opt = smallScale();
         opt.maxRecords = c.maxRecords;
-        opt.streamFiles = c.streamFiles;
         TraceRepository repo(opt);
         uint32_t streamed = repo.traceCrc(c.spec);
         EXPECT_EQ(repo.cachedInputs(), 0u);
@@ -216,17 +214,38 @@ TEST(SimulatedInput, StreamingTraceCrcEqualsTheCaptureCrc)
 
 TEST(SimulatedInput, SweepLeavesNoCapture)
 {
+    // Simulated inputs, a `.ptrc` and a `.ptrz` each stream into every
+    // pass: a sweep over any of them leaves nothing captured.
     const std::string mc = writeText(tempPath(".mc"), kProgram);
-    TraceRepository repo(smallScale());
-    SweepEngine::Options opt;
-    opt.jobs = 3;
-    SweepResult result = SweepEngine(opt).run(
-        repo, {"xlisp", "matrix300", mc}, fourConfigs());
-    for (const SweepCell &cell : result.cells)
-        EXPECT_TRUE(cell.ok()) << cell.errorMessage;
-    EXPECT_EQ(repo.cachedInputs(), 0u);
-    EXPECT_EQ(repo.cachedBytes(), 0u);
-    fs::remove(mc);
+    const std::string ptrc = tempPath(".ptrc");
+    const std::string ptrz = tempPath(".ptrz");
+    {
+        TraceRepository writer(smallScale());
+        trace::BufferSource a(*writer.get("cc1"), "cc1");
+        trace::TraceFileWriter raw(ptrc);
+        raw.writeAll(a);
+        raw.close();
+        trace::BufferSource b(*writer.get("cc1"), "cc1");
+        trace::CompressedTraceWriter packed(ptrz);
+        packed.writeAll(b);
+        packed.close();
+    }
+    const std::vector<std::string> sweeps[] = {
+        {"xlisp", "matrix300", mc}, {ptrc}, {ptrz}};
+    for (const std::vector<std::string> &inputs : sweeps) {
+        SCOPED_TRACE(inputs.front());
+        TraceRepository repo(smallScale());
+        SweepEngine::Options opt;
+        opt.jobs = 3;
+        SweepResult result =
+            SweepEngine(opt).run(repo, inputs, fourConfigs());
+        for (const SweepCell &cell : result.cells)
+            EXPECT_TRUE(cell.ok()) << cell.errorMessage;
+        EXPECT_EQ(repo.cachedInputs(), 0u);
+        EXPECT_EQ(repo.cachedBytes(), 0u);
+    }
+    for (const std::string &path : {mc, ptrc, ptrz})
+        fs::remove(path);
 }
 
 TEST(SimulatedInput, ShardedCellsRunSoloAndIdentical)

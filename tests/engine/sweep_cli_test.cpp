@@ -79,6 +79,21 @@ TEST(SweepCli, JobCountDoesNotChangeTheDocument)
               std::string::npos);
 }
 
+TEST(SweepCli, StreamFlagIsAcceptedAndChangesNothing)
+{
+    // Every trace file streams; `--stream` stays accepted for old command
+    // lines, with the same document.
+    const std::string grid = "--inputs=" + std::string(PARAGRAPH_GOLDEN_DIR) +
+                             "/xlisp-800.ptrc --windows=16,0 --quiet "
+                             "--no-timing";
+    CliResult plain = runSweep(grid);
+    CliResult streamed = runSweep(grid + " --stream");
+    EXPECT_EQ(plain.status, 0);
+    EXPECT_EQ(streamed.status, 0);
+    EXPECT_EQ(streamed.output, plain.output);
+    EXPECT_NE(plain.output.find("\"cells_total\": 2"), std::string::npos);
+}
+
 TEST(SweepCli, StatsCountTheFusedGroupsAGroupCapAllows)
 {
     // --group=N caps each worker's share of the grid instead of filling a

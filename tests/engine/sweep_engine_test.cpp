@@ -1,6 +1,6 @@
-// Tests for the parallel sweep engine: shared trace capture
-// (engine::TraceRepository), the threaded grid runner (engine::SweepEngine),
-// and the stable JSON writer (engine::sweep_json).
+// Tests for the parallel sweep engine: its inputs (engine::TraceRepository),
+// the threaded grid runner (engine::SweepEngine), and the stable JSON writer
+// (engine::sweep_json).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +14,8 @@
 #include "support/panic.hpp"
 #include "trace/compressed_io.hpp"
 #include "trace/file_io.hpp"
+
+#include "serial_reference.hpp"
 
 using namespace paragraph;
 using namespace paragraph::engine;
@@ -76,11 +78,7 @@ TEST(TraceRepository, CapturesOnceAndShares)
     EXPECT_EQ(first.get(), second.get()); // same capture, not a re-run
     EXPECT_EQ(repo.cachedInputs(), 1u);
     EXPECT_GT(first->size(), 0u);
-
-    repo.release("xlisp");
-    EXPECT_EQ(repo.cachedInputs(), 0u);
-    // The released capture stays alive through our shared_ptr.
-    EXPECT_GT(first->size(), 0u);
+    EXPECT_EQ(repo.cachedBytes(), first->size() * sizeof(trace::TraceRecord));
 }
 
 TEST(TraceRepository, SourcesReplayTheSharedCapture)
@@ -118,7 +116,7 @@ TEST(TraceRepository, OpensTraceFilesByExtension)
     auto live = repo.get("xlisp");
     {
         trace::CompressedTraceWriter writer(path);
-        trace::SharedBufferSource src(live, "xlisp");
+        trace::BufferSource src(*live, "xlisp");
         writer.writeAll(src);
         writer.close();
     }
@@ -137,9 +135,9 @@ TEST(TraceRepository, UnknownInputThrows)
 
 TEST(TraceRepository, StreamingSourcesMatchTheCaptureWithoutCaching)
 {
-    // streamFiles serves trace files by re-opening them per source: the
-    // records (and the maxRecords cap) must match a capture exactly, but
-    // nothing is held in the cache.
+    // A trace file is re-opened per source: the records (and the
+    // maxRecords cap) must match a capture exactly, but nothing is held in
+    // the cache.
     namespace fs = std::filesystem;
     std::string path =
         (fs::temp_directory_path() / "repo_stream.ptrz").string();
@@ -148,17 +146,16 @@ TEST(TraceRepository, StreamingSourcesMatchTheCaptureWithoutCaching)
     auto live = capRepo.get("xlisp");
     {
         trace::CompressedTraceWriter writer(path);
-        trace::SharedBufferSource src(live, "xlisp");
+        trace::BufferSource src(*live, "xlisp");
         writer.writeAll(src);
         writer.close();
     }
 
     TraceRepository::Options opt = smallScale();
     opt.maxRecords = 150;
-    opt.streamFiles = true;
     TraceRepository streamRepo(opt);
-    EXPECT_TRUE(streamRepo.streamingInput(path));
-    EXPECT_FALSE(streamRepo.streamingInput("xlisp"));
+    EXPECT_FALSE(streamRepo.simulatedInput(path));
+    EXPECT_TRUE(streamRepo.simulatedInput("xlisp"));
 
     auto src = streamRepo.makeSource(path);
     trace::TraceRecord rec;
@@ -177,13 +174,13 @@ TEST(TraceRepository, StreamingSourcesMatchTheCaptureWithoutCaching)
 TEST(SweepEngine, StreamingSweepJsonMatchesCapturedSweep)
 {
     // A streamed trace-file sweep — solo or fused — must serialize to the
-    // same document as the captured sweep of the same file.
+    // same document as a serial analysis of the file's capture.
     namespace fs = std::filesystem;
     std::string path =
         (fs::temp_directory_path() / "sweep_stream.ptrz").string();
     {
         TraceRepository seed(smallScale());
-        trace::SharedBufferSource src(seed.get("xlisp"), "xlisp");
+        trace::BufferSource src(*seed.get("xlisp"), "xlisp");
         trace::CompressedTraceWriter writer(path);
         writer.writeAll(src);
         writer.close();
@@ -201,15 +198,11 @@ TEST(SweepEngine, StreamingSweepJsonMatchesCapturedSweep)
     TraceRepository::Options capOpt = smallScale();
     capOpt.maxRecords = 1500;
     TraceRepository capRepo(capOpt);
-    SweepEngine::Options soloOpt;
-    soloOpt.jobs = 2;
-    std::string captured = sweepToJson(
-        SweepEngine(soloOpt).run(capRepo, {path}, configs), json);
+    const std::string captured =
+        testhelpers::serialSweepDoc(capRepo, {path}, configs);
 
     for (unsigned group : {1u, 4u}) {
-        TraceRepository::Options streamOpt = capOpt;
-        streamOpt.streamFiles = true;
-        TraceRepository streamRepo(streamOpt);
+        TraceRepository streamRepo(capOpt);
         SweepEngine::Options opt;
         opt.jobs = 2;
         opt.groupSize = group;
@@ -232,7 +225,7 @@ TEST(SweepEngine, AutoGroupGivesStreamedPtrzOnePassPerWorker)
         (fs::temp_directory_path() / "sweep_autogroup.ptrz").string();
     {
         TraceRepository seed(smallScale());
-        trace::SharedBufferSource src(seed.get("xlisp"), "xlisp");
+        trace::BufferSource src(*seed.get("xlisp"), "xlisp");
         trace::CompressedTraceWriter writer(path);
         writer.writeAll(src);
         writer.close();
@@ -249,16 +242,12 @@ TEST(SweepEngine, AutoGroupGivesStreamedPtrzOnePassPerWorker)
     TraceRepository::Options capOpt = smallScale();
     capOpt.maxRecords = 1500;
     TraceRepository capRepo(capOpt);
-    SweepEngine::Options soloOpt;
-    soloOpt.jobs = 2;
-    std::string captured = sweepToJson(
-        SweepEngine(soloOpt).run(capRepo, {path}, configs), json);
+    const std::string captured =
+        testhelpers::serialSweepDoc(capRepo, {path}, configs);
 
-    TraceRepository::Options streamOpt = capOpt;
-    streamOpt.streamFiles = true;
     for (unsigned jobs : {8u, 4u}) {
         SCOPED_TRACE(jobs);
-        TraceRepository streamRepo(streamOpt);
+        TraceRepository streamRepo(capOpt);
         SweepEngine::Options opt;
         opt.jobs = jobs;
         opt.groupSize = 0; // auto: ceil(8 / jobs) configs per pass
@@ -271,8 +260,8 @@ TEST(SweepEngine, AutoGroupGivesStreamedPtrzOnePassPerWorker)
 
 TEST(SweepEngine, AutoGroupKeepsWorkerSharesOnCapturedInputs)
 {
-    // Captured inputs share the repository cache: the auto target is one
-    // pass per worker's share.
+    // The auto target is one pass per worker's share, and the document is
+    // the serial analysis of the input's capture however many passes run.
     std::vector<core::AnalysisConfig> configs;
     for (uint64_t w : {16u, 32u, 64u, 128u, 256u, 512u, 1024u, 0u}) {
         configs.push_back(w ? core::AnalysisConfig::windowed(w)
@@ -284,16 +273,20 @@ TEST(SweepEngine, AutoGroupKeepsWorkerSharesOnCapturedInputs)
     opt.groupSize = 0; // auto: ceil(8 / 8) = 1 config per pass
     SweepResult sweep = SweepEngine(opt).run(repo, {"xlisp"}, configs);
     EXPECT_EQ(sweep.fusedGroups, configs.size());
+    SweepJsonOptions json;
+    json.timing = false;
+    EXPECT_EQ(sweepToJson(sweep, json),
+              testhelpers::serialSweepDoc(repo, {"xlisp"}, configs));
 }
 
 TEST(SweepEngine, EverySourceJobsAndGroupRenderOneDocument)
 {
-    // One 8-config grid over a `.ptrc` and a `.ptrz` of the same records,
-    // each captured and streamed (the `.ptrc` in place from its mapping,
-    // the `.ptrz` decoded inline by each pass), at 1 and 4 workers and
-    // --group=1, 2, 0 (auto) and 8, renders its file's captured solo
-    // document every time. The passes depend on the batch and the cap
-    // only: --group=8 above a 4-worker share of 2 runs 4 passes of 2.
+    // One 8-config grid over a `.ptrc` and a `.ptrz` of the same records
+    // (the `.ptrc` read in place from its mapping, the `.ptrz` decoded
+    // inline by each pass), at 1 and 4 workers and --group=1, 2, 0 (auto)
+    // and 8, renders the serial analysis of its file's capture every time.
+    // The passes depend on the batch and the cap only: --group=8 above a
+    // 4-worker share of 2 runs 4 passes of 2.
     namespace fs = std::filesystem;
     const std::string ptrc =
         (fs::temp_directory_path() / "sweep_every_source.ptrc").string();
@@ -301,11 +294,11 @@ TEST(SweepEngine, EverySourceJobsAndGroupRenderOneDocument)
         (fs::temp_directory_path() / "sweep_every_source.ptrz").string();
     {
         TraceRepository seed(smallScale());
-        trace::SharedBufferSource src(seed.get("xlisp"), "xlisp");
+        trace::BufferSource src(*seed.get("xlisp"), "xlisp");
         trace::TraceFileWriter writer(ptrc);
         writer.writeAll(src);
         writer.close();
-        trace::SharedBufferSource again(seed.get("xlisp"), "xlisp");
+        trace::BufferSource again(*seed.get("xlisp"), "xlisp");
         trace::CompressedTraceWriter zwriter(ptrz);
         zwriter.writeAll(again);
         zwriter.close();
@@ -333,26 +326,19 @@ TEST(SweepEngine, EverySourceJobsAndGroupRenderOneDocument)
                 {4, 1, 8}, {4, 2, 4}, {4, 0, 4}, {4, 8, 4}};
     for (const std::string &path : {ptrc, ptrz}) {
         TraceRepository refRepo(capOpt);
-        SweepEngine::Options soloOpt;
-        soloOpt.jobs = 1;
-        const std::string reference = sweepToJson(
-            SweepEngine(soloOpt).run(refRepo, {path}, configs), json);
-        for (bool stream : {false, true}) {
-            for (const auto &run : runs) {
-                SCOPED_TRACE(path + (stream ? " streamed" : " captured") +
-                             " jobs=" + std::to_string(run.jobs) +
-                             " group=" + std::to_string(run.group));
-                TraceRepository::Options ro = capOpt;
-                ro.streamFiles = stream;
-                TraceRepository repo(ro);
-                SweepEngine::Options opt;
-                opt.jobs = run.jobs;
-                opt.groupSize = run.group;
-                SweepResult sweep =
-                    SweepEngine(opt).run(repo, {path}, configs);
-                EXPECT_EQ(sweep.fusedGroups, run.passes);
-                EXPECT_EQ(sweepToJson(sweep, json), reference);
-            }
+        const std::string reference =
+            testhelpers::serialSweepDoc(refRepo, {path}, configs);
+        for (const auto &run : runs) {
+            SCOPED_TRACE(path + " jobs=" + std::to_string(run.jobs) +
+                         " group=" + std::to_string(run.group));
+            TraceRepository repo(capOpt);
+            SweepEngine::Options opt;
+            opt.jobs = run.jobs;
+            opt.groupSize = run.group;
+            SweepResult sweep = SweepEngine(opt).run(repo, {path}, configs);
+            EXPECT_EQ(sweep.fusedGroups, run.passes);
+            EXPECT_EQ(sweepToJson(sweep, json), reference);
+            EXPECT_EQ(repo.cachedInputs(), 0u);
         }
     }
     fs::remove(ptrc);
@@ -380,7 +366,7 @@ TEST(SweepEngine, CellsMatchSoloAnalyzeRunsByteForByte)
 
     for (const SweepCell &cell : sweep.cells) {
         SCOPED_TRACE(cell.job.input + " / " + cell.job.configLabel);
-        trace::SharedBufferSource solo(repo.get(cell.job.input));
+        trace::BufferSource solo(*repo.get(cell.job.input));
         core::AnalysisResult alone =
             core::Paragraph(cell.job.config).analyze(solo);
         expectIdenticalResults(cell.result, alone);

@@ -1049,6 +1049,42 @@ TEST(ServeDaemon, HoldsNoTraceForSimulatedInputs)
     fs::remove(store);
 }
 
+TEST(ServeDaemon, ColdDaemonServesTraceFileHitsHoldingNoTrace)
+{
+    // A restarted daemon keys a `.ptrc` by its header's payload CRC, read
+    // through the file's mapping: a request whose cells all hit copies no
+    // trace into memory.
+    std::string store = tempPath("cold_ptrc.store");
+    fs::remove(store);
+    ServeRequest req = sweepRequest({goldenTrace("matrix300-600.ptrc")},
+                                    {16, 64, 256, 0});
+    std::string coldDocument;
+    {
+        ServeServer::Options opt;
+        opt.storePath = store;
+        Daemon daemon("cold_ptrc1", opt);
+        ServeResponse cold = ask(daemon, req);
+        ASSERT_TRUE(cold.ok()) << cold.error;
+        EXPECT_EQ(cold.cellsComputed, 4u);
+        coldDocument = cold.document;
+    }
+
+    ServeServer::Options opt;
+    opt.storePath = store;
+    Daemon daemon("cold_ptrc2", opt);
+    ServeResponse warm = ask(daemon, req);
+    ASSERT_TRUE(warm.ok()) << warm.error;
+    EXPECT_EQ(warm.cellsCached, 4u);
+    EXPECT_EQ(warm.document, coldDocument);
+    ServeRequest stats;
+    stats.op = ServeRequest::Op::Stats;
+    ServeResponse resp = ask(daemon, stats);
+    ASSERT_TRUE(resp.ok()) << resp.error;
+    EXPECT_EQ(resp.traceCachedInputs, 0u);
+    EXPECT_EQ(resp.traceCachedBytes, 0u);
+    fs::remove(store);
+}
+
 TEST(ServeDaemon, CachedCellsRebindGridCoordinates)
 {
     // A store entry is shared by content address across *different* grids,

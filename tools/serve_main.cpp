@@ -6,7 +6,12 @@
 // completed cell in an append-only JSONL result store keyed by content:
 // (trace CRC-32, canonical-config CRC-32, profiles flag). Any cell ever
 // computed — by any client, before any restart — is served back
-// byte-identically without re-analysis.
+// byte-identically without re-analysis. Trace files stream into each pass
+// as in paragraph-sweep, and no trace is copied into memory: a .ptrc stays
+// mapped for the daemon's lifetime, a .ptrz is decoded by each pass. Each
+// trace file is stat()ed per request and per pass, so one replaced,
+// rewritten, truncated or deleted on disk is keyed and mapped again, and
+// never answered from cells of its old content.
 //
 // Daemon usage:
 //   paragraph-serve --socket=PATH [options]
@@ -21,9 +26,6 @@
 //     --retries=N            extra attempts for ordinarily-failed cells
 //     --deadline=SECONDS     per-attempt cell deadline
 //     --small                serve workload inputs at reduced scale
-//     --trace-budget=BYTES   LRU byte budget for cached trace-file captures
-//                            only, at 48 B per record (simulated inputs
-//                            and mapped decode pools hold none)
 //     --store-budget=BYTES   byte budget for hot result text, counted as
 //                            stored: escaped, ~9% more than the cell text
 //                            (the on-disk store itself is unbounded; cold
@@ -140,7 +142,7 @@ usage()
         "       paragraph-serve --client --socket=PATH [request options]\n"
         "  daemon: --store=FILE  --jobs=N  --group=N (most per pass)\n"
         "          --retries=N\n"
-        "          --deadline=SECONDS  --small  --trace-budget=BYTES\n"
+        "          --deadline=SECONDS  --small\n"
         "          --store-budget=BYTES  --store-sync=none|interval|cell\n"
         "          --store-sync-interval=SECONDS  --store-compact-every=N\n"
         "          --io-timeout=SECONDS  --max-request=BYTES\n"
@@ -222,12 +224,6 @@ parseArgs(int argc, char **argv)
                 opt.server.cellDeadlineSeconds < 0.0) {
                 std::fprintf(stderr,
                              "paragraph-serve: bad --deadline value\n");
-                usage();
-            }
-        } else if (startsWith(arg, "--trace-budget=")) {
-            if (!parseBytes(arg.substr(15), opt.server.traceMemoryBudget)) {
-                std::fprintf(stderr,
-                             "paragraph-serve: bad --trace-budget value\n");
                 usage();
             }
         } else if (startsWith(arg, "--store-budget=")) {

@@ -2,10 +2,11 @@
 //
 // Executes the cross product of the input axis and every config axis as one
 // batch on engine::SweepScheduler's worker pool (engine::SweepEngine), the
-// runner paragraph-serve uses too. A simulated input (workload, .s, .mc)
-// is simulated inside each fused pass; a trace file is captured once into
-// a shared immutable trace buffer, or streamed per pass with --stream
-// (engine::TraceRepository). Each grid cell is one independent
+// runner paragraph-serve uses too. Every input streams into each fused
+// pass (engine::TraceRepository): a simulated input (workload, .s, .mc) is
+// simulated, a .ptrc read in place from its mapping, and a .ptrz decoded
+// inline, by each pass; nothing holds a copy of the trace. Each grid cell
+// is one independent
 // core::Paragraph analysis. Results stream to
 // stdout (or --out=FILE) as one JSON object per cell, in grid order, so the
 // document is identical for any --jobs value (modulo the "timing" fields,
@@ -37,23 +38,20 @@
 //                          that share and never fills past it:
 //                          --group=8 --jobs=4 over 8 configs runs 4 passes
 //                          of 2, so lower --jobs to fuse wider
-//   --stream               stream *.ptrc/*.ptrz inputs per pass instead of
-//                          capturing them in memory; `.ptrc` files are then
-//                          mapped and read in place (each block checked
-//                          once across all workers), fused groups pay one
-//                          `.ptrz` decode for the whole group
-//   --shard=N              split each solo cell (captured or pooled
-//                          .ptrc stream) into up to N trace segments
-//                          analyzed on N threads and patched into the
-//                          exact single-threaded result — how ONE trace x
-//                          ONE config uses more than one core; works for
-//                          every config (firewall cuts under
-//                          --syscalls=stall + perfect prediction,
-//                          validate-or-replay split-and-patch otherwise;
-//                          simulated and .ptrz cells run solo)
+//   --stream               accepted and ignored: every trace file streams
+//                          (a .ptrc is mapped and read in place, each block
+//                          checked once across all workers; each fused
+//                          group pays one .ptrz decode for the whole group)
+//   --shard=N              split each solo cell over a .ptrc into up to N
+//                          trace segments analyzed on N threads and
+//                          patched into the exact single-threaded result
+//                          — how ONE trace x ONE config uses more than
+//                          one core; works for every config (firewall
+//                          cuts under --syscalls=stall + perfect
+//                          prediction, validate-or-replay split-and-patch
+//                          otherwise; simulated and .ptrz cells run solo)
 //   --max=N                analyze at most N instructions per cell
-//                          (also caps each pass's simulation or stream
-//                          and a trace file's capture)
+//                          (also caps each pass's simulation or stream)
 //   --out=FILE             write the JSON document to FILE
 //   --stats                add decode/analyze wall-time split and shard
 //                          segment/splice/replay counts to the "timing"
@@ -157,7 +155,7 @@ usage()
         "          --fus=0,2,8\n"
         "  run:    --jobs=N  --group=N (most per pass, 0=auto)\n"
         "          --shard=N  --max=N\n"
-        "          --small  --stream  --out=FILE\n"
+        "          --small  --out=FILE  (--stream: no-op)\n"
         "          --stats  --no-timing  --no-profiles  --quiet  --list\n"
         "  explore: --explore  --knee-tol=T (0 = exact frontier)\n"
         "  fault:  --retries=N  --deadline=SECONDS\n"
@@ -209,7 +207,6 @@ main(int argc, char **argv)
         repoOpt.scale = opt.small ? workloads::Scale::Small
                                   : workloads::Scale::Full;
         repoOpt.maxRecords = opt.maxInstructions;
-        repoOpt.streamFiles = opt.stream;
         engine::TraceRepository repo(repoOpt);
 
         engine::SweepEngine::Options engineOpt;
