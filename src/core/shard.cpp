@@ -71,39 +71,6 @@ selectShardCuts(const std::vector<size_t> &candidates, size_t n,
 
 } // namespace
 
-TraceBlocks
-TraceBlocks::contiguous(const trace::TraceRecord *records, size_t n)
-{
-    TraceBlocks trace;
-    trace.count = n;
-    trace.block = [records, n, width = trace.blockRecords](size_t b) {
-        Span span;
-        const size_t first = b * width;
-        if (first < n) {
-            span.records = records + first;
-            span.n = std::min(width, n - first);
-        }
-        return span;
-    };
-    return trace;
-}
-
-void
-TraceBlocks::feed(Paragraph &engine, uint64_t begin, uint64_t end) const
-{
-    for (uint64_t pos = begin; pos < end;) {
-        const size_t b = static_cast<size_t>(pos / blockRecords);
-        Span span = block(b);
-        const size_t off = static_cast<size_t>(
-            pos - static_cast<uint64_t>(b) * blockRecords);
-        PARA_ASSERT(off < span.n, "trace block shorter than its index");
-        const size_t len = static_cast<size_t>(
-            std::min<uint64_t>(end - pos, span.n - off));
-        engine.processAll(span.records + off, len);
-        pos += len;
-    }
-}
-
 std::vector<size_t>
 planShardCuts(const trace::TraceRecord *records, size_t n, unsigned shards)
 {
@@ -114,40 +81,22 @@ planShardCuts(const trace::TraceRecord *records, size_t n, unsigned shards)
 }
 
 PatchPlan
-planPatchPlan(const AnalysisConfig &cfg, const TraceBlocks &trace,
-              unsigned shards)
+planPatchPlan(const AnalysisConfig &cfg, const trace::TraceRecord *records,
+              size_t n, unsigned shards)
 {
     PatchPlan plan;
     const bool modeled = cfg.branchPredictor != PredictorKind::Perfect;
-    const uint64_t n = trace.count;
     const bool cutting = shards >= 2 && n >= 2;
-    const bool scanStalls = cutting && cfg.sysCallsStall;
 
-    // One walk over the blocks: the predictor pre-pass, the stall
-    // candidates, and the branch count at each block start (for the
-    // per-segment branch bases below).
+    // The predictor pre-pass and the stall candidates.
     PredictorPrepass pre(cfg);
     std::vector<size_t> candidates;
-    std::vector<uint64_t> blockBranches;
-    if (modeled || scanStalls) {
-        uint64_t pos = 0;
-        for (size_t b = 0; pos < n; ++b) {
-            TraceBlocks::Span span = trace.block(b);
-            if (span.n == 0)
-                break;
-            const size_t use =
-                static_cast<size_t>(std::min<uint64_t>(span.n, n - pos));
-            if (modeled) {
-                blockBranches.push_back(pre.branches());
-                pre.feed(span.records, use);
-            }
-            if (scanStalls) {
-                for (size_t i = 0; i < use && pos + i + 1 < n; ++i) {
-                    if (span.records[i].isSysCall())
-                        candidates.push_back(static_cast<size_t>(pos + i + 1));
-                }
-            }
-            pos += use;
+    if (modeled)
+        pre.feed(records, n);
+    if (cutting && cfg.sysCallsStall) {
+        for (size_t i = 0; i + 1 < n; ++i) {
+            if (records[i].isSysCall())
+                candidates.push_back(i + 1);
         }
     }
 
@@ -164,14 +113,13 @@ planPatchPlan(const AnalysisConfig &cfg, const TraceBlocks &trace,
         }
         plan.naturalCuts = !candidates.empty();
         if (plan.naturalCuts) {
-            plan.cuts = selectShardCuts(candidates, static_cast<size_t>(n),
-                                        shards);
+            plan.cuts = selectShardCuts(candidates, n, shards);
         } else {
             // No natural boundary anywhere: plain equal-spacing cuts. The
             // patch validates every splice and replays on failure, so the
             // cut choice only affects speed, never correctness.
             for (unsigned k = 1; k < shards; ++k) {
-                size_t pos = static_cast<size_t>(n * k / shards);
+                size_t pos = n * k / shards;
                 if (pos > 0 && pos < n)
                     plan.cuts.push_back(pos);
             }
@@ -182,14 +130,13 @@ planPatchPlan(const AnalysisConfig &cfg, const TraceBlocks &trace,
     }
 
     if (modeled) {
+        // Each segment's branch base: the conditional branches before it.
         plan.branchBase.assign(plan.cuts.size() + 1, 0);
+        uint64_t base = 0;
+        size_t pos = 0;
         for (size_t s = 0; s < plan.cuts.size(); ++s) {
-            const size_t b = plan.cuts[s] / trace.blockRecords;
-            const size_t off = plan.cuts[s] - b * trace.blockRecords;
-            TraceBlocks::Span span = trace.block(b);
-            uint64_t base = blockBranches[b];
-            for (size_t i = 0; i < off; ++i)
-                base += span.records[i].isCondBranch();
+            for (; pos < plan.cuts[s]; ++pos)
+                base += records[pos].isCondBranch();
             plan.branchBase[s + 1] = base;
         }
         plan.bits = std::move(pre.bits);
@@ -197,36 +144,20 @@ planPatchPlan(const AnalysisConfig &cfg, const TraceBlocks &trace,
     return plan;
 }
 
-PatchPlan
-planPatchPlan(const AnalysisConfig &cfg, const trace::TraceRecord *records,
-              size_t n, unsigned shards)
-{
-    return planPatchPlan(cfg, TraceBlocks::contiguous(records, n), shards);
-}
-
-void
-runSegment(const AnalysisConfig &cfg, const TraceBlocks &trace,
-           uint64_t begin, uint64_t end, SegmentRun &out,
-           const MispredictBits *bits, uint64_t branch_base)
-{
-    AnalysisConfig seg_cfg = cfg;
-    seg_cfg.maxInstructions = 0; // the caller slices exact spans
-    Paragraph engine(seg_cfg);
-    out.log.reserve(static_cast<size_t>(end - begin));
-    engine.beginSegment(&out.log);
-    if (bits)
-        engine.feedMispredicts(bits->words.data(), branch_base);
-    trace.feed(engine, begin, end);
-    out.result = engine.finish();
-}
-
 void
 runSegment(const AnalysisConfig &cfg, const trace::TraceRecord *records,
            size_t n, SegmentRun &out, const MispredictBits *bits,
            uint64_t branch_base)
 {
-    runSegment(cfg, TraceBlocks::contiguous(records, n), 0, n, out, bits,
-               branch_base);
+    AnalysisConfig seg_cfg = cfg;
+    seg_cfg.maxInstructions = 0; // the caller slices exact spans
+    Paragraph engine(seg_cfg);
+    out.log.reserve(n);
+    engine.beginSegment(&out.log);
+    if (bits)
+        engine.feedMispredicts(bits->words.data(), branch_base);
+    engine.processAll(records, n);
+    out.result = engine.finish();
 }
 
 namespace {

@@ -104,43 +104,12 @@ class PredictorPrepass
     /** Consume @p n records continuing the global trace order. */
     void feed(const trace::TraceRecord *records, size_t n);
 
-    /** Conditional branches seen so far. */
-    uint64_t branches() const { return bits.count; }
-
     MispredictBits bits;
     std::vector<size_t> mispredictCuts; ///< record index after each miss
 
   private:
     BranchPredictor predictor_;
     size_t offset_ = 0;
-};
-
-/**
- * Block-granular random access to one trace: how the planner and the
- * segments read records, whether they sit in one contiguous capture or in
- * a mapped trace file's checked blocks. Block b covers records
- * [b * blockRecords, b * blockRecords + Span::n); every block but the last
- * is full. Only the first `count` records are read.
- */
-struct TraceBlocks
-{
-    /** One block's records. */
-    struct Span
-    {
-        const trace::TraceRecord *records = nullptr;
-        size_t n = 0;
-    };
-
-    uint64_t count = 0;          ///< records to read (a cap may clip)
-    size_t blockRecords = 65536; ///< the fused block-major granule
-    std::function<Span(size_t)> block; ///< called concurrently by segments
-
-    /** @p records[0, n) served as 64K-record slices. */
-    static TraceBlocks contiguous(const trace::TraceRecord *records,
-                                  size_t n);
-
-    /** processAll() records [begin, end) into @p engine, block by block. */
-    void feed(Paragraph &engine, uint64_t begin, uint64_t end) const;
 };
 
 /**
@@ -168,20 +137,15 @@ struct PatchPlan
 };
 
 /**
- * Plan up to @p shards segments over @p trace under @p cfg, in one walk
- * over its blocks. Cut candidates are the positions immediately after
- * stalling syscalls (when the config stalls) and after mispredicted
- * branches (modeled predictors, discovered by the pre-pass run here); with
- * no candidates at all the plan falls back to plain equal-spacing cuts —
- * the patch validates every splice and replays on failure, so correctness
- * never depends on the cut choice, only speed does. Each segment's branch
- * base costs one partial re-read of the block its cut falls in. Returns an
- * empty-cut plan when shards < 2 or the trace has fewer than 2 records.
+ * Plan up to @p shards segments over @p records[0, n) under @p cfg. Cut
+ * candidates are the positions immediately after stalling syscalls (when
+ * the config stalls) and after mispredicted branches (modeled predictors,
+ * discovered by the pre-pass run here); with no candidates at all the plan
+ * falls back to plain equal-spacing cuts — the patch validates every
+ * splice and replays on failure, so correctness never depends on the cut
+ * choice, only speed does. Returns an empty-cut plan when shards < 2 or
+ * the trace has fewer than 2 records.
  */
-PatchPlan planPatchPlan(const AnalysisConfig &cfg, const TraceBlocks &trace,
-                        unsigned shards);
-
-/** planPatchPlan() over contiguous @p records[0, n). */
 PatchPlan planPatchPlan(const AnalysisConfig &cfg,
                         const trace::TraceRecord *records, size_t n,
                         unsigned shards);
@@ -205,19 +169,13 @@ struct SegmentRun
 };
 
 /**
- * Analyze records [@p begin, @p end) of @p trace as one shard segment under
- * @p cfg (segment instruction caps are ignored: the caller slices exact
- * spans). Runs on the calling thread; segments are independent, so callers
- * parallelize by invoking this from one thread per segment. For modeled
- * predictors pass the plan's bitvector and the segment's branchBase so the
- * segment consumes the precomputed, cut-invariant outcomes.
+ * Analyze @p records[0, n) as one shard segment under @p cfg (segment
+ * instruction caps are ignored: the caller slices exact spans). Runs on
+ * the calling thread; segments are independent, so callers parallelize by
+ * invoking this from one thread per segment. For modeled predictors pass
+ * the plan's bitvector and the segment's branchBase so the segment
+ * consumes the precomputed, cut-invariant outcomes.
  */
-void runSegment(const AnalysisConfig &cfg, const TraceBlocks &trace,
-                uint64_t begin, uint64_t end, SegmentRun &out,
-                const MispredictBits *bits = nullptr,
-                uint64_t branch_base = 0);
-
-/** runSegment() over contiguous @p records[0, n). */
 void runSegment(const AnalysisConfig &cfg, const trace::TraceRecord *records,
                 size_t n, SegmentRun &out,
                 const MispredictBits *bits = nullptr,

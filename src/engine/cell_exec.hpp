@@ -10,11 +10,8 @@
  * rule (an engine that throws mid-group re-runs its cell solo without
  * consuming an attempt; a group-level input error demotes every member).
  * A solo attempt runs the same guarded fused pass a group runs, over one
- * config — or, with Options::shards > 1, the split-and-patch path over a
- * `.ptrc` input's mapped pool blocks (a simulated input or a `.ptrz` has
- * no random access and stays on the fused pass). Keeping all of it in one
- * place is what makes a daemon-served cell byte-identical to the same cell
- * from a paragraph-sweep run.
+ * config. Keeping all of it in one place is what makes a daemon-served
+ * cell byte-identical to the same cell from a paragraph-sweep run.
  */
 
 #ifndef PARAGRAPH_ENGINE_CELL_EXEC_HPP

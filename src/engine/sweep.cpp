@@ -170,8 +170,7 @@ SweepEngine::runJobs(TraceRepository &repo, std::vector<SweepJob> jobs) const
     };
 
     // The pending cells run as one batch on a scheduler of their own: it
-    // forms the fused groups (auto-sized for --group=0) and shards solo
-    // cells.
+    // forms the fused groups (auto-sized for --group=0).
     if (!pending.empty()) {
         SweepScheduler::Options so = opt_;
         so.jobs =

@@ -105,21 +105,10 @@ struct SweepCell
 
     /** Of which, seconds spent waiting for trace records: on the
      *  simulator or the `.ptrz` decode (a pass runs either inline, on its
-     *  own worker), or on a `.ptrc` decode pool's block checks
-     *  (cumulative across shard threads; near zero when the pool checked
-     *  every block in its payload checksum pass, which
-     *  SweepResult::captureSeconds times). */
+     *  own worker), or on a `.ptrc` decode pool's block checks (near zero
+     *  when the pool checked every block in its payload checksum pass,
+     *  which SweepResult::captureSeconds times). */
     double decodeSeconds = 0.0;
-
-    /** Split-and-patch shard segments this cell ran as (0 = unsharded). */
-    unsigned shardSegments = 0;
-
-    /** Of the shard segments, how many the patch merged with the
-     *  O(boundary episodes) splice vs replayed sequentially
-     *  (core/shard.hpp validate-or-replay). Spliced + replayed ==
-     *  shardSegments when the cell was sharded. */
-    unsigned shardSpliced = 0;
-    unsigned shardReplayed = 0;
 
     /** Analysis throughput of this cell, in million instructions/sec. */
     double minstrPerSec = 0.0;
@@ -215,12 +204,9 @@ struct SchedulerOptions
      *  deadline. */
     double cellDeadlineSeconds = 0.0;
 
-    /** Split each solo cell's trace into up to this many segments analyzed
-     *  on that many threads and patched into the exact solo result
-     *  (core/shard.hpp split-and-patch): how ONE trace × ONE config uses
-     *  more than one core. Applies to every config over a `.ptrc`'s pool
-     *  blocks; a simulated input or a `.ptrz` has no random access, and
-     *  its cells run unsharded; 1 = off. */
+    /** Ignored: every cell runs the one fused pass. Split-and-patch
+     *  sharding measured slower than that pass on the one shape it served
+     *  (DESIGN §3.4); the field stays for callers built against it. */
     unsigned shards = 1;
 };
 

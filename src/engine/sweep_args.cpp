@@ -117,6 +117,7 @@ parseSweepArgs(const std::vector<std::string> &args, SweepArgs &opt,
             opt.group = static_cast<unsigned>(n);
         } else if (startsWith(arg, "--shard=") &&
                    parseInt(arg.substr(8), n) && n > 0) {
+            // Accepted for old command lines: every cell runs one pass.
             opt.shards = static_cast<unsigned>(n);
         } else if (startsWith(arg, "--max=") && parseInt(arg.substr(6), n) &&
                    n >= 0) {

@@ -35,7 +35,8 @@ struct SweepArgs
     uint64_t maxInstructions = 0;
     unsigned jobs = 0;
     unsigned group = 0;  // 0 = auto (one fused pass per worker share)
-    unsigned shards = 1; // split-and-patch segments per solo cell
+    unsigned shards = 1; // --shard=N as given; no cell reads it, kept for
+                         // callers built against it
     unsigned retries = 0;
     double deadlineSeconds = 0.0;
     bool small = false;

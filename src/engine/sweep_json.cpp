@@ -261,14 +261,9 @@ writeCell(JsonDocOut &doc, const SweepCell &cell, const SweepJsonOptions &opt)
         os << "      \"timing\": {\"wall_seconds\": " << cell.wallSeconds
            << ", \"minstr_per_sec\": " << cell.minstrPerSec;
         if (opt.stats) {
-            double analyze = cell.wallSeconds - cell.decodeSeconds;
-            if (analyze < 0.0) // shard threads decode concurrently
-                analyze = 0.0;
             os << ",\n        \"decode_seconds\": " << cell.decodeSeconds
-               << ", \"analyze_seconds\": " << analyze
-               << ", \"shard_segments\": " << cell.shardSegments
-               << ", \"shard_spliced\": " << cell.shardSpliced
-               << ", \"shard_replayed\": " << cell.shardReplayed;
+               << ", \"analyze_seconds\": "
+               << std::max(0.0, cell.wallSeconds - cell.decodeSeconds);
         }
         os << "}";
     }

@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include "casm/assembler.hpp"
 #include "minic/compiler.hpp"
@@ -106,21 +107,30 @@ TraceRepository::programsBuilt() const
 std::shared_ptr<trace::SharedDecodePool>
 TraceRepository::decodePool(const std::string &spec)
 {
-    // Only uncompressed `.ptrc` files support random block access; `.ptrz`
-    // decode is stateful (delta-coded), so each pass decodes it inline.
-    if (!hasSuffix(spec, ".ptrc"))
-        return nullptr;
-    const std::optional<trace::FileIdentity> now = fileIdentity(spec);
     {
+        // Drop every held pool whose file changed or is gone, whichever
+        // input is asked for, so no deleted or replaced file stays mapped
+        // for the repository's lifetime. Passes still reading an old
+        // mapping hold it until they finish; the rest are unmapped once
+        // the lock is released (`released` outlives `lock`).
+        std::vector<std::shared_ptr<trace::SharedDecodePool>> released;
         std::lock_guard<std::mutex> lock(mutex_);
-        auto it = pools_.find(spec);
-        if (it != pools_.end()) {
-            if (it->second->file().identity() == now)
-                return it->second;
-            // The file changed or is gone. Passes still reading the old
-            // mapping hold it until they finish.
-            pools_.erase(it);
+        for (auto it = pools_.begin(); it != pools_.end();) {
+            if (fileIdentity(it->first) == it->second->file().identity()) {
+                ++it;
+            } else {
+                released.push_back(std::move(it->second));
+                it = pools_.erase(it);
+            }
         }
+        // Only uncompressed `.ptrc` files support random block access;
+        // `.ptrz` decode is stateful (delta-coded), so each pass decodes
+        // it inline.
+        if (!hasSuffix(spec, ".ptrc"))
+            return nullptr;
+        auto it = pools_.find(spec);
+        if (it != pools_.end())
+            return it->second;
     }
     // Map and validate outside the lock: the eager payload-CRC pass over a
     // multi-GB trace must not stall every other worker.

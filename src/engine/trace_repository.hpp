@@ -24,7 +24,10 @@
  * long-running holder (the paragraph-serve daemon keeps one repository
  * alive across every client's sweeps) never keys or reads a replaced,
  * rewritten, truncated or deleted file through its old mapping; passes
- * already reading the old mapping keep it until they finish.
+ * already reading the old mapping keep it until they finish. Each
+ * decodePool() call also stats the path of every pool held and drops the
+ * pools of files that changed or are gone, so none stays mapped. A pool
+ * of a file that is unchanged but never asked for again stays held.
  *
  * traceCrc() is each input's content identity (CRC-32 of the packed
  * records, the value a trace-file header carries), the trace half of the
@@ -125,13 +128,14 @@ class TraceRepository
 
     /**
      * The shared decode pool for a `.ptrc` input: every consumer (fused
-     * group, solo cell, shard segment, serve client) of the same file
-     * reads its records in place from one mapping, and each block is
-     * checked once between them. The path is stat()ed on every call, and
-     * a file whose identity changed since its pool was opened is mapped
-     * afresh. Returns nullptr when @p spec is not a `.ptrc` (or cannot be
-     * mapped) — callers then read makeSource(). Thread-safe; throws the
-     * reader's FatalError for a missing, truncated or corrupt file.
+     * group, solo cell, serve client) of the same file reads its records
+     * in place from one mapping, and each block is checked once between
+     * them. Every call, whatever @p spec is, first stat()s the path of
+     * each pool held and drops those whose file changed or is gone, so
+     * a changed @p spec is mapped afresh. Returns nullptr when @p spec is
+     * not a `.ptrc` (or cannot be mapped) — callers then read
+     * makeSource(). Thread-safe; throws the reader's FatalError for a
+     * missing, truncated or corrupt file.
      */
     std::shared_ptr<trace::SharedDecodePool>
     decodePool(const std::string &spec);

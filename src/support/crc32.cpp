@@ -6,6 +6,11 @@
 
 #include "support/parallel.hpp"
 
+#if defined(PARAGRAPH_SIMD) && defined(__x86_64__)
+#include <immintrin.h>
+#define PARAGRAPH_CRC32_CLMUL 1
+#endif
+
 namespace paragraph {
 
 namespace {
@@ -80,7 +85,7 @@ constexpr Crc32Powers kPowers{};
 static_assert(mulModP(kPowers.pow2[31], kPowers.pow2[31]) == kPowers.pow2[0]);
 
 /** x^(8 * bytes) mod P: the shift that appends @p bytes zero bytes. */
-uint32_t
+constexpr uint32_t
 zeroBytesShift(uint64_t bytes)
 {
     uint32_t p = 1u << 31; // x^0
@@ -91,20 +96,17 @@ zeroBytesShift(uint64_t bytes)
     return p;
 }
 
-} // namespace
-
+/** The slicing-by-16 loop over the inverted register @p reg. */
 uint32_t
-crc32Update(uint32_t crc, const void *data, size_t len)
+slicing16(uint32_t reg, const unsigned char *p, size_t len)
 {
-    const unsigned char *p = static_cast<const unsigned char *>(data);
     const auto &t = kSlices.slice;
-    crc = ~crc;
     for (; len >= 16; p += 16, len -= 16) {
-        const uint32_t a = load32le(p) ^ crc;
+        const uint32_t a = load32le(p) ^ reg;
         const uint32_t b = load32le(p + 4);
         const uint32_t c = load32le(p + 8);
         const uint32_t d = load32le(p + 12);
-        crc = t[15][a & 0xff] ^ t[14][(a >> 8) & 0xff] ^
+        reg = t[15][a & 0xff] ^ t[14][(a >> 8) & 0xff] ^
               t[13][(a >> 16) & 0xff] ^ t[12][a >> 24] ^
               t[11][b & 0xff] ^ t[10][(b >> 8) & 0xff] ^
               t[9][(b >> 16) & 0xff] ^ t[8][b >> 24] ^
@@ -114,8 +116,156 @@ crc32Update(uint32_t crc, const void *data, size_t len)
               t[1][(d >> 16) & 0xff] ^ t[0][d >> 24];
     }
     while (len--)
-        crc = t[0][(crc ^ *p++) & 0xff] ^ (crc >> 8);
-    return ~crc;
+        reg = t[0][(reg ^ *p++) & 0xff] ^ (reg >> 8);
+    return reg;
+}
+
+#ifdef PARAGRAPH_CRC32_CLMUL
+
+// The carry-less multiply fold of Gopal et al., "Fast CRC Computation for
+// Generic Polynomials Using PCLMULQDQ Instruction" (Intel, 2009), in the
+// reflected bit order. A 16-byte lane loaded little-endian holds 128
+// message bits, its low quadword the earlier (higher-degree) half. Moving
+// a lane d bits further down the message multiplies it by x^d: its low
+// quadword by x^(d + 64), its high one by x^d. A reflected 64 x 33-bit
+// carry-less product reads as x^32 times the true product in the lane's
+// layout, so the constants are x^(d + 32) mod P and x^(d - 32) mod P, each
+// a 33-bit reflected value: the register form above (bit 31 is x^0)
+// shifted left once.
+
+/** x^(@p bits) mod P as a 33-bit reflected fold constant. */
+constexpr uint64_t
+foldConstant(unsigned bits)
+{
+    return uint64_t{zeroBytesShift(bits / 8)} << 1;
+}
+
+/** The four lanes fold over 512 bits; one lane folds over 128. */
+constexpr uint64_t kFold512Lo = foldConstant(512 + 32);
+constexpr uint64_t kFold512Hi = foldConstant(512 - 32);
+constexpr uint64_t kFold128Lo = foldConstant(128 + 32);
+constexpr uint64_t kFold128Hi = foldConstant(128 - 32);
+/** Folds the last lane's 96 bits to 64. */
+constexpr uint64_t kFold64 = foldConstant(64);
+
+/** Barrett reduction's P and floor(x^64 / P), each 33 bits reflected. */
+constexpr uint64_t kBarrettP = (uint64_t{kPoly} << 1) | 1;
+constexpr uint64_t kBarrettMu = 0x1f7011641;
+
+#define PARAGRAPH_CRC32_TARGET __attribute__((target("pclmul,sse4.1")))
+
+/** @p lane carried down the distance @p k's two constants were made
+ *  for, added to the lane @p next found there. */
+PARAGRAPH_CRC32_TARGET inline __m128i
+fold(__m128i lane, __m128i k, __m128i next)
+{
+    return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(lane, k, 0x00),
+                                       _mm_clmulepi64_si128(lane, k, 0x11)),
+                         next);
+}
+
+inline __m128i
+load(const unsigned char *p)
+{
+    return _mm_loadu_si128(reinterpret_cast<const __m128i *>(p));
+}
+
+/**
+ * The inverted register @p reg extended over @p len bytes at @p p, where
+ * @p len is a multiple of 16 and at least 64: four lanes fold 64 bytes a
+ * step, then merge into one, which takes the remaining 16-byte lanes; the
+ * last lane reduces to 32 bits by Barrett reduction.
+ */
+PARAGRAPH_CRC32_TARGET uint32_t
+clmulFold(uint32_t reg, const unsigned char *p, size_t len)
+{
+    __m128i x0 = _mm_xor_si128(load(p),
+                               _mm_cvtsi32_si128(static_cast<int>(reg)));
+    __m128i x1 = load(p + 16);
+    __m128i x2 = load(p + 32);
+    __m128i x3 = load(p + 48);
+    p += 64;
+    len -= 64;
+    const __m128i k512 = _mm_set_epi64x(kFold512Hi, kFold512Lo);
+    for (; len >= 64; p += 64, len -= 64) {
+        x0 = fold(x0, k512, load(p));
+        x1 = fold(x1, k512, load(p + 16));
+        x2 = fold(x2, k512, load(p + 32));
+        x3 = fold(x3, k512, load(p + 48));
+    }
+    const __m128i k128 = _mm_set_epi64x(kFold128Hi, kFold128Lo);
+    x0 = fold(x0, k128, x1);
+    x0 = fold(x0, k128, x2);
+    x0 = fold(x0, k128, x3);
+    for (; len >= 16; p += 16, len -= 16)
+        x0 = fold(x0, k128, load(p));
+
+    // 128 -> 96 bits: the low quadword times x^96 (kFold128Hi) onto the
+    // high one. 96 -> 64: the top 32 bits times x^64 onto the rest.
+    const __m128i low32 = _mm_setr_epi32(-1, 0, -1, 0);
+    x0 = _mm_xor_si128(_mm_clmulepi64_si128(x0, k128, 0x10),
+                       _mm_srli_si128(x0, 8));
+    x0 = _mm_xor_si128(
+        _mm_clmulepi64_si128(_mm_and_si128(x0, low32),
+                             _mm_set_epi64x(0, kFold64), 0x00),
+        _mm_srli_si128(x0, 4));
+    // Barrett: q = (low 32 bits * mu) mod x^32; adding q * P clears the
+    // low word and leaves the remainder in the second.
+    const __m128i barrett = _mm_set_epi64x(kBarrettMu, kBarrettP);
+    const __m128i q = _mm_and_si128(
+        _mm_clmulepi64_si128(_mm_and_si128(x0, low32), barrett, 0x10),
+        low32);
+    x0 = _mm_xor_si128(x0, _mm_clmulepi64_si128(q, barrett, 0x00));
+    return static_cast<uint32_t>(_mm_extract_epi32(x0, 1));
+}
+
+#endif // PARAGRAPH_CRC32_CLMUL
+
+} // namespace
+
+bool
+detail::crc32HasClmul()
+{
+#ifdef PARAGRAPH_CRC32_CLMUL
+    static const bool has = [] {
+        __builtin_cpu_init();
+        return __builtin_cpu_supports("pclmul") &&
+               __builtin_cpu_supports("sse4.1");
+    }();
+    return has;
+#else
+    return false;
+#endif
+}
+
+uint32_t
+detail::crc32Slicing16(uint32_t crc, const void *data, size_t len)
+{
+    return ~slicing16(~crc, static_cast<const unsigned char *>(data), len);
+}
+
+uint32_t
+detail::crc32Clmul(uint32_t crc, const void *data, size_t len)
+{
+    const unsigned char *p = static_cast<const unsigned char *>(data);
+    uint32_t reg = ~crc;
+#ifdef PARAGRAPH_CRC32_CLMUL
+    if (len >= 64) {
+        const size_t folded = len & ~size_t{15};
+        reg = clmulFold(reg, p, folded);
+        p += folded;
+        len -= folded;
+    }
+#endif
+    return ~slicing16(reg, p, len);
+}
+
+uint32_t
+crc32Update(uint32_t crc, const void *data, size_t len)
+{
+    return len >= 64 && detail::crc32HasClmul()
+               ? detail::crc32Clmul(crc, data, len)
+               : detail::crc32Slicing16(crc, data, len);
 }
 
 uint32_t

@@ -7,7 +7,13 @@
  * payload so a flipped byte in a multi-gigabyte capture is a diagnosed
  * error rather than silent analysis corruption. Incremental form matches
  * zlib's crc32(): crc32Update(crc32Update(0, a, la), b, lb) equals
- * crc32Of(ab) for the concatenation. The kernel is portable
+ * crc32Of(ab) for the concatenation.
+ *
+ * Two kernels compute it. On an x86-64 CPU that reports PCLMULQDQ and
+ * SSE4.1 (checked once at run time; compiled under the PARAGRAPH_SIMD
+ * build option), inputs of 64 bytes or more fold 64 bytes per step with
+ * carry-less multiplies (Gopal et al., Intel 2009). Shorter inputs, the
+ * last len % 16 bytes, and every input on other CPUs go through portable
  * slicing-by-16: sixteen 256-entry tables, built at compile time, fold
  * 16 bytes per step.
  */
@@ -58,6 +64,20 @@ uint32_t crc32Parallel(const void *data, size_t len,
                        const Crc32ChunkFn &visit = {});
 
 namespace detail {
+
+/** The slicing-by-16 kernel alone: crc32Update() on a CPU without the
+ *  folding kernel, and the reference the folding kernel is tested
+ *  against. */
+uint32_t crc32Slicing16(uint32_t crc, const void *data, size_t len);
+
+/** True when crc32Update() folds with PCLMULQDQ: an x86-64 build with
+ *  PARAGRAPH_SIMD, on a CPU that reports PCLMULQDQ and SSE4.1. */
+bool crc32HasClmul();
+
+/** crc32Update() through the PCLMULQDQ fold, whatever the length (under 64
+ *  bytes, slicing-by-16 alone). Call only when crc32HasClmul() holds; a
+ *  build without the kernel runs slicing-by-16. */
+uint32_t crc32Clmul(uint32_t crc, const void *data, size_t len);
 
 /**
  * crc32Parallel() with its chunking as parameters: the buffer is cut into

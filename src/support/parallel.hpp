@@ -1,8 +1,7 @@
 /**
  * @file
  * Fork-join over a handful of jobs: one thread per job, joined before
- * return. Shared by the shard segments of a split-and-patch cell and the
- * chunks of a parallel payload CRC.
+ * return. Runs the chunks of a parallel payload CRC (crc32Parallel).
  */
 
 #ifndef PARAGRAPH_SUPPORT_PARALLEL_HPP

@@ -3,8 +3,8 @@
  * Memory-mapped `.ptrc` trace access: records in place, zero read syscalls.
  *
  * TraceFileReader pulls records through buffered stdio — fine for one
- * sequential pass, but a fused sweep group or a sharded single-trace run
- * wants many readers over the same bytes. MmapTraceFile maps the file once
+ * sequential pass, but concurrent fused passes over one trace want many
+ * readers over the same bytes. MmapTraceFile maps the file once
  * and validates the header exactly like TraceFileReader (same order, same
  * FatalError texts, same v1 warning). A record on disk is a TraceRecord,
  * so the mapped payload is the record array itself: readers validate a

@@ -6,9 +6,9 @@
  * already the record array the placement loop reads: there is nothing to
  * decode and nothing to cache. The pool hands out 64K-record blocks as
  * spans into the mapping, and checks each block once with the SIMD range
- * scan (validate.hpp). Every fused group, solo cell and shard segment over
- * one input shares one mapping and one set of checks; the kernel page
- * cache holds the bytes.
+ * scan (validate.hpp). Every fused group and solo cell over one input
+ * shares one mapping and one set of checks; the kernel page cache holds
+ * the bytes.
  *
  * Integrity: the pool verifies the v2 payload CRC over the mapped bytes
  * once at construction — eager, unlike the sequential reader's check at

@@ -3,8 +3,8 @@
 //  - full grid vs --explore over the same traces: the explorer's frontier
 //    must equal the frontier computed from the full grid, every executed
 //    cell must render byte-identically to its grid twin, and no pruned
-//    cell may be non-dominated in the grid — across captured, streamed,
-//    and sharded repository/engine modes;
+//    cell may be non-dominated in the grid — across simulated, streamed
+//    `.ptrz` and mapped `.ptrc` inputs;
 //  - mutation audit of the oracle-to-pruner contract: each monotonicity
 //    comparator is flipped behind the ExploreModel seam and the suite must
 //    catch the resulting unsound prune via certificate re-verification.
@@ -261,8 +261,7 @@ TEST(ExploreSoundness, StreamedRepository)
 
 TEST(ExploreSoundness, ShardedEngine)
 {
-    // A `.ptrc`, sharded over its pool blocks: a simulated input has no
-    // random access and would run its cells unsharded.
+    // A `.ptrc`, read in place through its pool's mapped blocks.
     namespace fs = std::filesystem;
     std::string path =
         (fs::temp_directory_path() / "explore_sharded.ptrc").string();
@@ -276,7 +275,6 @@ TEST(ExploreSoundness, ShardedEngine)
     TraceRepository repo(smallScale());
     SweepEngine::Options engineOpt;
     engineOpt.jobs = 2;
-    engineOpt.shards = 4; // split-and-patch solo cells across threads
     SweepEngine sweeper(engineOpt);
     Grid grid = makeGrid({4, 16, 64, 0}, {"none", "data"}, {}, {}, {2, 0});
     expectSoundAgainstGrid(repo, sweeper, {path}, grid);

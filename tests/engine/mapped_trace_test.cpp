@@ -1,8 +1,7 @@
 // A `.ptrc` record is the analyzer's TraceRecord byte for byte, so a mapped
 // trace is analyzed in place. These tests pin what that must keep: the
-// content keys result stores were written under, cells identical to a
-// serial analysis of the trace's capture however a mapped trace is read
-// (streamed from the mapping, sharded over its blocks), and the
+// content keys result stores were written under, cells streamed from the
+// mapping identical to a serial analysis of the trace's capture, and the
 // capped-read rule that records past the cap are never checked.
 #include <gtest/gtest.h>
 
@@ -88,7 +87,7 @@ grid()
 /** The no-timing document of @p configs over @p input. */
 std::string
 sweepDoc(const std::string &input,
-         const std::vector<core::AnalysisConfig> &configs, unsigned shards,
+         const std::vector<core::AnalysisConfig> &configs,
          uint64_t maxRecords = 0, SweepResult *out = nullptr)
 {
     TraceRepository::Options ro;
@@ -96,7 +95,6 @@ sweepDoc(const std::string &input,
     TraceRepository repo(ro);
     SweepEngine::Options opt;
     opt.jobs = 2;
-    opt.shards = shards;
     SweepResult result = SweepEngine(opt).run(repo, {input}, configs);
     SweepJsonOptions json;
     json.timing = false;
@@ -143,10 +141,12 @@ TEST(MappedTrace, StreamedCapturedAndShardedCellsAgree)
         const std::string captured =
             testhelpers::serialSweepDoc(captureRepo, {input}, grid());
         SweepResult streamedResult;
-        EXPECT_EQ(sweepDoc(input, grid(), 1, 0, &streamedResult), captured);
-        for (const SweepCell &cell : streamedResult.cells)
+        EXPECT_EQ(sweepDoc(input, grid(), 0, &streamedResult), captured);
+        for (const SweepCell &cell : streamedResult.cells) {
             EXPECT_TRUE(cell.ok()) << cell.errorMessage;
-        EXPECT_EQ(sweepDoc(input, grid(), 4), captured);
+            // Block waits are part of the cell's own wall time.
+            EXPECT_LE(cell.decodeSeconds, cell.wallSeconds);
+        }
     }
 }
 
@@ -169,7 +169,7 @@ TEST(MappedTrace, CappedStreamNeverChecksPastItsCap)
     for (core::AnalysisConfig &cfg : cfgs)
         cfg.maxInstructions = 100;
     SweepResult capped;
-    sweepDoc(path, cfgs, 1, 100, &capped);
+    sweepDoc(path, cfgs, 100, &capped);
     for (const SweepCell &cell : capped.cells) {
         EXPECT_TRUE(cell.ok()) << cell.errorMessage;
         EXPECT_EQ(cell.result.instructions, 100u);
@@ -179,7 +179,7 @@ TEST(MappedTrace, CappedStreamNeverChecksPastItsCap)
                                 std::to_string(trace::recordOffset(150)) +
                                 ")";
     SweepResult whole;
-    sweepDoc(path, grid(), 1, 0, &whole);
+    sweepDoc(path, grid(), 0, &whole);
     for (const SweepCell &cell : whole.cells) {
         EXPECT_FALSE(cell.ok());
         EXPECT_NE(cell.errorMessage.find(located), std::string::npos)
@@ -279,4 +279,46 @@ TEST(MappedTrace, ChangedFileIsKeyedAndMappedAgain)
     fs::rename(ptrz + ".new", ptrz);
     EXPECT_EQ(repo.traceCrc(ptrz), trace::traceBufferCrc(b));
     fs::remove(ptrz);
+}
+
+TEST(MappedTrace, AnyPoolCallReleasesThePoolsOfChangedFiles)
+{
+    // The repository drops the pool of a file that is gone or replaced on
+    // its next decodePool() call, whatever input that call asks for, so a
+    // long-lived holder keeps no deleted file mapped. An unchanged file's
+    // pool stays shared.
+    namespace fs = std::filesystem;
+    const std::string stem =
+        (fs::temp_directory_path() / "para_mapped_release_").string();
+    const std::string gone = stem + "gone.ptrc";
+    const std::string replaced = stem + "replaced.ptrc";
+    const std::string kept = stem + "kept.ptrc";
+    writeTrace(gone, testhelpers::randomTrace(33, 3000));
+    writeTrace(replaced, testhelpers::randomTrace(34, 3000));
+    writeTrace(kept, testhelpers::randomTrace(35, 3000));
+    TraceRepository repo;
+    std::weak_ptr<trace::SharedDecodePool> gonePool = repo.decodePool(gone);
+    std::weak_ptr<trace::SharedDecodePool> replacedPool =
+        repo.decodePool(replaced);
+    const std::shared_ptr<trace::SharedDecodePool> keptPool =
+        repo.decodePool(kept);
+    EXPECT_FALSE(gonePool.expired()) << "the repository holds each pool";
+    EXPECT_FALSE(replacedPool.expired());
+
+    fs::remove(gone);
+    writeTrace(replaced + ".new", testhelpers::randomTrace(36, 3000));
+    fs::rename(replaced + ".new", replaced);
+    EXPECT_EQ(repo.decodePool(kept), keptPool);
+    EXPECT_TRUE(gonePool.expired());
+    EXPECT_TRUE(replacedPool.expired());
+
+    // A call for an input that has no pool releases them too.
+    writeTrace(gone, testhelpers::randomTrace(37, 3000));
+    gonePool = repo.decodePool(gone);
+    EXPECT_FALSE(gonePool.expired());
+    fs::remove(gone);
+    EXPECT_EQ(repo.decodePool("xlisp"), nullptr);
+    EXPECT_TRUE(gonePool.expired());
+    fs::remove(replaced);
+    fs::remove(kept);
 }

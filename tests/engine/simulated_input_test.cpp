@@ -3,8 +3,7 @@
 // paths: the repository caches only their compiled programs. These tests
 // pin down what that must keep: one compile however many passes touch a
 // fresh input at once, cells equal to a serial simulation, a streaming
-// content key equal to the capture's, no resident trace after a sweep, and
-// sharded cells that fall back to the identical solo pass.
+// content key equal to the capture's, and no resident trace after a sweep.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -246,30 +245,4 @@ TEST(SimulatedInput, SweepLeavesNoCapture)
     }
     for (const std::string &path : {mc, ptrc, ptrz})
         fs::remove(path);
-}
-
-TEST(SimulatedInput, ShardedCellsRunSoloAndIdentical)
-{
-    // A simulation has no random access: --shard=4 on an analog runs each
-    // cell as the unsharded pass, with the same document as --shard=1.
-    std::vector<core::AnalysisConfig> cfgs = fourConfigs();
-    cfgs.push_back(core::AnalysisConfig::windowed(0));
-    std::string docs[2];
-    for (unsigned shards : {1u, 4u}) {
-        TraceRepository repo(smallScale());
-        SweepEngine::Options opt;
-        opt.jobs = 2;
-        opt.groupSize = 1;
-        opt.shards = shards;
-        SweepResult result =
-            SweepEngine(opt).run(repo, {"cc1", "xlisp"}, cfgs);
-        for (const SweepCell &cell : result.cells) {
-            EXPECT_TRUE(cell.ok()) << cell.errorMessage;
-            EXPECT_EQ(cell.shardSegments, 0u);
-        }
-        SweepJsonOptions json;
-        json.timing = false;
-        docs[shards == 4] = sweepToJson(result, json);
-    }
-    EXPECT_EQ(docs[1], docs[0]);
 }

@@ -1,5 +1,7 @@
 // End-to-end tests of the `paragraph-sweep` CLI binary: spawn it like a
 // user would and check the JSON document and the determinism guarantee.
+// Plus the argument parser's `--shard` field, which the engine ignores
+// but callers of parseSweepArgs still read.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -14,6 +16,10 @@
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
+
+#include "engine/sweep_args.hpp"
+#include "trace/compressed_io.hpp"
+#include "trace/file_io.hpp"
 
 namespace {
 
@@ -92,6 +98,91 @@ TEST(SweepCli, StreamFlagIsAcceptedAndChangesNothing)
     EXPECT_EQ(streamed.status, 0);
     EXPECT_EQ(streamed.output, plain.output);
     EXPECT_NE(plain.output.find("\"cells_total\": 2"), std::string::npos);
+}
+
+TEST(SweepCli, ShardFlagIsAcceptedAndChangesNothing)
+{
+    // Every cell runs one fused pass; `--shard=N` stays accepted (N >= 1)
+    // for old command lines, with the same document on every input kind.
+    namespace fs = std::filesystem;
+    const std::string ptrc =
+        std::string(PARAGRAPH_GOLDEN_DIR) + "/xlisp-800.ptrc";
+    const std::string ptrz =
+        (fs::temp_directory_path() /
+         ("sweep_shard_flag_" + std::to_string(::getpid()) + ".ptrz"))
+            .string();
+    {
+        paragraph::trace::TraceFileReader reader(ptrc);
+        paragraph::trace::CompressedTraceWriter writer(ptrz);
+        writer.writeAll(reader);
+        writer.close();
+    }
+    for (const std::string &input :
+         {"--inputs=" + ptrc, "--inputs=" + ptrz,
+          std::string("--inputs=matrix300 --small --max=3000")}) {
+        SCOPED_TRACE(input);
+        const std::string grid =
+            input + " --windows=16,0 --rename=none,data --quiet --no-timing";
+        CliResult plain = runSweep(grid);
+        EXPECT_EQ(plain.status, 0);
+        EXPECT_NE(plain.output.find("\"cells_total\": 4"),
+                  std::string::npos);
+        for (const char *shard : {" --shard=4", " --shard=1"}) {
+            CliResult sharded = runSweep(grid + shard);
+            EXPECT_EQ(sharded.status, 0);
+            EXPECT_EQ(sharded.output, plain.output) << shard;
+        }
+        // --stats adds the decode/analyze split to each cell's timing,
+        // and nothing when timing is off.
+        CliResult stats = runSweep(
+            input + " --windows=16 --quiet --stats --shard=4 --no-profiles");
+        EXPECT_EQ(stats.status, 0);
+        EXPECT_NE(stats.output.find("\"decode_seconds\""),
+                  std::string::npos);
+        EXPECT_NE(stats.output.find("\"analyze_seconds\""),
+                  std::string::npos);
+        EXPECT_EQ(stats.output.find("\"shard_"), std::string::npos);
+        CliResult untimed = runSweep(grid + " --stats");
+        EXPECT_EQ(untimed.output, plain.output);
+    }
+    fs::remove(ptrz);
+
+    const std::string small = "--inputs=xlisp --small --max=2000 --quiet";
+    for (const char *bad : {" --shard=0", " --shard=none", " --shard="}) {
+        CliResult r = runSweep(small + bad);
+        EXPECT_TRUE(WIFEXITED(r.status) && WEXITSTATUS(r.status) == 2)
+            << bad;
+    }
+}
+
+TEST(ShardArgs, ShardAndStatsFlagsParse)
+{
+    // No cell shards, but SweepArgs still carries --shard=N as given for
+    // callers that read it.
+    using paragraph::engine::SweepArgs;
+    SweepArgs opt;
+    std::string error;
+    EXPECT_TRUE(paragraph::engine::parseSweepArgs(
+        {"--shard=4", "--stats", "xlisp"}, opt, error))
+        << error;
+    EXPECT_EQ(opt.shards, 4u);
+    EXPECT_TRUE(opt.json.stats);
+
+    SweepArgs bad;
+    EXPECT_FALSE(
+        paragraph::engine::parseSweepArgs({"--shard=0", "xlisp"}, bad, error));
+    EXPECT_FALSE(paragraph::engine::parseSweepArgs({"--shard=none", "xlisp"},
+                                                   bad, error));
+}
+
+TEST(ShardArgs, DefaultIsUnsharded)
+{
+    paragraph::engine::SweepArgs opt;
+    std::string error;
+    ASSERT_TRUE(paragraph::engine::parseSweepArgs({"xlisp"}, opt, error))
+        << error;
+    EXPECT_EQ(opt.shards, 1u);
+    EXPECT_FALSE(opt.json.stats);
 }
 
 TEST(SweepCli, StatsCountTheFusedGroupsAGroupCapAllows)

@@ -7,12 +7,15 @@
 //
 // And a trace file changed on disk between two requests to one daemon —
 // replaced by rename, rewritten in place, truncated in place, deleted —
-// is never answered from its old content, and never takes the daemon down.
+// is never answered from its old content, never takes the daemon down,
+// and does not stay mapped past the daemon's next request.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 
@@ -86,6 +89,16 @@ class FileChangeDaemon : public ::testing::Test
             ::waitpid(pid_, nullptr, 0);
         }
         fs::remove_all(dir_);
+    }
+
+    /** The daemon's memory map, as /proc lists it. */
+    std::string
+    mappings() const
+    {
+        std::ifstream in("/proc/" + std::to_string(pid_) + "/maps");
+        std::ostringstream text;
+        text << in.rdbuf();
+        return text.str();
     }
 
     /** True while the daemon process has not exited. */
@@ -291,4 +304,26 @@ TEST_F(FileChangeDaemon, DeletedFileFailsEveryCell)
     serveWarm();
     fs::remove(trace_);
     expectEveryCellFails("cannot open trace file: " + trace_);
+}
+
+TEST_F(FileChangeDaemon, DeletedFileIsUnmappedByTheNextRequest)
+{
+    writeTrace(trace_, testhelpers::randomTrace(47, kRecords));
+    serveWarm();
+    const std::string mapped = fs::canonical(trace_).string();
+    ASSERT_NE(mappings().find(mapped), std::string::npos)
+        << "the daemon maps the file it analyzed";
+    fs::remove(trace_);
+
+    // One request on another file: the daemon lets the deleted one go.
+    const std::string other = dir_ + "/other.ptrc";
+    writeTrace(other, testhelpers::randomTrace(48, kRecords));
+    serve::ServeRequest req = sweepRequest();
+    req.inputs = {other};
+    serve::ServeResponse resp = ask(req);
+    ASSERT_TRUE(resp.ok()) << resp.error;
+    EXPECT_EQ(resp.cellsComputed, 2u);
+    EXPECT_EQ(mappings().find(mapped + " (deleted)"), std::string::npos)
+        << mappings();
+    EXPECT_TRUE(alive());
 }

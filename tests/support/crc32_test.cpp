@@ -1,6 +1,6 @@
-// The slicing-by-16 CRC-32 kernel, crc32Combine and the chunked CRC,
-// each held to a bit-at-a-time reference loop: the definition of the
-// reflected CRC-32 that zlib computes.
+// The CRC-32 kernels (PCLMULQDQ fold and slicing-by-16), crc32Combine
+// and the chunked CRC, each held to a bit-at-a-time reference loop: the
+// definition of the reflected CRC-32 that zlib computes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,16 +16,23 @@ using namespace paragraph;
 
 namespace {
 
+/** One bit-at-a-time step of the inverted CRC register over byte @p b. */
+uint32_t
+referenceStep(uint32_t reg, unsigned char b)
+{
+    reg ^= b;
+    for (int k = 0; k < 8; ++k)
+        reg = (reg & 1) ? (reg >> 1) ^ 0xEDB88320u : reg >> 1;
+    return reg;
+}
+
 uint32_t
 referenceCrc(const unsigned char *p, size_t len)
 {
-    uint32_t crc = ~0u;
-    while (len--) {
-        crc ^= *p++;
-        for (int k = 0; k < 8; ++k)
-            crc = (crc & 1) ? (crc >> 1) ^ 0xEDB88320u : crc >> 1;
-    }
-    return ~crc;
+    uint32_t reg = ~0u;
+    while (len--)
+        reg = referenceStep(reg, *p++);
+    return ~reg;
 }
 
 std::vector<unsigned char>
@@ -38,36 +45,82 @@ randomBytes(size_t n, uint64_t seed)
     return bytes;
 }
 
+using Kernel = uint32_t (*)(uint32_t, const void *, size_t);
+
+struct NamedKernel
+{
+    const char *name;
+    Kernel run;
+};
+
+/** crc32Update and each kernel this CPU runs. */
+std::vector<NamedKernel>
+kernels()
+{
+    std::vector<NamedKernel> out = {{"crc32Update", crc32Update},
+                                    {"slicing16", detail::crc32Slicing16}};
+    if (detail::crc32HasClmul())
+        out.push_back({"clmul", detail::crc32Clmul});
+    return out;
+}
+
+/** Past 17 folds of 64 bytes, so every loop of the folding kernel runs
+ *  with every remainder. */
+constexpr size_t kMaxLength = 1100;
+
 } // namespace
 
 TEST(Crc32, KnownAnswers)
 {
     const char digits[] = "123456789";
-    EXPECT_EQ(crc32Of(digits, 9), 0xCBF43926u);
-    EXPECT_EQ(crc32Of(digits, 0), 0u);
-    EXPECT_EQ(crc32Update(0xCBF43926u, digits, 0), 0xCBF43926u);
+    for (const NamedKernel &k : kernels()) {
+        SCOPED_TRACE(k.name);
+        EXPECT_EQ(k.run(0, digits, 9), 0xCBF43926u);
+        EXPECT_EQ(k.run(0, digits, 0), 0u);
+        EXPECT_EQ(k.run(0xCBF43926u, digits, 0), 0xCBF43926u);
+    }
 }
 
 TEST(Crc32, MatchesReferenceAtEveryLengthAndAlignment)
 {
-    std::vector<unsigned char> buf = randomBytes(300 + 16, 1);
-    for (size_t offset = 0; offset < 16; ++offset) {
-        for (size_t len = 0; len <= 300; ++len) {
-            ASSERT_EQ(crc32Of(buf.data() + offset, len),
-                      referenceCrc(buf.data() + offset, len))
-                << "offset " << offset << " length " << len;
+    std::vector<unsigned char> buf = randomBytes(kMaxLength + 16, 1);
+    for (const NamedKernel &k : kernels()) {
+        SCOPED_TRACE(k.name);
+        for (size_t offset = 0; offset < 16; ++offset) {
+            // The reference register runs along the buffer, one byte per
+            // length.
+            const unsigned char *p = buf.data() + offset;
+            uint32_t reg = ~0u;
+            for (size_t len = 0; len <= kMaxLength; ++len) {
+                ASSERT_EQ(k.run(0, p, len), ~reg)
+                    << "offset " << offset << " length " << len;
+                if (len < kMaxLength)
+                    reg = referenceStep(reg, p[len]);
+            }
         }
     }
 }
 
 TEST(Crc32, IncrementalUpdateSplitsAnywhere)
 {
-    std::vector<unsigned char> buf = randomBytes(77, 2);
-    const uint32_t whole = crc32Of(buf.data(), buf.size());
-    for (size_t split = 0; split <= buf.size(); ++split) {
-        uint32_t crc = crc32Update(0, buf.data(), split);
-        crc = crc32Update(crc, buf.data() + split, buf.size() - split);
-        EXPECT_EQ(crc, whole) << "split at " << split;
+    std::vector<unsigned char> buf = randomBytes(kMaxLength + 16, 2);
+    const std::vector<NamedKernel> all = kernels();
+    for (size_t offset = 0; offset < 16; ++offset) {
+        const unsigned char *p = buf.data() + offset;
+        const uint32_t whole = referenceCrc(p, kMaxLength);
+        // Each kernel continues the other's register.
+        for (const NamedKernel &first : all) {
+            for (const NamedKernel &second : all) {
+                for (size_t split = 0; split <= kMaxLength; ++split) {
+                    const uint32_t crc = second.run(
+                        first.run(0, p, split), p + split,
+                        kMaxLength - split);
+                    ASSERT_EQ(crc, whole)
+                        << first.name << " then " << second.name
+                        << ", offset " << offset << ", split at " << split;
+                }
+            }
+        }
     }
 }
 

@@ -1,5 +1,4 @@
-// runSegmentsParallel: the fork-join helper behind shard segments and the
-// chunked payload CRC.
+// runSegmentsParallel: the fork-join helper behind the chunked payload CRC.
 #include <gtest/gtest.h>
 
 #include <atomic>

@@ -8,10 +8,11 @@
 // computed — by any client, before any restart — is served back
 // byte-identically without re-analysis. Trace files stream into each pass
 // as in paragraph-sweep, and no trace is copied into memory: a .ptrc stays
-// mapped for the daemon's lifetime, a .ptrz is decoded by each pass. Each
-// trace file is stat()ed per request and per pass, so one replaced,
+// mapped while it is unchanged on disk, a .ptrz is decoded by each pass.
+// Each trace file is stat()ed per request and per pass, so one replaced,
 // rewritten, truncated or deleted on disk is keyed and mapped again, and
-// never answered from cells of its old content.
+// never answered from cells of its old content; its old mapping is
+// dropped when the daemon next runs a pass or keys a trace file.
 //
 // Daemon usage:
 //   paragraph-serve --socket=PATH [options]

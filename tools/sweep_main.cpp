@@ -42,21 +42,14 @@
 //                          (a .ptrc is mapped and read in place, each block
 //                          checked once across all workers; each fused
 //                          group pays one .ptrz decode for the whole group)
-//   --shard=N              split each solo cell over a .ptrc into up to N
-//                          trace segments analyzed on N threads and
-//                          patched into the exact single-threaded result
-//                          — how ONE trace x ONE config uses more than
-//                          one core; works for every config (firewall
-//                          cuts under --syscalls=stall + perfect
-//                          prediction, validate-or-replay split-and-patch
-//                          otherwise; simulated and .ptrz cells run solo)
+//   --shard=N              accepted (N >= 1) and ignored: every cell runs
+//                          one fused pass
 //   --max=N                analyze at most N instructions per cell
 //                          (also caps each pass's simulation or stream)
 //   --out=FILE             write the JSON document to FILE
-//   --stats                add decode/analyze wall-time split and shard
-//                          segment/splice/replay counts to the "timing"
-//                          fields, and the sweep's fused_groups (passes)
-//                          to the top-level one
+//   --stats                add the decode/analyze wall-time split to the
+//                          "timing" fields, and the sweep's fused_groups
+//                          (passes) to the top-level one
 //   --no-timing            omit wall-clock fields (deterministic output)
 //   --no-profiles          omit per-cell parallelism-profile buckets
 //   --quiet                suppress the stderr progress line
@@ -154,8 +147,8 @@ usage()
         "          --predictors=perfect,bimodal,taken,nottaken,wrong\n"
         "          --fus=0,2,8\n"
         "  run:    --jobs=N  --group=N (most per pass, 0=auto)\n"
-        "          --shard=N  --max=N\n"
-        "          --small  --out=FILE  (--stream: no-op)\n"
+        "          --max=N  --small  --out=FILE\n"
+        "          (--stream, --shard=N: no-ops)\n"
         "          --stats  --no-timing  --no-profiles  --quiet  --list\n"
         "  explore: --explore  --knee-tol=T (0 = exact frontier)\n"
         "  fault:  --retries=N  --deadline=SECONDS\n"
@@ -212,7 +205,6 @@ main(int argc, char **argv)
         engine::SweepEngine::Options engineOpt;
         engineOpt.jobs = opt.jobs;
         engineOpt.groupSize = opt.group;
-        engineOpt.shards = opt.shards;
         engineOpt.maxRetries = opt.retries;
         engineOpt.cellDeadlineSeconds = opt.deadlineSeconds;
         engineOpt.journalPath = opt.journalPath;
