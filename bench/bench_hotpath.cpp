@@ -19,7 +19,10 @@
 // The `fused2` and `fused8` configs measure the shape a sweep runs: the
 // 8-config perfbench grid (windows 0/16/64/256 x rename none/data) through
 // analyzeManyGuarded, in passes of 2 configs (grid order, as a 4-worker
-// sweep groups those 8 cells) and in one pass of all 8. The `stream` row
+// sweep groups those 8 cells) and in one pass of all 8, each config
+// collecting what a sweep cell does (the lifetime and sharing means, not
+// the full distributions). The placement rows keep the full distributions
+// of a `paragraph` run. The `stream` row
 // feeds each pass 4K-record blocks, as a simulated or streamed input does;
 // the `bulk` row walks the capture in place. Their `instructions` count
 // cell-records (records x configs), so the ns/record column reads ns per
@@ -159,7 +162,8 @@ isPlacementConfig(const std::string &label)
 }
 
 /** The perfbench sweep grid, in grid order (window outer): windows
- *  0/16/64/256 x rename none/data. */
+ *  0/16/64/256 x rename none/data, as a sweep runs its cells (without the
+ *  full distributions). */
 std::vector<core::AnalysisConfig>
 sweepGrid(uint64_t max_instructions)
 {
@@ -171,6 +175,7 @@ sweepGrid(uint64_t max_instructions)
                         : core::AnalysisConfig::noRenaming();
             cfg.windowSize = window;
             cfg.maxInstructions = max_instructions;
+            cfg.distributions = false;
             grid.push_back(cfg);
         }
     }

@@ -100,14 +100,15 @@ struct AnalysisConfig
     /** Number of parallelism-profile bins (power of two). */
     size_t profileBins = 4096;
 
-    /** Collect the value-lifetime distribution. */
-    bool collectLifetimes = true;
-
-    /** Collect the degree-of-sharing distribution. */
-    bool collectSharing = true;
-
-    /** Collect the storage (waiting-token) profile: values live per level. */
-    bool collectStorageProfile = true;
+    /**
+     * Collect the full distributions of paper Section 2.3: the
+     * value-lifetime and degree-of-sharing histograms and the storage
+     * (waiting-token) profile. When false — a sweep or daemon cell, whose
+     * document renders only the two means — lifetimes and sharing keep
+     * just a count and a sum (Histogram::tally: no bins), and the storage
+     * profile stays empty. Every other metric is identical either way.
+     */
+    bool distributions = true;
 
     /**
      * Evict live-well entries at their annotated last use (two-pass method;

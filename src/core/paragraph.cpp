@@ -107,9 +107,8 @@ Paragraph::pickSpan()
         shape |= shapeFu;
     if (cfg_.useLastUseEviction)
         shape |= shapeLastUse;
-    if (cfg_.collectLifetimes && cfg_.collectSharing &&
-        cfg_.collectStorageProfile)
-        shape |= shapeMetrics;
+    if (cfg_.distributions)
+        shape |= shapeFull;
     span_ = spans[shape];
 }
 
@@ -292,7 +291,7 @@ Paragraph::step(const TraceRecord &rec)
     constexpr bool windowed = ShapeBits & shapeWindow;
     constexpr bool fuLimited = ShapeBits & shapeFu;
     constexpr bool lastUse = ShapeBits & shapeLastUse;
-    constexpr bool allMetrics = ShapeBits & shapeMetrics;
+    constexpr bool full = ShapeBits & shapeFull;
 
     // Segment mode, finite window: while the fresh window is still
     // filling, the solo run displaces pre-cut entries this run cannot see.
@@ -421,7 +420,7 @@ Paragraph::step(const TraceRecord &rec)
                     killedAny ? liveWell_.find(srcs[s].loc) : srcs[s].lv;
                 if (!lv)
                     continue; // duplicate source already evicted
-                retire<allMetrics>(*lv);
+                retireValue<full>(result_, *lv);
                 if constexpr (segment) {
                     if (lv->preExisting) {
                         closeImport(slotKey(rec, s), *lv,
@@ -443,7 +442,7 @@ Paragraph::step(const TraceRecord &rec)
                 renamed ? SegmentImport::unconstrained : dataIssue;
             LiveValue *prev = killedAny ? liveWell_.find(dloc) : destPrev;
             if (prev) {
-                retire<allMetrics>(*prev);
+                retireValue<full>(result_, *prev);
                 if constexpr (segment) {
                     if (prev->preExisting) {
                         closeImport(slotKey(rec, TraceRecord::destSlot),
@@ -546,9 +545,13 @@ Paragraph::finish()
             segLog_->fuTail = throttle_.snapshotSpan(
                 highestLevel_, deepestLevel_ - highestLevel_ + 1);
         }
+    } else if (cfg_.distributions) {
+        liveWell_.forEach([this](uint64_t, const LiveValue &lv) {
+            retireValue<true>(result_, lv);
+        });
     } else {
         liveWell_.forEach([this](uint64_t, const LiveValue &lv) {
-            retire<false>(lv);
+            retireValue<false>(result_, lv);
         });
     }
 

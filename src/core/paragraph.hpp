@@ -24,8 +24,8 @@
  *
  * Every record of every grid cell runs the placement, so the record loop
  * is compiled once per configuration shape — segment log, finite window,
- * FU limit, last-use eviction, all three retire distributions collected —
- * and begin()/beginSegment() pick the one this run needs. Inside it those
+ * FU limit, last-use eviction, full distributions or a cell's means — and
+ * begin()/beginSegment() pick the one this run needs. Inside it those
  * switches are compile-time constants: a record pays only for the work
  * its configuration does (DESIGN.md §4.1).
  */
@@ -69,6 +69,34 @@ struct PatchCarry
      *  again. */
     std::vector<uint32_t> fuRows;
 };
+
+/**
+ * Count a dying value into @p res: its lifetime (creation to deepest use)
+ * and degree of sharing and, with @p Full, its storage-profile interval.
+ * @p Full is AnalysisConfig::distributions: without it lifetimes and
+ * sharing keep only a count and a sum (Histogram::tally), which is all a
+ * sweep cell renders. Pre-existing values are not counted. Inline: runs
+ * once per overwritten or evicted value on the placement hot path.
+ */
+template <bool Full>
+inline void
+retireValue(AnalysisResult &res, const LiveValue &lv)
+{
+    if (lv.preExisting)
+        return;
+    const auto lifetime = static_cast<uint64_t>(lv.deepestAccess - lv.level);
+    if constexpr (Full) {
+        res.lifetimes.add(lifetime);
+        res.sharing.add(lv.useCount);
+        if (lv.level >= 0) {
+            res.storageProfile.add(static_cast<uint64_t>(lv.level),
+                                   static_cast<uint64_t>(lv.deepestAccess));
+        }
+    } else {
+        res.lifetimes.tally(lifetime);
+        res.sharing.tally(lv.useCount);
+    }
+}
 
 class Paragraph
 {
@@ -193,7 +221,7 @@ class Paragraph
         shapeWindow = 1u << 1,  ///< a finite instruction window
         shapeFu = 1u << 2,      ///< a functional-unit limit
         shapeLastUse = 1u << 3, ///< two-pass (last-use) eviction
-        shapeMetrics = 1u << 4, ///< lifetimes, sharing and storage profile
+        shapeFull = 1u << 4,    ///< full distributions, not a cell's means
         shapeCount = 1u << 5,
     };
 
@@ -257,29 +285,6 @@ class Paragraph
     /** True when the storage class of a destination with kind byte
      *  @p kind_seg has renaming enabled. */
     bool destRenamed(uint8_t kind_seg) const;
-
-    /** Record lifetime/sharing statistics for a dying value. Inline: runs
-     *  once per overwritten or evicted value on the placement hot path.
-     *  @p AllMetrics: the run collects all three distributions, so none of
-     *  the collect switches is tested. */
-    template <bool AllMetrics>
-    void
-    retire(const LiveValue &lv)
-    {
-        if (lv.preExisting)
-            return;
-        if (AllMetrics || cfg_.collectLifetimes) {
-            result_.lifetimes.add(
-                static_cast<uint64_t>(lv.deepestAccess - lv.level));
-        }
-        if (AllMetrics || cfg_.collectSharing)
-            result_.sharing.add(lv.useCount);
-        if ((AllMetrics || cfg_.collectStorageProfile) && lv.level >= 0) {
-            result_.storageProfile.add(
-                static_cast<uint64_t>(lv.level),
-                static_cast<uint64_t>(lv.deepestAccess));
-        }
-    }
 
     /** Raise the firewall floor to @p level (counts a firewall if raised). */
     void raiseFloor(int64_t level);

@@ -60,13 +60,17 @@ struct AnalysisResult
     /** Ops per DDG level (paper Figure 7). */
     BucketedProfile profile;
 
-    /** Value lifetime in DDG levels (creation to deepest use). */
+    /** Value lifetime in DDG levels (creation to deepest use). Without
+     *  AnalysisConfig::distributions (a sweep cell), a count and a sum
+     *  only: totalCount() and mean() answer, and no bins are allocated. */
     Histogram lifetimes{4096};
 
-    /** Number of readers per created value (degree of sharing). */
+    /** Number of readers per created value (degree of sharing); a count
+     *  and a sum only, like lifetimes, in a sweep cell. */
     Histogram sharing{256};
 
-    /** Values live per DDG level (the storage / waiting-token profile). */
+    /** Values live per DDG level (the storage / waiting-token profile);
+     *  empty without AnalysisConfig::distributions. */
     IntervalProfile storageProfile;
 
     /** Peak live-well population (temporary-storage requirement). */

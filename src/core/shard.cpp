@@ -201,19 +201,10 @@ struct Splicer
     void
     retireInto(const LiveValue &lv)
     {
-        if (lv.preExisting)
-            return;
-        if (cfg.collectLifetimes) {
-            out.lifetimes.add(
-                static_cast<uint64_t>(lv.deepestAccess - lv.level));
-        }
-        if (cfg.collectSharing)
-            out.sharing.add(lv.useCount);
-        if (cfg.collectStorageProfile && lv.level >= 0) {
-            out.storageProfile.add(
-                static_cast<uint64_t>(lv.level),
-                static_cast<uint64_t>(lv.deepestAccess));
-        }
+        if (cfg.distributions)
+            retireValue<true>(out, lv);
+        else
+            retireValue<false>(out, lv);
     }
 
     void splice(SegmentRun &seg);
@@ -582,6 +573,12 @@ histogramsEqual(const Histogram &a, const Histogram &b, const char *name,
                    (field + ".overflow").c_str(), diff);
     ok &= equalU64(a.maxSample(), b.maxSample(),
                    (field + ".maxSample").c_str(), diff);
+    if (a.mean() != b.mean()) {
+        appendDiff(diff, (field + ".mean*1e6").c_str(),
+                   static_cast<uint64_t>(a.mean() * 1e6),
+                   static_cast<uint64_t>(b.mean() * 1e6));
+        ok = false;
+    }
     size_t range = std::max(a.exactRange(), b.exactRange());
     for (size_t v = 0; v < range; ++v) {
         if (a.count(v) != b.count(v)) {

@@ -1,5 +1,6 @@
 #include "engine/cell_exec.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <deque>
 #include <exception>
@@ -15,13 +16,15 @@ namespace engine {
 
 namespace {
 
-/** Mark @p cell Ok: its result is in place, analyzed in @p wallSeconds. */
+/** Mark @p cell Ok: its result is in place, analyzed in @p wallSeconds,
+ *  of which @p analyzeSeconds in its own engine. */
 void
-markOk(SweepCell &cell, double wallSeconds)
+markOk(SweepCell &cell, double wallSeconds, double analyzeSeconds)
 {
     cell.status = SweepCell::Status::Ok;
     cell.errorMessage.clear();
     cell.wallSeconds = wallSeconds;
+    cell.analyzeSeconds = analyzeSeconds;
     cell.minstrPerSec =
         wallSeconds > 0.0
             ? static_cast<double>(cell.result.instructions) / 1e6 / wallSeconds
@@ -36,13 +39,16 @@ markFailed(SweepCell &cell, const std::exception &e)
     cell.result = core::AnalysisResult();
 }
 
-/** @p cfg for one attempt: with a deadline, a fresh token in @p tokens
- *  armed for it and chained to the job's own cancel token. */
+/** @p cfg for one attempt: collecting only what a cell renders (the
+ *  lifetime and sharing means, no storage profile), and with a deadline, a
+ *  fresh token in @p tokens armed for it and chained to the job's own
+ *  cancel token. Neither setting is part of the cell's config key. */
 core::AnalysisConfig
 attemptConfig(const core::AnalysisConfig &cfg, double deadlineSeconds,
               std::deque<core::CancelToken> &tokens)
 {
     core::AnalysisConfig out = cfg;
+    out.distributions = false;
     if (deadlineSeconds > 0.0) {
         tokens.emplace_back();
         tokens.back().setDeadline(deadlineSeconds);
@@ -76,10 +82,11 @@ fusedPass(TraceRepository &repo, const std::string &input,
 
 } // namespace
 
-void
+double
 runCellSolo(TraceRepository &repo, SweepCell &cell,
             const SweepScheduler::Options &opt)
 {
+    double passDecode = 0.0;
     unsigned maxAttempts = 1 + opt.maxRetries;
     for (unsigned attempt = 1; attempt <= maxAttempts; ++attempt) {
         cell.attempts = attempt;
@@ -91,13 +98,16 @@ runCellSolo(TraceRepository &repo, SweepCell &cell,
             auto cellStart = std::chrono::steady_clock::now();
             std::vector<core::MultiOutcome> out =
                 fusedPass(repo, cell.job.input, {cfg});
+            passDecode += out[0].decodeSeconds;
             if (out[0].error)
                 std::rethrow_exception(out[0].error);
             cell.result = std::move(out[0].result);
             cell.decodeSeconds = out[0].decodeSeconds;
-            markOk(cell, std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - cellStart)
-                             .count());
+            const double wall = std::chrono::duration<double>(
+                                    std::chrono::steady_clock::now() -
+                                    cellStart)
+                                    .count();
+            markOk(cell, wall, std::max(0.0, wall - cell.decodeSeconds));
             break;
         } catch (const core::CancelledError &e) {
             // Deadline / cancellation: final, never retried —
@@ -108,9 +118,10 @@ runCellSolo(TraceRepository &repo, SweepCell &cell,
             markFailed(cell, e);
         }
     }
+    return passDecode;
 }
 
-void
+double
 runFusedCells(TraceRepository &repo,
               const std::vector<SweepCell *> &cells,
               const SweepScheduler::Options &opt,
@@ -126,8 +137,10 @@ runFusedCells(TraceRepository &repo,
 
     std::vector<core::MultiOutcome> outcomes;
     bool groupFailed = false;
+    double passDecode = 0.0;
     try {
         outcomes = fusedPass(repo, cells.front()->job.input, cfgs);
+        passDecode = outcomes.front().decodeSeconds; // one pass, one decode
     } catch (const std::exception &) {
         groupFailed = true;
     }
@@ -138,7 +151,10 @@ runFusedCells(TraceRepository &repo,
             cell.result = std::move(outcomes[k].result);
             cell.attempts = 1;
             cell.decodeSeconds = outcomes[k].decodeSeconds;
-            markOk(cell, outcomes[k].engineSeconds);
+            // The pass's decode is shared and not in engineSeconds: the
+            // cell's wall is its engine's own time.
+            markOk(cell, outcomes[k].engineSeconds,
+                   outcomes[k].engineSeconds);
             finish(k);
             continue;
         }
@@ -157,9 +173,10 @@ runFusedCells(TraceRepository &repo,
                 // demotion itself consumes no attempt).
             }
         }
-        runCellSolo(repo, cell, opt);
+        passDecode += runCellSolo(repo, cell, opt);
         finish(k);
     }
+    return passDecode;
 }
 
 } // namespace engine

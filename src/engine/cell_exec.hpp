@@ -32,9 +32,10 @@ namespace engine {
  * ordinary failures, no retry after cancellation. On return the cell's
  * status, result, attempts, error text, and timing are final. Never
  * throws.
+ * @return seconds the attempts' passes spent fetching records.
  */
-void runCellSolo(TraceRepository &repo, SweepCell &cell,
-                 const SweepScheduler::Options &opt);
+double runCellSolo(TraceRepository &repo, SweepCell &cell,
+                   const SweepScheduler::Options &opt);
 
 /**
  * Run @p cells — all carrying jobs for the same input — as one block-major
@@ -42,11 +43,14 @@ void runCellSolo(TraceRepository &repo, SweepCell &cell,
  * failures. @p finish is invoked exactly once per cell with its position in
  * @p cells, after that cell's status is final (in group order). Never
  * throws.
+ * @return seconds the passes run here spent fetching records: the group's
+ *         pass once, however many cells shared it, plus the solo re-runs
+ *         of demoted cells.
  */
-void runFusedCells(TraceRepository &repo,
-                   const std::vector<SweepCell *> &cells,
-                   const SweepScheduler::Options &opt,
-                   const std::function<void(size_t)> &finish);
+double runFusedCells(TraceRepository &repo,
+                     const std::vector<SweepCell *> &cells,
+                     const SweepScheduler::Options &opt,
+                     const std::function<void(size_t)> &finish);
 
 } // namespace engine
 } // namespace paragraph

@@ -50,9 +50,10 @@ canonicalConfigText(const core::AnalysisConfig &cfg)
     }
     num("max_instructions", cfg.maxInstructions);
     num("profile_bins", cfg.profileBins);
-    flag("lifetimes", cfg.collectLifetimes);
-    flag("sharing", cfg.collectSharing);
-    flag("storage_profile", cfg.collectStorageProfile);
+    // Every stored key was computed with these three metric-collection
+    // flags set, so they stay as fixed text. AnalysisConfig::distributions
+    // is not part of the identity: no rendered cell field depends on it.
+    s += ";lifetimes=1;sharing=1;storage_profile=1";
     flag("last_use_eviction", cfg.useLastUseEviction);
     return s;
 }

@@ -13,10 +13,13 @@
  * forever, across processes, clients, and daemon restarts.
  *
  * Excluded by design: AnalysisConfig::cancel (a runtime control channel,
- * not part of what is computed). Everything else — the paper switches, the
- * latency table, FU limits, instruction caps, and the metric-collection
- * flags that change which numbers exist — participates, because any of
- * them changes the rendered cell JSON.
+ * not part of what is computed) and AnalysisConfig::distributions (full
+ * distributions or a cell's count and sum: the rendered means are the
+ * same either way). Everything else — the paper switches, the latency
+ * table, FU limits, instruction caps — participates, because any of them
+ * changes the rendered cell JSON. The text still carries the three
+ * metric-collection flags of earlier releases, fixed at 1, so the keys in
+ * existing stores and journals keep hitting.
  */
 
 #ifndef PARAGRAPH_ENGINE_CONFIG_KEY_HPP

@@ -168,6 +168,13 @@ SweepScheduler::fusedGroups() const
     return fusedGroups_;
 }
 
+double
+SweepScheduler::decodeSeconds() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return decodeSeconds_;
+}
+
 void
 SweepScheduler::failStopped(const Item &item) const
 {
@@ -241,19 +248,22 @@ SweepScheduler::workerLoop()
             }
         }
 
+        double decode = 0.0;
         if (group.size() == 1) {
             SweepCell &cell =
                 group.front().batch->cells_[group.front().index];
-            runCellSolo(repo_, cell, opt_);
+            decode = runCellSolo(repo_, cell, opt_);
             deliver(group.front());
         } else {
             std::vector<SweepCell *> cells;
             cells.reserve(group.size());
             for (const Item &item : group)
                 cells.push_back(&item.batch->cells_[item.index]);
-            runFusedCells(repo_, cells, opt_,
-                          [&](size_t k) { deliver(group[k]); });
+            decode = runFusedCells(repo_, cells, opt_,
+                                   [&](size_t k) { deliver(group[k]); });
         }
+        std::lock_guard<std::mutex> lock(mutex_);
+        decodeSeconds_ += decode;
     }
 }
 

@@ -145,6 +145,12 @@ class SweepScheduler
      *  group counts once, however many batches it mixes. */
     size_t fusedGroups() const;
 
+    /** Seconds the passes run since construction spent fetching records,
+     *  each pass counted once however many cells it fed. A worker adds a
+     *  pass after delivering its cells, so a batch's total is complete
+     *  only after stop(). */
+    double decodeSeconds() const;
+
   private:
     /** One queued cell: which batch, which slot. */
     struct Item
@@ -174,8 +180,9 @@ class SweepScheduler
      *  dispatch order over the non-empty buckets. */
     std::map<std::string, Bucket> pendingByInput_;
     std::deque<std::string> inputOrder_;
-    size_t queuedCells_ = 0; ///< cells across every bucket
-    size_t fusedGroups_ = 0; ///< groups peeled so far
+    size_t queuedCells_ = 0;     ///< cells across every bucket
+    size_t fusedGroups_ = 0;     ///< groups peeled so far
+    double decodeSeconds_ = 0.0; ///< fetch time of the passes run so far
 
     std::vector<std::thread> pool_;
 };

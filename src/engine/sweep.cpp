@@ -186,7 +186,11 @@ SweepEngine::runJobs(TraceRepository &repo, std::vector<SweepJob> jobs) const
                 finishCell(pending[k], cell);
             });
         batch->wait();
+        // A worker adds a pass's decode after delivering its last cell:
+        // join the pool before reading the totals.
+        scheduler.stop();
         sweep.fusedGroups = scheduler.fusedGroups();
+        sweep.decodeSeconds = scheduler.decodeSeconds();
         for (size_t k = 0; k < pending.size(); ++k)
             sweep.cells[pending[k]] = std::move(batch->cells()[k]);
     }

@@ -103,12 +103,19 @@ struct SweepCell
     /** Wall-clock seconds for this cell's analysis alone. */
     double wallSeconds = 0.0;
 
-    /** Of which, seconds spent waiting for trace records: on the
+    /** Seconds this cell's pass spent fetching trace records: on the
      *  simulator or the `.ptrz` decode (a pass runs either inline, on its
      *  own worker), or on a `.ptrc` decode pool's block checks (near zero
      *  when the pool checked every block in its payload checksum pass,
-     *  which SweepResult::captureSeconds times). */
+     *  which SweepResult::captureSeconds times). Every cell of a fused
+     *  group waited for the same fetches, so each carries the whole
+     *  pass's decode. */
     double decodeSeconds = 0.0;
+
+    /** Seconds in this cell's own engine: wallSeconds less decodeSeconds
+     *  for a solo pass; for a fused group's cell, whose wallSeconds is its
+     *  engine time alone, all of wallSeconds. */
+    double analyzeSeconds = 0.0;
 
     /** Analysis throughput of this cell, in million instructions/sec. */
     double minstrPerSec = 0.0;
@@ -144,6 +151,10 @@ struct SweepResult
     /** Fused groups the pending cells were scheduled as (passes over the
      *  inputs, before any mid-group fault demotes cells to solo). */
     size_t fusedGroups = 0;
+
+    /** Seconds the passes spent fetching trace records, each pass counted
+     *  once however many cells shared it (SweepScheduler::decodeSeconds). */
+    double decodeSeconds = 0.0;
 
     /** Aggregate throughput: totalInstructions / wallSeconds / 1e6. */
     double aggregateMinstrPerSec = 0.0;

@@ -262,8 +262,7 @@ writeCell(JsonDocOut &doc, const SweepCell &cell, const SweepJsonOptions &opt)
            << ", \"minstr_per_sec\": " << cell.minstrPerSec;
         if (opt.stats) {
             os << ",\n        \"decode_seconds\": " << cell.decodeSeconds
-               << ", \"analyze_seconds\": "
-               << std::max(0.0, cell.wallSeconds - cell.decodeSeconds);
+               << ", \"analyze_seconds\": " << cell.analyzeSeconds;
         }
         os << "}";
     }
@@ -295,10 +294,7 @@ writeSweep(JsonDocOut &doc, const SweepResult &sweep,
            << ", \"aggregate_minstr_per_sec\": "
            << sweep.aggregateMinstrPerSec;
         if (opt.stats) {
-            double decode = 0.0;
-            for (const SweepCell &cell : sweep.cells)
-                decode += cell.decodeSeconds;
-            os << ",\n    \"decode_seconds\": " << decode
+            os << ",\n    \"decode_seconds\": " << sweep.decodeSeconds
                << ", \"fused_groups\": " << sweep.fusedGroups;
         }
         os << "},\n";

@@ -48,6 +48,16 @@ class Histogram
             maxSample_ = sample;
     }
 
+    /** Record one sample in the total and the sum only, as a sweep cell
+     *  does: totalCount() and mean() answer as after add(); no bins are
+     *  allocated, and overflowCount() and maxSample() stay 0. */
+    void
+    tally(uint64_t sample)
+    {
+        ++total_;
+        sum_ += sample;
+    }
+
     /** Count recorded for exact value @p v (0 when out of range). */
     uint64_t
     count(uint64_t v) const

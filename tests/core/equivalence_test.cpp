@@ -7,8 +7,11 @@
 //
 // Every comparable AnalysisResult field is checked exactly, including the
 // complete bin contents of the parallelism profile, both histograms, and the
-// storage profile series. Only analysisSeconds (wall clock) and
-// liveWellPeakBytes (representation-specific by design) are exempt.
+// storage profile series — or, for a sweep cell's config (no
+// distributions), the two histograms' counts and means against the
+// reference's plain sums, with no bins and no storage profile. Only
+// analysisSeconds (wall clock) and liveWellPeakBytes
+// (representation-specific by design) are exempt.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -123,6 +126,22 @@ class ReferenceThrottle
     }
 };
 
+/** What a sweep cell renders of the lifetime and sharing distributions,
+ *  as plain sums: dying values counted, and their lifetimes and reader
+ *  counts added up. */
+struct ReferenceMeans
+{
+    uint64_t values = 0;
+    uint64_t lifetimeSum = 0;
+    uint64_t sharingSum = 0;
+
+    static double
+    mean(uint64_t sum, uint64_t n)
+    {
+        return n ? static_cast<double>(sum) / static_cast<double>(n) : 0.0;
+    }
+};
+
 /** The placement algorithm in its plainest form: every location hashes into
  *  one map, every phase re-probes by key. */
 class ReferenceAnalyzer
@@ -163,8 +182,12 @@ class ReferenceAnalyzer
         return result_;
     }
 
+    /** The lifetime and sharing sums of the run (either config mode). */
+    const ReferenceMeans &means() const { return means_; }
+
   private:
     AnalysisConfig cfg_;
+    ReferenceMeans means_;
     FlatHashMap<uint64_t, LiveValue> well_;
     ReferenceThrottle throttle_;
     core::BranchPredictor predictor_;
@@ -212,13 +235,16 @@ class ReferenceAnalyzer
     {
         if (lv.preExisting)
             return;
-        if (cfg_.collectLifetimes) {
-            result_.lifetimes.add(
-                static_cast<uint64_t>(lv.deepestAccess - lv.level));
-        }
-        if (cfg_.collectSharing)
-            result_.sharing.add(lv.useCount);
-        if (cfg_.collectStorageProfile && lv.level >= 0) {
+        const auto lifetime =
+            static_cast<uint64_t>(lv.deepestAccess - lv.level);
+        ++means_.values;
+        means_.lifetimeSum += lifetime;
+        means_.sharingSum += lv.useCount;
+        if (!cfg_.distributions)
+            return;
+        result_.lifetimes.add(lifetime);
+        result_.sharing.add(lv.useCount);
+        if (lv.level >= 0) {
             result_.storageProfile.add(
                 static_cast<uint64_t>(lv.level),
                 static_cast<uint64_t>(lv.deepestAccess));
@@ -339,6 +365,7 @@ expectHistogramsEqual(const Histogram &ref, const Histogram &got,
                       const std::string &what)
 {
     EXPECT_EQ(ref.totalCount(), got.totalCount()) << what;
+    EXPECT_EQ(ref.mean(), got.mean()) << what;
     EXPECT_EQ(ref.overflowCount(), got.overflowCount()) << what;
     EXPECT_EQ(ref.maxSample(), got.maxSample()) << what;
     ASSERT_EQ(ref.exactRange(), got.exactRange()) << what;
@@ -346,11 +373,11 @@ expectHistogramsEqual(const Histogram &ref, const Histogram &got,
         ASSERT_EQ(ref.count(v), got.count(v)) << what << " bin " << v;
 }
 
+/** Every counter and the parallelism profile: what both config modes
+ *  compute in full. */
 void
-expectResultsEqual(const AnalysisResult &ref, const AnalysisResult &got,
-                   const std::string &what)
+expectCountersEqual(const AnalysisResult &ref, const AnalysisResult &got)
 {
-    SCOPED_TRACE(what);
     EXPECT_EQ(ref.instructions, got.instructions);
     EXPECT_EQ(ref.placedOps, got.placedOps);
     EXPECT_EQ(ref.sysCalls, got.sysCalls);
@@ -372,7 +399,14 @@ expectResultsEqual(const AnalysisResult &ref, const AnalysisResult &got,
     for (size_t b = 0; b < ref.profile.numBins(); ++b)
         ASSERT_EQ(ref.profile.binCount(b), got.profile.binCount(b))
             << "profile bin " << b;
+}
 
+void
+expectResultsEqual(const AnalysisResult &ref, const AnalysisResult &got,
+                   const std::string &what)
+{
+    SCOPED_TRACE(what);
+    expectCountersEqual(ref, got);
     expectHistogramsEqual(ref.lifetimes, got.lifetimes, "lifetimes");
     expectHistogramsEqual(ref.sharing, got.sharing, "sharing");
 
@@ -392,20 +426,58 @@ expectResultsEqual(const AnalysisResult &ref, const AnalysisResult &got,
     }
 }
 
+/** The two distributions' counts and means against the reference's plain
+ *  sums — what a sweep cell renders, in either config mode. */
+void
+expectMeansEqual(const ReferenceMeans &ref, const AnalysisResult &got)
+{
+    EXPECT_EQ(got.lifetimes.totalCount(), ref.values);
+    EXPECT_EQ(got.sharing.totalCount(), ref.values);
+    EXPECT_EQ(got.lifetimes.mean(),
+              ReferenceMeans::mean(ref.lifetimeSum, ref.values));
+    EXPECT_EQ(got.sharing.mean(),
+              ReferenceMeans::mean(ref.sharingSum, ref.values));
+}
+
+/** A sweep cell's result (no distributions): the counters and profile of
+ *  the reference, and of the distributions nothing but their counts and
+ *  sums — no histogram bins, overflow or maximum, no storage profile. */
+void
+expectCellResultEqual(const AnalysisResult &ref, const AnalysisResult &got)
+{
+    expectCountersEqual(ref, got);
+    for (const Histogram *h : {&got.lifetimes, &got.sharing}) {
+        EXPECT_EQ(h->capacity(), 0u);
+        EXPECT_EQ(h->overflowCount(), 0u);
+        EXPECT_EQ(h->maxSample(), 0u);
+    }
+    EXPECT_TRUE(got.storageProfile.empty());
+    EXPECT_EQ(got.storageProfile.capacity(), 0u);
+}
+
 /** Run the reference and all three optimized drive paths; everything must
- *  agree exactly. */
+ *  agree exactly — in full, or as a cell's counts and means. */
 void
 checkAllPaths(const TraceBuffer &buffer, const AnalysisConfig &cfg,
               const std::string &what)
 {
-    AnalysisResult ref = ReferenceAnalyzer(cfg).run(buffer);
+    ReferenceAnalyzer reference(cfg);
+    const AnalysisResult ref = reference.run(buffer);
+    auto check = [&](const AnalysisResult &got, const std::string &path) {
+        SCOPED_TRACE(what + path);
+        if (cfg.distributions)
+            expectResultsEqual(ref, got, "full distributions");
+        else
+            expectCellResultEqual(ref, got);
+        expectMeansEqual(reference.means(), got);
+    };
 
     Paragraph bulk(cfg);
-    expectResultsEqual(ref, bulk.analyze(buffer), what + " [bulk]");
+    check(bulk.analyze(buffer), " [bulk]");
 
     trace::BufferSource src(buffer);
     Paragraph streaming(cfg);
-    expectResultsEqual(ref, streaming.analyze(src), what + " [stream]");
+    check(streaming.analyze(src), " [stream]");
 
     Paragraph scalar(cfg);
     for (const TraceRecord &rec : buffer.records()) {
@@ -413,14 +485,14 @@ checkAllPaths(const TraceBuffer &buffer, const AnalysisConfig &cfg,
             break;
         scalar.process(rec);
     }
-    expectResultsEqual(ref, scalar.finish(), what + " [scalar]");
+    check(scalar.finish(), " [scalar]");
 }
 
 /** The full switch matrix of paper Section 3.2: window x renaming x syscall
- *  assumption x predictor x FU limits x eviction policy x collected
- *  distributions — every record-loop shape outside segment mode. Trace
- *  depth stays below profileBins so profile folding never depends on the
- *  live well's end-of-trace iteration order (which is
+ *  assumption x predictor x FU limits x eviction policy x full
+ *  distributions or a sweep cell's means — every record-loop shape outside
+ *  segment mode. Trace depth stays below profileBins so profile folding
+ *  never depends on the live well's end-of-trace iteration order (which is
  *  representation-specific). */
 TEST(HotPathEquivalence, FullSwitchMatrix)
 {
@@ -449,15 +521,6 @@ TEST(HotPathEquivalence, FullSwitchMatrix)
         {"fu-total4", 4, 0, false},
         {"fu-alu2-pipelined", 3, 2, true},
     };
-    const struct
-    {
-        const char *name;
-        bool lifetimes, sharing, storage;
-    } metrics[] = {
-        {"metrics-all", true, true, true},
-        {"metrics-none", false, false, false},
-        {"metrics-lifetimes", true, false, false},
-    };
 
     for (uint64_t window : {uint64_t{0}, uint64_t{64}}) {
         for (const auto &rn : renames) {
@@ -465,7 +528,7 @@ TEST(HotPathEquivalence, FullSwitchMatrix)
                 for (PredictorKind pred :
                      {PredictorKind::Perfect, PredictorKind::Bimodal}) {
                     for (const auto &fu : fus) {
-                      for (const auto &mt : metrics) {
+                      for (bool full : {true, false}) {
                         for (bool last_use : {false, true}) {
                             AnalysisConfig cfg;
                             cfg.windowSize = window;
@@ -479,9 +542,7 @@ TEST(HotPathEquivalence, FullSwitchMatrix)
                                 isa::OpClass::IntAlu)] = fu.intAlu;
                             cfg.pipelinedFus = fu.pipelined;
                             cfg.useLastUseEviction = last_use;
-                            cfg.collectLifetimes = mt.lifetimes;
-                            cfg.collectSharing = mt.sharing;
-                            cfg.collectStorageProfile = mt.storage;
+                            cfg.distributions = full;
                             cfg.profileBins = 65536;
                             std::string what =
                                 std::string("w") + std::to_string(window) +
@@ -490,7 +551,8 @@ TEST(HotPathEquivalence, FullSwitchMatrix)
                                 (pred == PredictorKind::Perfect
                                      ? " perfect"
                                      : " bimodal") +
-                                " " + fu.name + " " + mt.name +
+                                " " + fu.name +
+                                (full ? " full" : " cell") +
                                 (last_use ? " lastuse" : " overwrite");
                             checkAllPaths(last_use ? annotated : buffer, cfg,
                                           what);
@@ -648,8 +710,7 @@ TEST(HotPathEquivalence, ReusedEngineRepicksItsLoopOnEveryBegin)
         AnalysisConfig cfg;
         cfg.windowSize = 16;
         cfg.useLastUseEviction = true;
-        cfg.collectSharing = false;
-        cfg.collectStorageProfile = false;
+        cfg.distributions = false;
         configs.push_back(cfg);
     }
     {

@@ -288,12 +288,19 @@ TEST(StorageProfile, TracksLiveValues)
 
 TEST(StorageProfile, DisableSwitchWorks)
 {
+    // A sweep cell's config: the values still die and count toward the
+    // lifetime and sharing means, but no interval is recorded.
     AnalysisConfig cfg = AnalysisConfig::dataflowConservative();
-    cfg.collectStorageProfile = false;
+    cfg.distributions = false;
     Paragraph engine(cfg);
     engine.process(alu(1, {}));
+    engine.process(alu(2, {1}));
     AnalysisResult res = engine.finish();
     EXPECT_TRUE(res.storageProfile.empty());
+    EXPECT_EQ(res.storageProfile.capacity(), 0u);
+    EXPECT_EQ(res.lifetimes.totalCount(), 2u);
+    EXPECT_EQ(res.sharing.totalCount(), 2u);
+    EXPECT_EQ(res.sharing.mean(), 0.5);
 }
 
 TEST(StorageProfile, PeakAtLeastMeanParallelismTimesLifetime)

@@ -249,25 +249,23 @@ TEST(ShardStitch, MatchesSoloWithLastUseEviction)
 TEST(ShardStitch, MatchesSoloInEveryLoopShape)
 {
     // Segment mode in every record-loop shape: finite window x FU limit x
-    // last-use eviction x all or no retire distributions collected.
+    // last-use eviction x full distributions or a sweep cell's means.
     TraceBuffer buf = randomTrace(57, 2500);
     trace::annotateLastUses(buf);
     for (uint64_t window : {uint64_t{0}, uint64_t{32}}) {
         for (uint32_t fus : {0u, 2u}) {
             for (bool last_use : {false, true}) {
-                for (bool metrics : {true, false}) {
+                for (bool full : {true, false}) {
                     AnalysisConfig cfg;
                     cfg.windowSize = window;
                     cfg.totalFuLimit = fus;
                     cfg.useLastUseEviction = last_use;
-                    cfg.collectLifetimes = metrics;
-                    cfg.collectSharing = metrics;
-                    cfg.collectStorageProfile = metrics;
+                    cfg.distributions = full;
                     const std::string what =
                         "window " + std::to_string(window) + ", fus " +
                         std::to_string(fus) +
                         (last_use ? ", last use" : ", overwrite") +
-                        (metrics ? ", metrics" : ", no metrics");
+                        (full ? ", full distributions" : ", cell means");
                     expectShardExact(cfg, buf, 4, what.c_str());
                 }
             }

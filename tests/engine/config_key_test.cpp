@@ -14,6 +14,7 @@
 #include "engine/config_key.hpp"
 #include "engine/journal.hpp"
 #include "engine/sweep.hpp"
+#include "engine/sweep_args.hpp"
 
 using namespace paragraph;
 using core::AnalysisConfig;
@@ -103,20 +104,95 @@ TEST(ConfigKey, EverySemanticFieldChangesTheKey)
     differs(c, "profileBins");
 
     c = base;
-    c.collectLifetimes = !c.collectLifetimes;
-    differs(c, "collectLifetimes");
-
-    c = base;
-    c.collectSharing = !c.collectSharing;
-    differs(c, "collectSharing");
-
-    c = base;
-    c.collectStorageProfile = !c.collectStorageProfile;
-    differs(c, "collectStorageProfile");
-
-    c = base;
     c.useLastUseEviction = !c.useLastUseEviction;
     differs(c, "useLastUseEviction");
+}
+
+TEST(ConfigKey, KeepsTheMetricFlagsEveryStoredKeyCarries)
+{
+    // Every key in an existing store or journal was computed with the
+    // lifetime, sharing and storage-profile flags set; the text keeps them
+    // as fixed values in their old place.
+    const std::string text = engine::canonicalConfigText(AnalysisConfig());
+    EXPECT_NE(text.find(";profile_bins=4096;lifetimes=1;sharing=1;"
+                        "storage_profile=1;last_use_eviction=0"),
+              std::string::npos)
+        << text;
+}
+
+TEST(ConfigKey, DistributionsSwitchIsNotPartOfTheIdentity)
+{
+    // A sweep cell runs without full distributions, but renders the same
+    // fields, so it must cache under the key of the config it was asked.
+    AnalysisConfig cfg;
+    cfg.windowSize = 64;
+    const std::string text = engine::canonicalConfigText(cfg);
+    cfg.distributions = !cfg.distributions;
+    EXPECT_EQ(engine::canonicalConfigText(cfg), text);
+    EXPECT_EQ(engine::configKeyHex(cfg),
+              engine::configKeyHex(AnalysisConfig::windowed(64)));
+}
+
+namespace {
+
+/** The configs, in grid order, that a paragraph-sweep command line with
+ *  @p axes expands to (the daemon's requests build theirs the same way). */
+std::vector<AnalysisConfig>
+gridConfigs(std::vector<std::string> axes)
+{
+    axes.insert(axes.begin(), "--inputs=xlisp");
+    engine::SweepArgs args;
+    std::string error;
+    EXPECT_TRUE(engine::parseSweepArgs(axes, args, error)) << error;
+    std::vector<AnalysisConfig> configs;
+    std::vector<std::string> labels;
+    EXPECT_TRUE(engine::buildSweepConfigAxis(args, configs, labels, error))
+        << error;
+    return configs;
+}
+
+std::vector<std::string>
+keysOf(const std::vector<AnalysisConfig> &configs)
+{
+    std::vector<std::string> keys;
+    for (const AnalysisConfig &cfg : configs)
+        keys.push_back(engine::configKeyHex(cfg));
+    return keys;
+}
+
+} // namespace
+
+TEST(ConfigKey, KeysOfExistingStoresArePinned)
+{
+    // Literal keys that existing journals and result stores hold: the
+    // default config, the 8-cell sweep grid and the daemon's 32-cell warm
+    // grid that perfbench runs (at its 1M-instruction cap). A change to
+    // the canonical text, or to how an axis builds its config, moves them
+    // and turns every stored cell into a miss.
+    EXPECT_EQ(engine::configKeyHex(AnalysisConfig()), "403561ee");
+
+    const std::vector<std::string> sweep = {
+        "15f5491f", "763a7634", "e9a449ef", "457b7f90",
+        "df1805d9", "73c733a6", "1f87df80", "df916c1b",
+    };
+    EXPECT_EQ(keysOf(gridConfigs({"--windows=0,16,64,256",
+                                  "--rename=none,data", "--max=1000000"})),
+              sweep);
+
+    const std::vector<std::string> warm = {
+        "15f5491f", "713a995b", "fdf4858f", "993b55cb", "392019b6",
+        "5defc9f2", "763a7634", "12f5a670", "e9a449ef", "987103b6",
+        "1943db67", "6896913e", "468287f3", "3757cdaa", "457b7f90",
+        "34ae35c9", "df1805d9", "aecd4f80", "2fff9751", "5e2add08",
+        "703ecbc5", "01eb819c", "73c733a6", "021279ff", "1f87df80",
+        "0d41e39a", "fc143300", "eed20f1a", "0b29a501", "19ef991b",
+        "df916c1b", "cd575001",
+    };
+    EXPECT_EQ(keysOf(gridConfigs({"--windows=0,16,64,256",
+                                  "--rename=none,regs,stack,data",
+                                  "--syscalls=stall,ignore",
+                                  "--max=1000000"})),
+              warm);
 }
 
 TEST(ConfigKey, FuzzOracleMatrixIsCollisionFree)

@@ -4,13 +4,16 @@
 // but callers of parseSweepArgs still read.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <fcntl.h>
 #include <signal.h>
@@ -18,6 +21,7 @@
 #include <unistd.h>
 
 #include "engine/sweep_args.hpp"
+#include "engine/trace_repository.hpp"
 #include "trace/compressed_io.hpp"
 #include "trace/file_io.hpp"
 
@@ -53,6 +57,20 @@ runSweep(const std::string &args,
         out += buf;
     int status = pclose(pipe);
     return CliResult{status, out};
+}
+
+/** Every number labelled @p key in @p doc, in document order. */
+std::vector<double>
+numbersOf(const std::string &doc, const std::string &key)
+{
+    std::vector<double> values;
+    const std::string label = "\"" + key + "\": ";
+    for (size_t at = doc.find(label); at != std::string::npos;
+         at = doc.find(label, at + 1)) {
+        values.push_back(
+            std::strtod(doc.c_str() + at + label.size(), nullptr));
+    }
+    return values;
 }
 
 } // namespace
@@ -215,6 +233,67 @@ TEST(SweepCli, StatsCountTheFusedGroupsAGroupCapAllows)
     EXPECT_EQ(capped.status, 0);
     EXPECT_EQ(capped.output, solo.output);
     EXPECT_EQ(capped.output.find("fused_groups"), std::string::npos);
+}
+
+TEST(SweepCli, StatsCountEachPassDecodeOnce)
+{
+    // A fused group's cells share one pass: each cell's wall is its own
+    // engine's time, so its analyze_seconds is all of it, and each carries
+    // the pass's decode, which the sweep's decode_seconds counts once. A
+    // solo pass's wall includes its decode, which analyze_seconds leaves
+    // out, and the sweep adds up every pass.
+    namespace fs = std::filesystem;
+    const std::string ptrz =
+        (fs::temp_directory_path() /
+         ("sweep_pass_decode_" + std::to_string(::getpid()) + ".ptrz"))
+            .string();
+    {
+        paragraph::engine::TraceRepository::Options small;
+        small.scale = paragraph::workloads::Scale::Small;
+        paragraph::engine::TraceRepository repo(small);
+        paragraph::trace::BufferSource src(*repo.get("cc1"));
+        paragraph::trace::CompressedTraceWriter writer(ptrz);
+        writer.writeAll(src);
+        writer.close();
+    }
+    const std::string grid = ptrz +
+                             " --windows=0,16,64,256 --rename=none,data "
+                             "--jobs=1 --stats --quiet --no-profiles";
+
+    CliResult fused = runSweep(grid);
+    ASSERT_EQ(fused.status, 0);
+    EXPECT_NE(fused.output.find("\"fused_groups\": 1}"), std::string::npos);
+    // The sweep's timing block comes first, then the eight cells'.
+    std::vector<double> wall = numbersOf(fused.output, "wall_seconds");
+    std::vector<double> decode = numbersOf(fused.output, "decode_seconds");
+    std::vector<double> analyze = numbersOf(fused.output, "analyze_seconds");
+    ASSERT_EQ(wall.size(), 9u);
+    ASSERT_EQ(decode.size(), 9u);
+    ASSERT_EQ(analyze.size(), 8u);
+    EXPECT_GT(decode[0], 0.0);
+    EXPECT_LE(decode[0], wall[0]);
+    for (size_t k = 1; k <= 8; ++k) {
+        EXPECT_EQ(decode[k], decode[0]) << "cell " << k - 1;
+        EXPECT_EQ(analyze[k - 1], wall[k]) << "cell " << k - 1;
+    }
+
+    CliResult solo = runSweep(grid + " --group=1");
+    ASSERT_EQ(solo.status, 0);
+    EXPECT_NE(solo.output.find("\"fused_groups\": 8}"), std::string::npos);
+    wall = numbersOf(solo.output, "wall_seconds");
+    decode = numbersOf(solo.output, "decode_seconds");
+    analyze = numbersOf(solo.output, "analyze_seconds");
+    ASSERT_EQ(decode.size(), 9u);
+    ASSERT_EQ(analyze.size(), 8u);
+    double passes = 0.0;
+    for (size_t k = 1; k <= 8; ++k) {
+        passes += decode[k];
+        EXPECT_EQ(analyze[k - 1], std::max(0.0, wall[k] - decode[k]))
+            << "cell " << k - 1;
+    }
+    EXPECT_EQ(decode[0], passes);
+    EXPECT_LE(decode[0], wall[0]);
+    fs::remove(ptrz);
 }
 
 TEST(SweepCli, CrossesEveryAxis)

@@ -366,10 +366,47 @@ TEST(SweepEngine, CellsMatchSoloAnalyzeRunsByteForByte)
 
     for (const SweepCell &cell : sweep.cells) {
         SCOPED_TRACE(cell.job.input + " / " + cell.job.configLabel);
+        // A cell collects what it renders: the means, not the full
+        // distributions (serialSweepDoc checks the rendered identity).
+        core::AnalysisConfig cfg = cell.job.config;
+        cfg.distributions = false;
         trace::BufferSource solo(*repo.get(cell.job.input));
-        core::AnalysisResult alone =
-            core::Paragraph(cell.job.config).analyze(solo);
+        core::AnalysisResult alone = core::Paragraph(cfg).analyze(solo);
         expectIdenticalResults(cell.result, alone);
+    }
+}
+
+TEST(SweepEngine, CellsHoldNoDistributionBinsFromGroupsOrSoloPasses)
+{
+    // A cell renders only the lifetime and sharing means. Whether it ran
+    // in a fused group or in a solo pass, its result holds their counts
+    // and sums but no histogram bins, and no storage profile, so the cost
+    // of the full distributions cannot come back unseen.
+    const std::vector<core::AnalysisConfig> configs = {
+        core::AnalysisConfig::windowed(16),
+        core::AnalysisConfig::dataflowConservative(),
+        core::AnalysisConfig::noRenaming(),
+    };
+    TraceRepository repo(smallScale());
+    for (unsigned group : {1u, 8u}) {
+        SweepEngine::Options opt;
+        opt.jobs = 1;
+        opt.groupSize = group;
+        SweepResult sweep = SweepEngine(opt).run(repo, {"xlisp"}, configs);
+        EXPECT_EQ(sweep.fusedGroups, group == 1 ? configs.size() : 1u);
+        for (const SweepCell &cell : sweep.cells) {
+            SCOPED_TRACE("group " + std::to_string(group) + " / " +
+                         cell.job.configLabel);
+            ASSERT_EQ(cell.status, SweepCell::Status::Ok);
+            const core::AnalysisResult &r = cell.result;
+            EXPECT_GT(r.lifetimes.totalCount(), 0u);
+            EXPECT_EQ(r.sharing.totalCount(), r.lifetimes.totalCount());
+            EXPECT_GT(r.sharing.mean(), 0.0);
+            EXPECT_EQ(r.lifetimes.capacity(), 0u);
+            EXPECT_EQ(r.sharing.capacity(), 0u);
+            EXPECT_EQ(r.storageProfile.capacity(), 0u);
+            EXPECT_TRUE(r.storageProfile.empty());
+        }
     }
 }
 
