@@ -62,10 +62,10 @@ attemptConfig(const core::AnalysisConfig &cfg, double deadlineSeconds,
  * One guarded fused pass over @p input under @p cfgs — the pass every
  * group and every solo attempt runs. A `.ptrc` walks the shared pool's
  * blocks in place in the mapping (each block checked once across every
- * pass on the input); any other input — a simulation, a `.ptrz`, a `.ptrc`
- * that could not be mapped — fills one reused block at a time on this
- * thread, up to the largest cap in the pass. Input errors throw;
- * engine errors stay in their outcome slots.
+ * pass on the input; a file that cannot be mapped fails the pass with its
+ * located error); a simulation or a `.ptrz` fills one reused block at a
+ * time on this thread, up to the largest cap in the pass. Input errors
+ * throw; engine errors stay in their outcome slots.
  */
 std::vector<core::MultiOutcome>
 fusedPass(TraceRepository &repo, const std::string &input,

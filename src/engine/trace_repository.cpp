@@ -50,12 +50,19 @@ isProgramFile(const std::string &spec)
            hasSuffix(spec, ".c");
 }
 
+/** Any input read from a file: everything but a bundled analog. */
+bool
+isFileInput(const std::string &spec)
+{
+    return isTraceFile(spec) || isProgramFile(spec);
+}
+
 } // namespace
 
 std::shared_ptr<const trace::TraceBuffer>
 TraceRepository::get(const std::string &spec)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<std::mutex> lock(capturesMutex_);
     auto it = captures_.find(spec);
     if (it == captures_.end()) {
         auto buffer = std::make_shared<trace::TraceBuffer>();
@@ -75,26 +82,30 @@ TraceRepository::simulatedInput(const std::string &spec) const
 std::shared_ptr<const casm::Program>
 TraceRepository::program(const std::string &spec)
 {
+    // Stat before reading: a program is never tagged with the identity of
+    // an edit made after it was read.
+    const std::optional<trace::FileIdentity> file = fileIdentity(spec);
     std::lock_guard<std::mutex> lock(programsMutex_);
-    std::shared_ptr<const casm::Program> &slot = programs_[spec];
-    if (slot)
-        return slot;
+    CompiledProgram &slot = programs_[spec];
+    if (slot.program && slot.file == file)
+        return slot.program;
     if (hasSuffix(spec, ".s")) {
-        slot = std::make_shared<const casm::Program>(
+        slot.program = std::make_shared<const casm::Program>(
             casm::assemble(readFile(spec)));
     } else if (isProgramFile(spec)) {
-        slot = std::make_shared<const casm::Program>(
+        slot.program = std::make_shared<const casm::Program>(
             minic::compile(readFile(spec)));
     } else {
         // The suite keeps an analog's program for the whole process: hand
         // it out without an owner.
         auto &suite = workloads::WorkloadSuite::instance();
-        slot = std::shared_ptr<const casm::Program>(
+        slot.program = std::shared_ptr<const casm::Program>(
             std::shared_ptr<const casm::Program>(),
             &suite.program(suite.find(spec)));
     }
+    slot.file = file;
     ++programsBuilt_;
-    return slot;
+    return slot.program;
 }
 
 size_t
@@ -132,21 +143,12 @@ TraceRepository::decodePool(const std::string &spec)
         if (it != pools_.end())
             return it->second;
     }
-    // Map and validate outside the lock: the eager payload-CRC pass over a
+    // Map and validate outside the lock: the payload-CRC pass over a
     // multi-GB trace must not stall every other worker.
-    std::shared_ptr<trace::MmapTraceFile> file =
-        trace::MmapTraceFile::tryOpen(spec);
-    if (!file)
-        return nullptr;
     trace::SharedDecodePool::Options popt;
     popt.maxRecords = opt_.maxRecords;
-    // A capped read never reaches the final records, so (like the
-    // sequential reader, whose CRC check fires only at end-of-stream) a
-    // capped pool skips whole-payload verification.
-    popt.verifyPayload =
-        opt_.maxRecords == 0 || opt_.maxRecords >= file->recordCount();
-    auto pool =
-        std::make_shared<trace::SharedDecodePool>(std::move(file), popt);
+    auto pool = std::make_shared<trace::SharedDecodePool>(
+        std::make_shared<trace::MmapTraceFile>(spec), popt);
     // Two callers that mapped the same file share the first pool.
     std::lock_guard<std::mutex> lock(mutex_);
     std::shared_ptr<trace::SharedDecodePool> &slot = pools_[spec];
@@ -180,9 +182,9 @@ TraceRepository::traceKey(const std::string &spec)
         // Any other input is checksummed as it streams by; a damaged
         // record throws its located error, so it gets no key.
         key.crc = trace::traceSourceCrc(*makeSource(spec));
-        // A trace file that could not be stat()ed has nothing to tag its
-        // key with: hand it out, but do not remember it.
-        if (!key.file && !simulatedInput(spec))
+        // A file that could not be stat()ed has nothing to tag its key
+        // with: hand it out, but do not remember it.
+        if (!key.file && isFileInput(spec))
             return key;
     }
     std::lock_guard<std::mutex> lock(mutex_);
@@ -193,7 +195,7 @@ TraceRepository::traceKey(const std::string &spec)
 std::optional<trace::FileIdentity>
 TraceRepository::fileIdentity(const std::string &spec) const
 {
-    if (simulatedInput(spec))
+    if (!isFileInput(spec))
         return std::nullopt;
     return trace::fileIdentity(spec);
 }
@@ -201,20 +203,23 @@ TraceRepository::fileIdentity(const std::string &spec) const
 size_t
 TraceRepository::cachedInputs() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<std::mutex> lock(capturesMutex_);
     return captures_.size();
 }
 
 size_t
 TraceRepository::cachedBytes() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::lock_guard<std::mutex> lock(capturesMutex_);
     return capturedBytes_;
 }
 
 std::unique_ptr<trace::TraceSource>
 TraceRepository::makeSource(const std::string &spec)
 {
+    // A `.ptrc` reads the shared pool, which serves at most maxRecords.
+    if (hasSuffix(spec, ".ptrc"))
+        return std::make_unique<trace::SharedDecodeSource>(decodePool(spec));
     std::unique_ptr<trace::TraceSource> src;
     if (isTraceFile(spec)) {
         src = trace::openTraceFile(spec);

@@ -15,19 +15,21 @@
  *    identical records. One pass over 1M records costs less than one
  *    config's analysis, which a fused pass pays once for all its configs.
  *  - A `.ptrc` trace file is read in place from its mapping through one
- *    shared decode pool (decodePool()), whose blocks every pass shares.
+ *    shared decode pool (decodePool()), whose blocks every pass, key and
+ *    source (makeSource()) shares.
  *  - A `.ptrz` trace file is decoded inline by each pass (makeSource()).
  *
- * A trace file's pool and content key are tagged with the file's identity
- * (trace::FileIdentity). decodePool() and traceKey() stat the path on
- * every call and rebuild either when the file on disk has changed, so a
- * long-running holder (the paragraph-serve daemon keeps one repository
- * alive across every client's sweeps) never keys or reads a replaced,
- * rewritten, truncated or deleted file through its old mapping; passes
- * already reading the old mapping keep it until they finish. Each
- * decodePool() call also stats the path of every pool held and drops the
- * pools of files that changed or are gone, so none stays mapped. A pool
- * of a file that is unchanged but never asked for again stays held.
+ * Every file input's program, pool and content key are tagged with the
+ * file's identity (trace::FileIdentity); a bundled analog has none.
+ * program(), decodePool() and traceKey() stat the path on every call and
+ * rebuild when the file on disk has changed, so a long-running holder
+ * (the paragraph-serve daemon keeps one repository alive across every
+ * client's sweeps) never keys, compiles or reads a replaced, rewritten,
+ * truncated or deleted file from its old content; passes already reading
+ * an old mapping or program keep it until they finish. Each decodePool()
+ * call also stats the path of every pool held and drops the pools of
+ * files that changed or are gone, so none stays mapped. A pool of a file
+ * that is unchanged but never asked for again stays held.
  *
  * traceCrc() is each input's content identity (CRC-32 of the packed
  * records, the value a trace-file header carries), the trace half of the
@@ -79,8 +81,8 @@ class TraceRepository
     struct TraceKey
     {
         uint32_t crc = 0;
-        /** The trace file's identity when keyed; nullopt for a simulated
-         *  input. */
+        /** The input file's identity when keyed; nullopt for a bundled
+         *  analog. */
         std::optional<trace::FileIdentity> file;
     };
 
@@ -104,8 +106,8 @@ class TraceRepository
     std::shared_ptr<const trace::TraceBuffer> get(const std::string &spec);
 
     /** A fresh source producing @p spec's records, capped at maxRecords:
-     *  a simulator for a simulated input, the trace file read back for a
-     *  `.ptrc`/`.ptrz`. */
+     *  a simulator for a simulated input, a `.ptrz` decoded inline, and a
+     *  view of decodePool(@p spec) for a `.ptrc`. */
     std::unique_ptr<trace::TraceSource> makeSource(const std::string &spec);
 
     /** True when @p spec is simulated: a bundled workload analog, a `.s`
@@ -116,26 +118,29 @@ class TraceRepository
      * The compiled program of simulated input @p spec: a bundled analog's
      * comes from the workload suite, a `.s`/`.mc` file is assembled or
      * compiled on first request (once, however many threads ask at once)
-     * and cached for the repository's lifetime. Sources made from it
-     * co-own it. Thread-safe; throws FatalError for an unknown analog or
-     * an unreadable or invalid program.
+     * and again whenever its identity on disk has moved. Sources made
+     * from it co-own it. Thread-safe; throws FatalError for an unknown
+     * analog or an unreadable or invalid program.
      */
     std::shared_ptr<const casm::Program> program(const std::string &spec);
 
-    /** Programs program() has resolved: each `.s`/`.mc` compile, and each
-     *  analog taken from the suite, counts once. */
+    /** Programs program() has resolved: each `.s`/`.mc` compile (a
+     *  recompile of a changed file too), and each analog taken from the
+     *  suite, counts once. */
     size_t programsBuilt() const;
 
     /**
      * The shared decode pool for a `.ptrc` input: every consumer (fused
      * group, solo cell, serve client) of the same file reads its records
      * in place from one mapping, and each block is checked once between
-     * them. Every call, whatever @p spec is, first stat()s the path of
-     * each pool held and drops those whose file changed or is gone, so
-     * a changed @p spec is mapped afresh. Returns nullptr when @p spec is
-     * not a `.ptrc` (or cannot be mapped) — callers then read
-     * makeSource(). Thread-safe; throws the reader's FatalError for a
-     * missing, truncated or corrupt file.
+     * them. An uncapped pool verifies the payload CRC as it opens; a
+     * capped one (maxRecords below the file's count) checks only the
+     * blocks it serves. Every call, whatever @p spec is, first stat()s
+     * the path of each pool held and drops those whose file changed or is
+     * gone, so a changed @p spec is mapped afresh. Returns nullptr when
+     * @p spec is not a `.ptrc` — callers then read makeSource().
+     * Thread-safe; throws the located FatalError of a missing, unmappable,
+     * truncated or corrupt file.
      */
     std::shared_ptr<trace::SharedDecodePool>
     decodePool(const std::string &spec);
@@ -147,7 +152,7 @@ class TraceRepository
      * range check of every block) is keyed by its header's payload CRC;
      * any other input is checksummed in one streaming pass in O(block)
      * memory.
-     * Remembered per spec, and for a trace file per identity: a changed
+     * Remembered per spec, and for a file input per identity: a changed
      * file is keyed again. Throws what reading the input throws, so a
      * damaged payload gets no key.
      */
@@ -156,8 +161,9 @@ class TraceRepository
     /** traceKey(@p spec).crc. */
     uint32_t traceCrc(const std::string &spec) { return traceKey(spec).crc; }
 
-    /** The identity of trace file @p spec on disk now, as traceKey()
-     *  compares it; nullopt for a simulated input or a missing file. */
+    /** The identity of file input @p spec (a trace file, a `.s`, a
+     *  `.mc`/`.c`) on disk now, as traceKey() and program() compare it;
+     *  nullopt for a bundled analog or a missing file. */
     std::optional<trace::FileIdentity>
     fileIdentity(const std::string &spec) const;
 
@@ -168,19 +174,30 @@ class TraceRepository
     size_t cachedBytes() const;
 
   private:
+    /** A compiled program and the identity of the file it was read from
+     *  (nullopt for an analog). */
+    struct CompiledProgram
+    {
+        std::shared_ptr<const casm::Program> program;
+        std::optional<trace::FileIdentity> file;
+    };
+
     Options opt_;
-    mutable std::mutex mutex_;
+
+    /** get()'s captures. Their own lock, held while a capture reads its
+     *  source, which takes mutex_ or programsMutex_: capturesMutex_ is
+     *  always taken first. */
+    mutable std::mutex capturesMutex_;
     std::map<std::string, std::shared_ptr<const trace::TraceBuffer>>
         captures_;
     size_t capturedBytes_ = 0;
+
+    mutable std::mutex mutex_; ///< pools_ and keys_
     std::map<std::string, std::shared_ptr<trace::SharedDecodePool>> pools_;
     std::map<std::string, TraceKey> keys_;
 
-    /** Compiled programs of simulated inputs. Their own lock, so get()
-     *  (which reads under mutex_) can resolve one: mutex_ is taken first
-     *  whenever both are held. */
     mutable std::mutex programsMutex_;
-    std::map<std::string, std::shared_ptr<const casm::Program>> programs_;
+    std::map<std::string, CompiledProgram> programs_;
     size_t programsBuilt_ = 0;
 };
 

@@ -26,8 +26,8 @@ namespace trace {
 
 /**
  * Records per block a TraceSource fills on its consumer's thread (192 KB):
- * a fused pass over a simulation, a `.ptrz` or a stdio `.ptrc`, a capture,
- * a streaming checksum. The one block is rewritten for each step, so it
+ * a fused pass over a simulation or a `.ptrz`, a capture, a streaming
+ * checksum. The one block is rewritten for each step, so it
  * stays in cache while every engine walks it. On a 4-vCPU Xeon VM, 40
  * sweep-sim shaped ops each (8 configs, 1M records, --jobs=4) took
  * medians of 179, 184 and 196 ms with 4K-, 16K- and 64K-record blocks, at

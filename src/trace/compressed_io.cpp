@@ -5,7 +5,7 @@
 
 #include "support/panic.hpp"
 #include "trace/file_io.hpp"
-#include "trace/mmap_io.hpp"
+#include "trace/shared_decode.hpp"
 
 namespace paragraph {
 namespace trace {
@@ -545,13 +545,12 @@ openTraceFile(const std::string &path)
     if (magic == compressedTraceMagic)
         return std::make_unique<CompressedTraceReader>(path);
     if (magic == traceFileMagic) {
-        // Prefer the mapped reader (zero read syscalls, records copied
-        // straight from the page cache); validation failures throw
-        // the same errors either way. Fall back to stdio only when the
-        // platform refuses the mapping.
-        if (auto mapped = MmapTraceFile::tryOpen(path))
-            return std::make_unique<MmapTraceSource>(std::move(mapped));
-        return std::make_unique<TraceFileReader>(path);
+        // A private, uncapped pool: its open verifies the payload CRC and
+        // range-checks every block before the first record is read.
+        return std::make_unique<SharedDecodeSource>(
+            std::make_shared<SharedDecodePool>(
+                std::make_shared<MmapTraceFile>(path),
+                SharedDecodePool::Options{}));
     }
     PARA_FATAL("unrecognized trace file format: %s", path.c_str());
 }

@@ -143,8 +143,9 @@ class CompressedTraceReader : public TraceSource
 
 /**
  * Open a trace file of either format by inspecting its magic.
- * @return a replayable TraceSource (TraceFileReader or
- *         CompressedTraceReader).
+ * @return a replayable TraceSource: a CompressedTraceReader for a `.ptrz`,
+ *         and for a `.ptrc` a SharedDecodeSource over a private, uncapped
+ *         pool, whose open verifies the payload CRC (shared_decode.hpp).
  */
 std::unique_ptr<TraceSource> openTraceFile(const std::string &path);
 

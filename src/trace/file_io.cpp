@@ -5,7 +5,6 @@
 #include "support/crc32.hpp"
 #include "support/failpoint.hpp"
 #include "support/panic.hpp"
-#include "trace/validate.hpp"
 
 namespace paragraph {
 namespace trace {
@@ -106,89 +105,6 @@ TraceFileWriter::closeFile(bool throwOnError)
         PARA_WARN("%s: %s (in destructor; trace is incomplete)", err,
                   path_.c_str());
     }
-}
-
-TraceFileReader::TraceFileReader(const std::string &path) : path_(path)
-{
-    file_ = std::fopen(path.c_str(), "rb");
-    if (!file_)
-        PARA_FATAL("cannot open trace file: %s", path.c_str());
-    TraceFileHeader hdr;
-    if (std::fread(&hdr, sizeof(hdr), 1, file_) != 1) {
-        std::fclose(file_);
-        file_ = nullptr;
-        PARA_FATAL("trace file too short: %s", path.c_str());
-    }
-    if (hdr.magic != traceFileMagic) {
-        std::fclose(file_);
-        file_ = nullptr;
-        PARA_FATAL("bad trace file magic in %s", path.c_str());
-    }
-    if (hdr.version < 1 || hdr.version > traceFileVersion) {
-        std::fclose(file_);
-        file_ = nullptr;
-        PARA_FATAL("unsupported trace file version %u in %s", hdr.version,
-                   path.c_str());
-    }
-    if (hdr.version >= 2) {
-        uint32_t expect = traceHeaderCrc(hdr);
-        if (hdr.headerCrc != expect) {
-            std::fclose(file_);
-            file_ = nullptr;
-            PARA_FATAL("trace file header checksum mismatch in %s "
-                       "(stored %08x, computed %08x); header is corrupt",
-                       path.c_str(), hdr.headerCrc, expect);
-        }
-    } else {
-        PARA_WARN("trace file %s is format v1: no checksums, integrity "
-                  "cannot be verified",
-                  path.c_str());
-    }
-    version_ = hdr.version;
-    count_ = hdr.count;
-    expectedPayloadCrc_ = hdr.payloadCrc;
-}
-
-TraceFileReader::~TraceFileReader()
-{
-    if (file_)
-        std::fclose(file_);
-}
-
-bool
-TraceFileReader::next(TraceRecord &rec)
-{
-    if (pos_ >= count_)
-        return false;
-    if (PARA_FAILPOINT("trace.file.read") ||
-        std::fread(&rec, sizeof(rec), 1, file_) != 1) {
-        PARA_FATAL("trace file truncated: %s (record %llu at offset %llu)",
-                   path_.c_str(), static_cast<unsigned long long>(pos_),
-                   static_cast<unsigned long long>(recordOffset(pos_)));
-    }
-    validateRecords(&rec, 1, path_, pos_);
-    if (version_ >= 2)
-        runningCrc_ = crc32Update(runningCrc_, &rec, sizeof(rec));
-    ++pos_;
-    if (version_ >= 2 && pos_ == count_ &&
-        runningCrc_ != expectedPayloadCrc_) {
-        PARA_FATAL("trace file payload checksum mismatch in %s "
-                   "(stored %08x, computed %08x over %llu records); "
-                   "trace is corrupt",
-                   path_.c_str(), expectedPayloadCrc_, runningCrc_,
-                   static_cast<unsigned long long>(count_));
-    }
-    return true;
-}
-
-void
-TraceFileReader::reset()
-{
-    PARA_ASSERT(file_, "reset on closed reader");
-    if (std::fseek(file_, sizeof(TraceFileHeader), SEEK_SET) != 0)
-        PARA_FATAL("trace file seek failed: %s", path_.c_str());
-    pos_ = 0;
-    runningCrc_ = 0;
 }
 
 uint32_t

@@ -1,6 +1,6 @@
 /**
  * @file
- * Binary trace file format (reader/writer).
+ * Binary trace file format: the `.ptrc` layout and its writer.
  *
  * Layout: a 24-byte header (magic "PTRC", version, record count, checksums)
  * followed by fixed-size little-endian records. The format exists so traces
@@ -8,13 +8,14 @@
  * the same role Pixie output files played for Paragraph.
  *
  * Format v2 hardens ingestion against on-disk corruption: the header
- * carries a CRC-32 of itself plus a CRC-32 of the whole record payload
- * (verified when the stream is read to the end), and every record's
- * class/operand-kind/segment/source-count fields are range-checked as it
- * is read — a flipped byte in a multi-GB capture becomes a FatalError
- * naming the record index and byte offset, never silent corruption. v1
- * files (checksum words zero) still read, with a warning that integrity
- * cannot be verified.
+ * carries a CRC-32 of itself plus a CRC-32 of the whole record payload,
+ * and every record's class/operand-kind/segment/source-count fields are
+ * range-checked before it is read — a flipped byte in a multi-GB capture
+ * becomes a FatalError naming the record index and byte offset, never
+ * silent corruption. v1 files (checksum words zero) still read, with a
+ * warning that integrity cannot be verified. The one reader is the mapped
+ * one (mmap_io.hpp), served through a SharedDecodePool (shared_decode.hpp),
+ * whose open verifies the payload CRC.
  *
  * A record on disk is a TraceRecord byte for byte (record.hpp pins the
  * layout), so reading and writing copy record bytes with no conversion.
@@ -25,7 +26,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <memory>
 #include <string>
 
 #include "trace/buffer.hpp"
@@ -104,41 +104,6 @@ class TraceFileWriter
 
     void writeHeader();
     void closeFile(bool throwOnError);
-};
-
-/** Replayable trace file reader. */
-class TraceFileReader : public TraceSource
-{
-  public:
-    /**
-     * Open @p path; throws FatalError on bad magic, unsupported version,
-     * a v2 header whose checksum does not match, or truncation. Every
-     * record-level FatalError names the record index and byte offset.
-     */
-    explicit TraceFileReader(const std::string &path);
-    ~TraceFileReader() override;
-
-    TraceFileReader(const TraceFileReader &) = delete;
-    TraceFileReader &operator=(const TraceFileReader &) = delete;
-
-    bool next(TraceRecord &rec) override;
-    void reset() override;
-    std::string name() const override { return path_; }
-
-    /** Total records in the file. */
-    uint64_t recordCount() const { return count_; }
-
-    /** Format version read from the header (1 = no checksums). */
-    uint32_t formatVersion() const { return version_; }
-
-  private:
-    std::string path_;
-    std::FILE *file_ = nullptr;
-    uint64_t count_ = 0;
-    uint64_t pos_ = 0;
-    uint32_t version_ = traceFileVersion;
-    uint32_t expectedPayloadCrc_ = 0;
-    uint32_t runningCrc_ = 0;
 };
 
 /**

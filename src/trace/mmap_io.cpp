@@ -37,6 +37,29 @@ throwTruncated(const std::string &path, uint64_t index)
                static_cast<unsigned long long>(recordOffset(index)));
 }
 
+/** Validate a `.ptrc` header read from @p path: the one header parser. */
+void
+checkHeader(const TraceFileHeader &hdr, const std::string &path)
+{
+    if (hdr.magic != traceFileMagic)
+        PARA_FATAL("bad trace file magic in %s", path.c_str());
+    if (hdr.version < 1 || hdr.version > traceFileVersion)
+        PARA_FATAL("unsupported trace file version %u in %s", hdr.version,
+                   path.c_str());
+    if (hdr.version >= 2) {
+        uint32_t expect = traceHeaderCrc(hdr);
+        if (hdr.headerCrc != expect) {
+            PARA_FATAL("trace file header checksum mismatch in %s "
+                       "(stored %08x, computed %08x); header is corrupt",
+                       path.c_str(), hdr.headerCrc, expect);
+        }
+    } else {
+        PARA_WARN("trace file %s is format v1: no checksums, integrity "
+                  "cannot be verified",
+                  path.c_str());
+    }
+}
+
 } // namespace
 
 std::optional<FileIdentity>
@@ -48,26 +71,8 @@ fileIdentity(const std::string &path)
     return identityOf(st);
 }
 
-MmapTraceFile::MmapTraceFile(const std::string &path)
+MmapTraceFile::MmapTraceFile(const std::string &path) : path_(path)
 {
-    open(path, /*throwOnMapFailure=*/true);
-}
-
-std::shared_ptr<MmapTraceFile>
-MmapTraceFile::tryOpen(const std::string &path)
-{
-    // Probe readability first so a genuinely missing file throws the
-    // reader's "cannot open" error instead of silently falling back.
-    std::shared_ptr<MmapTraceFile> file(new MmapTraceFile());
-    if (!file->open(path, /*throwOnMapFailure=*/false))
-        return nullptr;
-    return file;
-}
-
-bool
-MmapTraceFile::open(const std::string &path, bool throwOnMapFailure)
-{
-    path_ = path;
     int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
     if (fd < 0)
         PARA_FATAL("cannot open trace file: %s", path.c_str());
@@ -92,40 +97,26 @@ MmapTraceFile::open(const std::string &path, bool throwOnMapFailure)
         ::munmap(map, size);
         map = MAP_FAILED;
     }
-    if (map == MAP_FAILED) {
-        if (throwOnMapFailure)
-            PARA_FATAL("cannot mmap trace file: %s", path.c_str());
-        return false;
+    if (map == MAP_FAILED)
+        PARA_FATAL("cannot mmap trace file: %s", path.c_str());
+    // A throwing constructor runs no destructor: unmap before a bad
+    // header's error leaves.
+    TraceFileHeader hdr;
+    std::memcpy(&hdr, map, sizeof(hdr));
+    try {
+        checkHeader(hdr, path);
+    } catch (...) {
+        ::munmap(map, size);
+        throw;
     }
     map_ = map;
     mapSize_ = size;
-
-    TraceFileHeader hdr;
-    std::memcpy(&hdr, map_, sizeof(hdr));
-    if (hdr.magic != traceFileMagic)
-        PARA_FATAL("bad trace file magic in %s", path.c_str());
-    if (hdr.version < 1 || hdr.version > traceFileVersion)
-        PARA_FATAL("unsupported trace file version %u in %s", hdr.version,
-                   path.c_str());
-    if (hdr.version >= 2) {
-        uint32_t expect = traceHeaderCrc(hdr);
-        if (hdr.headerCrc != expect) {
-            PARA_FATAL("trace file header checksum mismatch in %s "
-                       "(stored %08x, computed %08x); header is corrupt",
-                       path.c_str(), hdr.headerCrc, expect);
-        }
-    } else {
-        PARA_WARN("trace file %s is format v1: no checksums, integrity "
-                  "cannot be verified",
-                  path.c_str());
-    }
     version_ = hdr.version;
     count_ = hdr.count;
     payloadCrc_ = hdr.payloadCrc;
     payload_ = static_cast<const uint8_t *>(map_) + sizeof(TraceFileHeader);
     uint64_t backed = (size - sizeof(TraceFileHeader)) / sizeof(TraceRecord);
     avail_ = backed < count_ ? backed : count_;
-    return true;
 }
 
 MmapTraceFile::~MmapTraceFile()
@@ -158,13 +149,6 @@ MmapTraceFile::decode(uint64_t first, size_t n, TraceRecord *out) const
     std::memcpy(out, records(first), n * sizeof(TraceRecord));
 }
 
-uint32_t
-MmapTraceFile::crcRange(uint64_t first, uint64_t n, uint32_t crc) const
-{
-    PARA_ASSERT(first + n <= avail_, "crc range out of bounds");
-    return crc32Update(crc, records(first), n * sizeof(TraceRecord));
-}
-
 void
 MmapTraceFile::verifyPayload(
     size_t rangeRecords,
@@ -192,43 +176,6 @@ MmapTraceFile::verifyPayload(
                    path_.c_str(), payloadCrc_, crc,
                    static_cast<unsigned long long>(count_));
     }
-}
-
-bool
-MmapTraceSource::next(TraceRecord &rec)
-{
-    return nextBatch(&rec, 1) == 1;
-}
-
-size_t
-MmapTraceSource::nextBatch(TraceRecord *out, size_t max)
-{
-    uint64_t count = file_->recordCount();
-    if (pos_ >= count || max == 0)
-        return 0;
-    uint64_t remaining = count - pos_;
-    size_t n = remaining < max ? static_cast<size_t>(remaining) : max;
-    // Past-the-bytes reads throw the reader's truncation error.
-    file_->decode(pos_, n, out);
-    if (file_->formatVersion() >= 2)
-        runningCrc_ = file_->crcRange(pos_, n, runningCrc_);
-    pos_ += n;
-    if (file_->formatVersion() >= 2 && pos_ == count &&
-        runningCrc_ != file_->storedPayloadCrc()) {
-        PARA_FATAL("trace file payload checksum mismatch in %s "
-                   "(stored %08x, computed %08x over %llu records); "
-                   "trace is corrupt",
-                   file_->path().c_str(), file_->storedPayloadCrc(),
-                   runningCrc_, static_cast<unsigned long long>(count));
-    }
-    return n;
-}
-
-void
-MmapTraceSource::reset()
-{
-    pos_ = 0;
-    runningCrc_ = 0;
 }
 
 } // namespace trace

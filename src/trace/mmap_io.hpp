@@ -2,20 +2,14 @@
  * @file
  * Memory-mapped `.ptrc` trace access: records in place, zero read syscalls.
  *
- * TraceFileReader pulls records through buffered stdio — fine for one
- * sequential pass, but concurrent fused passes over one trace want many
- * readers over the same bytes. MmapTraceFile maps the file once
- * and validates the header exactly like TraceFileReader (same order, same
- * FatalError texts, same v1 warning). A record on disk is a TraceRecord,
- * so the mapped payload is the record array itself: readers validate a
- * range (validate.hpp) and then read it in place. The kernel page cache
- * shares the mapped bytes across every pool, cursor, and process touching
- * the trace.
- *
- * MmapTraceSource is the sequential TraceSource view used by streamed solo
- * cells: byte-for-byte the same observable behavior as TraceFileReader,
- * including the payload-CRC check firing only when the stream is read to
- * its end (a capped read never reaches it, exactly as before).
+ * MmapTraceFile is the one `.ptrc` reader: it maps the file once and
+ * parses and validates its header (the only place a `.ptrc` header is
+ * parsed). A record on disk is a TraceRecord, so the mapped payload is the
+ * record array itself: readers validate a range (validate.hpp) and then
+ * read it in place. Every consumer goes through a SharedDecodePool
+ * (shared_decode.hpp) over the mapping, which checks the payload CRC and
+ * the record ranges; the kernel page cache shares the mapped bytes across
+ * every pool, cursor, and process touching the trace.
  *
  * FileIdentity names which file a path held when it was read: a mapping
  * keeps the one it opened, so a holder that outlives the file on disk
@@ -29,13 +23,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 
 #include "trace/file_io.hpp"
 #include "trace/record.hpp"
-#include "trace/source.hpp"
 
 namespace paragraph {
 namespace trace {
@@ -60,24 +52,17 @@ class MmapTraceFile
 {
   public:
     /**
-     * Map @p path read-only and validate its header; throws FatalError for
-     * the same conditions, in the same order, with the same messages as
-     * TraceFileReader (missing file, short file, bad magic, bad version,
-     * v2 header-CRC mismatch) and warns identically on v1 files.
+     * Map @p path read-only and validate its header. Throws FatalError, in
+     * this order, for a file that cannot be opened, one too short for a
+     * header, one that cannot be mapped ("cannot mmap trace file: <path>"),
+     * a bad magic, an unsupported version and a v2 header-CRC mismatch;
+     * warns that a v1 file's integrity cannot be verified.
      */
     explicit MmapTraceFile(const std::string &path);
     ~MmapTraceFile();
 
     MmapTraceFile(const MmapTraceFile &) = delete;
     MmapTraceFile &operator=(const MmapTraceFile &) = delete;
-
-    /**
-     * Map @p path if the platform allows it; returns nullptr when the file
-     * exists but cannot be mapped (so callers fall back to stdio), and
-     * throws FatalError for validation failures exactly like the
-     * throwing constructor.
-     */
-    static std::shared_ptr<MmapTraceFile> tryOpen(const std::string &path);
 
     /** Records promised by the header. */
     uint64_t recordCount() const { return count_; }
@@ -97,10 +82,10 @@ class MmapTraceFile
     const TraceRecord *records(uint64_t first = 0) const;
 
     /**
-     * Check records [@p first, @p first + @p n): throws the
-     * reader-identical truncation FatalError if the range runs past the
-     * mapped bytes, and a reader-identical located error for the first
-     * corrupt record in it.
+     * Check records [@p first, @p first + @p n): throws the truncation
+     * FatalError ("trace file truncated: <path> (record <i> at offset
+     * <o>)") if the range runs past the mapped bytes, and the located
+     * error of the first corrupt record in it.
      */
     void validate(uint64_t first, size_t n) const;
 
@@ -110,8 +95,8 @@ class MmapTraceFile
 
     /**
      * CRC-32 the whole payload against the header's stored value (v2).
-     * Throws the reader's truncation error when the payload is short, and
-     * its payload-mismatch FatalError on disagreement; no-op for v1 files.
+     * Throws the truncation error when the payload is short, and the
+     * payload-mismatch FatalError on disagreement; no-op for v1 files.
      * The payload is checksummed in 8 MiB chunks on up to
      * hardware_concurrency() threads (crc32Parallel), joined before return.
      * With @p visit, the chunks are runs of @p rangeRecords records, and
@@ -123,17 +108,9 @@ class MmapTraceFile
         size_t rangeRecords = 0,
         const std::function<void(uint64_t, size_t)> &visit = {}) const;
 
-    /** Fold records [@p first, @p first + @p n) into a running CRC-32. */
-    uint32_t crcRange(uint64_t first, uint64_t n, uint32_t crc) const;
-
     uint32_t storedPayloadCrc() const { return payloadCrc_; }
 
   private:
-    MmapTraceFile() = default;
-
-    /** Shared open path; @p throwOnMapFailure selects ctor vs tryOpen. */
-    bool open(const std::string &path, bool throwOnMapFailure);
-
     std::string path_;
     void *map_ = nullptr;
     size_t mapSize_ = 0;
@@ -143,28 +120,6 @@ class MmapTraceFile
     uint32_t version_ = traceFileVersion;
     uint32_t payloadCrc_ = 0;
     FileIdentity identity_;
-};
-
-/** Sequential TraceSource over a mapped trace (reader-equivalent). */
-class MmapTraceSource : public TraceSource
-{
-  public:
-    explicit MmapTraceSource(std::shared_ptr<const MmapTraceFile> file)
-        : file_(std::move(file))
-    {
-    }
-
-    bool next(TraceRecord &rec) override;
-    size_t nextBatch(TraceRecord *out, size_t max) override;
-    void reset() override;
-    std::string name() const override { return file_->path(); }
-
-    const MmapTraceFile &file() const { return *file_; }
-
-  private:
-    std::shared_ptr<const MmapTraceFile> file_;
-    uint64_t pos_ = 0;
-    uint32_t runningCrc_ = 0;
 };
 
 } // namespace trace

@@ -1,6 +1,7 @@
 #include "trace/shared_decode.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <new>
 #include <utility>
 
@@ -20,24 +21,23 @@ SharedDecodePool::SharedDecodePool(std::shared_ptr<const MmapTraceFile> file,
     if (opt_.maxRecords != 0 && opt_.maxRecords < count_)
         count_ = opt_.maxRecords;
     state_ = std::make_unique<std::atomic<uint8_t>[]>(blockCount());
-    if (!opt_.verifyPayload)
+    // The one payload-CRC rule: a pool serving the whole payload verifies
+    // it here, before any record is served; a capped pool checks only the
+    // blocks it serves, on first touch.
+    if (!opt_.verifyPayload || count_ != file_->recordCount())
         return;
     // The checksum pass reads every byte anyway: range-check each block
     // right after its bytes are checksummed, on the same threads, so an
     // uncapped stream makes one pass over memory, not two. A block that
     // fails stays unchecked, so its first touch throws the located error.
-    // A block past a cap is checked with the records past it; if those
-    // are bad it stays unchecked, and its first touch checks only its own.
     file_->verifyPayload(opt_.blockRecords, [this](uint64_t first, size_t n) {
         const size_t index = static_cast<size_t>(first / opt_.blockRecords);
-        if (index < blockCount() &&
-            packedRecordsValid(file_->records(first), n)) {
+        if (packedRecordsValid(file_->records(first), n)) {
             state_[index].store(kValid, std::memory_order_relaxed);
             blocksChecked_.fetch_add(1, std::memory_order_relaxed);
         }
     });
-    payloadVerified_ =
-        file_->formatVersion() >= 2 && count_ == file_->recordCount();
+    payloadVerified_ = file_->formatVersion() >= 2;
 }
 
 size_t
@@ -93,6 +93,31 @@ SharedDecodeCursor::next(const TraceRecord **records)
     std::span<const TraceRecord> block = pool_->block(nextBlock_++);
     *records = block.data();
     return block.size();
+}
+
+size_t
+SharedDecodeSource::nextBatch(TraceRecord *out, size_t max)
+{
+    size_t n = 0;
+    while (n < max) {
+        if (pending_.empty()) {
+            if (nextBlock_ == pool_->blockCount())
+                break;
+            pending_ = pool_->block(nextBlock_++);
+        }
+        const size_t take = std::min(max - n, pending_.size());
+        std::memcpy(out + n, pending_.data(), take * sizeof(TraceRecord));
+        pending_ = pending_.subspan(take);
+        n += take;
+    }
+    return n;
+}
+
+void
+SharedDecodeSource::reset()
+{
+    nextBlock_ = 0;
+    pending_ = {};
 }
 
 } // namespace trace

@@ -8,22 +8,25 @@
  * spans into the mapping, and checks each block once with the SIMD range
  * scan (validate.hpp). Every fused group and solo cell over one input
  * shares one mapping and one set of checks; the kernel page cache holds
- * the bytes.
+ * the bytes. The pool is the only way a `.ptrc` is read: block consumers
+ * walk it with a SharedDecodeCursor, and sequential ones (the `paragraph`
+ * CLI, openTraceFile(), TraceRepository::makeSource()) read it through a
+ * SharedDecodeSource.
  *
- * Integrity: the pool verifies the v2 payload CRC over the mapped bytes
- * once at construction — eager, unlike the sequential reader's check at
- * end-of-stream, because random-access consumers may legitimately never
- * read the final block. The error text matches TraceFileReader's. That
- * pass range-checks each block right after checksumming it, while its
+ * Integrity, one rule: a pool that serves the whole payload verifies the
+ * v2 payload CRC once at construction, before any record is served — a
+ * damaged payload never yields a record, whoever reads it and however far.
+ * That pass range-checks each block right after checksumming it, while its
  * bytes are in cache, so an uncapped stream reads the payload from memory
- * once for both checks.
+ * once for both checks. A capped pool skips the CRC, which covers records
+ * it never serves.
  *
- * A block the pass did not find valid (or every block, in a capped pool,
- * which skips the payload CRC) is checked on its first touch: one consumer
- * checks it while any others touching it at that moment wait for the
- * verdict. A corrupt block throws the located error (record index, byte
- * offset) to its checker; it stays unchecked, so each waiter, and any
- * later retry, checks it again and gets the same error.
+ * A block the pass did not find valid (or every block, in a capped pool)
+ * is checked on its first touch: one consumer checks it while any others
+ * touching it at that moment wait for the verdict. A corrupt block throws
+ * the located error (record index, byte offset) to its checker; it stays
+ * unchecked, so each waiter, and any later retry, checks it again and gets
+ * the same error.
  */
 
 #ifndef PARAGRAPH_TRACE_SHARED_DECODE_HPP
@@ -39,6 +42,7 @@
 #include "trace/block_source.hpp"
 #include "trace/mmap_io.hpp"
 #include "trace/record.hpp"
+#include "trace/source.hpp"
 
 namespace paragraph {
 namespace trace {
@@ -55,8 +59,10 @@ class SharedDecodePool
          *  Records past the cap are never checked. */
         uint64_t maxRecords = 0;
 
-        /** Verify the v2 payload CRC eagerly at construction, checking
-         *  every block in the same pass. */
+        /** Verify the v2 payload CRC at construction, checking every
+         *  block in the same pass, when the pool serves the whole payload
+         *  (a capped pool never does: the CRC covers records it does not
+         *  serve). false skips it, for a caller that times it apart. */
         bool verifyPayload = true;
     };
 
@@ -81,9 +87,9 @@ class SharedDecodePool
      */
     std::span<const TraceRecord> block(size_t index);
 
-    /** True when construction verified the v2 payload CRC and the pool
-     *  serves every record it covers: the header's payload CRC is then
-     *  the CRC of exactly the records served. */
+    /** True when construction verified the v2 payload CRC, which it does
+     *  only for a pool serving every record: the header's payload CRC is
+     *  then the CRC of exactly the records served. */
     bool payloadVerified() const { return payloadVerified_; }
 
     /** Blocks checked and found valid, each counted once (in the payload
@@ -124,6 +130,30 @@ class SharedDecodeCursor : public BlockSource
   private:
     std::shared_ptr<SharedDecodePool> pool_;
     size_t nextBlock_ = 0;
+};
+
+/**
+ * TraceSource view of a pool, for sequential consumers: copies the pool's
+ * records out in order, block by block. name() is the trace's path, and
+ * reset() replays from block 0.
+ */
+class SharedDecodeSource : public TraceSource
+{
+  public:
+    explicit SharedDecodeSource(std::shared_ptr<SharedDecodePool> pool)
+        : pool_(std::move(pool))
+    {
+    }
+
+    bool next(TraceRecord &rec) override { return nextBatch(&rec, 1) == 1; }
+    size_t nextBatch(TraceRecord *out, size_t max) override;
+    void reset() override;
+    std::string name() const override { return pool_->name(); }
+
+  private:
+    std::shared_ptr<SharedDecodePool> pool_;
+    size_t nextBlock_ = 0;
+    std::span<const TraceRecord> pending_; ///< unread rest of a block
 };
 
 } // namespace trace

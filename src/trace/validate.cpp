@@ -147,7 +147,7 @@ validateRecords(const TraceRecord *in, size_t n, const std::string &path,
     if (packedRecordsValid(in, n))
         return;
     // Some record in the block is bad: re-run the scalar check so the
-    // error carries the same located diagnostic TraceFileReader gives.
+    // error names the first bad record and its byte offset.
     for (size_t i = 0; i < n; ++i) {
         try {
             checkRecord(in[i]);

@@ -9,8 +9,7 @@
  * bulk check is split: a SIMD scan proves every record in a block passes
  * (the eight leading bytes of a record carry every range-checked field);
  * only when it finds a bad byte does the scalar check run, so the
- * FatalError names the exact record and byte offset, identical to
- * TraceFileReader's diagnostics.
+ * FatalError names the exact record and byte offset.
  *
  * SSE2 / NEON variants are selected under the PARAGRAPH_SIMD build option;
  * without it (or on other architectures) a scalar 64-bit scan runs the same
@@ -43,10 +42,10 @@ void checkRecord(const TraceRecord &rec);
 bool packedRecordsValid(const TraceRecord *in, size_t n);
 
 /**
- * Check @p n records read from @p path. On any invalid record throws
- * FatalError formatted exactly like TraceFileReader: "<path>: bad ...
- * (record <index> at offset <offset>)", where the index counts from
- * @p firstIndex within the named file.
+ * Check @p n records read from @p path. On any invalid record throws the
+ * located FatalError "<path>: bad ... (record <index> at offset
+ * <offset>)", where the index counts from @p firstIndex within the named
+ * file.
  */
 void validateRecords(const TraceRecord *in, size_t n, const std::string &path,
                      uint64_t firstIndex);

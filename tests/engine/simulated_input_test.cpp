@@ -2,14 +2,17 @@
 // the simulator into every fused pass and are never captured by the sweep
 // paths: the repository caches only their compiled programs. These tests
 // pin down what that must keep: one compile however many passes touch a
-// fresh input at once, cells equal to a serial simulation, a streaming
-// content key equal to the capture's, and no resident trace after a sweep.
+// fresh input at once (and one more after the file is edited), cells equal
+// to a serial simulation, a streaming content key equal to the capture's,
+// and no resident trace after a sweep.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "casm/program.hpp"
@@ -209,6 +212,38 @@ TEST(SimulatedInput, StreamingTraceCrcEqualsTheCaptureCrc)
     }
     for (const std::string &path : {mc, s, ptrc, ptrz})
         fs::remove(path);
+}
+
+TEST(SimulatedInput, EditedProgramIsRecompiledAndKeyedAgain)
+{
+    // A `.mc`/`.s` input carries its file's identity, as a trace file
+    // does: an edit moves it, so the next key and the next pass see the
+    // new program. A bundled analog has no file, and resolves once.
+    const std::string mc = writeText(tempPath(".mc"), kProgram);
+    TraceRepository repo(smallScale());
+    const TraceRepository::TraceKey before = repo.traceKey(mc);
+    ASSERT_TRUE(before.file.has_value());
+    EXPECT_EQ(before.file, repo.fileIdentity(mc));
+    const std::shared_ptr<const casm::Program> old = repo.program(mc);
+    EXPECT_EQ(repo.programsBuilt(), 1u);
+
+    std::string edited = kProgram;
+    edited.replace(edited.find("3000"), 4, "2000");
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    writeText(mc, edited);
+    const TraceRepository::TraceKey after = repo.traceKey(mc);
+    EXPECT_NE(after.file, before.file);
+    EXPECT_NE(after.crc, before.crc);
+    EXPECT_EQ(after.crc, TraceRepository(smallScale()).traceCrc(mc));
+    EXPECT_EQ(repo.programsBuilt(), 2u);
+    EXPECT_NE(repo.program(mc), old);
+    EXPECT_EQ(repo.programsBuilt(), 2u);
+
+    EXPECT_FALSE(repo.fileIdentity("xlisp").has_value());
+    repo.program("xlisp");
+    repo.program("xlisp");
+    EXPECT_EQ(repo.programsBuilt(), 3u);
+    fs::remove(mc);
 }
 
 TEST(SimulatedInput, SweepLeavesNoCapture)

@@ -43,12 +43,15 @@ struct CliResult
     std::string output;
 };
 
-/** Run the CLI; @p redirect picks where stderr (and stdout) go. */
+/** Run the CLI; @p redirect picks where stderr (and stdout) go, and
+ *  @p env holds environment assignments to run it under. */
 CliResult
 runSweep(const std::string &args,
-         const std::string &redirect = "2>/dev/null")
+         const std::string &redirect = "2>/dev/null",
+         const std::string &env = "")
 {
-    std::string cmd = sweepCliPath() + " " + args + " " + redirect;
+    std::string cmd =
+        env + " " + sweepCliPath() + " " + args + " " + redirect;
     std::FILE *pipe = popen(cmd.c_str(), "r");
     EXPECT_NE(pipe, nullptr);
     std::string out;
@@ -118,6 +121,29 @@ TEST(SweepCli, StreamFlagIsAcceptedAndChangesNothing)
     EXPECT_NE(plain.output.find("\"cells_total\": 2"), std::string::npos);
 }
 
+TEST(SweepCli, MapFailureFailsTheCellsWithTheLocatedError)
+{
+    // A `.ptrc` that cannot be mapped is not read another way: each cell
+    // fails with the mapping's error, and the sweep exits 1.
+    const std::string ptrc =
+        std::string(PARAGRAPH_GOLDEN_DIR) + "/xlisp-800.ptrc";
+    const std::string grid =
+        "--inputs=" + ptrc + " --windows=16,0 --quiet --no-timing";
+    CliResult failed = runSweep(grid, "2>/dev/null",
+                                "PARAGRAPH_FAILPOINTS=trace.mmap.map=after:0");
+    EXPECT_TRUE(WIFEXITED(failed.status) && WEXITSTATUS(failed.status) == 1);
+    EXPECT_NE(failed.output.find("\"cells_failed\": 2"), std::string::npos)
+        << failed.output;
+    const std::string error =
+        "\"error\": \"cannot mmap trace file: " + ptrc + "\"";
+    size_t found = 0;
+    for (size_t at = failed.output.find(error); at != std::string::npos;
+         at = failed.output.find(error, at + 1))
+        ++found;
+    EXPECT_EQ(found, 2u) << failed.output;
+    EXPECT_EQ(runSweep(grid).status, 0);
+}
+
 TEST(SweepCli, ShardFlagIsAcceptedAndChangesNothing)
 {
     // Every cell runs one fused pass; `--shard=N` stays accepted (N >= 1)
@@ -130,9 +156,9 @@ TEST(SweepCli, ShardFlagIsAcceptedAndChangesNothing)
          ("sweep_shard_flag_" + std::to_string(::getpid()) + ".ptrz"))
             .string();
     {
-        paragraph::trace::TraceFileReader reader(ptrc);
+        auto reader = paragraph::trace::openTraceFile(ptrc);
         paragraph::trace::CompressedTraceWriter writer(ptrz);
-        writer.writeAll(reader);
+        writer.writeAll(*reader);
         writer.close();
     }
     for (const std::string &input :

@@ -7,8 +7,10 @@
 //
 // And a trace file changed on disk between two requests to one daemon —
 // replaced by rename, rewritten in place, truncated in place, deleted —
-// is never answered from its old content, never takes the daemon down,
-// and does not stay mapped past the daemon's next request.
+// or a `.mc` program edited between them, is never answered from its old
+// content, never takes the daemon down, and does not stay mapped past the
+// daemon's next request. A trace file the daemon cannot map fails its
+// cells with the mapping's error, and the daemon serves the next request.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -52,7 +54,8 @@ class FileChangeDaemon : public ::testing::Test
 {
   protected:
     std::string dir_;
-    std::string trace_; ///< the `.ptrc` the requests sweep
+    std::string trace_; ///< a `.ptrc` in the test's directory
+    std::string input_; ///< the input the requests sweep (trace_ unless set)
     std::string socket_;
     pid_t pid_ = -1;
 
@@ -67,6 +70,7 @@ class FileChangeDaemon : public ::testing::Test
         fs::remove_all(dir_);
         fs::create_directories(dir_);
         trace_ = dir_ + "/input.ptrc";
+        input_ = trace_;
         socket_ = dir_ + "/serve.sock";
         const std::string store = "--store=" + dir_ + "/store.jsonl";
         const std::string sock = "--socket=" + socket_;
@@ -74,7 +78,7 @@ class FileChangeDaemon : public ::testing::Test
         if (pid_ == 0) {
             ::execl(PARAGRAPH_SERVE_CLI_PATH, PARAGRAPH_SERVE_CLI_PATH,
                     sock.c_str(), store.c_str(), "--jobs=2", "--quiet",
-                    static_cast<char *>(nullptr));
+                    "--allow-failpoints", static_cast<char *>(nullptr));
             _exit(127);
         }
         for (int i = 0; i < 500 && !fs::exists(socket_); ++i)
@@ -129,9 +133,20 @@ class FileChangeDaemon : public ::testing::Test
     {
         serve::ServeRequest req;
         req.op = serve::ServeRequest::Op::Sweep;
-        req.inputs = {trace_};
+        req.inputs = {input_};
         req.windows = {16, 64};
         return req;
+    }
+
+    /** Arm the daemon's failpoints with @p spec ("" disarms them all). */
+    void
+    armFailpoints(const std::string &spec)
+    {
+        serve::ServeRequest req;
+        req.op = serve::ServeRequest::Op::Failpoint;
+        req.failpointSpec = spec;
+        serve::ServeResponse resp = ask(req);
+        EXPECT_TRUE(resp.ok()) << resp.error;
     }
 
     serve::ServeResponse sweep() { return ask(sweepRequest()); }
@@ -158,7 +173,7 @@ class FileChangeDaemon : public ::testing::Test
         engine::SweepJsonOptions json;
         json.timing = false;
         return engine::sweepToJson(
-            engine::SweepEngine().run(repo, {trace_}, configs, labels),
+            engine::SweepEngine().run(repo, {input_}, configs, labels),
             json);
     }
 
@@ -221,6 +236,33 @@ writeTrace(const std::string &path, const trace::TraceBuffer &records)
 }
 
 constexpr size_t kRecords = 3000;
+
+/** A MiniC program whose loop runs @p iterations times. */
+std::string
+miniCProgram(int iterations)
+{
+    return "int table[16];\n"
+           "void main() {\n"
+           "    int i;\n"
+           "    int acc;\n"
+           "    acc = 0;\n"
+           "    for (i = 0; i < " +
+           std::to_string(iterations) +
+           "; i = i + 1) {\n"
+           "        table[i % 16] = table[(i * 3) % 16] + i;\n"
+           "        acc = acc + table[i % 16];\n"
+           "    }\n"
+           "    print_int(acc);\n"
+           "}\n";
+}
+
+void
+writeText(const std::string &path, const std::string &text)
+{
+    std::ofstream out(path, std::ios::trunc);
+    out << text;
+    ASSERT_TRUE(out.good()) << path;
+}
 
 } // namespace
 
@@ -304,6 +346,31 @@ TEST_F(FileChangeDaemon, DeletedFileFailsEveryCell)
     serveWarm();
     fs::remove(trace_);
     expectEveryCellFails("cannot open trace file: " + trace_);
+}
+
+TEST_F(FileChangeDaemon, EditedProgramIsCompiledAndAnalyzedAgain)
+{
+    // A `.mc` input is keyed and compiled by its file's identity too: an
+    // edit is compiled and analyzed afresh, never served from the cells of
+    // the old program.
+    input_ = dir_ + "/input.mc";
+    writeText(input_, miniCProgram(300));
+    const std::string before = serveWarm();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    writeText(input_, miniCProgram(400));
+    expectServedAfresh(before);
+}
+
+TEST_F(FileChangeDaemon, MapFailureFailsEveryCellAndTheNextRequestIsServed)
+{
+    // A `.ptrc` that cannot be mapped is not read another way: the request
+    // fails its cells with the mapping's error, stores none, and the
+    // daemon answers the next request in full.
+    writeTrace(trace_, testhelpers::randomTrace(49, kRecords));
+    armFailpoints("trace.mmap.map=after:0");
+    expectEveryCellFails("cannot mmap trace file: " + trace_);
+    armFailpoints("");
+    serveWarm();
 }
 
 TEST_F(FileChangeDaemon, DeletedFileIsUnmappedByTheNextRequest)

@@ -5,7 +5,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <string>
+
+#include <sys/wait.h>
 
 namespace {
 
@@ -27,10 +30,11 @@ struct CliResult
     std::string output;
 };
 
+/** Run the CLI with @p args, under the environment assignments @p env. */
 CliResult
-runCli(const std::string &args)
+runCli(const std::string &args, const std::string &env = "")
 {
-    std::string cmd = cliPath() + " " + args + " 2>&1";
+    std::string cmd = env + " " + cliPath() + " " + args + " 2>&1";
     std::FILE *pipe = popen(cmd.c_str(), "r");
     EXPECT_NE(pipe, nullptr);
     std::string out;
@@ -57,6 +61,13 @@ TEST(Cli, AnalyzesAWorkload)
     EXPECT_EQ(r.status, 0);
     EXPECT_NE(r.output.find("critical path"), std::string::npos);
     EXPECT_NE(r.output.find("avail. parallelism"), std::string::npos);
+}
+
+/** True when @p r exited with @p code. */
+bool
+exitedWith(const CliResult &r, int code)
+{
+    return WIFEXITED(r.status) && WEXITSTATUS(r.status) == code;
 }
 
 TEST(Cli, SwitchesChangeTheResult)
@@ -140,4 +151,48 @@ TEST(Cli, BadArgumentsFailCleanly)
     EXPECT_NE(runCli("--bogus-flag xlisp").status, 0);
     EXPECT_NE(runCli("no-such-workload").status, 0);
     EXPECT_NE(runCli("").status, 0);
+}
+
+TEST(Cli, MapFailureIsALocatedErrorNotAFallback)
+{
+    // A `.ptrc` is read only through its mapping: when mmap fails, the run
+    // fails with the located error instead of reading the file another way.
+    const std::string golden =
+        std::string(PARAGRAPH_GOLDEN_DIR) + "/xlisp-800.ptrc";
+    CliResult failed =
+        runCli(golden, "PARAGRAPH_FAILPOINTS=trace.mmap.map=after:0");
+    EXPECT_TRUE(exitedWith(failed, 1)) << failed.output;
+    EXPECT_NE(failed.output.find("paragraph: cannot mmap trace file: " +
+                                 golden + "\n"),
+              std::string::npos)
+        << failed.output;
+    EXPECT_TRUE(exitedWith(runCli(golden), 0));
+}
+
+TEST(Cli, DamagedPayloadIsRejectedAtOpenUnderMax)
+{
+    // The payload CRC is checked as a `.ptrc` opens, so a run capped
+    // before the damage still rejects the file.
+    namespace fs = std::filesystem;
+    const std::string path =
+        (fs::temp_directory_path() / "cli_damaged.ptrc").string();
+    ASSERT_TRUE(exitedWith(runCli("--small xlisp --save-trace=" + path), 0));
+    {
+        // Flip a bit in the last record's pc: every field stays in range.
+        std::fstream f(path, std::ios::in | std::ios::out |
+                                 std::ios::binary);
+        f.seekg(-1, std::ios::end);
+        char c = 0;
+        f.get(c);
+        f.seekp(-1, std::ios::end);
+        f.put(static_cast<char>(c ^ 0x40));
+    }
+    CliResult r = runCli(path + " --max=100");
+    EXPECT_TRUE(exitedWith(r, 1)) << r.output;
+    EXPECT_NE(r.output.find("paragraph: trace file payload checksum "
+                            "mismatch in " +
+                            path),
+              std::string::npos)
+        << r.output;
+    fs::remove(path);
 }

@@ -3,7 +3,10 @@
 // byte offset) — never a crash, never a silent success. Field damage is
 // injected *under valid checksums* (crafted files) so the range validation
 // itself is exercised, and separately *as raw byte flips* so the CRC layers
-// are exercised.
+// are exercised. Each damaged `.ptrc` is read both through openTraceFile
+// (what `paragraph` reads) and as a one-cell sweep, whose cell reads it
+// through the repository's shared decode pool; both must report the same
+// text.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -11,10 +14,14 @@
 #include <string>
 #include <vector>
 
+#include "core/config.hpp"
+#include "engine/sweep.hpp"
+#include "engine/trace_repository.hpp"
 #include "support/crc32.hpp"
 #include "support/panic.hpp"
 #include "trace/compressed_io.hpp"
 #include "trace/file_io.hpp"
+#include "trace/mmap_io.hpp"
 
 using namespace paragraph;
 using namespace paragraph::trace;
@@ -95,19 +102,44 @@ truncateTo(const std::string &path, uintmax_t size)
     std::filesystem::resize_file(path, size);
 }
 
-/** Drain a reader; returns the error text if it threw, "" if it finished. */
+/** Drain @p path through openTraceFile; the error text if it threw, ""
+ *  if it finished. */
 std::string
-readAllError(const std::string &path)
+openError(const std::string &path)
 {
     try {
-        TraceFileReader reader(path);
+        auto reader = openTraceFile(path);
         TraceRecord rec;
-        while (reader.next(rec)) {
+        while (reader->next(rec)) {
         }
         return "";
     } catch (const FatalError &e) {
         return e.what();
     }
+}
+
+/** The error of a one-cell sweep over @p path, whose cell reads it through
+ *  the repository's decode pool; "" when the cell succeeds. */
+std::string
+sweepCellError(const std::string &path)
+{
+    engine::TraceRepository repo;
+    engine::SweepResult sweep = engine::SweepEngine().run(
+        repo, {path}, {core::AnalysisConfig()}, {"default"});
+    const engine::SweepCell &cell = sweep.cells.at(0);
+    return cell.status == engine::SweepCell::Status::Failed
+               ? cell.errorMessage
+               : "";
+}
+
+/** The error reading @p path reports through openTraceFile; a sweep cell
+ *  over it must fail with the same text. */
+std::string
+readAllError(const std::string &path)
+{
+    std::string err = openError(path);
+    EXPECT_EQ(sweepCellError(path), err) << "a sweep cell over " << path;
+    return err;
 }
 
 std::vector<PackedRecord>
@@ -144,8 +176,11 @@ TEST_F(CorruptTrace, FlippedMagicRejected)
 {
     writeValidTrace(path_);
     flipByte(path_, 0);
-    std::string err = readAllError(path_);
-    EXPECT_NE(err.find("magic"), std::string::npos) << err;
+    // openTraceFile picks the format by the magic, and finds neither; a
+    // sweep input is a `.ptrc` by its name, so the mapped header's magic
+    // check names it.
+    EXPECT_EQ(openError(path_), "unrecognized trace file format: " + path_);
+    EXPECT_EQ(sweepCellError(path_), "bad trace file magic in " + path_);
 }
 
 TEST_F(CorruptTrace, FlippedVersionRejected)
@@ -233,28 +268,32 @@ TEST_F(CorruptTrace, V1FilesStillReadWithoutChecksums)
     // A v1 header carries zeros where v2 keeps its CRCs; the reader must
     // accept it (warning only) and deliver every record.
     writeCraftedTrace(path_, 1, packedRecords(4));
-    TraceFileReader reader(path_);
-    EXPECT_EQ(reader.formatVersion(), 1u);
-    EXPECT_EQ(reader.recordCount(), 4u);
+    MmapTraceFile file(path_);
+    EXPECT_EQ(file.formatVersion(), 1u);
+    EXPECT_EQ(file.recordCount(), 4u);
+    auto reader = openTraceFile(path_);
     TraceRecord rec;
     size_t n = 0;
-    while (reader.next(rec))
+    while (reader->next(rec))
         ++n;
     EXPECT_EQ(n, 4u);
+    EXPECT_EQ(sweepCellError(path_), "");
 }
 
-TEST_F(CorruptTrace, RoundTripAfterResetVerifiesCrcTwice)
+TEST_F(CorruptTrace, ResetReplaysTheVerifiedPayload)
 {
+    // The payload CRC is checked once, when the reader opens; reset()
+    // replays every record without tripping a check on the second pass.
     writeValidTrace(path_);
-    TraceFileReader reader(path_);
+    auto reader = openTraceFile(path_);
     TraceRecord rec;
     size_t n = 0;
-    while (reader.next(rec))
+    while (reader->next(rec))
         ++n;
     EXPECT_EQ(n, 4u);
-    reader.reset(); // running CRC must restart with the stream
+    reader->reset();
     n = 0;
-    while (reader.next(rec))
+    while (reader->next(rec))
         ++n;
     EXPECT_EQ(n, 4u);
 }

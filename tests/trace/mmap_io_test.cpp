@@ -1,10 +1,9 @@
-// MmapTraceSource is documented as byte-for-byte reader-equivalent: same
-// records, same FatalError conditions in the same order with the same
-// texts, same v1 fallback. These tests hold it to that — every failure
-// case drains both a TraceFileReader and an MmapTraceSource over the same
-// file and compares the *exact* error strings, and the happy path packs
-// every record from both and memcmps them over the checked-in golden
-// trace.
+// MmapTraceFile is the one `.ptrc` reader, and openTraceFile reads a
+// `.ptrc` through a pool over it. These tests pin what it reports: every
+// failure case drains openTraceFile over a damaged file and compares the
+// *exact* error text, the mapped header's own errors are checked on
+// MmapTraceFile, and the happy path memcmps every record read back against
+// the mapped payload of the checked-in golden trace.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -16,6 +15,8 @@
 #include "support/crc32.hpp"
 #include "support/failpoint.hpp"
 #include "support/panic.hpp"
+#include "support/string_utils.hpp"
+#include "trace/compressed_io.hpp"
 #include "trace/file_io.hpp"
 #include "trace/mmap_io.hpp"
 
@@ -86,14 +87,14 @@ flipByte(const std::string &path, long offset)
     ASSERT_EQ(std::fclose(f), 0);
 }
 
-/** Open + drain via TraceFileReader; "" on success, the error text else. */
+/** Open + drain via openTraceFile; "" on success, the error text else. */
 std::string
 readerError(const std::string &path)
 {
     try {
-        TraceFileReader reader(path);
+        auto reader = openTraceFile(path);
         TraceRecord rec;
-        while (reader.next(rec)) {
+        while (reader->next(rec)) {
         }
         return "";
     } catch (const FatalError &e) {
@@ -101,20 +102,39 @@ readerError(const std::string &path)
     }
 }
 
-/** Same drain via mmap. */
+/** The error mapping @p path throws; "" when its header is valid. */
 std::string
 mmapError(const std::string &path)
 {
     try {
-        auto file = std::make_shared<MmapTraceFile>(path);
-        MmapTraceSource src(file);
-        TraceRecord rec;
-        while (src.next(rec)) {
-        }
+        MmapTraceFile file(path);
         return "";
     } catch (const FatalError &e) {
         return e.what();
     }
+}
+
+/** The header of the file at @p path, as its bytes are now. */
+TraceFileHeader
+headerOf(const std::string &path)
+{
+    TraceFileHeader hdr{};
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    EXPECT_NE(f, nullptr);
+    if (f) {
+        EXPECT_EQ(std::fread(&hdr, sizeof(hdr), 1, f), 1u);
+        std::fclose(f);
+    }
+    return hdr;
+}
+
+/** The located truncation error of @p path backed up to record @p index. */
+std::string
+truncatedText(const std::string &path, uint64_t index)
+{
+    return strFormat("trace file truncated: %s (record %llu at offset %llu)",
+                     path.c_str(), static_cast<unsigned long long>(index),
+                     static_cast<unsigned long long>(recordOffset(index)));
 }
 
 /** The eager whole-payload check alone; "" when it passes. */
@@ -163,91 +183,93 @@ TEST(MmapGolden, PacksIdenticallyToReaderOverGoldenTrace)
     std::string golden =
         std::string(PARAGRAPH_GOLDEN_DIR) + "/xlisp-800.ptrc";
 
-    TraceFileReader reader(golden);
-    auto file = std::make_shared<MmapTraceFile>(golden);
-    EXPECT_EQ(file->recordCount(), reader.recordCount());
-    EXPECT_EQ(file->formatVersion(), reader.formatVersion());
-    EXPECT_EQ(file->availableRecords(), file->recordCount());
+    MmapTraceFile file(golden);
+    EXPECT_EQ(file.formatVersion(), 2u);
+    EXPECT_EQ(file.recordCount(), 800u);
+    EXPECT_EQ(file.availableRecords(), file.recordCount());
 
-    MmapTraceSource src(file);
-    TraceRecord fromReader, fromMmap;
+    auto reader = openTraceFile(golden);
+    EXPECT_EQ(reader->name(), golden);
+    TraceRecord rec;
     uint64_t n = 0;
-    while (reader.next(fromReader)) {
-        ASSERT_TRUE(src.next(fromMmap)) << "mmap ran short at record " << n;
-        ASSERT_EQ(std::memcmp(&fromReader, &fromMmap, sizeof(fromReader)),
-                  0)
+    while (reader->next(rec)) {
+        ASSERT_LT(n, file.recordCount()) << "the reader ran long";
+        ASSERT_EQ(std::memcmp(&rec, file.records(n), sizeof(rec)), 0)
             << "record " << n << " differs";
         ++n;
     }
-    EXPECT_FALSE(src.next(fromMmap)) << "mmap ran long";
-    EXPECT_EQ(n, reader.recordCount());
+    EXPECT_EQ(n, file.recordCount());
 }
 
 TEST(MmapGolden, BatchedAndSingleReadsAgree)
 {
     std::string golden =
         std::string(PARAGRAPH_GOLDEN_DIR) + "/xlisp-800.ptrc";
-    auto file = std::make_shared<MmapTraceFile>(golden);
-    MmapTraceSource one(file), many(file);
+    auto one = openTraceFile(golden);
+    auto many = openTraceFile(golden);
 
     std::vector<TraceRecord> batch(257); // deliberately not a divisor
     TraceRecord rec;
     uint64_t n = 0;
     for (;;) {
-        size_t got = many.nextBatch(batch.data(), batch.size());
+        size_t got = many->nextBatch(batch.data(), batch.size());
         if (got == 0)
             break;
         for (size_t i = 0; i < got; ++i) {
-            ASSERT_TRUE(one.next(rec));
+            ASSERT_TRUE(one->next(rec));
             ASSERT_EQ(std::memcmp(&rec, &batch[i], sizeof(rec)), 0)
                 << "record " << (n + i) << " differs";
         }
         n += got;
     }
-    EXPECT_FALSE(one.next(rec));
-    EXPECT_EQ(n, file->recordCount());
+    EXPECT_FALSE(one->next(rec));
+    EXPECT_EQ(n, 800u);
 }
 
 TEST_F(MmapTrace, MissingFileErrorMatchesReader)
 {
-    std::string err = mmapError(path_);
-    EXPECT_FALSE(err.empty());
-    EXPECT_EQ(err, readerError(path_));
+    const std::string err = "cannot open trace file: " + path_;
+    EXPECT_EQ(mmapError(path_), err);
+    EXPECT_EQ(readerError(path_), err);
 }
 
 TEST_F(MmapTrace, EmptyFileErrorMatchesReader)
 {
     std::fclose(std::fopen(path_.c_str(), "wb"));
-    std::string err = mmapError(path_);
-    EXPECT_FALSE(err.empty());
-    EXPECT_EQ(err, readerError(path_));
+    const std::string err = "trace file too short: " + path_;
+    EXPECT_EQ(mmapError(path_), err);
+    EXPECT_EQ(readerError(path_), err);
 }
 
 TEST_F(MmapTrace, TruncatedHeaderErrorMatchesReader)
 {
     writeValidTrace(path_);
     std::filesystem::resize_file(path_, sizeof(TraceFileHeader) / 2);
-    std::string err = mmapError(path_);
-    EXPECT_FALSE(err.empty());
-    EXPECT_EQ(err, readerError(path_));
+    const std::string err = "trace file too short: " + path_;
+    EXPECT_EQ(mmapError(path_), err);
+    EXPECT_EQ(readerError(path_), err);
 }
 
 TEST_F(MmapTrace, BadMagicErrorMatchesReader)
 {
     writeValidTrace(path_);
     flipByte(path_, 0);
-    std::string err = mmapError(path_);
-    EXPECT_NE(err.find("magic"), std::string::npos) << err;
-    EXPECT_EQ(err, readerError(path_));
+    EXPECT_EQ(mmapError(path_), "bad trace file magic in " + path_);
+    // openTraceFile picks the format by the magic, and finds neither.
+    EXPECT_EQ(readerError(path_), "unrecognized trace file format: " + path_);
 }
 
 TEST_F(MmapTrace, HeaderCrcErrorMatchesReader)
 {
     writeValidTrace(path_);
     flipByte(path_, 8); // count word, caught by the header CRC
-    std::string err = mmapError(path_);
-    EXPECT_NE(err.find("header checksum"), std::string::npos) << err;
-    EXPECT_EQ(err, readerError(path_));
+    const TraceFileHeader hdr = headerOf(path_);
+    const std::string err = strFormat(
+        "trace file header checksum mismatch in %s (stored %08x, computed "
+        "%08x); header is corrupt",
+        path_.c_str(), hdr.headerCrc, traceHeaderCrc(hdr));
+    EXPECT_EQ(mmapError(path_), err);
+    EXPECT_EQ(readerError(path_), err);
 }
 
 TEST_F(MmapTrace, TruncatedPayloadLocatedLikeReader)
@@ -261,22 +283,30 @@ TEST_F(MmapTrace, TruncatedPayloadLocatedLikeReader)
     EXPECT_EQ(file->recordCount(), 4u);
     EXPECT_EQ(file->availableRecords(), 1u);
 
-    std::string err = mmapError(path_);
-    EXPECT_NE(err.find("truncated"), std::string::npos) << err;
-    EXPECT_NE(err.find("record 1"), std::string::npos) << err;
-    EXPECT_EQ(err, readerError(path_));
+    EXPECT_EQ(readerError(path_), truncatedText(path_, 1));
 }
 
-TEST_F(MmapTrace, PayloadCrcMismatchAtEndOfStreamMatchesReader)
+TEST_F(MmapTrace, PayloadCrcMismatchAtOpenMatchesReader)
 {
     writeValidTrace(path_);
     // Flip a bit that keeps every field in range: only the payload CRC,
-    // checked when the stream is drained to its end, can catch it.
+    // checked when the reader opens, before any record is read, can catch
+    // it.
     flipByte(path_, static_cast<long>(sizeof(TraceFileHeader)) +
                         2 * static_cast<long>(sizeof(PackedRecord)) + 8);
-    std::string err = mmapError(path_);
-    EXPECT_NE(err.find("payload checksum"), std::string::npos) << err;
-    EXPECT_EQ(err, readerError(path_));
+    MmapTraceFile file(path_);
+    const std::string err = strFormat(
+        "trace file payload checksum mismatch in %s (stored %08x, computed "
+        "%08x over 4 records); trace is corrupt",
+        path_.c_str(), file.storedPayloadCrc(),
+        crc32Of(file.records(0), 4 * sizeof(PackedRecord)));
+    EXPECT_EQ(verifyError(path_), err);
+    try {
+        openTraceFile(path_);
+        FAIL() << "a damaged payload opened";
+    } catch (const FatalError &e) {
+        EXPECT_EQ(std::string(e.what()), err);
+    }
 }
 
 TEST_F(MmapTrace, CorruptFieldLocatedLikeReader)
@@ -286,10 +316,9 @@ TEST_F(MmapTrace, CorruptFieldLocatedLikeReader)
         recs.push_back(simpleRecord(i));
     recs[2].numSrcs = 7; // > maxSrcs, smuggled under a valid CRC
     writeCraftedTrace(path_, traceFileVersion, recs);
-    std::string err = mmapError(path_);
-    EXPECT_NE(err.find("source count"), std::string::npos) << err;
-    EXPECT_NE(err.find("record 2"), std::string::npos) << err;
-    EXPECT_EQ(err, readerError(path_));
+    EXPECT_EQ(readerError(path_),
+              path_ + ": bad source count 7 (record 2 at offset " +
+                  std::to_string(recordOffset(2)) + ")");
 }
 
 TEST_F(MmapTrace, V1FilesStillReadWithoutChecksums)
@@ -302,10 +331,10 @@ TEST_F(MmapTrace, V1FilesStillReadWithoutChecksums)
     auto file = std::make_shared<MmapTraceFile>(path_);
     EXPECT_EQ(file->formatVersion(), 1u);
     EXPECT_EQ(file->recordCount(), 4u);
-    MmapTraceSource src(file);
+    auto reader = openTraceFile(path_);
     TraceRecord rec;
     size_t n = 0;
-    while (src.next(rec))
+    while (reader->next(rec))
         ++n;
     EXPECT_EQ(n, 4u);
 }
@@ -313,30 +342,36 @@ TEST_F(MmapTrace, V1FilesStillReadWithoutChecksums)
 TEST_F(MmapTrace, ResetReplaysTheStreamWithCrcIntact)
 {
     writeValidTrace(path_, 8);
-    auto file = std::make_shared<MmapTraceFile>(path_);
-    MmapTraceSource src(file);
+    auto reader = openTraceFile(path_);
     TraceRecord rec;
     size_t n = 0;
-    while (src.next(rec))
+    while (reader->next(rec))
         ++n;
     EXPECT_EQ(n, 8u);
-    src.reset(); // running payload CRC must restart with the stream
+    reader->reset(); // replays from block 0
     n = 0;
-    while (src.next(rec))
+    while (reader->next(rec)) {
+        EXPECT_EQ(rec.pc, 0x1000 + n);
         ++n;
+    }
     EXPECT_EQ(n, 8u);
 }
 
-TEST_F(MmapTrace, TryOpenValidatesLikeTheConstructor)
+TEST_F(MmapTrace, MapFailureIsAnErrorNotAFallback)
 {
     writeValidTrace(path_);
-    auto ok = MmapTraceFile::tryOpen(path_);
-    ASSERT_NE(ok, nullptr);
-    EXPECT_EQ(ok->recordCount(), 4u);
-    EXPECT_NE(ok->records(0), nullptr);
+    failpoint::reset();
+    std::string error;
+    ASSERT_TRUE(failpoint::configure("trace.mmap.map=after:0", error))
+        << error;
+    const std::string err = "cannot mmap trace file: " + path_;
+    EXPECT_EQ(mmapError(path_), err);
+    EXPECT_EQ(readerError(path_), err);
+    failpoint::reset();
 
-    flipByte(path_, 0);
-    EXPECT_THROW(MmapTraceFile::tryOpen(path_), FatalError);
+    // Mapped, the same file reads in full.
+    EXPECT_EQ(readerError(path_), "");
+    EXPECT_EQ(MmapTraceFile(path_).recordCount(), 4u);
 }
 
 TEST_F(MmapTrace, ChunkedVerifyReportsAFlipInAnyChunkLikeTheReader)
@@ -357,7 +392,7 @@ TEST_F(MmapTrace, ChunkedVerifyReportsAFlipInAnyChunkLikeTheReader)
         EXPECT_NE(err.find("over " + std::to_string(n) + " records"),
                   std::string::npos)
             << err;
-        EXPECT_EQ(err, readerError(path_));
+        EXPECT_EQ(err, readerError(path_)); // thrown as the reader opens
         flipByte(path_, inRangeByte(index)); // and back
     }
     EXPECT_EQ(verifyError(path_), "");
@@ -394,9 +429,7 @@ TEST_F(MmapTrace, VerifyReportsTruncationBeforeAnyChecksum)
     failpoint::reset();
     std::string error;
     ASSERT_TRUE(failpoint::configure("trace.mmap.crc=once", error)) << error;
-    std::string err = verifyError(path_);
-    EXPECT_NE(err.find("truncated"), std::string::npos) << err;
-    EXPECT_EQ(err, readerError(path_));
+    EXPECT_EQ(verifyError(path_), truncatedText(path_, 2));
     // The checksum never ran: its failpoint is still armed.
     EXPECT_EQ(failpoint::activeSites(), 1u);
     failpoint::reset();

@@ -6,7 +6,7 @@
 // a corrupt block throws the same located error to every cursor that
 // reaches it (and again on a retry), and the v2 payload CRC is verified
 // eagerly at construction (random-access consumers may never reach the
-// final block where the sequential reader checks it).
+// final block) by a pool that serves the whole payload.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -19,6 +19,7 @@
 
 #include "support/failpoint.hpp"
 #include "support/panic.hpp"
+#include "trace/compressed_io.hpp"
 #include "trace/file_io.hpp"
 #include "trace/shared_decode.hpp"
 
@@ -253,9 +254,8 @@ TEST_F(SharedDecode, MaxRecordsClipsTheServedTrace)
 TEST_F(SharedDecode, CappedPoolNeverChecksPastItsCap)
 {
     // Record 45 is corrupt, past the 40-record cap: a capped stream never
-    // reads it (the sequential reader would not reach it either), so the
-    // pool serves its 40 records without an error. The CRC covers the
-    // whole payload, which a capped read skips.
+    // reads it, so the pool serves its 40 records without an error. The
+    // CRC covers the whole payload, which a capped read skips.
     SharedDecodePool::Options opt;
     opt.blockRecords = 16;
     opt.maxRecords = 40;
@@ -280,16 +280,16 @@ TEST_F(SharedDecode, CorruptBlockThrowsTheLocatedErrorToEveryCursor)
     // a valid payload CRC, so only the block check can catch it — on
     // first touch, or in the checksum pass, which leaves it unchecked.
     writeTrace(path_, 100, /*badIndex=*/37);
-    std::string readerError = errorOf([&] {
-        TraceFileReader reader(path_);
-        TraceRecord rec;
-        while (reader.next(rec)) {
-        }
-    });
-    ASSERT_NE(readerError.find("bad source count 7 (record 37 at offset " +
-                               std::to_string(recordOffset(37)) + ")"),
-              std::string::npos)
-        << readerError;
+    const std::string readerError =
+        path_ + ": bad source count 7 (record 37 at offset " +
+        std::to_string(recordOffset(37)) + ")";
+    EXPECT_EQ(errorOf([&] {
+                  auto reader = openTraceFile(path_);
+                  TraceRecord rec;
+                  while (reader->next(rec)) {
+                  }
+              }),
+              readerError);
 
     for (bool verify : {false, true}) {
         SCOPED_TRACE(verify ? "verified pool" : "unverified pool");
@@ -361,4 +361,55 @@ TEST_F(SharedDecode, PayloadCrcVerifiedEagerlyAtConstruction)
     auto pool = std::make_shared<SharedDecodePool>(
         std::make_shared<MmapTraceFile>(path_), opt);
     EXPECT_EQ(pool->block(0).size(), pool->recordCount());
+}
+
+TEST_F(SharedDecode, CappedPoolSkipsThePayloadCrcOfRecordsItDoesNotServe)
+{
+    // The one payload-CRC rule: only a pool serving the whole payload
+    // verifies it. A flip in record 60 (every field still in range) fails
+    // the uncapped pool's open; a 40-record pool serves its records, each
+    // block checked on first touch.
+    writeTrace(path_, 100);
+    flipByte(path_, static_cast<long>(recordOffset(60)) + 8);
+    SharedDecodePool::Options opt;
+    opt.blockRecords = 16;
+    EXPECT_NE(errorOf([&] {
+                  SharedDecodePool pool(
+                      std::make_shared<MmapTraceFile>(path_), opt);
+              }).find("payload checksum mismatch"),
+              std::string::npos);
+
+    opt.maxRecords = 40;
+    auto capped = std::make_shared<SharedDecodePool>(
+        std::make_shared<MmapTraceFile>(path_), opt);
+    EXPECT_FALSE(capped->payloadVerified());
+    EXPECT_EQ(capped->blocksDecoded(), 0u);
+    SharedDecodeCursor cursor(capped);
+    EXPECT_EQ(drainCursor(cursor), 40u);
+    EXPECT_EQ(capped->blocksDecoded(), 3u);
+}
+
+TEST_F(SharedDecode, SourceViewCopiesTheBlocksInOrderAndReplaysOnReset)
+{
+    SharedDecodePool::Options opt;
+    opt.blockRecords = 16;
+    auto pool = makePool(50, opt); // blocks of 16, 16, 16 and 2
+    EXPECT_TRUE(pool->payloadVerified());
+    SharedDecodeSource src(pool);
+    EXPECT_EQ(src.name(), path_);
+    for (int pass = 0; pass < 2; ++pass) {
+        SCOPED_TRACE(pass == 0 ? "first pass" : "after reset()");
+        std::vector<TraceRecord> batch(7); // straddles every block edge
+        uint64_t n = 0;
+        while (size_t got = src.nextBatch(batch.data(), batch.size())) {
+            for (size_t i = 0; i < got; ++i)
+                EXPECT_EQ(batch[i].pc, 0x1000 + n + i);
+            n += got;
+        }
+        EXPECT_EQ(n, 50u);
+        TraceRecord rec;
+        EXPECT_FALSE(src.next(rec));
+        src.reset();
+    }
+    EXPECT_EQ(pool->blocksDecoded(), 4u);
 }
